@@ -56,7 +56,7 @@ void SweepConfig::Register(util::ArgParser& parser) {
                 "offline calibration draws per task for the planning arms");
   parser.AddInt("online-dp-bins", &online.dp_bins,
                 "cycle bins of the acs-online expected-case dispatch "
-                "profile");
+                "profile, 1-64");
   parser.AddDouble("drift-ewma", &online.drift_ewma,
                    "EWMA weight of one hyper-period's realised mean cycles "
                    "(acs-online-drift)");

@@ -43,8 +43,8 @@ struct PlanningOptions {
 /// mid-run replans.  Ignored by every other method.
 struct OnlineOptions {
   /// Cycle bins of the per-dispatch expected-case speed profile
-  /// (sim::ExpectedCasePolicy); more bins track the survival curve closer
-  /// at the cost of more re-dispatches per sub-instance.
+  /// (sim::ExpectedCasePolicy), 1..64; more bins track the survival curve
+  /// closer at the cost of more re-dispatches per sub-instance.
   std::int64_t dp_bins = 8;
   /// EWMA weight of one hyper-period's realised per-task mean cycles
   /// (acs-online-drift): ewma <- (1-w) ewma + w batch_mean.

@@ -34,9 +34,11 @@ ExpectedCasePolicy::ExpectedCasePolicy(
     const model::DvsModel& dvs,
     const std::vector<std::vector<double>>& sorted_draws, std::int64_t bins,
     const std::vector<double>* task_scale)
-    : dvs_(&dvs), bins_(static_cast<std::size_t>(std::max<std::int64_t>(
-                      1, std::min<std::int64_t>(bins, 64)))) {
+    : dvs_(&dvs), bins_(static_cast<std::size_t>(bins)) {
   const model::TaskSet& set = fps.task_set();
+  ACS_REQUIRE(bins >= 1 && bins <= kMaxBins,
+              "expected-case dispatch needs 1..64 cycle bins "
+              "(--online-dp-bins)");
   ACS_REQUIRE(sorted_draws.size() == set.size(),
               "ExpectedCasePolicy needs one calibrated draw vector per task");
 
@@ -54,11 +56,10 @@ ExpectedCasePolicy::ExpectedCasePolicy(
     }
   }
 
-  // Per-task survival grids over [BCEC, WCEC]: survival_[i][k] is the
-  // fraction of calibrated draws strictly above the k-th grid point.
-  // Dispatch interpolates linearly, so grid resolution only smooths the
-  // profile, never breaks feasibility.
-  constexpr std::size_t kGridPoints = 129;
+  // Per-task survival grids over [BCEC, WCEC], flat (task-major, kGridPoints
+  // per task): entry k is the fraction of calibrated draws strictly above
+  // the k-th grid point.  Dispatch interpolates linearly, so grid resolution
+  // only smooths the profile, never breaks feasibility.
   scale_.assign(set.size(), 1.0);
   if (task_scale != nullptr) {
     ACS_REQUIRE(task_scale->size() == set.size(),
@@ -69,55 +70,36 @@ ExpectedCasePolicy::ExpectedCasePolicy(
   }
   grid_lo_.resize(set.size(), 0.0);
   grid_step_.resize(set.size(), 0.0);
-  survival_.assign(set.size(), std::vector<double>(kGridPoints, 0.0));
+  survival_.assign(set.size() * kGridPoints, 0.0);
   for (std::size_t i = 0; i < set.size(); ++i) {
     const model::Task& task = set.task(i);
     grid_lo_[i] = task.bcec;
     grid_step_[i] = (task.wcec - task.bcec) /
                     static_cast<double>(kGridPoints - 1);
     const std::vector<double>& sorted = sorted_draws[i];
+    ACS_REQUIRE(std::is_sorted(sorted.begin(), sorted.end()),
+                "calibrated draws of task " + task.name +
+                    " must be sorted ascending");
+    double* grid = &survival_[i * kGridPoints];
     for (std::size_t k = 0; k < kGridPoints; ++k) {
       const double x = task.bcec + grid_step_[i] * static_cast<double>(k);
       if (sorted.empty()) {
         // No calibration data: assume the worst (always reaches WCEC), which
         // degrades to the greedy stretch profile.
-        survival_[i][k] = x < task.wcec ? 1.0 : 0.0;
+        grid[k] = x < task.wcec ? 1.0 : 0.0;
         continue;
       }
       // First index with sorted[idx] > x; the tail fraction is survival.
       const auto it = std::upper_bound(sorted.begin(), sorted.end(), x);
-      survival_[i][k] =
-          static_cast<double>(sorted.end() - it) /
-          static_cast<double>(sorted.size());
+      grid[k] = static_cast<double>(sorted.end() - it) /
+                static_cast<double>(sorted.size());
     }
   }
 
   weight_.resize(bins_, 0.0);
+  root_.resize(bins_, 0.0);
   speed_.resize(bins_, 0.0);
   pinned_.resize(bins_, 0);
-}
-
-double ExpectedCasePolicy::Survival(model::TaskIndex task,
-                                    double cycles) const {
-  // Drift stretch: the adaptor models the shifted law as f * X, so
-  // Pr[f X > c] = Pr[X > c / f] evaluated on the base grid.
-  const double x = cycles / scale_[task];
-  const std::vector<double>& grid = survival_[task];
-  const double step = grid_step_[task];
-  if (step <= 0.0) {
-    // Degenerate BCEC == WCEC task: deterministic workload.
-    return x < grid_lo_[task] ? 1.0 : 0.0;
-  }
-  const double pos = (x - grid_lo_[task]) / step;
-  if (pos <= 0.0) {
-    return grid.front();
-  }
-  if (pos >= static_cast<double>(grid.size() - 1)) {
-    return grid.back();
-  }
-  const std::size_t k = static_cast<std::size_t>(pos);
-  const double frac = pos - static_cast<double>(k);
-  return grid[k] + frac * (grid[k + 1] - grid[k]);
 }
 
 DispatchDecision ExpectedCasePolicy::Dispatch(
@@ -149,14 +131,40 @@ DispatchDecision ExpectedCasePolicy::Dispatch(
 
   // Condition on realised progress: the parent instance has consumed its
   // worst-case prefix up to this sub plus whatever this sub already ran.
+  // Bin j's weight is the survival S_j at its centre, interpolated on the
+  // task's grid; the drift stretch models the shifted law as f * X, so
+  // Pr[f X > c] = Pr[X > c / f] is read off the base grid.  Each bin's cube
+  // root is taken once here and reused by every water-filling pass.
   const double consumed =
       done_before_[ctx.sub_order] + (budgets_[ctx.sub_order] - budget);
   const double bin_w = budget / static_cast<double>(bins_);
+  const double stretch = scale_[ctx.task];
+  const double lo = grid_lo_[ctx.task];
+  const double step = grid_step_[ctx.task];
+  const double* grid = &survival_[ctx.task * kGridPoints];
   double total_weight = 0.0;
   for (std::size_t j = 0; j < bins_; ++j) {
-    weight_[j] = Survival(
-        ctx.task, consumed + (static_cast<double>(j) + 0.5) * bin_w);
-    total_weight += weight_[j];
+    const double x =
+        (consumed + (static_cast<double>(j) + 0.5) * bin_w) / stretch;
+    double weight;
+    if (step <= 0.0) {
+      // Degenerate BCEC == WCEC task: deterministic workload.
+      weight = x < lo ? 1.0 : 0.0;
+    } else {
+      const double pos = (x - lo) / step;
+      if (pos <= 0.0) {
+        weight = grid[0];
+      } else if (pos >= static_cast<double>(kGridPoints - 1)) {
+        weight = grid[kGridPoints - 1];
+      } else {
+        const std::size_t k = static_cast<std::size_t>(pos);
+        const double frac = pos - static_cast<double>(k);
+        weight = grid[k] + frac * (grid[k + 1] - grid[k]);
+      }
+    }
+    weight_[j] = weight;
+    root_[j] = std::cbrt(weight);
+    total_weight += weight;
   }
   if (weight_[0] <= 0.0 || total_weight <= 0.0) {
     // Progress is already past every calibrated draw: expected marginal
@@ -186,7 +194,7 @@ DispatchDecision ExpectedCasePolicy::Dispatch(
     std::size_t free_bins = 0;
     for (std::size_t j = 0; j < bins_; ++j) {
       if (pinned_[j] == 0) {
-        cbrt_sum += std::cbrt(weight_[j]);
+        cbrt_sum += root_[j];
         ++free_bins;
       }
     }
@@ -206,11 +214,16 @@ DispatchDecision ExpectedCasePolicy::Dispatch(
       break;
     }
     const double scale = bin_w * cbrt_sum / free_time;
+    for (std::size_t j = 0; j < bins_; ++j) {
+      if (pinned_[j] == 0) {
+        speed_[j] = scale / root_[j];
+      }
+    }
     bool repinned = false;
     // Pin max-speed violations first: they *consume* window time, so
     // resolving them before min-speed pins keeps every pass feasible.
     for (std::size_t j = 0; j < bins_; ++j) {
-      if (pinned_[j] == 0 && scale / std::cbrt(weight_[j]) > smax) {
+      if (pinned_[j] == 0 && speed_[j] > smax) {
         pinned_[j] = 1;
         speed_[j] = smax;
         pinned_time += bin_w / smax;
@@ -221,22 +234,16 @@ DispatchDecision ExpectedCasePolicy::Dispatch(
       continue;
     }
     for (std::size_t j = 0; j < bins_; ++j) {
-      if (pinned_[j] == 0 && scale / std::cbrt(weight_[j]) < smin) {
+      if (pinned_[j] == 0 && speed_[j] < smin) {
         pinned_[j] = 1;
         speed_[j] = smin;
         pinned_time += bin_w / smin;
         repinned = true;
       }
     }
-    if (repinned) {
-      continue;
+    if (!repinned) {
+      break;
     }
-    for (std::size_t j = 0; j < bins_; ++j) {
-      if (pinned_[j] == 0) {
-        speed_[j] = scale / std::cbrt(weight_[j]);
-      }
-    }
-    break;
   }
 
   // Run the first bin's speed and cap the slice at the end of the

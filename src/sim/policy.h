@@ -128,13 +128,20 @@ class StaticOnlyPolicy final : public DvsPolicy {
 /// engine re-dispatches at profile breakpoints and the profile re-conditions
 /// on realised progress as the instance advances.
 ///
-/// All tables (per-sub worst-case prefix cycles, per-task survival grids)
-/// are precomputed at construction; Dispatch touches only fixed-size
-/// scratch, so the engine's hot loop stays allocation-free.  `task_scale`
-/// (optional) stretches task i's calibrated law by scale[i] — the drift
-/// adaptor's cheap mid-run re-conditioning knob (Pr[f·X > x] = Pr[X > x/f]).
+/// All tables (per-sub worst-case prefix cycles, flat per-task survival
+/// grids) are precomputed at construction; Dispatch touches only fixed-size
+/// scratch, so the engine's hot loop stays allocation-free.  A DP dispatch
+/// costs one survival lookup and one cube root per bin; the water-filling
+/// passes reuse the roots.  `task_scale` (optional) stretches task i's
+/// calibrated law by scale[i] — the drift adaptor's cheap mid-run
+/// re-conditioning knob (Pr[f·X > x] = Pr[X > x/f]).
 class ExpectedCasePolicy final : public DvsPolicy {
  public:
+  /// Largest accepted `bins` (--online-dp-bins).
+  static constexpr std::int64_t kMaxBins = 64;
+
+  /// `sorted_draws[i]` are task i's calibration draws in ascending order;
+  /// `bins` must lie in [1, kMaxBins].
   ExpectedCasePolicy(const fps::FullyPreemptiveSchedule& fps,
                      const StaticSchedule& schedule,
                      const model::DvsModel& dvs,
@@ -147,8 +154,13 @@ class ExpectedCasePolicy final : public DvsPolicy {
   /// Dispatches that went through the DP profile (vs degenerate fallbacks).
   std::int64_t dp_dispatches() const { return dp_dispatches_; }
 
+  /// Per-bin survival weights and speeds of the last DP dispatch: the
+  /// profile whose first bin that dispatch ran.
+  const std::vector<double>& profile_weights() const { return weight_; }
+  const std::vector<double>& profile_speeds() const { return speed_; }
+
  private:
-  double Survival(model::TaskIndex task, double cycles) const;
+  static constexpr std::size_t kGridPoints = 129;  // survival grid per task
 
   const model::DvsModel* dvs_;
   std::size_t bins_;
@@ -157,11 +169,12 @@ class ExpectedCasePolicy final : public DvsPolicy {
   std::vector<double> scale_;        // per task: drift stretch factor
   std::vector<double> grid_lo_;      // per task: survival grid origin (BCEC)
   std::vector<double> grid_step_;    // per task: survival grid spacing
-  std::vector<std::vector<double>> survival_;  // per task: P(X > grid point)
+  std::vector<double> survival_;     // task-major: P(X > grid point)
   // Dispatch-time scratch, sized once at construction (hot loop stays
   // allocation-free).  The policy is used by a single simulation at a time
   // (the engine contract), so mutable scratch is safe.
   mutable std::vector<double> weight_;
+  mutable std::vector<double> root_;  // cbrt(weight_), once per dispatch
   mutable std::vector<double> speed_;
   mutable std::vector<char> pinned_;
   mutable std::int64_t dp_dispatches_ = 0;
