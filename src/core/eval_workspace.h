@@ -11,6 +11,7 @@
 //   solver()             SPG/ALM/L-BFGS scratch (opt/workspace.h)
 //   objective_scratch()  EnergyObjective forward/reverse buffers
 //   engine()             sim::Simulate tables, active set and result
+//   realisation()        the shared workload draws of EvaluateMethods
 //   Prepare(key, set)    per-task-set cache: the FPS expansion plus the
 //                        lazily solved WCS / ACS / Vmax-ASAP results
 //
@@ -91,6 +92,9 @@ class EvalWorkspace {
   opt::SolverWorkspace& solver() { return solver_; }
   ObjectiveScratch& objective_scratch() { return objective_scratch_; }
   sim::EngineWorkspace& engine() { return engine_; }
+  /// The workload realisation core::EvaluateMethods records once per
+  /// context and replays to every later arm.
+  std::vector<model::RecordedDraw>& realisation() { return realisation_; }
 
   /// Returns the prepared state for (`key`, `set`, `dvs`, `scheduler`): a
   /// hit when the key matches, the sets are structurally identical, the
@@ -176,6 +180,7 @@ class EvalWorkspace {
   opt::SolverWorkspace solver_;
   ObjectiveScratch objective_scratch_;
   sim::EngineWorkspace engine_;
+  std::vector<model::RecordedDraw> realisation_;
   std::vector<std::unique_ptr<PreparedCell>> prepared_;  // MRU order
   std::vector<model::TaskIndex> owned_scratch_;  // PrepareSubset sort buffer
   SolveStore* store_ = nullptr;                  // non-owning, may be null

@@ -467,6 +467,29 @@ std::int64_t PolicyDpDispatches(const sim::AnyPolicy& policy) {
   return 0;
 }
 
+/// The engine options of one evaluation run of `hyper_periods`.
+sim::SimOptions RunSimOptions(const ExperimentOptions& options,
+                              std::int64_t hyper_periods) {
+  sim::SimOptions sim_options;
+  sim_options.hyper_periods = hyper_periods;
+  sim_options.transition = options.transition;
+  if (options.dpm.enabled) {
+    sim_options.dpm = true;
+    sim_options.idle_power = options.dpm.idle;
+    sim_options.sleep = options.dpm.sleep;
+  }
+  return sim_options;
+}
+
+/// Sampler draws a run made: one per activated release.
+std::int64_t DrawCount(const sim::SimResult& sim) {
+  std::int64_t draws = 0;
+  for (const std::int64_t count : sim.sampled_counts) {
+    draws += count;
+  }
+  return draws;
+}
+
 /// The drift-adaptive evaluation loop (MethodPlan::DriftSpec): simulate one
 /// hyper-period at a time against the *same* sampler and rng stream (so
 /// stateful scenarios keep their phase across chunks and energy sums
@@ -487,14 +510,7 @@ MethodOutcome EvaluateWithDrift(MethodContext& context,
   const std::unique_ptr<model::WorkloadSampler> sampler =
       MakeRunSampler(options, set);
   stats::Rng rng(options.seed);
-  sim::SimOptions chunk_options;
-  chunk_options.hyper_periods = 1;
-  chunk_options.transition = options.transition;
-  if (options.dpm.enabled) {
-    chunk_options.dpm = true;
-    chunk_options.idle_power = options.dpm.idle;
-    chunk_options.sleep = options.dpm.sleep;
-  }
+  const sim::SimOptions chunk_options = RunSimOptions(options, 1);
 
   EvalWorkspace* ws = context.workspace();
   sim::EngineWorkspace own_engine;
@@ -517,6 +533,7 @@ MethodOutcome EvaluateWithDrift(MethodContext& context,
   std::int64_t switches = 0;
   std::int64_t dp_dispatches = 0;
   std::int64_t replans = 0;
+  std::int64_t draws = 0;
   double idle_energy = 0.0;
   double sleep_energy = 0.0;
   double sleep_time = 0.0;
@@ -534,6 +551,7 @@ MethodOutcome EvaluateWithDrift(MethodContext& context,
     sleep_energy += sim.sleep_energy;
     sleep_time += sim.sleep_time;
     sleeps += sim.sleeps;
+    draws += DrawCount(sim);
 
     // EWMA over this hyper-period's realised per-task mean cycles.
     double drift = 0.0;
@@ -588,6 +606,7 @@ MethodOutcome EvaluateWithDrift(MethodContext& context,
   // of the cell, so the aggregated counters stay thread-count invariant.
   obs::Count(obs::metric::kDriftReplans, replans);
   obs::Count(obs::metric::kOnlineDpDispatches, dp_dispatches);
+  obs::Count(obs::metric::kSamplerDraws, draws);
 
   MethodOutcome outcome;
   outcome.predicted_energy = plan.predicted_energy;
@@ -613,35 +632,67 @@ MethodOutcome EvaluateWithDrift(MethodContext& context,
 
 }  // namespace
 
-MethodOutcome EvaluateMethod(const ScheduleMethod& method,
-                             MethodContext& context,
-                             const ExperimentOptions& options) {
+std::vector<MethodOutcome> EvaluateMethods(
+    const std::vector<const ScheduleMethod*>& methods, MethodContext& context,
+    const ExperimentOptions& options) {
   // Scenario-conditioned arms read the experiment (scenario, seed,
   // planning knobs) at Plan() time; attaching here makes every evaluation
   // funnel — runner cells, mp per-core fan-out, the CompareAcsWcs shim —
   // planning-capable without call-site changes.
   context.AttachExperiment(options);
-  MethodPlan plan = method.Plan(context);
-  if (plan.drift.has_value()) {
-    return EvaluateWithDrift(context, options, plan);
-  }
-  // A fresh sampler per evaluation (MakeRunSampler): stateful scenarios
-  // (Markov phases, AR(1) memory, trace cursors) restart per run, so every
-  // method faces the identical realisation for one (options.seed, scenario)
-  // pair.
-  const std::unique_ptr<model::WorkloadSampler> sampler =
-      MakeRunSampler(options, context.fps().task_set());
-  stats::Rng rng(options.seed);
-  sim::SimOptions sim_options;
-  sim_options.hyper_periods = options.hyper_periods;
-  sim_options.transition = options.transition;
-  if (options.dpm.enabled) {
-    sim_options.dpm = true;
-    sim_options.idle_power = options.dpm.idle;
-    sim_options.sleep = options.dpm.sleep;
-  }
+  const sim::SimOptions sim_options =
+      RunSimOptions(options, options.hyper_periods);
+  EvalWorkspace* ws = context.workspace();
+  sim::EngineWorkspace own_engine;
+  sim::EngineWorkspace& engine = ws != nullptr ? ws->engine() : own_engine;
+  std::vector<model::RecordedDraw> own_record;
+  std::vector<model::RecordedDraw>& record =
+      ws != nullptr ? ws->realisation() : own_record;
+  bool recorded = false;
 
-  const auto fill = [&](const sim::SimResult& sim) {
+  std::vector<MethodOutcome> outcomes;
+  outcomes.reserve(methods.size());
+  for (const ScheduleMethod* method : methods) {
+    MethodPlan plan = method->Plan(context);
+    if (plan.drift.has_value()) {
+      // Drift arms simulate chunk by chunk against their own fresh
+      // sampler, which continues across chunks.
+      outcomes.push_back(EvaluateWithDrift(context, options, plan));
+      continue;
+    }
+
+    obs::Span span("simulate", "sim");
+    if (span.enabled()) {
+      span.Arg("hyper_periods", options.hyper_periods);
+    }
+    // One realisation per (context, options.seed, scenario): the engine
+    // draws once per release in global release order whatever the policy
+    // does, so the first arm's draws are exactly what a fresh sampler would
+    // hand every later arm.  The first arm records them through the real
+    // sampler (fresh per evaluation: stateful scenarios restart per run);
+    // later arms replay the record, checked draw by draw.  The record
+    // counts only once its simulation returned normally.
+    stats::Rng rng(options.seed);
+    const sim::SimResult* sim = nullptr;
+    if (recorded) {
+      const model::ReplaySampler replay(record);
+      sim = &sim::Simulate(context.fps(), plan.schedule, context.dvs(),
+                           plan.policy, replay, rng, sim_options, engine);
+      replay.CheckFullyUsed();
+      obs::Count(obs::metric::kReplayedDraws,
+                 static_cast<std::int64_t>(replay.used()));
+    } else {
+      const std::unique_ptr<model::WorkloadSampler> sampler =
+          MakeRunSampler(options, context.fps().task_set());
+      record.clear();
+      const model::RecordingSampler recorder(*sampler, record);
+      sim = &sim::Simulate(context.fps(), plan.schedule, context.dvs(),
+                           plan.policy, recorder, rng, sim_options, engine);
+      recorded = true;
+      obs::Count(obs::metric::kSamplerDraws,
+                 static_cast<std::int64_t>(record.size()));
+    }
+
     // Result-charged: the DP-dispatch count is part of the deterministic
     // simulation outcome, so the aggregate is thread-count invariant.
     if (const std::int64_t dp = PolicyDpDispatches(plan.policy)) {
@@ -649,9 +700,9 @@ MethodOutcome EvaluateMethod(const ScheduleMethod& method,
     }
     MethodOutcome outcome;
     outcome.predicted_energy = plan.predicted_energy;
-    outcome.measured_energy = sim.EnergyPerHyperPeriod(options.hyper_periods);
-    outcome.deadline_misses = sim.deadline_misses;
-    outcome.voltage_switches = sim.voltage_switches;
+    outcome.measured_energy = sim->EnergyPerHyperPeriod(options.hyper_periods);
+    outcome.deadline_misses = sim->deadline_misses;
+    outcome.voltage_switches = sim->voltage_switches;
     outcome.used_fallback = plan.used_fallback;
     outcome.solver_outer_iterations = plan.solver_outer_iterations;
     outcome.solver_inner_iterations = plan.solver_inner_iterations;
@@ -660,26 +711,19 @@ MethodOutcome EvaluateMethod(const ScheduleMethod& method,
         options.hyper_periods > 0
             ? 1.0 / static_cast<double>(options.hyper_periods)
             : 0.0;
-    outcome.idle_energy = sim.idle_energy * norm;
-    outcome.sleep_energy = sim.sleep_energy * norm;
-    outcome.sleep_time = sim.sleep_time;
-    outcome.sleeps = sim.sleeps;
-    return outcome;
-  };
+    outcome.idle_energy = sim->idle_energy * norm;
+    outcome.sleep_energy = sim->sleep_energy * norm;
+    outcome.sleep_time = sim->sleep_time;
+    outcome.sleeps = sim->sleeps;
+    outcomes.push_back(outcome);
+  }
+  return outcomes;
+}
 
-  obs::Span span("simulate", "sim");
-  if (span.enabled()) {
-    span.Arg("hyper_periods", options.hyper_periods);
-  }
-  EvalWorkspace* ws = context.workspace();
-  if (ws != nullptr) {
-    // Steady-state path: simulate into the workspace's reused result.
-    return fill(sim::Simulate(context.fps(), plan.schedule, context.dvs(),
-                              plan.policy, *sampler, rng, sim_options,
-                              ws->engine()));
-  }
-  return fill(sim::Simulate(context.fps(), plan.schedule, context.dvs(),
-                            plan.policy, *sampler, rng, sim_options));
+MethodOutcome EvaluateMethod(const ScheduleMethod& method,
+                             MethodContext& context,
+                             const ExperimentOptions& options) {
+  return EvaluateMethods({&method}, context, options).front();
 }
 
 }  // namespace dvs::core

@@ -243,11 +243,22 @@ class MethodRegistry : public util::NamedRegistry<ScheduleMethod> {
 /// solver, policy counterfactuals) start from this and Register() on top.
 void RegisterBuiltins(MethodRegistry& registry);
 
-/// Plans `method` and simulates it under the experiment's truncated-normal
-/// workload.  Methods evaluated with the same `options.seed` face identical
-/// workload realisations — the paper's methodology for fair comparisons.
-/// Planning reads `context.scheduler()` exclusively; `options.scheduler` is
-/// not consulted here, so construct the context from the same options.
+/// Plans and simulates each of `methods` in order under the experiment's
+/// workload scenario (the paper's truncated normal by default); returns one
+/// outcome per method.  Every arm faces the identical workload realisation
+/// — the paper's methodology for fair comparisons — and it is drawn once:
+/// the first non-drift arm records its sampler draws and later non-drift
+/// arms replay them (model::ReplaySampler), bit-identical to giving each
+/// arm a fresh sampler on `options.seed` because the engine draws once per
+/// release in global release order whatever the policy does.  Drift arms
+/// (MethodPlan::drift) draw from their own fresh sampler.  Planning reads
+/// `context.scheduler()` exclusively; `options.scheduler` is not consulted
+/// here, so construct the context from the same options.
+std::vector<MethodOutcome> EvaluateMethods(
+    const std::vector<const ScheduleMethod*>& methods, MethodContext& context,
+    const ExperimentOptions& options);
+
+/// EvaluateMethods for one method.
 MethodOutcome EvaluateMethod(const ScheduleMethod& method,
                              MethodContext& context,
                              const ExperimentOptions& options);

@@ -56,16 +56,18 @@ ComparisonResult CompareAcsWcs(const model::TaskSet& set,
                                const ExperimentOptions& options) {
   // Compatibility shim over the method registry: the "acs" arm solves WCS
   // first for its warm start (cached in the context, so the "wcs" arm reuses
-  // it), and both arms simulate with identical workload streams — the exact
-  // computation sequence of the original hard-coded pair.
+  // it), and both arms face one workload realisation, drawn once by "acs"
+  // and replayed to "wcs" — bit-identical to the original hard-coded pair.
   const fps::FullyPreemptiveSchedule fps(set);
   const MethodRegistry& registry = MethodRegistry::Builtin();
   MethodContext context(fps, dvs, options.scheduler);
 
   ComparisonResult result;
   result.sub_instances = fps.sub_count();
-  result.acs = EvaluateMethod(registry.Get("acs"), context, options);
-  result.wcs = EvaluateMethod(registry.Get("wcs"), context, options);
+  const std::vector<MethodOutcome> outcomes = EvaluateMethods(
+      {&registry.Get("acs"), &registry.Get("wcs")}, context, options);
+  result.acs = outcomes[0];
+  result.wcs = outcomes[1];
   return result;
 }
 

@@ -82,7 +82,7 @@ struct ExperimentOptions {
   /// "transition overhead is negligible" assumption (ablation bench knob).
   model::TransitionOverhead transition;
   /// Execution-time process the simulation draws from: a fresh sampler is
-  /// built per evaluation via MakeSampler(set, sigma_divisor).  Null keeps
+  /// built per context evaluation via MakeSampler(set, sigma_divisor).  Null keeps
   /// the paper's i.i.d. truncated normal (bit-identical to the
   /// pre-scenario pipeline).  Non-owning — typically a
   /// workload::ScenarioRegistry entry that outlives the run; mp's per-core
@@ -181,7 +181,7 @@ struct ComparisonResult {
 /// when unset (the byte-compatible default).  Owning — one sampler serves
 /// one simulation run (the statefulness contract of model/workload.h);
 /// the single resolution point for everything that consumes
-/// ExperimentOptions (EvaluateMethod, SimulateSchedule).
+/// ExperimentOptions (EvaluateMethods, SimulateSchedule).
 std::unique_ptr<model::WorkloadSampler> MakeRunSampler(
     const ExperimentOptions& options, const model::TaskSet& set);
 

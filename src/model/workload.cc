@@ -79,4 +79,24 @@ double UniformWorkload::SampleCycles(TaskIndex task, stats::Rng& rng) const {
   return rng.Uniform(lo, hi);
 }
 
+double RecordingSampler::SampleCycles(TaskIndex task, stats::Rng& rng) const {
+  const double cycles = inner_->SampleCycles(task, rng);
+  record_->push_back(RecordedDraw{task, cycles});
+  return cycles;
+}
+
+double ReplaySampler::SampleCycles(TaskIndex task, stats::Rng&) const {
+  ACS_CHECK(next_ < record_->size(),
+            "replayed realisation ran out of recorded draws");
+  const RecordedDraw& draw = (*record_)[next_++];
+  ACS_CHECK(draw.task == task,
+            "replayed realisation drew a different task than recorded");
+  return draw.cycles;
+}
+
+void ReplaySampler::CheckFullyUsed() const {
+  ACS_CHECK(next_ == record_->size(),
+            "replayed realisation left recorded draws unused");
+}
+
 }  // namespace dvs::model

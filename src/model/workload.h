@@ -25,8 +25,9 @@ namespace dvs::model {
 /// workload/scenario.h), held in mutable members behind this const call.
 /// A sampler therefore serves exactly one simulation run at a time: the
 /// engine draws in release order from a single rng stream, and a fresh
-/// sampler per run (core::EvaluateMethod constructs one per evaluation)
-/// keeps results a pure function of (task set, scenario, seed).  Sharing
+/// sampler per run keeps results a pure function of (task set, scenario,
+/// seed).  core::EvaluateMethods builds one per context and shares its
+/// draws with every arm through RecordingSampler / ReplaySampler.  Sharing
 /// one sampler across concurrent simulations is not supported.
 class WorkloadSampler {
  public:
@@ -35,6 +36,50 @@ class WorkloadSampler {
   /// Cycles for the next instance of task `task`; must lie within
   /// [BCEC, WCEC] of that task.
   virtual double SampleCycles(TaskIndex task, stats::Rng& rng) const = 0;
+};
+
+/// One draw of a recorded workload realisation.
+struct RecordedDraw {
+  TaskIndex task = 0;
+  double cycles = 0.0;
+};
+
+/// Forwards every draw to `inner` and appends (task, cycles) to `record`.
+/// The engine draws once per release in global release order whatever the
+/// policy does, so one recorded run is the realisation every other policy
+/// would draw from the same sampler and seed (core::EvaluateMethods).
+class RecordingSampler final : public WorkloadSampler {
+ public:
+  RecordingSampler(const WorkloadSampler& inner,
+                   std::vector<RecordedDraw>& record)
+      : inner_(&inner), record_(&record) {}
+
+  double SampleCycles(TaskIndex task, stats::Rng& rng) const override;
+
+ private:
+  const WorkloadSampler* inner_;
+  std::vector<RecordedDraw>* record_;
+};
+
+/// Replays a recorded realisation in draw order; the rng is not touched.
+/// Every draw must ask for the recorded task, and CheckFullyUsed() fails
+/// unless every recorded draw was replayed: both throw InternalError, so a
+/// run that does not retrace the recorded release sequence cannot pass.
+class ReplaySampler final : public WorkloadSampler {
+ public:
+  explicit ReplaySampler(const std::vector<RecordedDraw>& record)
+      : record_(&record) {}
+
+  double SampleCycles(TaskIndex task, stats::Rng& rng) const override;
+
+  void CheckFullyUsed() const;
+
+  /// Draws replayed so far.
+  std::size_t used() const { return next_; }
+
+ private:
+  const std::vector<RecordedDraw>* record_;
+  mutable std::size_t next_ = 0;
 };
 
 /// Factory for one named execution-time process ("scenario"): given a task

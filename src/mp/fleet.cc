@@ -128,13 +128,17 @@ FleetResult EvaluateFleet(
                        .NextU64();
 
       // One context per core: the WCS/ACS/Vmax-ASAP solves amortise across
-      // the methods, and every method sees this core's identical workload
-      // stream.  With a workspace the subset's expansion and solves live in
-      // its SubsetKey-addressed cache — shared with any other cell that put
-      // the same tasks on some core (including the other span of this very
-      // cell) — and the solves/simulations reuse the calling thread's
-      // scratch buffers.  Workload streams stay keyed by the physical core
-      // index, so cached solves never change what a cell simulates.
+      // the methods, and every method faces this core's identical workload
+      // realisation, drawn once.  The engine draws once per release in
+      // global release order whatever the policy does, so
+      // core::EvaluateMethods records the first arm's draws and replays
+      // them to the others (drift arms draw their own).  With a workspace
+      // the subset's expansion and solves live in its SubsetKey-addressed
+      // cache — shared with any other cell that put the same tasks on some
+      // core (including the other span of this very cell) — and the
+      // solves/simulations reuse the calling thread's scratch buffers.
+      // Workload streams stay keyed by the physical core index, so cached
+      // solves never change what a cell simulates.
       std::optional<model::TaskSet> local_subset;
       std::optional<fps::FullyPreemptiveSchedule> local_fps;
       core::EvalWorkspace::PreparedCell* prep = nullptr;
@@ -165,9 +169,10 @@ FleetResult EvaluateFleet(
       } else {
         context.emplace(fps, dvs, core_options.scheduler);
       }
+      const std::vector<core::MethodOutcome> outcomes =
+          core::EvaluateMethods(methods, *context, core_options);
       for (std::size_t m = 0; m < methods.size(); ++m) {
-        const core::MethodOutcome outcome =
-            core::EvaluateMethod(*methods[m], *context, core_options);
+        const core::MethodOutcome& outcome = outcomes[m];
         FleetOutcome& fleet = result.outcomes[m];
         fleet.per_core.push_back(outcome);
         fleet.fleet.measured_energy +=

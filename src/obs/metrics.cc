@@ -77,6 +77,8 @@ MetricsRegistry::MetricsRegistry() {
   // Fleet sleep energy per cell-method, in per-ms fleet-power units —
   // typically a small fraction of the idle floor.
   AddHistogram("dpm.sleep_energy", {1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0});
+  AddCounter("sim.sampler_draws");
+  AddCounter("sim.replayed_draws");
   ACS_REQUIRE(definitions_.size() == metric::kBuiltinCount,
               "builtin metric count drifted from obs::metric ids");
 }

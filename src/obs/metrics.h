@@ -185,7 +185,11 @@ inline constexpr MetricId kDpmSleeps = 32;          // dpm.sleeps
 inline constexpr MetricId kDpmMigrations = 33;      // dpm.migrations
 inline constexpr MetricId kDpmSleepEnergy = 34;     // dpm.sleep_energy
                                                     // (histogram)
-inline constexpr std::size_t kBuiltinCount = 35;
+// Workload draws of core::EvaluateMethods: made on a real sampler vs
+// replayed from a shared realisation (both result-charged).
+inline constexpr MetricId kSamplerDraws = 35;       // sim.sampler_draws
+inline constexpr MetricId kReplayedDraws = 36;      // sim.replayed_draws
+inline constexpr std::size_t kBuiltinCount = 37;
 }  // namespace metric
 
 /// The installed registry, or nullptr.  Installation is not synchronised

@@ -74,7 +74,8 @@ CellResult RunCell(const ExperimentGrid& grid,
       // the pre-mp runner.  The workspace caches the expansion and the
       // WCS / ACS / Vmax-ASAP solves per SetIndex, so cells differing only
       // on the sigma / workload-seed axes skip straight to simulation —
-      // and every method still sees the identical workload stream.  (Cache
+      // and every method still faces the identical workload realisation,
+      // drawn once per cell by core::EvaluateMethods.  (Cache
       // hits depend on which worker ran the sibling cell, but the solves
       // are deterministic, so results never do.)
       core::EvalWorkspace::PreparedCell& prep =
@@ -83,10 +84,7 @@ CellResult RunCell(const ExperimentGrid& grid,
       cell.sub_instances = prep.fps.sub_count();
       core::MethodContext context(prep.fps, *grid.dvs, options.scheduler,
                                   workspace, prep.solves);
-      cell.outcomes.reserve(methods.size());
-      for (const core::ScheduleMethod* method : methods) {
-        cell.outcomes.push_back(EvaluateMethod(*method, context, options));
-      }
+      cell.outcomes = core::EvaluateMethods(methods, context, options);
     } else {
       // Multi-core grid: partition, then per-core pipelines; outcomes are
       // fleet figures in energy-per-ms units (mp/fleet.h) for every cell,

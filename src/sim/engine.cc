@@ -86,6 +86,36 @@ void SimulateLoop(const fps::FullyPreemptiveSchedule& fps,
               return fps.instance(a).info.release <
                      fps.instance(b).info.release;
             });
+  ws.release_time.resize(release_order.size());
+  for (std::size_t slot = 0; slot < release_order.size(); ++slot) {
+    ws.release_time[slot] = fps.instance(release_order[slot]).info.release;
+  }
+
+  // Dispatch rank of each task: its position in (period, index) order, the
+  // RM priority the active set is sorted by.  Ranks are distinct per task,
+  // so comparing (rank, global_instance) is the same total order as
+  // comparing (period, task, global_instance).
+  ws.task_rank.assign(set.size(), 0);
+  ws.instance_count.resize(set.size());
+  for (model::TaskIndex i = 0; i < set.size(); ++i) {
+    const std::int64_t period = set.task(i).period;
+    for (model::TaskIndex j = 0; j < set.size(); ++j) {
+      const std::int64_t other = set.task(j).period;
+      if (other < period || (other == period && j < i)) {
+        ++ws.task_rank[i];
+      }
+    }
+    ws.instance_count[i] = set.InstanceCount(i);
+  }
+
+  // Model constants, read once per run: the clamp and the energy below are
+  // expression-for-expression DvsModel::ClampVoltage and DvsModel::Energy.
+  const double vmin = dvs.vmin();
+  const double vmax = dvs.vmax();
+  const double ceff = dvs.ceff();
+  const auto clamp_voltage = [vmin, vmax](double v) {
+    return std::min(std::max(v, vmin), vmax);
+  };
 
   SimResult& result = ws.result;
   ResetResult(result, set.size());
@@ -100,7 +130,7 @@ void SimulateLoop(const fps::FullyPreemptiveSchedule& fps,
       return kInf;
     }
     return static_cast<double>(hp_index) * hyper +
-           fps.instance(release_order[stream_pos]).info.release;
+           ws.release_time[stream_pos];
   };
 
   double now = 0.0;
@@ -114,9 +144,10 @@ void SimulateLoop(const fps::FullyPreemptiveSchedule& fps,
       const fps::InstanceRecord& rec = fps.instance(p);
       ActiveInstance inst;
       inst.task = rec.info.task;
+      inst.rank = ws.task_rank[inst.task];
       inst.parent = p;
       inst.global_instance =
-          hp_index * set.InstanceCount(rec.info.task) + rec.info.instance;
+          hp_index * ws.instance_count[inst.task] + rec.info.instance;
       inst.hp_base = static_cast<double>(hp_index) * hyper;
       inst.release_global = inst.hp_base + rec.info.release;
       inst.deadline_global = inst.hp_base + rec.info.deadline;
@@ -148,18 +179,17 @@ void SimulateLoop(const fps::FullyPreemptiveSchedule& fps,
     }
   };
 
-  const auto dispatch_rank_less = [&](const ActiveInstance& a,
-                                      const ActiveInstance& b) {
-    if (a.task != b.task) {
-      if (set.task(a.task).period != set.task(b.task).period) {
-        return set.task(a.task).period < set.task(b.task).period;
-      }
-      return a.task < b.task;
+  const auto dispatch_rank_less = [](const ActiveInstance& a,
+                                     const ActiveInstance& b) {
+    if (a.rank != b.rank) {
+      return a.rank < b.rank;
     }
     return a.global_instance < b.global_instance;
   };
 
   double last_voltage = -1.0;
+  double speed_voltage = -1.0;  // voltage `speed` was computed at
+  double speed = 0.0;
   std::int64_t last_running_instance = -1;
   model::TaskIndex last_running_task = 0;
   bool last_still_active = false;
@@ -249,7 +279,7 @@ void SimulateLoop(const fps::FullyPreemptiveSchedule& fps,
 
     dpm_close_idle(now);
 
-    double voltage = dvs.ClampVoltage(decision.voltage);
+    double voltage = clamp_voltage(decision.voltage);
 
     // Voltage-transition accounting (optional overhead model).  References
     // into `active` are taken only after this block: the activation inside
@@ -270,7 +300,7 @@ void SimulateLoop(const fps::FullyPreemptiveSchedule& fps,
           for (int pass = 0; pass < 4; ++pass) {
             const double stall = options.transition.time_per_volt *
                                  std::fabs(voltage - last_voltage);
-            const double required = dvs.ClampVoltage(dvs.VoltageForWork(
+            const double required = clamp_voltage(dvs.VoltageForWork(
                 remaining_cycles, deadline - (now + stall)));
             if (required <= voltage + 1e-12) {
               break;
@@ -288,7 +318,10 @@ void SimulateLoop(const fps::FullyPreemptiveSchedule& fps,
       }
     }
     last_voltage = voltage;
-    const double speed = dvs.SpeedAt(voltage);
+    if (voltage != speed_voltage) {
+      speed = dvs.SpeedAt(voltage);
+      speed_voltage = voltage;
+    }
 
     ActiveInstance& inst = active[chosen];
     const SubRef& sub = ws.sub_refs[ws.sub_begin[inst.parent] + inst.sub_pos];
@@ -334,7 +367,7 @@ void SimulateLoop(const fps::FullyPreemptiveSchedule& fps,
     if (slice_dt > 0.0) {
       double cycles = speed * slice_dt;
       cycles = std::min(cycles, inst.remaining);
-      const double energy = dvs.Energy(voltage, cycles);
+      const double energy = ceff * voltage * voltage * cycles;
       result.total_energy += energy;
       result.per_task_energy[inst.task] += energy;
       result.busy_time += slice_dt;

@@ -111,6 +111,7 @@ struct EngineWorkspace {
   /// One released-but-unfinished instance.
   struct ActiveInstance {
     model::TaskIndex task = 0;
+    std::size_t rank = 0;              // task_rank[task]
     std::size_t parent = 0;            // InstanceRecord index (within HP)
     std::int64_t global_instance = 0;  // across hyper-periods
     double hp_base = 0.0;              // global time of this HP's start
@@ -124,6 +125,12 @@ struct EngineWorkspace {
   std::vector<SubRef> sub_refs;
   std::vector<std::size_t> sub_begin;
   std::vector<std::size_t> release_order;
+  /// Per-run tables, built once per Simulate next to sub_refs: each task's
+  /// dispatch rank by (period, index), the local release time of each
+  /// release-stream slot, and each task's per-hyper-period instance count.
+  std::vector<std::size_t> task_rank;
+  std::vector<double> release_time;
+  std::vector<std::int64_t> instance_count;
   std::vector<ActiveInstance> active;
   SimResult result;  // written by the workspace Simulate overload
 };

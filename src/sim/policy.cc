@@ -12,7 +12,7 @@ DispatchDecision GreedyReclaimPolicy::Dispatch(
   DispatchDecision decision;
   if (!allow_early_start_ && ctx.local_time < ctx.sub_release) {
     decision.not_before = ctx.sub_release;
-    decision.voltage = dvs_->vmax();
+    decision.voltage = vmax_;
     return decision;
   }
   const double window = ctx.sub_end_time - ctx.local_time;
@@ -22,10 +22,13 @@ DispatchDecision GreedyReclaimPolicy::Dispatch(
     // instance still holds cycles.  There is no span to stretch over, so
     // run flat out — never divide the stretch ratio by a non-positive
     // window or hand a zero budget to the voltage solve.
-    decision.voltage = dvs_->vmax();
+    decision.voltage = vmax_;
     return decision;
   }
-  decision.voltage = dvs_->VoltageForWork(ctx.budget_remaining, window);
+  // DvsModel::VoltageForWork for a positive budget and window, inlined.
+  decision.voltage = std::min(
+      std::max(dvs_->VoltageForSpeed(ctx.budget_remaining / window), vmin_),
+      vmax_);
   return decision;
 }
 

@@ -71,12 +71,17 @@ class GreedyReclaimPolicy final : public DvsPolicy {
  public:
   explicit GreedyReclaimPolicy(const model::DvsModel& dvs,
                                bool allow_early_start = false)
-      : dvs_(&dvs), allow_early_start_(allow_early_start) {}
+      : dvs_(&dvs),
+        vmin_(dvs.vmin()),
+        vmax_(dvs.vmax()),
+        allow_early_start_(allow_early_start) {}
 
   DispatchDecision Dispatch(const DispatchContext& ctx) const override;
 
  private:
   const model::DvsModel* dvs_;
+  double vmin_;  // the model's voltage range, read once at construction
+  double vmax_;
   bool allow_early_start_;
 };
 

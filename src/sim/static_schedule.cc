@@ -18,6 +18,9 @@ StaticSchedule::StaticSchedule(const fps::FullyPreemptiveSchedule& fps,
   ACS_REQUIRE(worst_budgets_.size() == fps.sub_count(),
               "budget array does not match the sub-instance count");
   for (std::size_t u = 0; u < worst_budgets_.size(); ++u) {
+    ACS_REQUIRE(std::isfinite(end_times_[u]), "non-finite end-time");
+    ACS_REQUIRE(std::isfinite(worst_budgets_[u]),
+                "non-finite worst-case budget");
     ACS_REQUIRE(worst_budgets_[u] >= -1e-9, "negative worst-case budget");
     worst_budgets_[u] = std::max(0.0, worst_budgets_[u]);
   }
@@ -53,6 +56,15 @@ FeasibilityReport VerifyWorstCase(const fps::FullyPreemptiveSchedule& fps,
     const double e = schedule.end_time(u);
     const double w = schedule.worst_budget(u);
 
+    // Every comparison with a NaN is false, so a non-finite value would
+    // slip through each test below: reject it explicitly.
+    if (!std::isfinite(e) || !std::isfinite(w)) {
+      std::ostringstream msg;
+      msg << "sub " << u << " has a non-finite end-time (" << e
+          << ") or budget (" << w << ")";
+      fail(msg.str());
+      continue;
+    }
     if (e < sub.seg_begin - tol || e > sub.seg_end + tol) {
       std::ostringstream msg;
       msg << "end-time of sub " << u << " (" << e << ") outside segment ["
@@ -73,7 +85,12 @@ FeasibilityReport VerifyWorstCase(const fps::FullyPreemptiveSchedule& fps,
     const double needed = start + w * ct_max;
     const double slack = e - needed;
     report.worst_slack = std::min(report.worst_slack, slack);
-    if (slack < -tol) {
+    if (!std::isfinite(slack)) {
+      std::ostringstream msg;
+      msg << "worst-case chain of sub " << u << " is non-finite (needs until "
+          << needed << ", e " << e << ")";
+      fail(msg.str());
+    } else if (slack < -tol) {
       std::ostringstream msg;
       msg << "worst-case chain misses end-time of sub " << u
           << ": needs until " << needed << " > e " << e;

@@ -308,6 +308,48 @@ TEST(EvalWorkspace, WarmKernelsAllocateNothing) {
   EXPECT_EQ(sim_allocs, 0) << "warm simulation allocated";
   EXPECT_EQ(sim.deadline_misses, 0);
   EXPECT_GT(sim.total_energy, 0.0);
+  // The per-run engine tables (sub refs, release-stream times, task ranks,
+  // instance counts) were rebuilt above into warm workspace vectors.
+  EXPECT_EQ(workspace.engine().task_rank.size(), set.size());
+  EXPECT_EQ(workspace.engine().release_time.size(), fps.instance_count());
+  const double direct_energy = sim.total_energy;
+
+  // --- shared realisation: record once, replay to another policy ------------
+  // EvaluateMethods records into the workspace's realisation buffer and
+  // replays from it; once warm, neither run allocates.
+  std::vector<model::RecordedDraw>& record = workspace.realisation();
+  {
+    record.clear();
+    const model::RecordingSampler recorder(sampler, record);
+    stats::Rng warm_record_rng(3);
+    (void)sim::Simulate(fps, schedule, cpu, policy, recorder, warm_record_rng,
+                        sim_options, workspace.engine());
+  }
+  record.clear();
+  const model::RecordingSampler recorder(sampler, record);
+  stats::Rng record_rng(3);
+  const long before_record = g_alloc_count.load(std::memory_order_relaxed);
+  const double recorded_energy =
+      sim::Simulate(fps, schedule, cpu, policy, recorder, record_rng,
+                    sim_options, workspace.engine())
+          .total_energy;
+  const long record_allocs =
+      g_alloc_count.load(std::memory_order_relaxed) - before_record;
+  EXPECT_EQ(record_allocs, 0) << "warm recording simulation allocated";
+  EXPECT_EQ(recorded_energy, direct_energy);
+
+  const sim::AnyPolicy vmax{sim::VmaxPolicy(cpu)};
+  const model::ReplaySampler replay(record);
+  stats::Rng replay_rng(3);
+  const long before_replay = g_alloc_count.load(std::memory_order_relaxed);
+  const sim::SimResult& replayed =
+      sim::Simulate(fps, schedule, cpu, vmax, replay, replay_rng, sim_options,
+                    workspace.engine());
+  const long replay_allocs =
+      g_alloc_count.load(std::memory_order_relaxed) - before_replay;
+  EXPECT_EQ(replay_allocs, 0) << "warm replay simulation allocated";
+  EXPECT_NO_THROW(replay.CheckFullyUsed());
+  EXPECT_EQ(replayed.deadline_misses, 0);
 }
 
 }  // namespace

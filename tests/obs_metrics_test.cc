@@ -39,7 +39,8 @@ TEST(MetricsRegistry, BuiltinNamesArePinnedInIdOrder) {
       "family.cells_per_worker", "drift.replans",
       "online.dp_dispatches", "prepare.oversized_rejects",
       "dpm.sleeps",           "dpm.migrations",
-      "dpm.sleep_energy",
+      "dpm.sleep_energy",     "sim.sampler_draws",
+      "sim.replayed_draws",
   };
   ASSERT_EQ(expected.size(), metric::kBuiltinCount);
   ASSERT_EQ(registry.MetricCount(), metric::kBuiltinCount);

@@ -2,6 +2,9 @@
 // Vmax-ASAP schedule builder.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "fps/expansion.h"
 #include "sim/engine.h"
 #include "sim/static_schedule.h"
@@ -31,6 +34,48 @@ TEST(StaticSchedule, ValidatesSizes) {
   EXPECT_THROW(StaticSchedule(fps, {10.0}, {}), util::InvalidArgumentError);
   EXPECT_THROW(StaticSchedule(fps, {10.0}, {-1.0}),
                util::InvalidArgumentError);
+}
+
+TEST(StaticSchedule, RejectsNonFiniteValues) {
+  const model::TaskSet set({MakeTask("a", 10, 4.0)});
+  const fps::FullyPreemptiveSchedule fps(set);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(StaticSchedule(fps, {nan}, {4.0}), util::InvalidArgumentError);
+  EXPECT_THROW(StaticSchedule(fps, {inf}, {4.0}), util::InvalidArgumentError);
+  EXPECT_THROW(StaticSchedule(fps, {10.0}, {nan}),
+               util::InvalidArgumentError);
+  EXPECT_THROW(StaticSchedule(fps, {10.0}, {inf}),
+               util::InvalidArgumentError);
+}
+
+// A model whose top speed is NaN: every chain value computed from it is NaN,
+// and every comparison with NaN is false.
+class NanSpeedModel final : public model::DvsModel {
+ public:
+  double vmin() const override { return 0.5; }
+  double vmax() const override { return 4.0; }
+  double ceff() const override { return 1.0; }
+  double SpeedAt(double) const override {
+    return std::numeric_limits<double>::quiet_NaN();
+  }
+  double VoltageForSpeed(double speed) const override { return speed; }
+  double VoltageSlope(double) const override { return 1.0; }
+  double SpeedSlope(double) const override { return 1.0; }
+};
+
+TEST(VerifyWorstCase, ReportsNonFiniteChainInfeasible) {
+  const model::TaskSet set({MakeTask("a", 10, 4.0), MakeTask("b", 20, 6.0)});
+  const fps::FullyPreemptiveSchedule fps(set);
+  const StaticSchedule schedule =
+      BuildVmaxAsapSchedule(fps, workload::DefaultModel());
+  ASSERT_TRUE(VerifyWorstCase(fps, schedule, workload::DefaultModel())
+                  .feasible);
+  const FeasibilityReport report =
+      VerifyWorstCase(fps, schedule, NanSpeedModel());
+  EXPECT_FALSE(report.feasible);
+  EXPECT_NE(report.detail.find("non-finite"), std::string::npos)
+      << report.detail;
 }
 
 TEST(VerifyWorstCase, AcceptsTheMotivationSchedules) {
