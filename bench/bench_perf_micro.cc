@@ -9,6 +9,7 @@
 // 0-vs-1 time ratio at equal n.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <vector>
 
 #include "core/formulation.h"
@@ -189,6 +190,24 @@ void BM_KernelPackedRows3(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(rows));
 }
 BENCHMARK(BM_KernelPackedRows3)->Apply(SimdSizes);
+
+void BM_KernelCbrt(benchmark::State& state) {
+  // The per-dispatch bin roots of sim::ExpectedCasePolicy: survival
+  // weights in [0, 1], all on the in-tree path (no libm fallback).
+  const util::simd::ScopedLevel pin(LevelArg(state.range(1)));
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  std::vector<double> x = FillVec(n, 15);
+  for (double& v : x) {
+    v = std::abs(v) / 2.0;
+  }
+  std::vector<double> out(n);
+  for (auto _ : state) {
+    util::simd::Cbrt(x.data(), out.data(), n);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
+}
+BENCHMARK(BM_KernelCbrt)->Apply(SimdSizes);
 
 void BM_SolveAcs(benchmark::State& state) {
   const util::simd::ScopedLevel pin(LevelArg(state.range(1)));

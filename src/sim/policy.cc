@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "util/error.h"
+#include "util/simd.h"
 
 namespace dvs::sim {
 
@@ -68,6 +69,11 @@ ExpectedCasePolicy::ExpectedCasePolicy(
     ACS_REQUIRE(task_scale->size() == set.size(),
                 "task_scale must have one entry per task");
     for (std::size_t i = 0; i < set.size(); ++i) {
+      // A NaN would silently clamp to the floor below and an infinite
+      // stretch would zero every survival weight: reject both.
+      ACS_REQUIRE(std::isfinite((*task_scale)[i]),
+                  "task_scale entry of task " + set.task(i).name +
+                      " must be finite");
       scale_[i] = std::max(1e-9, (*task_scale)[i]);
     }
   }
@@ -136,8 +142,7 @@ DispatchDecision ExpectedCasePolicy::Dispatch(
   // worst-case prefix up to this sub plus whatever this sub already ran.
   // Bin j's weight is the survival S_j at its centre, interpolated on the
   // task's grid; the drift stretch models the shifted law as f * X, so
-  // Pr[f X > c] = Pr[X > c / f] is read off the base grid.  Each bin's cube
-  // root is taken once here and reused by every water-filling pass.
+  // Pr[f X > c] = Pr[X > c / f] is read off the base grid.
   const double consumed =
       done_before_[ctx.sub_order] + (budgets_[ctx.sub_order] - budget);
   const double bin_w = budget / static_cast<double>(bins_);
@@ -166,7 +171,6 @@ DispatchDecision ExpectedCasePolicy::Dispatch(
       }
     }
     weight_[j] = weight;
-    root_[j] = std::cbrt(weight);
     total_weight += weight;
   }
   if (weight_[0] <= 0.0 || total_weight <= 0.0) {
@@ -176,6 +180,9 @@ DispatchDecision ExpectedCasePolicy::Dispatch(
     return decision;
   }
   ++dp_dispatches_;
+  // Each bin's cube root, taken once in one vectorised pass (bit-identical
+  // to std::cbrt at every SIMD level) and reused by every water-filling pass.
+  util::simd::Cbrt(weight_.data(), root_.data(), bins_);
 
   // Water-filling over the PACE rule s_j ∝ S_j^{-1/3}: bins with zero
   // weight cost nothing at any speed, so they run at MaxSpeed to donate

@@ -136,10 +136,10 @@ class StaticOnlyPolicy final : public DvsPolicy {
 /// All tables (per-sub worst-case prefix cycles, flat per-task survival
 /// grids) are precomputed at construction; Dispatch touches only fixed-size
 /// scratch, so the engine's hot loop stays allocation-free.  A DP dispatch
-/// costs one survival lookup and one cube root per bin; the water-filling
-/// passes reuse the roots.  `task_scale` (optional) stretches task i's
-/// calibrated law by scale[i] — the drift adaptor's cheap mid-run
-/// re-conditioning knob (Pr[f·X > x] = Pr[X > x/f]).
+/// costs one survival lookup per bin and one util::simd::Cbrt pass over the
+/// bins; the water-filling passes reuse the roots.  `task_scale` (optional,
+/// finite entries) stretches task i's calibrated law by scale[i] — the drift
+/// adaptor's cheap mid-run re-conditioning knob (Pr[f·X > x] = Pr[X > x/f]).
 class ExpectedCasePolicy final : public DvsPolicy {
  public:
   /// Largest accepted `bins` (--online-dp-bins).

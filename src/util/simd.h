@@ -121,6 +121,17 @@ void PackedRows3(const double* constant, const double* coeff3,
                  const std::int32_t* idx3, const double* x, double* out,
                  std::size_t rows);
 
+/// out[i] = cbrt(x[i]) (element-wise; identical at every level).  For
+/// positive normal inputs it returns exactly the bits glibc's std::cbrt
+/// returns, on any libm: the scalar level transcribes glibc's dbl-64 cube
+/// root operation for operation and the AVX2 level runs the same
+/// expressions four lanes wide.  Zero, subnormal, negative, inf and NaN
+/// inputs defer to the platform's std::cbrt.  The
+/// expected-case DP dispatch takes its bin roots here, so its decisions no
+/// longer depend on the platform libm: its weights lie in [0, 1], and the
+/// only special input among them, zero, has cube root zero under any libm.
+void Cbrt(const double* x, double* out, std::size_t n);
+
 }  // namespace dvs::util::simd
 
 #endif  // ACS_UTIL_SIMD_H

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -450,6 +451,22 @@ TEST(ExpectedCaseDispatch, RejectsUnsortedDraws) {
                                                      {5.0, 4.0, 6.0}};
   EXPECT_THROW(ExpectedCasePolicy(f.fps, f.schedule, f.cpu, unsorted, 8),
                util::InvalidArgumentError);
+}
+
+TEST(ExpectedCaseDispatch, RejectsNonFiniteDriftStretch) {
+  const Fixture f;
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    const std::vector<double> scale = {1.0, bad};
+    EXPECT_THROW(
+        ExpectedCasePolicy(f.fps, f.schedule, f.cpu, Draws(), 8, &scale),
+        util::InvalidArgumentError)
+        << bad;
+  }
+  const std::vector<double> finite = {1.0, 1.3};
+  EXPECT_NO_THROW(
+      ExpectedCasePolicy(f.fps, f.schedule, f.cpu, Draws(), 8, &finite));
 }
 
 }  // namespace
