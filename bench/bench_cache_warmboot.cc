@@ -162,7 +162,7 @@ int main(int argc, char** argv) {
   bench::SweepConfig config;
   config.tasksets = 3;
   config.hyper_periods = 40;
-  config.methods = "acs,acs-scenario,acs-quantile,wcs";
+  config.methods = "acs,acs-scenario,wcs";
   config.baseline = "acs";
   config.scenarios = "iid-normal,bursty";
   std::string sigmas_flag = "5,8";
@@ -296,8 +296,6 @@ int main(int argc, char** argv) {
           .Value(sigmas_flag)
           .Key("overlap_sigmas")
           .Value(overlap_flag)
-          .Key("cell_scheduling")
-          .Value(config.scheduling)
           .Key("cache_root")
           .Value(cache_root)
           .EndObject();

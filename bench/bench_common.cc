@@ -47,8 +47,6 @@ void SweepConfig::Register(util::ArgParser& parser) {
                    "registry method the improvement is measured against");
   parser.AddString("scenarios", &scenarios,
                    "comma-separated execution-time scenarios to sweep");
-  parser.AddDouble("plan-quantile", &planning.quantile,
-                   "per-task planning quantile of the acs-quantile arm");
   parser.AddInt("mixture-samples", &planning.mixture_samples,
                 "calibrated sample vectors the acs-mixture objective "
                 "averages over");
@@ -108,9 +106,6 @@ void SweepConfig::Register(util::ArgParser& parser) {
   parser.AddFlag("cache-read-only", &cache_read_only,
                  "open --cache-dir read-only: pre-seed solves without "
                  "locking or writing back (shared-cache shard flow)");
-  parser.AddString("cell-scheduling", &scheduling,
-                   "grid cell handout: family (cache-affinity families + "
-                   "stealing) | cursor (legacy one-cell handout)");
 }
 
 std::unique_ptr<runner::CsvSink> SweepConfig::OpenCellSink() {
@@ -147,7 +142,6 @@ void SweepConfig::Finalize() {
         std::make_unique<obs::ConvergenceRecorder>(convergence_out);
     obs::ConvergenceRecorder::Install(telemetry->convergence.get());
   }
-  Scheduling();  // validate --cell-scheduling before the first grid runs
   if (!cache_dir.empty() && solve_store == nullptr) {
     solve_store = std::make_shared<core::SolveStore>(cache_dir,
                                                      cache_read_only);
@@ -181,18 +175,6 @@ std::vector<std::string> SweepConfig::ScenarioList() const {
 bool SweepConfig::SweepsScenarios() const {
   const std::vector<std::string> list = ScenarioList();
   return list.size() != 1 || list.front() != "iid-normal";
-}
-
-runner::CellScheduling SweepConfig::Scheduling() const {
-  if (scheduling == "family") {
-    return runner::CellScheduling::kFamilyAffinity;
-  }
-  if (scheduling == "cursor") {
-    return runner::CellScheduling::kCursor;
-  }
-  throw util::InvalidArgumentError(
-      "--cell-scheduling must be family or cursor, got \"" + scheduling +
-      "\"");
 }
 
 dvs::dpm::Options SweepConfig::DpmOptions(const model::IdlePower& idle) const {
@@ -245,7 +227,6 @@ runner::RunOptions SweepConfig::RunOpts() const {
   options.threads = static_cast<int>(threads);
   options.sink = sink;
   options.workspaces = workspaces.get();
-  options.scheduling = Scheduling();
   options.solve_store = solve_store.get();
   return options;
 }
@@ -383,7 +364,6 @@ void SweepConfig::WriteRunArtifacts() const {
         {"warm_start", warm_start},
         {"grid_repeats", std::to_string(grid_repeats)},
         {"paper", paper ? "true" : "false"},
-        {"cell_scheduling", scheduling},
         {"cache_dir", cache_dir},
         {"cache_read_only", cache_read_only ? "true" : "false"},
     };

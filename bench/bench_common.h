@@ -97,9 +97,9 @@ struct SweepConfig {
   /// the pre-scenario tree; any other value adds a "scenario" column to
   /// --cell-csv output (see runner::CsvSink).
   std::string scenarios = "iid-normal";
-  /// Scenario-conditioned planning knobs (--plan-quantile,
-  /// --mixture-samples, --calibration-samples), read only by the
-  /// acs-scenario / acs-quantile / acs-mixture arms.
+  /// Scenario-conditioned planning knobs (--mixture-samples,
+  /// --calibration-samples), read only by the arms that plan at a
+  /// calibrated point.
   core::PlanningOptions planning;
   /// Online expected-case dispatch + drift replanning knobs
   /// (--online-dp-bins, --drift-ewma, --drift-threshold), read only by the
@@ -155,9 +155,6 @@ struct SweepConfig {
   /// taking the writer LOCK or writing back — the shared-cache flow for
   /// concurrent shards (see tools/shard_grid).
   bool cache_read_only = false;
-  /// Cell handout policy (--cell-scheduling): "family" (cache-affinity
-  /// families + stealing, the default) or "cursor" (the legacy handout).
-  std::string scheduling = "family";
   /// Times each grid this many times (--grid-repeats): repeat 0 is the
   /// result-bearing run, later repeats re-run the identical grid against
   /// warm workspaces purely for the --bench-json timing trajectory.
@@ -215,9 +212,6 @@ struct SweepConfig {
   /// reallocation knobs.  `enabled` mirrors --dpm, so benches can assign
   /// the result to ExperimentGrid::dpm unconditionally.
   dvs::dpm::Options DpmOptions(const model::IdlePower& idle) const;
-
-  /// `scheduling` parsed; throws InvalidArgumentError on unknown text.
-  runner::CellScheduling Scheduling() const;
 
   /// Worker count after resolving 0 to the hardware thread count.
   std::int64_t ResolvedThreads() const;

@@ -6,11 +6,10 @@
 // narrowest under trace/correlated — while the ACS NLP kept planning at the
 // paper's fixed ACEC point regardless.  This bench closes the loop: it runs
 // the scenario-conditioned arms (acs-scenario at the calibrated realised
-// mean, acs-quantile at a per-task quantile, acs-mixture averaging K
-// calibrated sample vectors — core/method_registry.h) against plain acs and
-// wcs on paired draws, per scenario and per core count, so every row
-// isolates what conditioning the *offline plan* on the realised law buys on
-// top of online reclamation.
+// mean, acs-mixture averaging K calibrated sample vectors —
+// core/method_registry.h) against plain acs and wcs on paired draws, per
+// scenario and per core count, so every row isolates what conditioning the
+// *offline plan* on the realised law buys on top of online reclamation.
 //
 // Reading: under iid-normal the calibrated mean nearly coincides with ACEC,
 // so acs-scenario tracks acs (small either-sign noise); under heavy-tail
@@ -36,7 +35,7 @@ namespace {
 constexpr const char* kDefaultScenarios =
     "iid-normal,bimodal,bursty,heavy-tail,correlated,trace";
 constexpr const char* kDefaultMethods =
-    "acs,acs-scenario,acs-quantile,acs-mixture,wcs";
+    "acs,acs-scenario,acs-mixture,wcs";
 
 }  // namespace
 
@@ -87,9 +86,8 @@ int main(int argc, char** argv) {
 
     std::cout << "Scenario-conditioned planning sweep ("
               << util::FormatPercent(per_core_utilization) << " per core, "
-              << config.tasksets << " sets/point, p"
-              << util::FormatDouble(config.planning.quantile * 100.0, 0)
-              << " quantile, K=" << config.planning.mixture_samples
+              << config.tasksets << " sets/point, K="
+              << config.planning.mixture_samples
               << " mixture, " << config.ResolvedThreads() << " threads)\n\n";
 
     util::TextTable table({"cores", "scenario", "arm", "fleet power",

@@ -8,7 +8,7 @@
 // that shared a task set (sigma / workload-seed / partitioner axes) even
 // re-ran the identical solves.  An EvalWorkspace owns all of that state:
 //
-//   solver()             SPG/ALM/L-BFGS scratch (opt/workspace.h)
+//   solver()             SPG/ALM scratch (opt/workspace.h)
 //   objective_scratch()  EnergyObjective forward/reverse buffers
 //   engine()             sim::Simulate tables, active set and result
 //   realisation()        the shared workload draws of EvaluateMethods

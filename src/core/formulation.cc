@@ -64,6 +64,11 @@ double PlanningPoint::ResolveFor(const std::vector<double>& cycles,
   ACS_REQUIRE(task < cycles.size(),
               "planning point is missing an entry for task " +
                   std::to_string(task));
+  // std::clamp passes NaN straight through and would pin +-inf to a window
+  // edge; only finite out-of-window entries take the documented clamp.
+  ACS_REQUIRE(std::isfinite(cycles[task]),
+              "planning point entry for task " + std::to_string(task) +
+                  " must be finite");
   return std::clamp(cycles[task], spec.bcec, spec.wcec);
 }
 

@@ -46,11 +46,11 @@ enum class Scenario {
 /// The per-task workload point an average-scenario solve optimises for.
 ///
 /// The paper's ACS plans at ACEC; scenario-conditioned arms plan at the
-/// calibrated realised mean, a per-task quantile, or a distribution-weighted
-/// mixture of calibrated sample vectors (workload/calibrator.h).  The
-/// objective clamps every entry into the task's [BCEC, WCEC] window, so a
-/// planning point can never widen the worst-case envelope — feasibility
-/// analysis is untouched by the planning axis.
+/// calibrated realised mean or at a distribution-weighted mixture of
+/// calibrated sample vectors (workload/calibrator.h).  The objective
+/// clamps every entry into the task's [BCEC, WCEC] window, so a planning
+/// point can never widen the worst-case envelope — feasibility analysis is
+/// untouched by the planning axis.
 ///
 /// Exactly one shape is active:
 ///   - cycles.empty() && mixture.empty(): the ACEC point (the
@@ -68,9 +68,10 @@ struct PlanningPoint {
 
   /// Per-task planning workload of `cycles` resolved against `set`: the
   /// task's ACEC when `cycles` is empty, otherwise the entry clamped into
-  /// [BCEC, WCEC].  The single resolution rule shared by the reduced
-  /// objective and the full NLP, so the two formulations can never drift
-  /// onto different points.
+  /// [BCEC, WCEC]; a non-finite entry throws InvalidArgumentError.  The
+  /// single resolution rule shared by the reduced objective (points and
+  /// mixture rows alike) and the full NLP, so the formulations can never
+  /// drift onto different points.
   static double ResolveFor(const std::vector<double>& cycles,
                            const model::TaskSet& set, std::size_t task);
 

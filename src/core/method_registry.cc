@@ -103,6 +103,8 @@ class ScenarioPlannedMethod : public ScheduleMethod {
  public:
   explicit ScenarioPlannedMethod(std::string name) : name_(std::move(name)) {}
 
+  bool PlansAtCalibratedPoint() const override { return true; }
+
   MethodPlan Plan(MethodContext& context) const override {
     const ExperimentOptions* experiment = context.experiment();
     ACS_REQUIRE(experiment != nullptr,
@@ -199,19 +201,6 @@ class AcsScenarioMethod final : public ScenarioPlannedMethod {
                            const PlanningOptions&) const override {
     PlanningPoint point;
     point.cycles = calibration.mean;
-    return point;
-  }
-};
-
-class AcsQuantileMethod final : public ScenarioPlannedMethod {
- public:
-  AcsQuantileMethod() : ScenarioPlannedMethod("acs-quantile") {}
-
- protected:
-  PlanningPoint BuildPoint(const workload::Calibration& calibration,
-                           const PlanningOptions& options) const override {
-    PlanningPoint point;
-    point.cycles = calibration.QuantileVector(options.quantile);
     return point;
   }
 };
@@ -435,10 +424,6 @@ void RegisterBuiltins(MethodRegistry& registry) {
   registry.Register("acs-scenario",
                     "ACS planned at the scenario's calibrated per-task mean",
                     std::make_unique<AcsScenarioMethod>());
-  registry.Register("acs-quantile",
-                    "ACS planned at a per-task quantile of the calibrated "
-                    "law (--plan-quantile)",
-                    std::make_unique<AcsQuantileMethod>());
   registry.Register("acs-mixture",
                     "ACS whose objective averages K calibrated sample "
                     "vectors",

@@ -24,8 +24,6 @@
 //                  energy ceiling
 //   acs-scenario   ACS NLP planned at the scenario's calibrated per-task
 //                  realised mean instead of the ACEC point
-//   acs-quantile   ACS NLP planned at a per-task quantile of the calibrated
-//                  law (ExperimentOptions::planning.quantile, default p50)
 //   acs-mixture    ACS NLP whose objective averages the energy replay over
 //                  K calibrated sample vectors (distribution-weighted plan)
 //   acs-online     calibrated-mean planned schedule + expected-case online
@@ -225,6 +223,12 @@ class ScheduleMethod {
  public:
   virtual ~ScheduleMethod() = default;
   virtual MethodPlan Plan(MethodContext& context) const = 0;
+
+  /// True when Plan() calibrates the cell's scenario and solves the NLP at
+  /// a calibrated planning point (acs-scenario, acs-mixture, acs-online,
+  /// acs-online-drift) — the one place that fact is recorded;
+  /// runner::FamilyCost charges a calibration and a planned solve for it.
+  virtual bool PlansAtCalibratedPoint() const { return false; }
 };
 
 /// Name -> strategy map: util::NamedRegistry with this domain's error

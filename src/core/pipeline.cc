@@ -23,19 +23,6 @@ std::unique_ptr<model::WorkloadSampler> MakeRunSampler(
       set, options.sigma_divisor);
 }
 
-sim::SimResult SimulateWith(const fps::FullyPreemptiveSchedule& fps,
-                            const sim::StaticSchedule& schedule,
-                            const model::DvsModel& dvs,
-                            const sim::DvsPolicy& policy,
-                            const model::WorkloadSampler& sampler,
-                            std::uint64_t seed,
-                            std::int64_t hyper_periods) {
-  stats::Rng rng(seed);
-  sim::SimOptions sim_options;
-  sim_options.hyper_periods = hyper_periods;
-  return sim::Simulate(fps, schedule, dvs, policy, sampler, rng, sim_options);
-}
-
 sim::SimResult SimulateSchedule(const fps::FullyPreemptiveSchedule& fps,
                                 const sim::StaticSchedule& schedule,
                                 const model::DvsModel& dvs,

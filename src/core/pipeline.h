@@ -25,13 +25,11 @@
 namespace dvs::core {
 
 /// Knobs of the scenario-conditioned planning arms (acs-scenario /
-/// acs-quantile / acs-mixture): how the offline calibration samples the
-/// cell's scenario and which point of the calibrated law the NLP plans at.
-/// Ignored by every other method, so legacy grids are unaffected.
+/// acs-mixture and the online arms built on them): how the offline
+/// calibration samples the cell's scenario and how many calibrated vectors
+/// the mixture objective averages.  Ignored by every other method, so
+/// legacy grids are unaffected.
 struct PlanningOptions {
-  /// Per-task planning quantile of the acs-quantile arm (p50 by default:
-  /// plan at the realised median).
-  double quantile = 0.5;
   /// Sample vectors the acs-mixture objective averages over.
   std::int64_t mixture_samples = 8;
   /// Calibration draws per task (workload::ScenarioCalibrator::Options).
@@ -199,14 +197,6 @@ sim::SimResult SimulateSchedule(const fps::FullyPreemptiveSchedule& fps,
                                 const sim::StaticSchedule& schedule,
                                 const model::DvsModel& dvs,
                                 const ExperimentOptions& options);
-
-/// Simulates one schedule under an arbitrary sampler / policy (ablations).
-sim::SimResult SimulateWith(const fps::FullyPreemptiveSchedule& fps,
-                            const sim::StaticSchedule& schedule,
-                            const model::DvsModel& dvs,
-                            const sim::DvsPolicy& policy,
-                            const model::WorkloadSampler& sampler,
-                            std::uint64_t seed, std::int64_t hyper_periods);
 
 }  // namespace dvs::core
 

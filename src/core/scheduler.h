@@ -55,8 +55,8 @@ struct ScheduleResult {
 /// scenario / planning-arm cells is sound.  Scenario-conditioned solves are
 /// NOT — their schedule is a function of the calibrated PlanningPoint — so
 /// they live in `planned`, keyed by the point's exact values: two cells
-/// sharing a SetIndex but differing in scenario, planning arm, quantile,
-/// sigma or calibration seed produce different points and therefore
+/// sharing a SetIndex but differing in scenario, planning arm, sigma or
+/// calibration seed produce different points and therefore
 /// different keys, which is the cache-hazard guarantee the planning
 /// regression test pins down (a colliding fingerprint still verifies the
 /// full point before reuse, degrading to a re-solve).
@@ -140,7 +140,7 @@ ScheduleResult SolveAcs(const fps::FullyPreemptiveSchedule& fps,
 
 /// Scenario-conditioned ACS: the average-scenario pipeline with the NLP
 /// objective replaying at `planning` instead of the ACEC point (calibrated
-/// mean, per-task quantile, or the K-vector mixture expectation — see
+/// mean or the K-vector mixture expectation — see
 /// core::PlanningPoint and workload/calibrator.h).  An IsAcec() point is
 /// bit-identical to SolveSchedule(kAverage, ...) with the same warm start.
 ///

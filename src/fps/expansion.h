@@ -35,7 +35,6 @@ struct SubInstance {
   double deadline = 0.0;        // parent instance's absolute deadline
 
   double release() const { return seg_begin; }
-  double SegLength() const { return seg_end - seg_begin; }
 };
 
 /// Parent-instance record with the order-indices of its sub-instances

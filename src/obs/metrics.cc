@@ -22,18 +22,6 @@ std::vector<double> WallBoundsUs() {
 
 }  // namespace
 
-const char* MetricKindName(MetricKind kind) {
-  switch (kind) {
-    case MetricKind::kCounter:
-      return "counter";
-    case MetricKind::kGauge:
-      return "gauge";
-    case MetricKind::kHistogram:
-      return "histogram";
-  }
-  return "unknown";
-}
-
 MetricsRegistry::MetricsRegistry() {
   // Builtins in obs::metric id order — append-only; obs_metrics_test pins
   // the id -> name mapping so persisted manifests stay comparable.

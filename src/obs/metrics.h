@@ -42,8 +42,6 @@ using MetricId = std::uint32_t;
 
 enum class MetricKind { kCounter, kGauge, kHistogram };
 
-const char* MetricKindName(MetricKind kind);
-
 class MetricsRegistry;
 
 /// One worker's private slice of every metric.  All mutation goes through
@@ -111,7 +109,6 @@ class MetricsRegistry {
   /// Grows the shard set to at least `count` (call before the workers
   /// start; existing shards keep their tallies).
   void EnsureShards(std::size_t count);
-  std::size_t ShardCount() const { return shards_.size(); }
   MetricsShard& Shard(std::size_t index) { return *shards_[index]; }
 
   /// Deterministic fold: shards in index order, metrics in id order.

@@ -1,6 +1,6 @@
 // Reusable solver scratch buffers.
 //
-// Every solver in the stack (SPG, ALM, L-BFGS) historically allocated its
+// Every solver in the stack (SPG, ALM) historically allocated its
 // working vectors per call — and some per *iteration* — which made redundant
 // heap traffic the dominant cost of grid-scale experiments (hundreds of
 // thousands of objective evaluations per cell).  The workspace structs here
@@ -158,25 +158,9 @@ struct AlmWorkspace {
   FlatLinearSystem flat;
 };
 
-/// Scratch for MinimizeLbfgs: iterate vectors plus the (s, y, rho) history
-/// rings (reused across solves; cleared, not reallocated).
-struct LbfgsWorkspace {
-  Vector grad;
-  Vector trial;
-  Vector trial_grad;
-  Vector direction;
-  Vector s_candidate;  // curvature pair staging (committed to the ring
-  Vector y_candidate;  // only when the curvature condition accepts it)
-  std::vector<double> alpha;
-  std::vector<Vector> s_history;
-  std::vector<Vector> y_history;
-  std::vector<double> rho_history;
-};
-
 /// The full per-thread solver scratch bundle.
 struct SolverWorkspace {
   AlmWorkspace alm;
-  LbfgsWorkspace lbfgs;
 };
 
 }  // namespace dvs::opt

@@ -162,8 +162,6 @@ void ExperimentGrid::Validate(const core::MethodRegistry& registry) const {
   for (const std::string& name : scenarios) {
     Scenarios().Get(name);  // throws, listing the registered names
   }
-  ACS_REQUIRE(planning.quantile >= 0.0 && planning.quantile <= 1.0,
-              "planning quantile must lie in [0, 1]");
   ACS_REQUIRE(planning.mixture_samples >= 1,
               "planning mixture size must be at least 1");
   ACS_REQUIRE(planning.calibration_samples >= planning.mixture_samples &&

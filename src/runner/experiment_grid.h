@@ -127,9 +127,9 @@ struct ExperimentGrid {
   /// workspace, sigma-sibling cells reuse chain prefixes from the solve
   /// cache instead of re-solving them.
   core::WarmStartPolicy warm_start = core::WarmStartPolicy::kOff;
-  /// Scenario-conditioned planning knobs (quantile, mixture size,
-  /// calibration samples), applied to every cell; only the acs-scenario /
-  /// acs-quantile / acs-mixture arms read them.  Not a grid axis: sweeping
+  /// Scenario-conditioned planning knobs (mixture size, calibration
+  /// samples), applied to every cell; only the arms that plan at a
+  /// calibrated point read them.  Not a grid axis: sweeping
   /// planning configurations is done by running sibling grids (the same
   /// master seed keeps their cells paired), exactly like the bench sweeps
   /// sigma-insensitive scenarios.

@@ -8,6 +8,21 @@
 namespace dvs::runner {
 namespace {
 
+// Cost-model weights, in arbitrary but mutually consistent units
+// (calibrated from solve.wall_us / cell.wall_us traces: one ALM solve of a
+// 6-task set costs roughly 400x one simulated hyper-period).
+/// Fixed cost of one NLP solve (ALM outer loop + repair).
+constexpr double kSolveBase = 200.0;
+/// Additional solve cost per task (the reduced NLP's variable count — and
+/// with it SPG iteration cost — grows with the expansion).
+constexpr double kSolvePerTask = 40.0;
+/// Cost of simulating one hyper-period of one method.
+constexpr double kSimPerHyperPeriod = 1.0;
+/// Fixed per-cell overhead (task-set draw, context setup, sinks).
+constexpr double kCellBase = 25.0;
+/// Cost of one scenario calibration (sampling + sorting the draws).
+constexpr double kCalibration = 120.0;
+
 /// Task count of the set a SetIndex draws (fixed size or the generator's
 /// num_tasks) — the solve-cost driver that actually varies across sources.
 std::size_t TasksOfSet(const ExperimentGrid& grid, std::size_t set_index) {
@@ -28,11 +43,11 @@ std::size_t TasksOfSet(const ExperimentGrid& grid, std::size_t set_index) {
   throw util::InternalError("set index out of range in TasksOfSet");
 }
 
-std::size_t PlanningArmCount(const ExperimentGrid& grid) {
+std::size_t PlanningArmCount(const ExperimentGrid& grid,
+                             const core::MethodRegistry& registry) {
   std::size_t count = 0;
   for (const std::string& method : grid.methods) {
-    if (method == "acs-scenario" || method == "acs-quantile" ||
-        method == "acs-mixture") {
+    if (registry.Get(method).PlansAtCalibratedPoint()) {
       ++count;
     }
   }
@@ -60,10 +75,10 @@ std::size_t FamilySchedule::WorkerCells(std::size_t worker) const {
 }
 
 double FamilyCost(const ExperimentGrid& grid, std::size_t set_index,
-                  const FamilyCostWeights& weights) {
+                  const core::MethodRegistry& registry) {
   const std::size_t tasks = TasksOfSet(grid, set_index);
   const std::size_t methods = grid.methods.size();
-  const std::size_t planning_arms = PlanningArmCount(grid);
+  const std::size_t planning_arms = PlanningArmCount(grid, registry);
   const std::size_t scenarios = std::max<std::size_t>(1, grid.scenarios.size());
   const std::size_t sigmas =
       std::max<std::size_t>(1, grid.sigma_divisors.size());
@@ -90,8 +105,7 @@ double FamilyCost(const ExperimentGrid& grid, std::size_t set_index,
                           static_cast<double>(partitioners)
                     : 1.0;
   const double solve_unit =
-      weights.solve_base +
-      weights.solve_per_task * static_cast<double>(tasks);
+      kSolveBase + kSolvePerTask * static_cast<double>(tasks);
   const double shared_solves = 3.0;
   const double planned_solves = static_cast<double>(planning_arms) *
                                 static_cast<double>(scenarios) *
@@ -102,18 +116,16 @@ double FamilyCost(const ExperimentGrid& grid, std::size_t set_index,
           : 0.0;
 
   return core_factor * (shared_solves + planned_solves) * solve_unit +
-         calibrations * weights.calibration +
+         calibrations * kCalibration +
          static_cast<double>(cells) *
-             (weights.cell_base +
-              weights.sim_per_hyper_period *
-                  static_cast<double>(methods) *
-                  static_cast<double>(grid.hyper_periods));
+             (kCellBase + kSimPerHyperPeriod * static_cast<double>(methods) *
+                              static_cast<double>(grid.hyper_periods));
 }
 
 FamilySchedule BuildFamilySchedule(const ExperimentGrid& grid,
                                    std::size_t set_begin, std::size_t set_end,
                                    std::size_t workers,
-                                   const FamilyCostWeights& weights) {
+                                   const core::MethodRegistry& registry) {
   ACS_REQUIRE(workers >= 1, "family schedule needs at least one worker");
   const std::size_t set_count = grid.SetCount();
   ACS_REQUIRE(set_begin <= set_end && set_end <= set_count,
@@ -136,7 +148,7 @@ FamilySchedule BuildFamilySchedule(const ExperimentGrid& grid,
     family.set_index = set_index;
     family.begin = set_index * cells_per_set;
     family.end = family.begin + cells_per_set;
-    family.cost = FamilyCost(grid, set_index, weights);
+    family.cost = FamilyCost(grid, set_index, registry);
     schedule.families.push_back(family);
   }
 

@@ -2,13 +2,11 @@
 //
 // The per-worker core::EvalWorkspace caches per-*task-set* state — the FPS
 // expansion, the WCS/ACS/Vmax-ASAP solves, the planned-solve and
-// calibration caches — keyed by the grid's SetIndex.  The cursor handout
-// (ThreadPool::ParallelFor) scatters a set's sibling cells across workers,
-// so each worker re-solves what a sibling's worker already holds.  A
-// *family* is the contiguous run of cell indices owned by one SetIndex;
-// scheduling whole families onto workers keeps every set's solves on
-// exactly one worker's cache (modulo stealing), which is where the
-// solve-cache hit-rate gain at 4+ threads comes from.
+// calibration caches — keyed by the grid's SetIndex.  A *family* is the
+// contiguous run of cell indices owned by one SetIndex; scheduling whole
+// families onto workers keeps every set's solves on exactly one worker's
+// cache (modulo stealing), where handing out single cells would scatter a
+// set's siblings and make each worker re-solve what another already holds.
 //
 // Assignment is longest-processing-time (LPT) over a per-family cost model
 // whose weights were calibrated from the phase-trace telemetry of grid
@@ -30,34 +28,10 @@
 #include <cstddef>
 #include <vector>
 
+#include "core/method_registry.h"
 #include "runner/experiment_grid.h"
 
 namespace dvs::runner {
-
-/// How RunGrid hands cells to workers.
-enum class CellScheduling {
-  /// Families (one per SetIndex) LPT-assigned to workers, stolen whole.
-  kFamilyAffinity,
-  /// The legacy atomic-cursor handout, one cell at a time.
-  kCursor,
-};
-
-/// Cost-model weights, in arbitrary but mutually consistent units
-/// (calibrated from solve.wall_us / cell.wall_us traces: one ALM solve of
-/// a 6-task set costs roughly 400x one simulated hyper-period).
-struct FamilyCostWeights {
-  /// Fixed cost of one NLP solve (ALM outer loop + repair).
-  double solve_base = 200.0;
-  /// Additional solve cost per task (the reduced NLP's variable count —
-  /// and with it SPG iteration cost — grows with the expansion).
-  double solve_per_task = 40.0;
-  /// Cost of simulating one hyper-period of one method.
-  double sim_per_hyper_period = 1.0;
-  /// Fixed per-cell overhead (task-set draw, context setup, sinks).
-  double cell_base = 25.0;
-  /// Cost of one scenario calibration (sampling + sorting the draws).
-  double calibration = 120.0;
-};
 
 /// One family: the contiguous cell-index run of one task-set draw.
 struct CellFamily {
@@ -65,7 +39,7 @@ struct CellFamily {
   std::size_t set_index = 0;  // the owning SetIndex
   std::size_t begin = 0;      // first cell index
   std::size_t end = 0;        // one past the last cell index
-  double cost = 0.0;          // modelled cost (see FamilyCostWeights)
+  double cost = 0.0;          // modelled cost (see FamilyCost)
 
   std::size_t CellCount() const { return end - begin; }
 };
@@ -83,19 +57,24 @@ struct FamilySchedule {
 
 /// Modelled evaluation cost of one family of `grid` (`set_index` selects
 /// the source/replicate/util draw; the per-cell inner axes are implied by
-/// the grid shape).
-double FamilyCost(const ExperimentGrid& grid, std::size_t set_index,
-                  const FamilyCostWeights& weights = {});
+/// the grid shape).  `registry` resolves the grid's methods: every arm
+/// that plans at a calibrated point
+/// (core::ScheduleMethod::PlansAtCalibratedPoint) adds a calibration and
+/// a planned solve per scenario x sigma point.
+double FamilyCost(
+    const ExperimentGrid& grid, std::size_t set_index,
+    const core::MethodRegistry& registry = core::MethodRegistry::Builtin());
 
 /// Builds the family schedule of the shard window [set_begin, set_end):
-/// one family per in-window SetIndex, costed with `weights` and
-/// LPT-assigned to `workers` workers (largest cost first, least-loaded
-/// worker, deterministic tie-breaks: equal costs order by family id,
-/// equal loads pick the lowest worker).  `workers` must be >= 1.
-FamilySchedule BuildFamilySchedule(const ExperimentGrid& grid,
-                                   std::size_t set_begin,
-                                   std::size_t set_end, std::size_t workers,
-                                   const FamilyCostWeights& weights = {});
+/// one family per in-window SetIndex, costed by FamilyCost against
+/// `registry` and LPT-assigned to `workers` workers (largest cost first,
+/// least-loaded worker, deterministic tie-breaks: equal costs order by
+/// family id, equal loads pick the lowest worker).  `workers` must be
+/// >= 1.
+FamilySchedule BuildFamilySchedule(
+    const ExperimentGrid& grid, std::size_t set_begin, std::size_t set_end,
+    std::size_t workers,
+    const core::MethodRegistry& registry = core::MethodRegistry::Builtin());
 
 }  // namespace dvs::runner
 

@@ -1,6 +1,8 @@
 // Parallel grid execution.
 //
-// RunGrid fans the grid's cells across a chunked ThreadPool.  Every cell is
+// RunGrid fans the grid's cells across a ThreadPool, one task-set family at
+// a time (runner/family.h), so each task set's sibling cells — and
+// therefore its cached solves — stay on one worker.  Every cell is
 // a pure function of (grid, cell_index): it derives its own rng stream,
 // draws or copies its task set, and evaluates every grid method on
 // identical workload realisations through a per-cell core::MethodContext.
@@ -26,14 +28,12 @@
 #define ACS_RUNNER_RUN_GRID_H
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "core/eval_workspace.h"
 #include "core/method_registry.h"
 #include "runner/experiment_grid.h"
-#include "runner/family.h"
 #include "stats/summary.h"
 
 namespace dvs::core {
@@ -75,25 +75,6 @@ class ResultSink {
  public:
   virtual ~ResultSink() = default;
   virtual void OnCell(const ExperimentGrid& grid, const CellResult& cell) = 0;
-};
-
-/// Built-in sink: thread-safe progress counter + running per-method energy
-/// stats merged via the parallel-combinable stats::OnlineStats.
-class ProgressSink : public ResultSink {
- public:
-  void OnCell(const ExperimentGrid& grid, const CellResult& cell) override;
-
-  std::size_t completed() const;
-  std::size_t failed() const;
-  /// Running measured-energy stats for one method (order-insensitive counts;
-  /// use GridResult::Aggregate for reproducible moments).
-  stats::OnlineStats MethodEnergy(std::size_t method_index) const;
-
- private:
-  mutable std::mutex mutex_;
-  std::size_t completed_ = 0;
-  std::size_t failed_ = 0;
-  std::vector<stats::OnlineStats> method_energy_;
 };
 
 /// Deterministic per-method aggregate over the successful cells, merged in
@@ -138,13 +119,6 @@ struct RunOptions {
   /// row set exactly (see runner/shard.h for the CSV merge).
   std::size_t shard_index = 0;
   std::size_t shard_count = 1;
-  /// Cell handout policy (see runner/family.h).  The default keeps each
-  /// task set's sibling cells — and therefore its cached solves — on one
-  /// worker; kCursor restores the legacy one-cell-at-a-time handout.
-  /// Results are bit-identical under either policy at any thread count.
-  CellScheduling scheduling = CellScheduling::kFamilyAffinity;
-  /// Cost-model weights of the family schedule (kFamilyAffinity only).
-  FamilyCostWeights family_weights;
   /// Persistent cross-run solve cache (core/solve_store.h).  Attached to
   /// every worker workspace for the duration of the run: Prepare() misses
   /// pre-seed from it, evicted and resident entries are absorbed back into

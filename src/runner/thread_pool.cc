@@ -40,7 +40,7 @@ void ThreadPool::WorkerLoop(std::size_t worker) {
       }
       seen = epoch_;
     }
-    Drain(worker);
+    DrainFamilies(worker);
     {
       std::lock_guard<std::mutex> lock(mutex_);
       if (--workers_active_ == 0) {
@@ -50,33 +50,11 @@ void ThreadPool::WorkerLoop(std::size_t worker) {
   }
 }
 
-void ThreadPool::Drain(std::size_t worker) {
-  if (family_mode_) {
-    DrainFamilies(worker);
-  } else {
-    DrainCursor(worker);
-  }
-}
-
 void ThreadPool::RecordError(std::size_t index) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (error_ == nullptr || index < error_index_) {
     error_ = std::current_exception();
     error_index_ = index;
-  }
-}
-
-void ThreadPool::DrainCursor(std::size_t worker) {
-  for (;;) {
-    const std::size_t index = cursor_.fetch_add(1, std::memory_order_relaxed);
-    if (index >= n_) {
-      return;
-    }
-    try {
-      (*fn_)(worker, index);
-    } catch (...) {
-      RecordError(index);
-    }
   }
 }
 
@@ -124,50 +102,18 @@ void ThreadPool::DrainFamilies(std::size_t worker) {
   }
 }
 
-void ThreadPool::ParallelFor(std::size_t n,
-                             const std::function<void(std::size_t)>& fn) {
-  ParallelFor(n, [&fn](std::size_t /*worker*/, std::size_t index) {
-    fn(index);
-  });
-}
-
-void ThreadPool::ParallelFor(
-    std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (n == 0) {
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ACS_CHECK(fn_ == nullptr, "nested ParallelFor on one ThreadPool");
-    fn_ = &fn;
-    family_mode_ = false;
-    n_ = n;
-    cursor_.store(0, std::memory_order_relaxed);
-    error_ = nullptr;
-    error_index_ = 0;
-    workers_active_ = workers_.size();
-    ++epoch_;
-  }
-  start_cv_.notify_all();
-  Drain(0);  // the calling thread is worker 0
-
-  std::unique_lock<std::mutex> lock(mutex_);
-  done_cv_.wait(lock, [&] { return workers_active_ == 0; });
-  fn_ = nullptr;
-  if (error_ != nullptr) {
-    std::exception_ptr error = error_;
-    error_ = nullptr;
-    lock.unlock();
-    std::rethrow_exception(error);
-  }
-}
-
 FamilyStats ThreadPool::ParallelForFamilies(
     const std::vector<std::pair<std::size_t, std::size_t>>& families,
     const std::vector<std::size_t>& owner,
     const std::function<void(std::size_t, std::size_t)>& fn) {
   ACS_REQUIRE(owner.size() == families.size(),
               "every family needs exactly one owner");
+  // Validated before the job state is armed, so a rejected call leaves the
+  // pool usable.
+  for (const std::size_t worker : owner) {
+    ACS_REQUIRE(worker < static_cast<std::size_t>(threads_),
+                "family owner must be a pool worker");
+  }
   FamilyStats stats;
   stats.cells_per_worker.assign(static_cast<std::size_t>(threads_), 0);
   if (families.empty()) {
@@ -175,16 +121,13 @@ FamilyStats ThreadPool::ParallelForFamilies(
   }
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    ACS_CHECK(fn_ == nullptr, "nested ParallelFor on one ThreadPool");
+    ACS_CHECK(fn_ == nullptr, "nested ParallelForFamilies on one ThreadPool");
     fn_ = &fn;
-    family_mode_ = true;
     families_ = &families;
     queues_.assign(static_cast<std::size_t>(threads_), {});
     // Ascending family id per queue: owners drain front-to-back in id
     // order, thieves take from the back.
     for (std::size_t f = 0; f < families.size(); ++f) {
-      ACS_REQUIRE(owner[f] < static_cast<std::size_t>(threads_),
-                  "family owner must be a pool worker");
       queues_[owner[f]].push_back(f);
     }
     steals_ = 0;
@@ -195,12 +138,11 @@ FamilyStats ThreadPool::ParallelForFamilies(
     ++epoch_;
   }
   start_cv_.notify_all();
-  Drain(0);  // the calling thread is worker 0
+  DrainFamilies(0);  // the calling thread is worker 0
 
   std::unique_lock<std::mutex> lock(mutex_);
   done_cv_.wait(lock, [&] { return workers_active_ == 0; });
   fn_ = nullptr;
-  family_mode_ = false;
   families_ = nullptr;
   stats.steals = steals_;
   stats.cells_per_worker = family_cells_;

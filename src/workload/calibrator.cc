@@ -15,22 +15,13 @@ double Calibration::Quantile(model::TaskIndex task, double p) const {
   const std::vector<double>& samples = sorted[task];
   ACS_REQUIRE(!samples.empty(), "calibration holds no samples");
   // Nearest-rank: the smallest sample with empirical CDF >= p.  Exact on
-  // stored doubles (no interpolation), so quantile planning points are
-  // always values the scenario actually produced.
+  // stored doubles (no interpolation), so a quantile is always a value the
+  // scenario actually produced.
   const double rank = std::ceil(p * static_cast<double>(samples.size()));
   const std::size_t index = static_cast<std::size_t>(
       std::clamp(rank - 1.0, 0.0,
                  static_cast<double>(samples.size() - 1)));
   return samples[index];
-}
-
-std::vector<double> Calibration::QuantileVector(double p) const {
-  std::vector<double> point;
-  point.reserve(sorted.size());
-  for (model::TaskIndex i = 0; i < sorted.size(); ++i) {
-    point.push_back(Quantile(i, p));
-  }
-  return point;
 }
 
 std::vector<std::vector<double>> Calibration::SampleVectors(

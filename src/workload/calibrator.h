@@ -5,8 +5,9 @@
 // at ACEC, the mean of its i.i.d. truncated normal.  For any other
 // execution-time process (workload/scenario.h) the realised per-task mean —
 // and the shape around it — drifts away from ACEC, so scenario-conditioned
-// planning arms (core "acs-scenario" / "acs-quantile" / "acs-mixture") need
-// calibrated per-task moments, quantiles and representative sample vectors.
+// planning arms (core "acs-scenario" / "acs-mixture" / "acs-online") need
+// calibrated per-task moments, sorted draws and representative sample
+// vectors.
 // ScenarioCalibrator produces them by sampling the scenario offline:
 //
 //   - one sampler *per task*, each queried for that task only, so stateful
@@ -53,9 +54,6 @@ struct Calibration {
 
   /// Nearest-rank empirical quantile of task `task` at p in [0, 1].
   double Quantile(model::TaskIndex task, double p) const;
-
-  /// Per-task quantile vector at `p` (a ready planning point).
-  std::vector<double> QuantileVector(double p) const;
 
   /// `k` per-task sample vectors spread evenly through the draw order:
   /// vector j holds every task's draw at index (2j+1) * N / (2k).  Each

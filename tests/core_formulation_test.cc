@@ -6,7 +6,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
+#include "core/scheduler.h"
 #include "fps/expansion.h"
 #include "opt/finite_diff.h"
 #include "sim/engine.h"
@@ -222,6 +224,37 @@ TEST(Formulation, GradientExactOnMotivationInterior) {
   const EnergyObjective objective(fps, cpu, Scenario::kAverage);
   const opt::Vector x{8.0, 14.0, 19.0};  // strictly interior point
   EXPECT_LT(opt::GradientCheck(objective, x, 1e-3), 1e-6);
+}
+
+TEST(Formulation, RejectsNonFinitePlanningEntries) {
+  const model::TaskSet set = workload::MotivationTaskSet();
+  const model::LinearDvsModel cpu = workload::MotivationModel();
+  const fps::FullyPreemptiveSchedule fps(set);
+  const double acec = set.task(1).acec;
+  const double bad_values[] = {std::nan(""), HUGE_VAL, -HUGE_VAL};
+  for (const double bad : bad_values) {
+    SCOPED_TRACE(bad);
+    PlanningPoint point;
+    point.cycles = {bad, acec, acec};
+    EXPECT_THROW(PlanningPoint::ResolveFor(point.cycles, set, 0),
+                 util::InvalidArgumentError);
+    EXPECT_THROW(SolvePlanned(fps, cpu, point), util::InvalidArgumentError);
+
+    PlanningPoint mixture;
+    mixture.mixture = {{acec, acec, acec}, {acec, bad, acec}};
+    EXPECT_THROW(
+        {
+          const EnergyObjective objective(fps, cpu, Scenario::kAverage,
+                                          nullptr, &mixture);
+        },
+        util::InvalidArgumentError);
+    EXPECT_THROW(SolvePlanned(fps, cpu, mixture),
+                 util::InvalidArgumentError);
+  }
+  // Finite out-of-window entries keep their documented clamp.
+  const std::vector<double> wide = {1e30, -1e30, acec};
+  EXPECT_EQ(PlanningPoint::ResolveFor(wide, set, 0), set.task(0).wcec);
+  EXPECT_EQ(PlanningPoint::ResolveFor(wide, set, 1), set.task(1).bcec);
 }
 
 TEST(Formulation, RejectsWrongDimension) {

@@ -22,15 +22,33 @@ ExperimentOptions FastOptions() {
 
 TEST(MethodRegistry, BuiltinsAreSelectableByName) {
   const MethodRegistry& registry = MethodRegistry::Builtin();
-  const std::vector<std::string> names = registry.Names();
-  EXPECT_GE(names.size(), 4u);
-  for (const char* name :
-       {"acs", "wcs", "wcs-static", "greedy-reclaim", "static-vmax"}) {
+  const std::vector<std::string> expected = {
+      "acs",          "wcs",         "wcs-static",
+      "greedy-reclaim", "static-vmax", "acs-scenario",
+      "acs-mixture",  "acs-online",  "acs-online-drift"};
+  EXPECT_EQ(registry.Names(), expected);
+  for (const std::string& name : expected) {
     EXPECT_TRUE(registry.Contains(name)) << name;
-    EXPECT_TRUE(std::find(names.begin(), names.end(), name) != names.end());
     EXPECT_FALSE(registry.Description(name).empty());
     registry.Get(name);  // must not throw
   }
+  // Names outside the list, such as an arm the tournament (DESIGN.md §4)
+  // rejected, take the unknown-method error.
+  EXPECT_FALSE(registry.Contains("acs-quantile"));
+  EXPECT_THROW(registry.Get("acs-quantile"), util::InvalidArgumentError);
+}
+
+TEST(MethodRegistry, CalibratedPointArmsAreExactlyTheScenarioPlannedOnes) {
+  const MethodRegistry& registry = MethodRegistry::Builtin();
+  std::vector<std::string> calibrated;
+  for (const std::string& name : registry.Names()) {
+    if (registry.Get(name).PlansAtCalibratedPoint()) {
+      calibrated.push_back(name);
+    }
+  }
+  const std::vector<std::string> expected = {
+      "acs-scenario", "acs-mixture", "acs-online", "acs-online-drift"};
+  EXPECT_EQ(calibrated, expected);
 }
 
 TEST(MethodRegistry, UnknownNameFailsWithClearError) {

@@ -61,7 +61,7 @@ TEST(Pipeline, PredictedEnergyApproximatesMeasured) {
   EXPECT_LT(result.acs.measured_energy, 1.4 * result.acs.predicted_energy);
 }
 
-TEST(Pipeline, SimulateWithCustomPolicyAndSampler) {
+TEST(Pipeline, SimulateWithFixedAverageWorkload) {
   const model::TaskSet set = workload::MotivationTaskSet();
   const model::LinearDvsModel cpu = workload::MotivationModel();
   const fps::FullyPreemptiveSchedule fps(set);
@@ -69,8 +69,11 @@ TEST(Pipeline, SimulateWithCustomPolicyAndSampler) {
                                      {20.0e6, 20.0e6, 20.0e6});
   const model::FixedWorkload sampler(set, model::FixedScenario::kAverage);
   const sim::GreedyReclaimPolicy policy(cpu);
+  stats::Rng rng(1);
+  sim::SimOptions sim_options;
+  sim_options.hyper_periods = 2;
   const sim::SimResult result =
-      SimulateWith(fps, schedule, cpu, policy, sampler, 1, 2);
+      sim::Simulate(fps, schedule, cpu, policy, sampler, rng, sim_options);
   EXPECT_EQ(result.deadline_misses, 0);
   // Two hyper-periods of the deterministic 1.2e8 schedule.
   EXPECT_NEAR(result.total_energy, 2.4e8, 1e3);

@@ -39,8 +39,7 @@
 namespace dvs {
 namespace {
 
-constexpr const char* kPlanningArms[] = {"acs-scenario", "acs-quantile",
-                                         "acs-mixture"};
+constexpr const char* kPlanningArms[] = {"acs-scenario", "acs-mixture"};
 
 model::TaskSet PlanningSet(const model::DvsModel& dvs) {
   workload::RandomTaskSetOptions gen;
@@ -58,7 +57,7 @@ core::ExperimentOptions PlanningOptionsFor(
   options.seed = 99;
   options.scenario = &scenario;
   // Test-sized calibration: enough draws for a stable point, cheap enough
-  // to run 6 scenarios x 3 arms twice.
+  // to run 6 scenarios x 2 arms twice.
   options.planning.calibration_samples = 256;
   options.planning.mixture_samples = 4;
   return options;

@@ -36,9 +36,9 @@ namespace {
 // The drift arm sits between non-drift arms: it must neither record nor
 // consume the shared realisation.
 constexpr const char* kArms[] = {
-    "static-vmax",  "wcs",          "acs-online-drift", "acs",
-    "wcs-static",   "greedy-reclaim", "acs-scenario",   "acs-quantile",
-    "acs-mixture",  "acs-online"};
+    "static-vmax", "wcs",          "acs-online-drift", "acs",
+    "wcs-static",  "greedy-reclaim", "acs-scenario",   "acs-mixture",
+    "acs-online"};
 constexpr const char* kStatefulScenarios[] = {"bursty", "correlated",
                                               "trace"};
 

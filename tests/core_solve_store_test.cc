@@ -305,7 +305,7 @@ runner::ExperimentGrid PlanningGrid(const model::DvsModel& dvs) {
   grid.dvs = &dvs;
   grid.sources = {runner::RandomSource("random-3", gen, 1)};
   grid.scenarios = {"iid-normal", "heavy-tail"};
-  grid.methods = {"acs", "acs-scenario", "acs-quantile", "wcs"};
+  grid.methods = {"acs", "acs-scenario", "acs-mixture", "wcs"};
   grid.baseline = "acs";
   grid.planning.calibration_samples = 64;
   grid.hyper_periods = 5;

@@ -11,8 +11,10 @@
 #                             ONLY when a default-pipeline output change is
 #                             intended, and say so in the commit message;
 #   golden_planning_grid.csv  the scenario-conditioned planning-arm grid
-#                             (scenario column + acs-scenario/quantile/
-#                             mixture rows).
+#                             (scenario column + acs-scenario/mixture
+#                             rows).
+#
+# Both grids are defined once in src/runner/golden_grids.h.
 #
 # Usage (from the repo root, after building):
 #

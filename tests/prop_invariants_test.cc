@@ -108,12 +108,12 @@ TEST(PropInvariants, EveryMethodEveryScenarioSafeAndBounded) {
         const core::ScheduleMethod& method = methods.Get(method_name);
 
         // (a) the offline product passes the independent worst-case audit.
-        // The scenario-conditioned arms (acs-scenario / acs-quantile /
-        // acs-mixture) read the scenario and planning knobs at Plan()
-        // time, so the direct Plan() call needs the experiment attached —
-        // and their schedules must pass the same audit: planning points
-        // are clamped to [BCEC, WCEC], so no calibration can widen the
-        // worst-case envelope.
+        // The scenario-conditioned arms (acs-scenario / acs-mixture /
+        // acs-online / acs-online-drift) read the scenario and planning
+        // knobs at Plan() time, so the direct Plan() call needs the
+        // experiment attached — and their schedules must pass the same
+        // audit: planning points are clamped to [BCEC, WCEC], so no
+        // calibration can widen the worst-case envelope.
         context.AttachExperiment(options);
         const core::MethodPlan plan = method.Plan(context);
         const sim::FeasibilityReport audit =

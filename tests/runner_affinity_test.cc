@@ -5,9 +5,10 @@
 // coverage, deterministic LPT assignment with exact tie-breaks.  The pool:
 // every cell of every family runs exactly once even when the assignment is
 // maximally lopsided (all families on worker 0 — the forced-steal case).
-// RunGrid: kFamilyAffinity results are bit-identical across 1 vs 4 threads
-// and identical to kCursor — the scheduling policy can move work between
-// workers but never a bit in the results.
+// FamilyCost: every arm that plans at a calibrated point is charged its
+// calibration and planned solve.  RunGrid: results are bit-identical across
+// 1 vs 4 threads — the scheduling can move work between workers but never
+// a bit in the results.
 #include "runner/family.h"
 
 #include <gtest/gtest.h>
@@ -108,6 +109,27 @@ TEST(FamilySchedule, OneContiguousFamilyPerSetIndexInWindow) {
   EXPECT_EQ(shard.families[0].set_index, 1u);
   EXPECT_EQ(shard.families[1].set_index, 2u);
   EXPECT_EQ(shard.families[0].begin, schedule.families[1].begin);
+}
+
+TEST(FamilySchedule, CalibratedPointArmsCostTheirPlannedSolves) {
+  // acs-online and acs-online-drift calibrate and solve at the calibrated
+  // mean exactly like acs-scenario, so a family running one of them costs
+  // more than a family running plain acs alone.
+  const model::LinearDvsModel cpu = workload::DefaultModel();
+  ExperimentGrid plain = AffinityGrid(cpu);
+  plain.scenarios = {"iid-normal", "heavy-tail"};
+  plain.methods = {"acs"};
+  const double plain_cost = FamilyCost(plain, 0);
+  for (const char* arm : {"acs-scenario", "acs-mixture", "acs-online",
+                          "acs-online-drift"}) {
+    ExperimentGrid planned = plain;
+    planned.methods = {"acs", arm};
+    ExperimentGrid extra_sim = plain;
+    extra_sim.methods = {"acs", "wcs"};
+    // More than the second arm's simulations alone would add.
+    EXPECT_GT(FamilyCost(planned, 0), FamilyCost(extra_sim, 0)) << arm;
+    EXPECT_GT(FamilyCost(planned, 0), plain_cost) << arm;
+  }
 }
 
 TEST(FamilySchedule, LptBalancesAndAccountsEveryFamily) {
@@ -219,25 +241,17 @@ void ExpectBitIdentical(const GridResult& a, const GridResult& b) {
   }
 }
 
-TEST(AffinityDeterminism, OneVsFourThreadsAndCursorAllBitIdentical) {
+TEST(AffinityDeterminism, OneVsFourThreadsBitIdentical) {
   const model::LinearDvsModel cpu = workload::DefaultModel();
   const ExperimentGrid grid = AffinityGrid(cpu);
 
-  const auto run = [&](int threads, CellScheduling scheduling) {
+  const auto run = [&](int threads) {
     RunOptions options;
     options.threads = threads;
-    options.scheduling = scheduling;
     return RunGrid(grid, options);
   };
 
-  const GridResult serial = run(1, CellScheduling::kFamilyAffinity);
-  const GridResult parallel = run(4, CellScheduling::kFamilyAffinity);
-  const GridResult cursor_serial = run(1, CellScheduling::kCursor);
-  const GridResult cursor_parallel = run(4, CellScheduling::kCursor);
-
-  ExpectBitIdentical(serial, parallel);
-  ExpectBitIdentical(serial, cursor_serial);
-  ExpectBitIdentical(serial, cursor_parallel);
+  ExpectBitIdentical(run(1), run(4));
 }
 
 }  // namespace

@@ -9,10 +9,12 @@
 //                             proves the planning subsystem left the old
 //                             arms untouched;
 //   golden_planning_grid.csv  the planning-arm grid (scenario column +
-//                             acs-scenario / acs-quantile / acs-mixture
-//                             rows) — byte-identity pins the calibration,
-//                             planning-point threading and planned-solve
-//                             caching end to end.
+//                             acs-scenario / acs-mixture rows) —
+//                             byte-identity pins the calibration,
+//                             planning-point threading, planned-solve
+//                             caching and the mixture objective end to end.
+//
+// Both grids are defined once in runner/golden_grids.h.
 //
 // Regenerate deliberately with tests/data/regenerate_golden.sh (sets
 // ACS_REGENERATE_GOLDEN so each test overwrites its golden instead of
@@ -30,10 +32,10 @@
 
 #include "runner/csv_sink.h"
 #include "runner/experiment_grid.h"
+#include "runner/golden_grids.h"
 #include "runner/run_grid.h"
 #include "util/simd.h"
 #include "workload/presets.h"
-#include "workload/random_taskset.h"
 
 namespace dvs::runner {
 namespace {
@@ -69,44 +71,6 @@ bool MaybeRegenerate(const std::string& fresh_path,
   return true;
 }
 
-model::TaskSet TinyFixedSet(const model::DvsModel& dvs) {
-  model::Task a;
-  a.name = "a";
-  a.period = 10;
-  a.wcec = 8.0;
-  a.acec = 5.0;
-  a.bcec = 2.0;
-  model::Task b;
-  b.name = "b";
-  b.period = 20;
-  b.wcec = 12.0;
-  b.acec = 8.0;
-  b.bcec = 4.0;
-  return workload::ScaleToUtilization({a, b}, dvs, 0.6);
-}
-
-/// The grid behind the golden file.  To regenerate after an *intended*
-/// output change: run this grid serially through a CsvSink (exactly as the
-/// test body does) and overwrite tests/data/golden_smoke_grid.csv with the
-/// produced file.
-ExperimentGrid GoldenGrid(const model::DvsModel& dvs) {
-  workload::RandomTaskSetOptions gen;
-  gen.num_tasks = 2;
-  gen.bcec_wcec_ratio = 0.3;
-  gen.max_sub_instances = 24;
-
-  ExperimentGrid grid;
-  grid.dvs = &dvs;
-  grid.sources = {RandomSource("random-2", gen, 2),
-                  FixedSource("tiny-fixed", TinyFixedSet(dvs))};
-  grid.sigma_divisors = {6.0, 10.0};
-  grid.workload_seeds = {0, 1};
-  grid.methods = {"acs", "wcs", "static-vmax"};
-  grid.hyper_periods = 10;
-  grid.master_seed = 7;
-  return grid;
-}
-
 TEST(GoldenCsv, SerialSmokeGridByteMatchesCheckedInFile) {
   // The goldens' bytes are defined at the scalar dispatch level: the
   // scalar kernels replicate the historical loops op for op, while the
@@ -116,7 +80,7 @@ TEST(GoldenCsv, SerialSmokeGridByteMatchesCheckedInFile) {
   // separately by util_simd_test.
   const util::simd::ScopedLevel scalar(util::simd::Level::kScalar);
   const model::LinearDvsModel cpu = workload::DefaultModel();
-  const ExperimentGrid grid = GoldenGrid(cpu);
+  const ExperimentGrid grid = GoldenSmokeGrid(cpu);
 
   const std::string fresh_path = FreshPath("golden_smoke_grid_fresh");
   {
@@ -145,32 +109,6 @@ TEST(GoldenCsv, SerialSmokeGridByteMatchesCheckedInFile) {
          "intended, regenerate tests/data/golden_smoke_grid.csv (see "
          "tests/data/regenerate_golden.sh)";
   std::remove(fresh_path.c_str());
-}
-
-/// The planning-arm golden grid: two scenarios x the three conditioned
-/// arms (plus acs / wcs anchors), scenario CSV column on, test-sized
-/// calibration.  Small enough to solve serially in test time, wide enough
-/// that any drift in calibration, planning-point threading, planned-solve
-/// caching or the mixture objective changes some byte.
-ExperimentGrid GoldenPlanningGrid(const model::DvsModel& dvs) {
-  workload::RandomTaskSetOptions gen;
-  gen.num_tasks = 3;
-  gen.bcec_wcec_ratio = 0.3;
-  gen.max_sub_instances = 24;
-
-  ExperimentGrid grid;
-  grid.dvs = &dvs;
-  grid.sources = {RandomSource("random-3", gen, 1),
-                  FixedSource("tiny-fixed", TinyFixedSet(dvs))};
-  grid.scenarios = {"iid-normal", "heavy-tail", "bimodal"};
-  grid.methods = {"acs", "acs-scenario", "acs-quantile", "acs-mixture",
-                  "wcs"};
-  grid.baseline = "acs";
-  grid.planning.calibration_samples = 256;
-  grid.planning.mixture_samples = 4;
-  grid.hyper_periods = 10;
-  grid.master_seed = 11;
-  return grid;
 }
 
 TEST(GoldenCsv, SerialPlanningGridByteMatchesCheckedInFile) {

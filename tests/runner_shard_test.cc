@@ -28,6 +28,7 @@
 #include "core/solve_store.h"
 #include "runner/csv_sink.h"
 #include "runner/experiment_grid.h"
+#include "runner/golden_grids.h"
 #include "runner/run_grid.h"
 #include "util/error.h"
 #include "util/json.h"
@@ -50,43 +51,6 @@ std::string FreshPath(const std::string& stem) {
          std::to_string(static_cast<long long>(::getpid())) + ".csv";
 }
 
-model::TaskSet TinyFixedSet(const model::DvsModel& dvs) {
-  model::Task a;
-  a.name = "a";
-  a.period = 10;
-  a.wcec = 8.0;
-  a.acec = 5.0;
-  a.bcec = 2.0;
-  model::Task b;
-  b.name = "b";
-  b.period = 20;
-  b.wcec = 12.0;
-  b.acec = 8.0;
-  b.bcec = 4.0;
-  return workload::ScaleToUtilization({a, b}, dvs, 0.6);
-}
-
-/// The golden smoke grid (tests/runner_golden_csv_test.cc): three task
-/// sets, so a 2-shard split lands 1 + 2 sets — an uneven division, the
-/// interesting case.
-ExperimentGrid SmokeGrid(const model::DvsModel& dvs) {
-  workload::RandomTaskSetOptions gen;
-  gen.num_tasks = 2;
-  gen.bcec_wcec_ratio = 0.3;
-  gen.max_sub_instances = 24;
-
-  ExperimentGrid grid;
-  grid.dvs = &dvs;
-  grid.sources = {RandomSource("random-2", gen, 2),
-                  FixedSource("tiny-fixed", TinyFixedSet(dvs))};
-  grid.sigma_divisors = {6.0, 10.0};
-  grid.workload_seeds = {0, 1};
-  grid.methods = {"acs", "wcs", "static-vmax"};
-  grid.hyper_periods = 10;
-  grid.master_seed = 7;
-  return grid;
-}
-
 /// A slim planning grid with a 2-point sigma axis: neighbor warm starts
 /// actually chain, and the solver-stats columns carry per-link counters.
 ExperimentGrid WarmPlanningGrid(const model::DvsModel& dvs) {
@@ -101,7 +65,7 @@ ExperimentGrid WarmPlanningGrid(const model::DvsModel& dvs) {
                   FixedSource("tiny-fixed", TinyFixedSet(dvs))};
   grid.scenarios = {"iid-normal", "heavy-tail"};
   grid.sigma_divisors = {5.0, 8.0};
-  grid.methods = {"acs", "acs-scenario", "acs-quantile"};
+  grid.methods = {"acs", "acs-scenario", "acs-mixture"};
   grid.baseline = "acs";
   grid.planning.calibration_samples = 64;
   grid.warm_start = core::WarmStartPolicy::kNeighbor;
@@ -169,7 +133,7 @@ ShardCsv ParseText(const std::string& text) {
 
 TEST(RunnerShard, TwoShardMergeByteIdenticalToUnshardedSerialRun) {
   const model::LinearDvsModel cpu = workload::DefaultModel();
-  const ExperimentGrid grid = SmokeGrid(cpu);
+  const ExperimentGrid grid = GoldenSmokeGrid(cpu);
   const GridRunArtifacts artifacts = RunUnshardedAndSharded(
       grid, /*scenario_column=*/false, /*solver_stats=*/false,
       /*shard_count=*/2);
@@ -200,7 +164,7 @@ TEST(RunnerShard, WarmStartedPlanningGridMergesByteIdenticalWithStats) {
 
 TEST(RunnerShard, SingleShardRoundTripsThroughTheFileApi) {
   const model::LinearDvsModel cpu = workload::DefaultModel();
-  const ExperimentGrid grid = SmokeGrid(cpu);
+  const ExperimentGrid grid = GoldenSmokeGrid(cpu);
 
   const std::string path = FreshPath("shard_test_single");
   {
@@ -220,7 +184,7 @@ TEST(RunnerShard, SingleShardRoundTripsThroughTheFileApi) {
 
 TEST(RunnerShard, RunGridRejectsInvalidShardOptions) {
   const model::LinearDvsModel cpu = workload::DefaultModel();
-  const ExperimentGrid grid = SmokeGrid(cpu);
+  const ExperimentGrid grid = GoldenSmokeGrid(cpu);
   RunOptions options;
   options.shard_count = 0;
   EXPECT_THROW(RunGrid(grid, options), util::Error);
@@ -231,7 +195,7 @@ TEST(RunnerShard, RunGridRejectsInvalidShardOptions) {
 
 TEST(RunnerShard, SkippedCellsCarryNoOutcomesAndNoFailures) {
   const model::LinearDvsModel cpu = workload::DefaultModel();
-  const ExperimentGrid grid = SmokeGrid(cpu);
+  const ExperimentGrid grid = GoldenSmokeGrid(cpu);
   RunOptions options;
   options.threads = 1;
   options.shard_index = 0;
@@ -354,7 +318,7 @@ ShardTelemetry RunShardWithTelemetry(const ExperimentGrid& grid,
 
 TEST(RunnerShard, TelemetryArtifactsMergeAlongsideTheCsvs) {
   const model::LinearDvsModel cpu = workload::DefaultModel();
-  const ExperimentGrid grid = SmokeGrid(cpu);
+  const ExperimentGrid grid = GoldenSmokeGrid(cpu);
   const ShardTelemetry s0 = RunShardWithTelemetry(grid, 0, 2);
   const ShardTelemetry s1 = RunShardWithTelemetry(grid, 1, 2);
 
@@ -392,7 +356,7 @@ TEST(RunnerShard, TelemetryArtifactsMergeAlongsideTheCsvs) {
         << error.what();
   }
   // (3) shards from different runs conflict instead of merging;
-  ExperimentGrid other = SmokeGrid(cpu);
+  ExperimentGrid other = GoldenSmokeGrid(cpu);
   other.master_seed = 8;
   const ShardTelemetry foreign = RunShardWithTelemetry(other, 1, 2);
   try {
@@ -482,7 +446,7 @@ TEST(RunnerShard, ManifestMergeRejectsNullMetricValues) {
   // as 0 would silently understate the merged totals, so the merge refuses
   // and names the metric.
   const model::LinearDvsModel cpu = workload::DefaultModel();
-  const ExperimentGrid grid = SmokeGrid(cpu);
+  const ExperimentGrid grid = GoldenSmokeGrid(cpu);
   const ShardTelemetry s0 = RunShardWithTelemetry(grid, 0, 2);
   const ShardTelemetry s1 = RunShardWithTelemetry(grid, 1, 2);
   std::string corrupted = s1.manifest;

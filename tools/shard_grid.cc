@@ -1,8 +1,8 @@
 // Sharded smoke-grid runner: one process = one shard of a fixed grid.
 //
-// Runs the repository's smoke grid (the exact grid behind
-// tests/data/golden_smoke_grid.csv, or the planning grid behind
-// golden_planning_grid.csv with --planning) restricted to shard
+// Runs the repository's smoke grid (runner::GoldenSmokeGrid, the exact grid
+// behind tests/data/golden_smoke_grid.csv, or runner::GoldenPlanningGrid
+// behind golden_planning_grid.csv with --planning) restricted to shard
 // `--shard` of `--shard-count`, streaming the shard's rows to `--csv`.
 // Merging every shard's CSV with tools/merge_results reproduces the
 // unsharded serial run byte-for-byte — the end-to-end contract that
@@ -35,74 +35,15 @@
 #include "obs/trace.h"
 #include "runner/csv_sink.h"
 #include "runner/experiment_grid.h"
+#include "runner/golden_grids.h"
 #include "runner/run_grid.h"
 #include "util/cli.h"
 #include "util/error.h"
 #include "workload/presets.h"
-#include "workload/random_taskset.h"
 
 namespace {
 
 using namespace dvs;
-
-model::TaskSet TinyFixedSet(const model::DvsModel& dvs) {
-  model::Task a;
-  a.name = "a";
-  a.period = 10;
-  a.wcec = 8.0;
-  a.acec = 5.0;
-  a.bcec = 2.0;
-  model::Task b;
-  b.name = "b";
-  b.period = 20;
-  b.wcec = 12.0;
-  b.acec = 8.0;
-  b.bcec = 4.0;
-  return workload::ScaleToUtilization({a, b}, dvs, 0.6);
-}
-
-/// The legacy smoke grid — must stay in lockstep with GoldenGrid in
-/// tests/runner_golden_csv_test.cc so a merged sharded run can be compared
-/// against tests/data/golden_smoke_grid.csv directly.
-runner::ExperimentGrid SmokeGrid(const model::DvsModel& dvs) {
-  workload::RandomTaskSetOptions gen;
-  gen.num_tasks = 2;
-  gen.bcec_wcec_ratio = 0.3;
-  gen.max_sub_instances = 24;
-
-  runner::ExperimentGrid grid;
-  grid.dvs = &dvs;
-  grid.sources = {runner::RandomSource("random-2", gen, 2),
-                  runner::FixedSource("tiny-fixed", TinyFixedSet(dvs))};
-  grid.sigma_divisors = {6.0, 10.0};
-  grid.workload_seeds = {0, 1};
-  grid.methods = {"acs", "wcs", "static-vmax"};
-  grid.hyper_periods = 10;
-  grid.master_seed = 7;
-  return grid;
-}
-
-/// The planning smoke grid — lockstep with GoldenPlanningGrid in
-/// tests/runner_golden_csv_test.cc (golden_planning_grid.csv).
-runner::ExperimentGrid PlanningGrid(const model::DvsModel& dvs) {
-  workload::RandomTaskSetOptions gen;
-  gen.num_tasks = 3;
-  gen.bcec_wcec_ratio = 0.3;
-  gen.max_sub_instances = 24;
-
-  runner::ExperimentGrid grid;
-  grid.dvs = &dvs;
-  grid.sources = {runner::RandomSource("random-3", gen, 1),
-                  runner::FixedSource("tiny-fixed", TinyFixedSet(dvs))};
-  grid.scenarios = {"iid-normal", "heavy-tail", "bimodal"};
-  grid.methods = {"acs", "acs-scenario", "acs-quantile", "acs-mixture", "wcs"};
-  grid.baseline = "acs";
-  grid.planning.calibration_samples = 256;
-  grid.planning.mixture_samples = 4;
-  grid.hyper_periods = 10;
-  grid.master_seed = 11;
-  return grid;
-}
 
 int Run(int argc, const char* const* argv) {
   std::int64_t shard = 0;
@@ -157,7 +98,8 @@ int Run(int argc, const char* const* argv) {
   }
 
   const model::LinearDvsModel cpu = workload::DefaultModel();
-  runner::ExperimentGrid grid = planning ? PlanningGrid(cpu) : SmokeGrid(cpu);
+  runner::ExperimentGrid grid = planning ? runner::GoldenPlanningGrid(cpu)
+                                         : runner::GoldenSmokeGrid(cpu);
   if (warm_start == "neighbor") {
     grid.warm_start = core::WarmStartPolicy::kNeighbor;
   } else if (warm_start != "off") {
