@@ -228,6 +228,33 @@ double EnergyObjective::EvaluateOnce(const double* plan, const opt::Vector& x,
                                                   kernel);
 }
 
+void EnergyObjective::GradientAfterValue(const opt::Vector& x,
+                                         opt::Vector& grad) const {
+  if (mixture_rows_ > 0) {
+    // The mixture's per-row forward states are not kept; recompute.
+    (void)ValueAndGradient(x, grad);
+    return;
+  }
+  // The single replay's forward state is still in the scratch: run only the
+  // reverse pass (the same one ValueAndGradient would run after it).
+  grad.resize(dim_);
+  if (linear_model_) {
+    const LinearKernel kernel{linear_k_};
+    if (scenario_ == Scenario::kAverage) {
+      ReverseImpl<LinearKernel, true>(grad, kernel);
+    } else {
+      ReverseImpl<LinearKernel, false>(grad, kernel);
+    }
+    return;
+  }
+  const VirtualKernel kernel{dvs_};
+  if (scenario_ == Scenario::kAverage) {
+    ReverseImpl<VirtualKernel, true>(grad, kernel);
+  } else {
+    ReverseImpl<VirtualKernel, false>(grad, kernel);
+  }
+}
+
 double EnergyObjective::Evaluate(const opt::Vector& x, opt::Vector* grad,
                                  ForwardDetail* detail) const {
   if (mixture_rows_ == 0) {
@@ -436,9 +463,27 @@ double EnergyObjective::EvaluateImpl(const double* plan, const opt::Vector& x,
     std::copy(energy, energy + n_, detail->energy.begin());
   }
 
-  if (grad == nullptr) {
-    return total;
+  if (grad != nullptr) {
+    ReverseImpl<Kernel, kAverageScenario>(*grad, kernel);
   }
+  return total;
+}
+
+template <typename Kernel, bool kAverageScenario>
+void EnergyObjective::ReverseImpl(opt::Vector& grad,
+                                  const Kernel& kernel) const {
+  using Clamp = ObjectiveScratch::Clamp;
+  const double ceff = dvs_->ceff();
+  ObjectiveScratch& scratch = *scratch_;
+  const double* const w = scratch.w.data();
+  const double* const avg = scratch.avg.data();
+  const double* const d = scratch.d.data();
+  const double* const v = scratch.v.data();
+  const double* const ct = scratch.ct.data();
+  const AvgCase* const avg_case = scratch.avg_case.data();
+  const Clamp* const clamp = scratch.clamp.data();
+  const unsigned char* const s_from_finish = scratch.s_from_finish.data();
+  const unsigned char* const executes = scratch.executes.data();
 
   // ---- Reverse pass --------------------------------------------------------
   // g_f[u]: adjoint of the finish time f_u.  Only sub u+1's start depends on
@@ -492,14 +537,14 @@ double EnergyObjective::EvaluateImpl(const double* plan, const opt::Vector& x,
         if (avg_case[u] == AvgCase::kFull) {
           d_w_total += d_avg;
         }
-        (*grad)[r.budget_var] = d_w_total;
+        grad[r.budget_var] = d_w_total;
       }
       if (avg_case[u] == AvgCase::kPartial) {
         carry[r.parent] += d_avg;
       }
     } else {
       if (r.has_budget_var) {
-        (*grad)[r.budget_var] = d_w + d_avg;
+        grad[r.budget_var] = d_w + d_avg;
       }
     }
 
@@ -507,10 +552,8 @@ double EnergyObjective::EvaluateImpl(const double* plan, const opt::Vector& x,
     if (s_from_finish[u] && u > 0) {
       g_f[u - 1] += d_s;
     }
-    (*grad)[u] = d_e;
+    grad[u] = d_e;
   }
-
-  return total;
 }
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))

@@ -194,6 +194,11 @@ class EnergyObjective final : public opt::Objective {
   void Gradient(const opt::Vector& x, opt::Vector& grad) const override;
   double ValueAndGradient(const opt::Vector& x,
                           opt::Vector& grad) const override;
+  /// Reverse pass from the forward state the last Value(x) left in the
+  /// scratch (mixture planning recomputes).  Nothing else may evaluate
+  /// through the same scratch in between.
+  void GradientAfterValue(const opt::Vector& x,
+                          opt::Vector& grad) const override;
 
   // --- Variable layout ------------------------------------------------------
   std::size_t sub_count() const { return n_; }
@@ -254,6 +259,11 @@ class EnergyObjective final : public opt::Objective {
   double EvaluateImpl(const double* plan, const opt::Vector& x,
                       opt::Vector* grad, ForwardDetail* detail,
                       const Kernel& kernel) const;
+
+  /// The reverse pass of EvaluateImpl, reading the forward state it left
+  /// in the scratch and writing every gradient component.
+  template <typename Kernel, bool kAverageScenario>
+  void ReverseImpl(opt::Vector& grad, const Kernel& kernel) const;
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
   /// Four complete mixture replays in the four AVX2 lanes (linear kernel,

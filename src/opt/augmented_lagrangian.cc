@@ -124,14 +124,21 @@ class AugmentedObjective final : public Objective {
     return Evaluate(x, &grad);
   }
 
+  // The row values of the last Value() call are still in row_values_, so
+  // the accepted trial needs only the base reverse pass and the scatter.
+  void GradientAfterValue(const Vector& x, Vector& grad) const override {
+    base_.GradientAfterValue(x, grad);
+    ScatterRows(x, grad);
+  }
+
  private:
   double Evaluate(const Vector& x, Vector* grad) const {
     double value = grad != nullptr ? base_.ValueAndGradient(x, *grad)
                                    : base_.Value(x);
     // Two phases: batch every row value first (vectorizable — four gathered
     // rows per step on the flat system at AVX2 dispatch), then the hinge
-    // algebra and the scatter-indexed gradient accumulation walk the rows
-    // in the same order as before, so scalar dispatch is bit-identical.
+    // algebra walks the rows in order; the scatter-indexed gradient
+    // accumulation repeats that walk, so scalar dispatch is bit-identical.
     system_.EvaluateAll(x, row_values_);
     for (std::size_t c = 0; c < system_.size(); ++c) {
       const double cv = row_values_[c];
@@ -139,18 +146,31 @@ class AugmentedObjective final : public Objective {
         // Treat as g(x) = -c(x) <= 0.
         const double active = std::max(0.0, ratio_[c] - cv);
         value += 0.5 * penalty_ * active * active - shift_[c];
-        if (grad != nullptr && active > 0.0) {
-          system_.AccumulateGradient(c, x, -penalty_ * active, *grad);
-        }
       } else {
         const double lambda = multipliers_[c];
         value += lambda * cv + 0.5 * penalty_ * cv * cv;
-        if (grad != nullptr) {
-          system_.AccumulateGradient(c, x, lambda + penalty_ * cv, *grad);
-        }
       }
     }
+    if (grad != nullptr) {
+      ScatterRows(x, *grad);
+    }
     return value;
+  }
+
+  /// grad += the constraint terms' gradient at the batched row values.
+  void ScatterRows(const Vector& x, Vector& grad) const {
+    for (std::size_t c = 0; c < system_.size(); ++c) {
+      const double cv = row_values_[c];
+      if (system_.Kind(c) == ConstraintKind::kGeZero) {
+        const double active = std::max(0.0, ratio_[c] - cv);
+        if (active > 0.0) {
+          system_.AccumulateGradient(c, x, -penalty_ * active, grad);
+        }
+      } else {
+        system_.AccumulateGradient(c, x, multipliers_[c] + penalty_ * cv,
+                                   grad);
+      }
+    }
   }
 
   const Objective& base_;

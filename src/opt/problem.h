@@ -34,6 +34,16 @@ class Objective {
     Gradient(x, grad);
     return Value(x);
   }
+
+  /// Gradient at `x`, which must be the point of the most recent Value()
+  /// call on this objective.  Line searches evaluate the value alone at
+  /// every trial and ask for the gradient only at the accepted one;
+  /// objectives that keep their forward state override this to run just
+  /// the reverse pass from it.  Must write the same bits as
+  /// ValueAndGradient(x, grad); the default simply recomputes.
+  virtual void GradientAfterValue(const Vector& x, Vector& grad) const {
+    (void)ValueAndGradient(x, grad);
+  }
 };
 
 /// Reusable buffers for FeasibleSet projections (one per solver workspace;

@@ -92,8 +92,9 @@ SpgReport MinimizeSpg(const Objective& objective, const FeasibleSet& set,
       util::simd::AddScaled(x.data(), lambda, direction.data(), trial.data(),
                             x.size());
       // Points on the chord between two feasible points stay feasible for
-      // convex sets, so no re-projection is needed.
-      f_new = objective.ValueAndGradient(trial, trial_grad);
+      // convex sets, so no re-projection is needed.  Trials cost the value
+      // only; the accepted one gets its gradient below.
+      f_new = objective.Value(trial);
       ++report.evaluations;
       if (f_new <= f_ref + options.armijo_c * lambda * slope) {
         accepted = true;
@@ -108,6 +109,8 @@ SpgReport MinimizeSpg(const Objective& objective, const FeasibleSet& set,
       report.final_value = f;
       return report;
     }
+
+    objective.GradientAfterValue(trial, trial_grad);
 
     // Barzilai-Borwein spectral step from the accepted move.
     double sts = 0.0;
