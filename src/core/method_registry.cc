@@ -605,6 +605,7 @@ MethodOutcome EvaluateWithDrift(MethodContext& context,
   outcome.solver_outer_iterations = plan.solver_outer_iterations;
   outcome.solver_inner_iterations = plan.solver_inner_iterations;
   outcome.solver_evaluations = plan.solver_evaluations;
+    outcome.solver_inner_capped = plan.solver_inner_capped;
   const double norm = options.hyper_periods > 0
                           ? 1.0 / static_cast<double>(options.hyper_periods)
                           : 0.0;
@@ -692,6 +693,7 @@ std::vector<MethodOutcome> EvaluateMethods(
     outcome.solver_outer_iterations = plan.solver_outer_iterations;
     outcome.solver_inner_iterations = plan.solver_inner_iterations;
     outcome.solver_evaluations = plan.solver_evaluations;
+    outcome.solver_inner_capped = plan.solver_inner_capped;
     const double norm =
         options.hyper_periods > 0
             ? 1.0 / static_cast<double>(options.hyper_periods)

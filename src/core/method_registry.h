@@ -206,6 +206,7 @@ struct MethodPlan {
   std::int64_t solver_outer_iterations = 0;
   std::int64_t solver_inner_iterations = 0;
   std::int64_t solver_evaluations = 0;
+  std::int64_t solver_inner_capped = 0;  // solves ending on the inner cap
 
   /// Adds one solve's counters.
   void ChargeSolver(const opt::AlmReport& report) {
@@ -213,6 +214,8 @@ struct MethodPlan {
     solver_inner_iterations +=
         static_cast<std::int64_t>(report.total_inner_iterations);
     solver_evaluations += static_cast<std::int64_t>(report.evaluations);
+    solver_inner_capped +=
+        report.inner_status == opt::SolveStatus::kMaxIterations ? 1 : 0;
   }
 };
 

@@ -127,6 +127,7 @@ struct MethodOutcome {
   std::int64_t solver_outer_iterations = 0;
   std::int64_t solver_inner_iterations = 0;
   std::int64_t solver_evaluations = 0;
+  std::int64_t solver_inner_capped = 0;
   /// DPM ledger (all zero when ExperimentOptions::dpm is off).  The two
   /// energies are included in measured_energy; units follow it (per
   /// hyper-period single-core, per-ms for a fleet aggregate).

@@ -8,6 +8,7 @@
 #include "obs/convergence.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "opt/chain_ipm.h"
 #include "sim/engine.h"
 #include "util/error.h"
 #include "util/logging.h"
@@ -199,6 +200,89 @@ ScheduleResult SolveWith(
   return result;
 }
 
+/// The exact WCS solve (DESIGN.md §3.4): the explicit-start chain program
+/// solved by opt::SolveChain, its finish times taken as end-times, then the
+/// usual repair and audit.  Returns nullopt, counting the fallback by
+/// reason, when the solve cannot be certified or its schedule does not
+/// survive repair; the caller then solves with the ALM.
+std::optional<ScheduleResult> SolveWcsExact(
+    const fps::FullyPreemptiveSchedule& fps, const model::LinearDvsModel& dvs,
+    EvalWorkspace* workspace) {
+  obs::ScopedWallTimer solve_timer(obs::metric::kSolveWallUs);
+  obs::Span span("chain_ipm", "solve");
+  const auto fall_back = [&span](const char* reason, obs::MetricId metric) {
+    ACS_LOG_WARN << "exact WCS solve falls back to the ALM: " << reason;
+    if (span.enabled()) {
+      span.Arg("fallback", reason);
+    }
+    obs::Count(obs::metric::kWcsFallbacks);
+    obs::Count(metric);
+    return std::nullopt;
+  };
+
+  const model::TaskSet& set = fps.task_set();
+  opt::ChainProblem problem;
+  problem.release.resize(fps.sub_count());
+  problem.cap = fps.effective_end_bounds();
+  problem.group.resize(fps.sub_count());
+  for (std::size_t u = 0; u < fps.sub_count(); ++u) {
+    problem.release[u] = fps.sub(u).release();
+    problem.group[u] = fps.sub(u).parent;
+  }
+  problem.group_total.resize(fps.instance_count());
+  for (std::size_t p = 0; p < fps.instance_count(); ++p) {
+    problem.group_total[p] = set.task(fps.instance(p).info.task).wcec;
+  }
+  // speed = k V, so the energy ceff V^2 w of w cycles in d is
+  // (ceff / k^2) w^3 / d^2.
+  problem.energy_coeff = dvs.ceff() / (dvs.k() * dvs.k());
+  problem.min_speed = dvs.k() * dvs.vmin();
+  problem.max_speed = dvs.k() * dvs.vmax();
+
+  opt::ChainSolution solution;
+  const opt::ChainIpmReport report = opt::SolveChain(
+      problem, solution, {},
+      workspace != nullptr ? &workspace->solver().chain : nullptr);
+  if (report.failure == "no-interior") {
+    return fall_back("no strictly feasible start",
+                     obs::metric::kWcsFallbackNoInterior);
+  }
+  if (report.failure == "breakdown") {
+    return fall_back("KKT pivot breakdown", obs::metric::kWcsFallbackBreakdown);
+  }
+  std::optional<sim::StaticSchedule> repaired =
+      RepairSchedule(fps, dvs, solution.finish, solution.budget);
+  if (!repaired.has_value()) {
+    return fall_back("repair rejected the schedule",
+                     obs::metric::kWcsFallbackRepair);
+  }
+  // The certificate is restated for the schedule actually returned: its
+  // replayed energy is that of an exactly feasible point of the reduced
+  // problem, so it bounds the common optimum from above just as the dual
+  // bound does from below.
+  const EnergyObjective objective(
+      fps, dvs, Scenario::kWorst,
+      workspace != nullptr ? &workspace->objective_scratch() : nullptr);
+  const double energy = objective.Value(objective.PackSchedule(*repaired));
+  const double gap = std::max(0.0, (energy - report.dual) / energy);
+  if (!(gap <= opt::ChainIpmOptions{}.accept_gap)) {
+    return fall_back("duality gap above tolerance",
+                     obs::metric::kWcsFallbackGap);
+  }
+  obs::Count(obs::metric::kWcsSolves);
+  obs::Observe(obs::metric::kWcsGap, gap);
+  ScheduleResult result{std::move(*repaired), energy, {}, false,
+                        GapCertificate{energy, report.dual, gap}};
+  opt::AlmReport& work = result.alm;
+  work.feasible = true;
+  work.inner_status = opt::SolveStatus::kConverged;
+  work.outer_iterations = report.rounds;
+  work.total_inner_iterations = report.newton_steps;
+  work.evaluations = report.evaluations;
+  work.final_value = energy;
+  return result;
+}
+
 }  // namespace
 
 ScheduleResult SolveSchedule(
@@ -223,6 +307,13 @@ ScheduleResult SolveWcs(const fps::FullyPreemptiveSchedule& fps,
                         const model::DvsModel& dvs,
                         const SchedulerOptions& options,
                         EvalWorkspace* workspace) {
+  const auto* linear = dynamic_cast<const model::LinearDvsModel*>(&dvs);
+  if (options.exact_wcs && linear != nullptr) {
+    if (std::optional<ScheduleResult> exact =
+            SolveWcsExact(fps, *linear, workspace)) {
+      return std::move(*exact);
+    }
+  }
   return SolveSchedule(fps, dvs, Scenario::kWorst, options, std::nullopt,
                        workspace);
 }

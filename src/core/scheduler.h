@@ -32,15 +32,31 @@ struct SchedulerOptions {
   /// the paper's baseline and a good feasible incumbent).  When false, ACS
   /// starts from the Vmax-ASAP schedule.
   bool warm_start_acs_with_wcs = true;
+  /// Solve WCS exactly with the certified interior-point method under a
+  /// LinearDvsModel (see SolveWcs).  Off by default: the default pipeline
+  /// keeps the ALM's WCS schedules, whose bits the goldens pin.
+  bool exact_wcs = false;
 
   static opt::AlmOptions DefaultAlmOptions();
+};
+
+/// Duality-gap certificate of an exact WCS solve (opt/chain_ipm.h): the
+/// explicit-start program's objective at the returned point and a rigorous
+/// lower bound on its optimum, which equals the reduced WCS optimum
+/// (DESIGN.md §3.4).
+struct GapCertificate {
+  double primal = 0.0;
+  double dual = 0.0;
+  double relative_gap = 0.0;  // (primal - dual) / primal
 };
 
 struct ScheduleResult {
   sim::StaticSchedule schedule;
   double predicted_energy = 0.0;  // scenario energy of the final schedule
-  opt::AlmReport alm;
+  opt::AlmReport alm;             // solver work (the chain IPM's for exact WCS)
   bool used_fallback = false;     // repair failed; warm start returned
+  /// Set by exact WCS solves; empty for ALM solves.
+  std::optional<GapCertificate> certificate = std::nullopt;
 };
 
 /// Lazily solved per-task-set state shared by every method evaluated on one
@@ -126,7 +142,11 @@ ScheduleResult SolveSchedule(
     EvalWorkspace* workspace = nullptr);
 
 /// WCS: the classical WCEC-only minimum-energy static schedule (paper §4's
-/// comparison baseline).
+/// comparison baseline).  With SchedulerOptions::exact_wcs under a
+/// LinearDvsModel it is solved exactly by the structured interior-point
+/// method (opt/chain_ipm.h) and carries a duality-gap certificate; other
+/// models, the default options, and any set the exact solve cannot certify
+/// (counted by solve.wcs_fallbacks) take the ALM path.
 ScheduleResult SolveWcs(const fps::FullyPreemptiveSchedule& fps,
                         const model::DvsModel& dvs,
                         const SchedulerOptions& options = {},

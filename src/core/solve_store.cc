@@ -91,6 +91,7 @@ void WriteScheduler(util::BinaryWriter& out, const SchedulerOptions& o) {
   const opt::AlmOptions& alm = o.alm;
   const opt::SpgOptions& spg = alm.inner;
   out.U8(o.warm_start_acs_with_wcs ? 1 : 0);
+  out.U8(o.exact_wcs ? 1 : 0);
   out.U64(alm.max_outer);
   out.F64(alm.feasibility_tol);
   out.F64(alm.initial_penalty);
@@ -113,6 +114,7 @@ SchedulerOptions ReadScheduler(util::BinaryReader& in) {
   opt::AlmOptions& alm = o.alm;
   opt::SpgOptions& spg = alm.inner;
   o.warm_start_acs_with_wcs = in.U8() != 0;
+  o.exact_wcs = in.U8() != 0;
   alm.max_outer = static_cast<std::size_t>(in.U64());
   alm.feasibility_tol = in.F64();
   alm.initial_penalty = in.F64();
@@ -169,6 +171,12 @@ void WriteResult(util::BinaryWriter& out, const StoredScheduleResult& r) {
   out.F64(alm.max_violation);
   out.F64(alm.final_penalty);
   out.VecF64(alm.multipliers);
+  out.U8(r.certificate.has_value() ? 1 : 0);
+  if (r.certificate.has_value()) {
+    out.F64(r.certificate->primal);
+    out.F64(r.certificate->dual);
+    out.F64(r.certificate->relative_gap);
+  }
 }
 
 StoredScheduleResult ReadResult(util::BinaryReader& in) {
@@ -191,6 +199,13 @@ StoredScheduleResult ReadResult(util::BinaryReader& in) {
   alm.max_violation = in.F64();
   alm.final_penalty = in.F64();
   alm.multipliers = in.VecF64();
+  if (in.U8() != 0) {
+    GapCertificate certificate;
+    certificate.primal = in.F64();
+    certificate.dual = in.F64();
+    certificate.relative_gap = in.F64();
+    r.certificate = certificate;
+  }
   return r;
 }
 
@@ -380,6 +395,7 @@ StoredScheduleResult StoreResult(const ScheduleResult& result) {
   stored.alm = result.alm;
   stored.alm.inner_status = result.alm.inner_status;
   stored.used_fallback = result.used_fallback;
+  stored.certificate = result.certificate;
   return stored;
 }
 
@@ -395,7 +411,7 @@ ScheduleResult RestoreResult(const StoredScheduleResult& stored,
   return ScheduleResult{sim::StaticSchedule(fps, stored.schedule.end_times,
                                             stored.schedule.worst_budgets),
                         stored.predicted_energy, stored.alm,
-                        stored.used_fallback};
+                        stored.used_fallback, stored.certificate};
 }
 
 }  // namespace

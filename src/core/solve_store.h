@@ -58,7 +58,9 @@ namespace dvs::core {
 
 /// Bump on ANY change to the entry layout or to solver arithmetic that can
 /// alter solve bits: version-mismatched files are rejected wholesale.
-inline constexpr std::uint32_t kSolveStoreSchemaVersion = 1;
+/// Version 2: scheduler options carry exact_wcs and results their WCS
+/// duality-gap certificate.
+inline constexpr std::uint32_t kSolveStoreSchemaVersion = 2;
 
 /// Concrete-parameter description of a DvsModel — the model's persistable
 /// identity.  DescribeModel recognises the three library models by
@@ -118,6 +120,7 @@ struct StoredScheduleResult {
   double predicted_energy = 0.0;
   opt::AlmReport alm;
   bool used_fallback = false;
+  std::optional<GapCertificate> certificate;
 };
 
 /// One planned solve: the exact PlanningPoint, its warm-start chain

@@ -185,6 +185,7 @@ FleetResult EvaluateFleet(
         fleet.fleet.solver_outer_iterations += outcome.solver_outer_iterations;
         fleet.fleet.solver_inner_iterations += outcome.solver_inner_iterations;
         fleet.fleet.solver_evaluations += outcome.solver_evaluations;
+        fleet.fleet.solver_inner_capped += outcome.solver_inner_capped;
         if (dpm) {
           fleet.fleet.idle_energy +=
               weight * (outcome.idle_energy / hyper_period);

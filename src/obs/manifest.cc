@@ -182,6 +182,11 @@ std::string RenderManifest(const RunManifest& manifest,
     json.Key(key).Value(value);
   }
   json.EndObject();
+  json.Key("execution").BeginObject();
+  for (const auto& [key, value] : manifest.execution) {
+    json.Key(key).Value(value);
+  }
+  json.EndObject();
   if (metrics != nullptr) {
     WriteMetricsSection(json, metrics->Aggregate());
   }
@@ -394,6 +399,14 @@ std::string MergeManifests(const std::vector<std::string>& texts) {
   json.EndArray();
   json.Key("config");
   WriteValue(json, Section(first, "config", 0));
+  json.Key("execution").BeginArray();
+  for (const util::JsonValue& doc : docs) {
+    const util::JsonValue* execution = doc.Find("execution");
+    if (execution != nullptr) {
+      WriteValue(json, *execution);
+    }
+  }
+  json.EndArray();
   if (any_metrics) {
     json.Key("metrics").BeginObject();
     json.Key("counters").BeginObject();

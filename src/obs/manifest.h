@@ -11,6 +11,8 @@
 //                  shard_count, wall_ms },
 //     "shards":  [shard indices this document covers],
 //     "config":  { flat string map of the grid/bench configuration },
+//     "execution": { flat string map of per-shard execution settings,
+//                    e.g. the cache directory },
 //     "metrics": { counters: {name: n}, gauges: {name: x},
 //                  histograms: {name: {bounds, buckets, count, sum,
 //                                      min, max}} }
@@ -18,7 +20,9 @@
 //
 // MergeManifests combines per-shard documents into the one an unsharded
 // run would have written: tool/build/config/master_seed/shard_count must
-// agree (conflicts are hard errors, mirroring runner::MergeShardCsvs),
+// agree (conflicts are hard errors, mirroring runner::MergeShardCsvs);
+// "execution" may differ per shard and is kept as a list, one object per
+// input document;
 // shard coverage must be exactly 0..shard_count-1 with no duplicates
 // (double-merge detection), wall times sum, counters sum, gauges max.
 #ifndef ACS_OBS_MANIFEST_H
@@ -46,8 +50,12 @@ struct RunManifest {
   std::size_t shard_index = 0;
   std::size_t shard_count = 1;
   double wall_ms = 0.0;
-  /// Flat configuration key/value pairs, serialised in this order.
+  /// Flat configuration key/value pairs, serialised in this order.  Shards
+  /// of one run must agree on every one.
   std::vector<std::pair<std::string, std::string>> config;
+  /// Per-shard execution settings that do not change results (cache
+  /// directory, read-only flag); never compared across shards.
+  std::vector<std::pair<std::string, std::string>> execution;
 };
 
 /// Renders the manifest JSON; `metrics` (optional) contributes the

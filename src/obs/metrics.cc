@@ -67,6 +67,15 @@ MetricsRegistry::MetricsRegistry() {
   AddHistogram("dpm.sleep_energy", {1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0});
   AddCounter("sim.sampler_draws");
   AddCounter("sim.replayed_draws");
+  // Relative duality gaps: certified solves end at or below 1e-6.
+  AddHistogram("solve.wcs_gap",
+               {1e-14, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6});
+  AddCounter("solve.wcs_fallbacks");
+  AddCounter("solve.wcs_fallbacks.no_interior");
+  AddCounter("solve.wcs_fallbacks.breakdown");
+  AddCounter("solve.wcs_fallbacks.gap");
+  AddCounter("solve.wcs_fallbacks.repair");
+  AddCounter("solver.inner_capped");
   ACS_REQUIRE(definitions_.size() == metric::kBuiltinCount,
               "builtin metric count drifted from obs::metric ids");
 }

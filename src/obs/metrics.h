@@ -186,7 +186,21 @@ inline constexpr MetricId kDpmSleepEnergy = 34;     // dpm.sleep_energy
 // replayed from a shared realisation (both result-charged).
 inline constexpr MetricId kSamplerDraws = 35;       // sim.sampler_draws
 inline constexpr MetricId kReplayedDraws = 36;      // sim.replayed_draws
-inline constexpr std::size_t kBuiltinCount = 37;
+// Exact WCS solves (core::SolveWcs): the certified relative duality gap of
+// each, and the solves that fell back to the ALM, in total and by reason.
+// Charged at solve time, like solve.wcs_solves.
+inline constexpr MetricId kWcsGap = 37;             // solve.wcs_gap
+                                                    // (histogram)
+inline constexpr MetricId kWcsFallbacks = 38;       // solve.wcs_fallbacks
+inline constexpr MetricId kWcsFallbackNoInterior = 39;  // solve.wcs_fallbacks.
+                                                        // no_interior
+inline constexpr MetricId kWcsFallbackBreakdown = 40;   // ....breakdown
+inline constexpr MetricId kWcsFallbackGap = 41;         // ....gap
+inline constexpr MetricId kWcsFallbackRepair = 42;      // ....repair
+// Solves whose last ALM inner solve hit its iteration cap (result-charged
+// from MethodOutcome, like the other solver.* counters).
+inline constexpr MetricId kSolverInnerCapped = 43;  // solver.inner_capped
+inline constexpr std::size_t kBuiltinCount = 44;
 }  // namespace metric
 
 /// The installed registry, or nullptr.  Installation is not synchronised

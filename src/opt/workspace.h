@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "opt/chain_ipm.h"
 #include "opt/problem.h"
 #include "opt/vec.h"
 #include "util/simd.h"
@@ -161,6 +162,7 @@ struct AlmWorkspace {
 /// The full per-thread solver scratch bundle.
 struct SolverWorkspace {
   AlmWorkspace alm;
+  ChainIpmWorkspace chain;  // exact WCS solves
 };
 
 }  // namespace dvs::opt

@@ -118,6 +118,7 @@ CellResult RunCell(const ExperimentGrid& grid,
       obs::Count(obs::metric::kSolverOuter, outcome.solver_outer_iterations);
       obs::Count(obs::metric::kSolverInner, outcome.solver_inner_iterations);
       obs::Count(obs::metric::kSolverEvals, outcome.solver_evaluations);
+      obs::Count(obs::metric::kSolverInnerCapped, outcome.solver_inner_capped);
       obs::Count(obs::metric::kDeadlineMisses, outcome.deadline_misses);
       if (outcome.used_fallback) {
         obs::Count(obs::metric::kFallbacks);

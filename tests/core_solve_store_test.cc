@@ -280,6 +280,35 @@ TEST(SolveStoreDir, LoadRejectsDamagedAndForeignFilesAsMisses) {
   }
 }
 
+// Entries written before exact WCS solves existed (schema version 1, whose
+// WCS results came from the ALM) must never be served: a version-1 file on
+// the current key is rejected like any foreign file, and re-solved.
+TEST(SolveStoreDir, RejectsEntriesOfThePreviousSchemaVersion) {
+  ASSERT_GE(kSolveStoreSchemaVersion, 2u);
+  const std::string dir = FreshDir("solve_store_version");
+  PurgeDir(dir);
+  const model::LinearDvsModel cpu = workload::DefaultModel();
+  const ModelDescriptor model = DescribeModel(cpu);
+  const model::TaskSet set = TwoTaskSet("v");
+  const SchedulerOptions scheduler;
+  {
+    SolveStore writer(dir);
+    writer.Absorb(FullCell(set, model));
+    EXPECT_EQ(writer.WriteBack(), 1u);
+  }
+  SolveStore reader(dir, /*read_only=*/true);
+  const std::string path =
+      reader.EntryPath(SolveStoreEntryKey(set, model, scheduler));
+  ASSERT_TRUE(reader.Load(set, model, scheduler).has_value());
+  // The header's version is the little-endian U32 after the 4-byte magic.
+  std::string bytes = ReadFile(path);
+  bytes[4] = 1;
+  bytes[5] = bytes[6] = bytes[7] = 0;
+  WriteFile(path, bytes);
+  EXPECT_THROW(DeserializeStoredCell(bytes), util::Error);
+  EXPECT_FALSE(reader.Load(set, model, scheduler).has_value());
+}
+
 TEST(SolveStoreDir, WriterLockIsExclusivePerDirectory) {
   const std::string dir = FreshDir("solve_store_lock");
   PurgeDir(dir);

@@ -40,7 +40,10 @@ TEST(MetricsRegistry, BuiltinNamesArePinnedInIdOrder) {
       "online.dp_dispatches", "prepare.oversized_rejects",
       "dpm.sleeps",           "dpm.migrations",
       "dpm.sleep_energy",     "sim.sampler_draws",
-      "sim.replayed_draws",
+      "sim.replayed_draws",   "solve.wcs_gap",
+      "solve.wcs_fallbacks",  "solve.wcs_fallbacks.no_interior",
+      "solve.wcs_fallbacks.breakdown", "solve.wcs_fallbacks.gap",
+      "solve.wcs_fallbacks.repair", "solver.inner_capped",
   };
   ASSERT_EQ(expected.size(), metric::kBuiltinCount);
   ASSERT_EQ(registry.MetricCount(), metric::kBuiltinCount);

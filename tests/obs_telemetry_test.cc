@@ -114,6 +114,11 @@ TEST(TelemetryGoldenBytes, SmokeGridUnchangedWithFullTelemetryOn) {
   const std::vector<AggregatedMetric> agg = metrics.Aggregate();
   EXPECT_GT(agg[metric::kCellsEvaluated].count, 0);
   EXPECT_GT(trace.event_count(), 0u);
+  // Exact solver work at the scalar level: a change to the solver's
+  // trajectory (or to how a line search counts its trials) fails here and
+  // must re-pin both counts on purpose.
+  EXPECT_EQ(agg[metric::kSolverEvals].count, 1024736);
+  EXPECT_EQ(agg[metric::kSolverInner].count, 94492);
 
   // Every convergence line is a standalone JSON object with the record
   // schema the plotting scripts key on.
@@ -142,6 +147,44 @@ TEST(TelemetryGoldenBytes, SmokeGridUnchangedWithFullTelemetryOn) {
   }
   EXPECT_GT(lines, 0u);
   std::remove(convergence_path.c_str());
+}
+
+/// The exact WCS path end to end on the smoke grid: every WCS solve is
+/// certified (gap histogram filled, at most 1e-6), none falls back, and the
+/// new keys reach the rendered manifest.
+TEST(TelemetryExactWcs, CertifiedSolvesAndKeysReachTheManifest) {
+  const util::simd::ScopedLevel scalar(util::simd::Level::kScalar);
+  const model::LinearDvsModel cpu = workload::DefaultModel();
+  runner::ExperimentGrid grid = runner::GoldenSmokeGrid(cpu);
+  grid.scheduler.exact_wcs = true;
+
+  MetricsRegistry metrics;
+  metrics.EnsureShards(1);
+  InstallMetrics(&metrics);
+  {
+    runner::RunOptions options;
+    options.threads = 1;
+    EXPECT_EQ(runner::RunGrid(grid, options).failed_cells, 0u);
+  }
+  InstallMetrics(nullptr);
+
+  RunManifest manifest;
+  manifest.tool = "telemetry_test";
+  const util::JsonValue doc =
+      util::ParseJson(RenderManifest(manifest, &metrics));
+  const util::JsonValue& counters = doc.At("metrics").At("counters");
+  EXPECT_DOUBLE_EQ(counters.NumberAt("solve.wcs_fallbacks"), 0.0);
+  for (const char* reason : {"no_interior", "breakdown", "gap", "repair"}) {
+    EXPECT_DOUBLE_EQ(
+        counters.NumberAt(std::string("solve.wcs_fallbacks.") + reason), 0.0);
+  }
+  EXPECT_GE(counters.NumberAt("solver.inner_capped"), 0.0);
+  const util::JsonValue& gap =
+      doc.At("metrics").At("histograms").At("solve.wcs_gap");
+  EXPECT_GT(gap.NumberAt("count"), 0.0);
+  EXPECT_DOUBLE_EQ(gap.NumberAt("count"),
+                   counters.NumberAt("solve.wcs_solves"));
+  EXPECT_LE(gap.NumberAt("max"), 1e-6);
 }
 
 /// Half two: the planning-arm golden (calibration, warm-link chains and
@@ -333,6 +376,26 @@ TEST(Manifest, RenderMatchesSchema) {
   ASSERT_TRUE(hist.At("buckets").IsArray());
   EXPECT_EQ(hist.At("buckets").array.size(),
             hist.At("bounds").array.size() + 1);
+}
+
+TEST(Manifest, MergeIgnoresPerShardExecutionSettings) {
+  RunManifest s0 = ShardManifest(0, 2);
+  RunManifest s1 = ShardManifest(1, 2);
+  s0.execution = {{"cache_dir", "t0.cache"}, {"cache_read_only", "false"}};
+  s1.execution = {{"cache_dir", "t1.cache"}, {"cache_read_only", "false"}};
+  const util::JsonValue merged = util::ParseJson(MergeManifests(
+      {RenderManifest(s0, nullptr), RenderManifest(s1, nullptr)}));
+  ASSERT_TRUE(merged.At("execution").IsArray());
+  ASSERT_EQ(merged.At("execution").array.size(), 2u);
+  EXPECT_EQ(merged.At("execution").array[1].StringAt("cache_dir"),
+            "t1.cache");
+  EXPECT_EQ(merged.At("config").StringAt("grid"), "smoke");
+
+  // A real configuration difference is still a conflict.
+  s1.config = {{"grid", "smoke"}, {"warm_start", "neighbor"}};
+  EXPECT_THROW(MergeManifests({RenderManifest(s0, nullptr),
+                               RenderManifest(s1, nullptr)}),
+               util::Error);
 }
 
 TEST(Manifest, MergeSumsCountersAndWallAcrossShards) {

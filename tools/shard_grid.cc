@@ -168,6 +168,8 @@ int Run(int argc, const char* const* argv) {
         {"grid", planning ? "planning" : "smoke"},
         {"warm_start", warm_start},
         {"solver_stats", solver_stats ? "true" : "false"},
+    };
+    manifest.execution = {
         {"cache_dir", cache_dir},
         {"cache_read_only", cache_read_only ? "true" : "false"},
     };
