@@ -64,8 +64,6 @@ void SweepConfig::Register(util::ArgParser& parser) {
   parser.AddString("warm-start", &warm_start,
                    "sigma-axis warm-start policy for the planning arms: "
                    "off | neighbor");
-  parser.AddFlag("exact-wcs", &exact_wcs,
-                 "solve WCS exactly (certified interior point; linear model)");
   parser.AddFlag("csv-solver-stats", &csv_solver_stats,
                  "append solver iteration/evaluation columns to --cell-csv "
                  "rows");
@@ -214,7 +212,6 @@ runner::ExperimentGrid SweepConfig::MakeGrid(
   grid.planning = planning;
   grid.online = online;
   grid.warm_start = WarmStartPolicy();
-  grid.scheduler.exact_wcs = exact_wcs;
   // Decorrelate grid points sharing one config seed (e.g. fig6a's task-count
   // x ratio sweep runs one grid per point).
   grid.master_seed = stats::Rng(seed).ForkWith(grid_label).NextU64();
@@ -365,7 +362,6 @@ void SweepConfig::WriteRunArtifacts() const {
         {"baseline", baseline},
         {"scenarios", scenarios},
         {"warm_start", warm_start},
-        {"exact_wcs", exact_wcs ? "true" : "false"},
         {"grid_repeats", std::to_string(grid_repeats)},
         {"paper", paper ? "true" : "false"},
     };

@@ -110,9 +110,6 @@ struct SweepConfig {
   /// chains each cell's solve along the sigma-axis prefix (continuation —
   /// see runner::ExperimentGrid::warm_start).
   std::string warm_start = "off";
-  /// Solve WCS with the certified interior-point method (--exact-wcs;
-  /// core::SchedulerOptions::exact_wcs).  Off keeps the ALM's WCS.
-  bool exact_wcs = false;
   /// Appends the opt-in solver iteration/evaluation columns to --cell-csv
   /// rows (--csv-solver-stats); the legacy schema is untouched without it.
   bool csv_solver_stats = false;

@@ -33,9 +33,8 @@ struct SchedulerOptions {
   /// starts from the Vmax-ASAP schedule.
   bool warm_start_acs_with_wcs = true;
   /// Solve WCS exactly with the certified interior-point method under a
-  /// LinearDvsModel (see SolveWcs).  Off by default: the default pipeline
-  /// keeps the ALM's WCS schedules, whose bits the goldens pin.
-  bool exact_wcs = false;
+  /// LinearDvsModel (see SolveWcs).  Off restores the ALM's WCS solve.
+  bool exact_wcs = true;
 
   static opt::AlmOptions DefaultAlmOptions();
 };
@@ -142,11 +141,11 @@ ScheduleResult SolveSchedule(
     EvalWorkspace* workspace = nullptr);
 
 /// WCS: the classical WCEC-only minimum-energy static schedule (paper §4's
-/// comparison baseline).  With SchedulerOptions::exact_wcs under a
-/// LinearDvsModel it is solved exactly by the structured interior-point
-/// method (opt/chain_ipm.h) and carries a duality-gap certificate; other
-/// models, the default options, and any set the exact solve cannot certify
-/// (counted by solve.wcs_fallbacks) take the ALM path.
+/// comparison baseline).  Under a LinearDvsModel (with the default
+/// SchedulerOptions::exact_wcs) it is solved exactly by the structured
+/// interior-point method (opt/chain_ipm.h) and carries a duality-gap
+/// certificate; other models, exact_wcs off, and any set the exact solve
+/// cannot certify (counted by solve.wcs_fallbacks) take the ALM path.
 ScheduleResult SolveWcs(const fps::FullyPreemptiveSchedule& fps,
                         const model::DvsModel& dvs,
                         const SchedulerOptions& options = {},

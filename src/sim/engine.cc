@@ -256,11 +256,16 @@ void SimulateLoop(const fps::FullyPreemptiveSchedule& fps,
       ctx.sub_end_time = sub.end_time;
       ctx.sub_release = sub.seg_begin;
       ctx.instance_deadline = inst.deadline_global - inst.hp_base;
-      const DispatchDecision d = policy.Dispatch(ctx);
-      if (d.not_before.has_value() &&
-          *d.not_before > ctx.local_time + kTimeEps) {
-        wake = std::min(wake, inst.hp_base + *d.not_before);
-        continue;
+      DispatchDecision d = policy.Dispatch(ctx);
+      if (d.not_before.has_value()) {
+        if (*d.not_before > ctx.local_time + kTimeEps) {
+          wake = std::min(wake, inst.hp_base + *d.not_before);
+          continue;
+        }
+        // Released within the event tolerance: dispatch as at the release.
+        // (A deferral's own voltage is a placeholder, not a speed to run.)
+        ctx.local_time = *d.not_before;
+        d = policy.Dispatch(ctx);
       }
       chosen = i;
       decision = d;

@@ -38,7 +38,15 @@ ExpectedCasePolicy::ExpectedCasePolicy(
     const model::DvsModel& dvs,
     const std::vector<std::vector<double>>& sorted_draws, std::int64_t bins,
     const std::vector<double>* task_scale)
-    : dvs_(&dvs), bins_(static_cast<std::size_t>(bins)) {
+    : dvs_(&dvs),
+      bins_(static_cast<std::size_t>(bins)),
+      vmin_(dvs.vmin()),
+      vmax_(dvs.vmax()),
+      smin_(dvs.MinSpeed()),
+      smax_(dvs.MaxSpeed()) {
+  if (const auto* linear = dynamic_cast<const model::LinearDvsModel*>(&dvs)) {
+    linear_k_ = linear->k();
+  }
   const model::TaskSet& set = fps.task_set();
   ACS_REQUIRE(bins >= 1 && bins <= kMaxBins,
               "expected-case dispatch needs 1..64 cycle bins "
@@ -119,22 +127,22 @@ DispatchDecision ExpectedCasePolicy::Dispatch(
   // the feasibility argument.
   if (ctx.local_time < ctx.sub_release) {
     decision.not_before = ctx.sub_release;
-    decision.voltage = dvs_->vmax();
+    decision.voltage = vmax_;
     return decision;
   }
   const double window = ctx.sub_end_time - ctx.local_time;
   const double budget = ctx.budget_remaining;
   if (window <= 0.0 || budget <= 0.0) {
-    decision.voltage = dvs_->vmax();  // degenerate window: no room to shape
+    decision.voltage = vmax_;  // degenerate window: no room to shape
     return decision;
   }
 
-  const double smin = dvs_->MinSpeed();
-  const double smax = dvs_->MaxSpeed();
+  const double smin = smin_;
+  const double smax = smax_;
   if (budget / smax >= window) {
     // Even flat-out barely (or doesn't) fit: the whole window runs at Vmax,
     // exactly the greedy clamp.
-    decision.voltage = dvs_->vmax();
+    decision.voltage = vmax_;
     return decision;
   }
 
@@ -152,8 +160,9 @@ DispatchDecision ExpectedCasePolicy::Dispatch(
   const double* grid = &survival_[ctx.task * kGridPoints];
   double total_weight = 0.0;
   for (std::size_t j = 0; j < bins_; ++j) {
-    const double x =
-        (consumed + (static_cast<double>(j) + 0.5) * bin_w) / stretch;
+    // (Dividing by a unit stretch is exact, so skipping it keeps the bits.)
+    const double cycles = consumed + (static_cast<double>(j) + 0.5) * bin_w;
+    const double x = stretch == 1.0 ? cycles : cycles / stretch;
     double weight;
     if (step <= 0.0) {
       // Degenerate BCEC == WCEC task: deterministic workload.
@@ -266,7 +275,10 @@ DispatchDecision ExpectedCasePolicy::Dispatch(
     }
     cap += bin_w;
   }
-  decision.voltage = dvs_->ClampVoltage(dvs_->VoltageForSpeed(speed_[0]));
+  // LinearDvsModel::VoltageForSpeed and DvsModel::ClampVoltage, inlined.
+  const double raw = linear_k_ > 0.0 ? speed_[0] / linear_k_
+                                     : dvs_->VoltageForSpeed(speed_[0]);
+  decision.voltage = std::min(std::max(raw, vmin_), vmax_);
   if (cap < budget) {
     decision.cycle_cap = cap;
   }

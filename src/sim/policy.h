@@ -169,6 +169,14 @@ class ExpectedCasePolicy final : public DvsPolicy {
 
   const model::DvsModel* dvs_;
   std::size_t bins_;
+  // Model constants read on every dispatch, hoisted out of the virtual
+  // calls (same values); linear_k_ > 0 marks a LinearDvsModel, whose
+  // voltage law Dispatch inlines.
+  double vmin_;
+  double vmax_;
+  double smin_;
+  double smax_;
+  double linear_k_ = 0.0;
   std::vector<double> budgets_;      // per sub: worst-case budget
   std::vector<double> done_before_;  // per sub: parent cycles before it
   std::vector<double> scale_;        // per task: drift stretch factor

@@ -117,8 +117,8 @@ TEST(TelemetryGoldenBytes, SmokeGridUnchangedWithFullTelemetryOn) {
   // Exact solver work at the scalar level: a change to the solver's
   // trajectory (or to how a line search counts its trials) fails here and
   // must re-pin both counts on purpose.
-  EXPECT_EQ(agg[metric::kSolverEvals].count, 1024736);
-  EXPECT_EQ(agg[metric::kSolverInner].count, 94492);
+  EXPECT_EQ(agg[metric::kSolverEvals].count, 48268);
+  EXPECT_EQ(agg[metric::kSolverInner].count, 47088);
 
   // Every convergence line is a standalone JSON object with the record
   // schema the plotting scripts key on.

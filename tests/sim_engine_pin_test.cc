@@ -232,7 +232,10 @@ std::uint64_t Fingerprint(const SimResult& r) {
 
 // Per case, in PinGrid() order: the total energy (readable on a failure)
 // and the fingerprint of the whole ledger.  Recorded on the engine before
-// its per-run dispatch tables and hoisted model constants.
+// its per-run dispatch tables and hoisted model constants; the two
+// expected-case heavy-tail cases of set 1 were re-recorded when a dispatch
+// reaching its sub-instance's release within the event tolerance stopped
+// running at the deferral's placeholder Vmax.
 struct Pin {
   double total_energy;
   std::uint64_t fingerprint;
@@ -426,9 +429,9 @@ const Pin kPins[] = {
     {0x1.1baad3e551f5ep+10, 0x71ae6204e4c12ed5ULL},
     {0x1.026b56ddd34dap+10, 0x1d92458230239c3eULL},
     {0x1.2330112bab1bp+10, 0x8c8f5962a2141891ULL},
-    {0x1.aaaf529c5eb7ap+8, 0xaf3fa3c4727f51a1ULL},
+    {0x1.9b85cd30d20eap+8, 0xfbb02493cbeea377ULL},
     {0x1.d414fb5017b7dp+8, 0x6ed151b22efeab86ULL},
-    {0x1.c19e0296df59cp+8, 0x68ca47ec60f55afbULL},
+    {0x1.b281543a4ca39p+8, 0x627ae8b273700d89ULL},
     {0x1.ebb7453f39defp+8, 0x1f90b47ce3f3d18dULL},
     {0x1.80ea71a4c2765p+10, 0x9405568dd8359f49ULL},
     {0x1.c90a06fd7894ep+10, 0xa628d2e2d8213112ULL},
