@@ -200,7 +200,7 @@ ScheduleResult SolveWith(
   return result;
 }
 
-/// The exact WCS solve (DESIGN.md §3.4): the explicit-start chain program
+/// The exact WCS solve (DESIGN.md §2.2): the explicit-start chain program
 /// solved by opt::SolveChain, its finish times taken as end-times, then the
 /// usual repair and audit.  Returns nullopt, counting the fallback by
 /// reason, when the solve cannot be certified or its schedule does not
@@ -241,13 +241,13 @@ std::optional<ScheduleResult> SolveWcsExact(
 
   opt::ChainSolution solution;
   const opt::ChainIpmReport report = opt::SolveChain(
-      problem, solution, {},
+      problem, solution,
       workspace != nullptr ? &workspace->solver().chain : nullptr);
-  if (report.failure == "no-interior") {
+  if (report.status == opt::ChainStatus::kNoInterior) {
     return fall_back("no strictly feasible start",
                      obs::metric::kWcsFallbackNoInterior);
   }
-  if (report.failure == "breakdown") {
+  if (report.status == opt::ChainStatus::kBreakdown) {
     return fall_back("KKT pivot breakdown", obs::metric::kWcsFallbackBreakdown);
   }
   std::optional<sim::StaticSchedule> repaired =
@@ -265,7 +265,7 @@ std::optional<ScheduleResult> SolveWcsExact(
       workspace != nullptr ? &workspace->objective_scratch() : nullptr);
   const double energy = objective.Value(objective.PackSchedule(*repaired));
   const double gap = std::max(0.0, (energy - report.dual) / energy);
-  if (!(gap <= opt::ChainIpmOptions{}.accept_gap)) {
+  if (!(gap <= opt::kChainAcceptGap)) {
     return fall_back("duality gap above tolerance",
                      obs::metric::kWcsFallbackGap);
   }
@@ -307,8 +307,7 @@ ScheduleResult SolveWcs(const fps::FullyPreemptiveSchedule& fps,
                         const model::DvsModel& dvs,
                         const SchedulerOptions& options,
                         EvalWorkspace* workspace) {
-  const auto* linear = dynamic_cast<const model::LinearDvsModel*>(&dvs);
-  if (options.exact_wcs && linear != nullptr) {
+  if (const auto* linear = dynamic_cast<const model::LinearDvsModel*>(&dvs)) {
     if (std::optional<ScheduleResult> exact =
             SolveWcsExact(fps, *linear, workspace)) {
       return std::move(*exact);

@@ -32,9 +32,6 @@ struct SchedulerOptions {
   /// the paper's baseline and a good feasible incumbent).  When false, ACS
   /// starts from the Vmax-ASAP schedule.
   bool warm_start_acs_with_wcs = true;
-  /// Solve WCS exactly with the certified interior-point method under a
-  /// LinearDvsModel (see SolveWcs).  Off restores the ALM's WCS solve.
-  bool exact_wcs = true;
 
   static opt::AlmOptions DefaultAlmOptions();
 };
@@ -42,7 +39,7 @@ struct SchedulerOptions {
 /// Duality-gap certificate of an exact WCS solve (opt/chain_ipm.h): the
 /// explicit-start program's objective at the returned point and a rigorous
 /// lower bound on its optimum, which equals the reduced WCS optimum
-/// (DESIGN.md §3.4).
+/// (DESIGN.md §2.2).
 struct GapCertificate {
   double primal = 0.0;
   double dual = 0.0;
@@ -141,11 +138,11 @@ ScheduleResult SolveSchedule(
     EvalWorkspace* workspace = nullptr);
 
 /// WCS: the classical WCEC-only minimum-energy static schedule (paper §4's
-/// comparison baseline).  Under a LinearDvsModel (with the default
-/// SchedulerOptions::exact_wcs) it is solved exactly by the structured
-/// interior-point method (opt/chain_ipm.h) and carries a duality-gap
-/// certificate; other models, exact_wcs off, and any set the exact solve
-/// cannot certify (counted by solve.wcs_fallbacks) take the ALM path.
+/// comparison baseline).  Under a LinearDvsModel it is solved exactly by
+/// the structured interior-point method (opt/chain_ipm.h) and carries a
+/// duality-gap certificate; other models, and any set the exact solve
+/// cannot certify (counted by solve.wcs_fallbacks), take the ALM path, as
+/// does SolveSchedule(Scenario::kWorst, ...) always.
 ScheduleResult SolveWcs(const fps::FullyPreemptiveSchedule& fps,
                         const model::DvsModel& dvs,
                         const SchedulerOptions& options = {},

@@ -91,7 +91,6 @@ void WriteScheduler(util::BinaryWriter& out, const SchedulerOptions& o) {
   const opt::AlmOptions& alm = o.alm;
   const opt::SpgOptions& spg = alm.inner;
   out.U8(o.warm_start_acs_with_wcs ? 1 : 0);
-  out.U8(o.exact_wcs ? 1 : 0);
   out.U64(alm.max_outer);
   out.F64(alm.feasibility_tol);
   out.F64(alm.initial_penalty);
@@ -114,7 +113,6 @@ SchedulerOptions ReadScheduler(util::BinaryReader& in) {
   opt::AlmOptions& alm = o.alm;
   opt::SpgOptions& spg = alm.inner;
   o.warm_start_acs_with_wcs = in.U8() != 0;
-  o.exact_wcs = in.U8() != 0;
   alm.max_outer = static_cast<std::size_t>(in.U64());
   alm.feasibility_tol = in.F64();
   alm.initial_penalty = in.F64();

@@ -58,8 +58,8 @@ namespace dvs::core {
 
 /// Bump on ANY change to the entry layout or to solver arithmetic that can
 /// alter solve bits: version-mismatched files are rejected wholesale.
-/// Version 2: scheduler options carry exact_wcs and results their WCS
-/// duality-gap certificate.
+/// Version 2: WCS results come from the exact solver (under the linear
+/// model) and carry its duality-gap certificate.
 inline constexpr std::uint32_t kSolveStoreSchemaVersion = 2;
 
 /// Concrete-parameter description of a DvsModel — the model's persistable

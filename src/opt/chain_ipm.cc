@@ -17,6 +17,12 @@ constexpr double kDroppedPivot = 1e150;
 // Newton steps one centring round may take before its point is certified
 // as is (rounds from a reasonable point need well under ten).
 constexpr std::size_t kMaxRoundSteps = 30;
+// Newton steps of a whole solve, and the barrier parameter's growth per
+// round.
+constexpr std::size_t kMaxNewton = 300;
+constexpr double kBarrierGrowth = 20.0;
+// Rounds stop once the certified relative gap reaches this.
+constexpr double kTargetGap = 1e-9;
 // Newton decrement squared below which full (boundary-safe) steps are
 // taken without a sufficient-decrease test.
 constexpr double kPureNewton = 0.1;
@@ -483,7 +489,7 @@ double MaxStep(const Scaled& p, const ChainIpmWorkspace& ws) {
 
 /// Lagrangian-dual lower bound (solver units) from the barrier duals at
 /// the current point and Newton step, repaired into exact dual feasibility
-/// (see DESIGN.md §3.4).
+/// (see DESIGN.md §2.2).
 double DualBound(const Scaled& p, double t, bool second_order,
                  ChainIpmWorkspace& ws) {
   const std::size_t n = p.n;
@@ -610,7 +616,6 @@ double ChainObjective(const ChainProblem& problem,
 }
 
 ChainIpmReport SolveChain(const ChainProblem& problem, ChainSolution& solution,
-                          const ChainIpmOptions& options,
                           ChainIpmWorkspace* workspace) {
   const std::size_t n = problem.release.size();
   ACS_REQUIRE(problem.cap.size() == n && problem.group.size() == n,
@@ -632,7 +637,6 @@ ChainIpmReport SolveChain(const ChainProblem& problem, ChainSolution& solution,
   ChainIpmReport report;
   solution = ChainSolution{};
   if (n == 0) {
-    report.ok = true;
     return report;
   }
   const Scaled p = ScaleProblem(problem);
@@ -672,7 +676,7 @@ ChainIpmReport SolveChain(const ChainProblem& problem, ChainSolution& solution,
     }
   }
   if (!started) {
-    report.failure = "no-interior";
+    report.status = ChainStatus::kNoInterior;
     return report;
   }
 
@@ -686,7 +690,7 @@ ChainIpmReport SolveChain(const ChainProblem& problem, ChainSolution& solution,
   std::size_t stale_rounds = 0;
   bool breakdown = false;
 
-  while (!breakdown && report.newton_steps < options.max_newton) {
+  while (!breakdown && report.newton_steps < kMaxNewton) {
     ++report.rounds;
     // Centring: damped Newton on the barrier problem at this t.
     const std::size_t round_start = report.newton_steps;
@@ -704,7 +708,7 @@ ChainIpmReport SolveChain(const ChainProblem& problem, ChainSolution& solution,
       // Centred once the Newton decrement is negligible next to the
       // barrier value's own rounding (it is compared in t-scaled units).
       if (!(slope < 0.0) || -slope <= 1e-7 + 1e-13 * std::fabs(phi) ||
-          report.newton_steps >= options.max_newton ||
+          report.newton_steps >= kMaxNewton ||
           report.newton_steps - round_start >= kMaxRoundSteps) {
         break;  // centred: the certificate reads this Newton system
       }
@@ -750,7 +754,6 @@ ChainIpmReport SolveChain(const ChainProblem& problem, ChainSolution& solution,
     if (gap < best_gap) {
       stale_rounds = 0;
       best_gap = gap;
-      report.primal = primal;
       report.dual = dual;
       ws.best_s = ws.s;
       ws.best_f = ws.f;
@@ -762,29 +765,24 @@ ChainIpmReport SolveChain(const ChainProblem& problem, ChainSolution& solution,
     // barrier's own gap (rows / t) is half the target: a larger t just
     // amplifies rounding in the Newton systems.
     const double t_final =
-        static_cast<double>(p.rows) / (0.5 * options.target_gap * primal);
-    if (best_gap <= options.target_gap || t >= t_final) {
+        static_cast<double>(p.rows) / (0.5 * kTargetGap * primal);
+    if (best_gap <= kTargetGap || t >= t_final) {
       break;
     }
-    t = std::min(t * options.barrier_growth, t_final);
+    t = std::min(t * kBarrierGrowth, t_final);
     phi = t * primal - logs;
     ++report.evaluations;
   }
 
   if (best_gap == kInf) {
-    report.failure = "breakdown";
+    report.status = ChainStatus::kBreakdown;
     return report;
   }
   const double energy_unit = problem.energy_coeff * p.cycle_unit *
                              p.cycle_unit * p.cycle_unit /
                              (p.time_unit * p.time_unit);
-  report.primal *= energy_unit;
   report.dual *= energy_unit;
   report.relative_gap = std::max(0.0, best_gap);
-  report.ok = report.relative_gap <= options.accept_gap;
-  if (!report.ok) {
-    report.failure = "gap";
-  }
   solution.start.resize(n);
   solution.finish.resize(n);
   solution.budget.resize(n);

@@ -10,7 +10,7 @@
 // s_u); c * w^3 / d^2 is the energy of that run under a linear speed law.
 // It is the perspective of the convex c * w^3, so the program is convex; a
 // group of one node has a fixed budget and carries no w variable.  core
-// solves the worst-case schedule (WCS) with it; DESIGN.md §3.4 proves the
+// solves the worst-case schedule (WCS) with it; DESIGN.md §2.2 proves the
 // program's optimum equals the reduced WCS problem's.
 //
 // Method: log-barrier path following.  Each centring step solves the
@@ -29,7 +29,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace dvs::opt {
@@ -50,19 +49,19 @@ struct ChainSolution {
   std::vector<double> budget;  // w_u (the group total for one-node groups)
 };
 
-struct ChainIpmOptions {
-  double target_gap = 1e-9;  // stop once the certified relative gap is below
-  double accept_gap = 1e-6;   // a solve ending above this reports failure
-  std::size_t max_newton = 300;
-  double barrier_growth = 20.0;  // barrier parameter factor per round
+/// Certified relative gap at or below which an exact solve is accepted.
+inline constexpr double kChainAcceptGap = 1e-6;
+
+enum class ChainStatus {
+  kSolved,      // the solution and dual bound are set
+  kNoInterior,  // no strictly feasible start was found; solution empty
+  kBreakdown,   // a KKT pivot failed before any round finished
 };
 
 struct ChainIpmReport {
-  bool ok = false;      // certified within accept_gap
-  std::string failure;  // empty, or "no-interior" / "breakdown" / "gap"
-  double primal = 0.0;  // objective at the returned point
-  double dual = 0.0;    // certified lower bound on the optimum
-  double relative_gap = 0.0;
+  ChainStatus status = ChainStatus::kSolved;
+  double dual = 0.0;          // certified lower bound on the optimum
+  double relative_gap = 0.0;  // the solver's own (primal - dual) / primal
   std::size_t rounds = 0;        // centring rounds (barrier updates)
   std::size_t newton_steps = 0;  // Newton systems solved
   std::size_t evaluations = 0;   // barrier evaluations, line search included
@@ -88,12 +87,11 @@ struct ChainIpmWorkspace {
   std::vector<double> group_sum, group_excess, group_room;  // per group
 };
 
-/// Solves `problem`; `solution` receives the best certified iterate (left
-/// empty when no strictly feasible start exists).  Deterministic: plain
-/// scalar arithmetic in a fixed order, identical at every SIMD level and
-/// with or without a workspace.
+/// Solves `problem`; `solution` receives the iterate with the best
+/// certified gap (left empty unless the status is kSolved).  Deterministic:
+/// plain scalar arithmetic in a fixed order, identical at every SIMD level
+/// and with or without a workspace.
 ChainIpmReport SolveChain(const ChainProblem& problem, ChainSolution& solution,
-                          const ChainIpmOptions& options = {},
                           ChainIpmWorkspace* workspace = nullptr);
 
 /// The objective sum_u c * w_u^3 / (f_u - s_u)^2 (+inf when a node with

@@ -155,8 +155,7 @@ TEST(TelemetryGoldenBytes, SmokeGridUnchangedWithFullTelemetryOn) {
 TEST(TelemetryExactWcs, CertifiedSolvesAndKeysReachTheManifest) {
   const util::simd::ScopedLevel scalar(util::simd::Level::kScalar);
   const model::LinearDvsModel cpu = workload::DefaultModel();
-  runner::ExperimentGrid grid = runner::GoldenSmokeGrid(cpu);
-  grid.scheduler.exact_wcs = true;
+  const runner::ExperimentGrid grid = runner::GoldenSmokeGrid(cpu);
 
   MetricsRegistry metrics;
   metrics.EnsureShards(1);

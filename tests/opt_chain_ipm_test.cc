@@ -19,16 +19,11 @@
 namespace dvs::core {
 namespace {
 
-SchedulerOptions Exact() {
-  SchedulerOptions options;
-  options.exact_wcs = true;
-  return options;
-}
-
-SchedulerOptions Alm() {
-  SchedulerOptions options;
-  options.exact_wcs = false;
-  return options;
+/// The reference: the same WCS problem solved by the ALM, which
+/// SolveSchedule always uses.
+ScheduleResult AlmWcs(const fps::FullyPreemptiveSchedule& fps,
+                      const model::DvsModel& dvs) {
+  return SolveSchedule(fps, dvs, Scenario::kWorst);
 }
 
 // Midpoint convexity of the objective on random pairs of points of its
@@ -74,7 +69,7 @@ TEST(ChainProgram, SingleTaskMatchesTheClosedForm) {
   for (double wcec : {60.0, 2.0}) {  // above, then below the Vmin floor
     const model::TaskSet set({{"t", 20, wcec, wcec / 2.0, wcec / 4.0}});
     const fps::FullyPreemptiveSchedule fps(set);
-    const ScheduleResult wcs = SolveWcs(fps, cpu, Exact());
+    const ScheduleResult wcs = SolveWcs(fps, cpu);
     ASSERT_TRUE(wcs.certificate.has_value());
     EXPECT_LE(wcs.certificate->relative_gap, 1e-6);
     const double v = std::max(cpu.vmin(), wcec / (cpu.k() * 20.0));
@@ -97,7 +92,7 @@ model::TaskSet RandomSet(const model::DvsModel& cpu, std::uint64_t seed) {
   return workload::GenerateRandomTaskSet(options, cpu, rng);
 }
 
-// Equivalence with the reduced problem (DESIGN.md §3.4), checked both ways
+// Equivalence with the reduced problem (DESIGN.md §2.2), checked both ways
 // on the replay itself: the replay of the ALM's reduced point, read as
 // (start, finish, budget), is a feasible chain point of equal energy (so
 // the chain optimum is no higher), and the replay of the exact schedule
@@ -111,7 +106,7 @@ TEST(ChainProgram, MatchesTheReducedProblemBothWays) {
     const model::TaskSet set = RandomSet(cpu, seed);
     const fps::FullyPreemptiveSchedule fps(set);
     const EnergyObjective objective(fps, cpu, Scenario::kWorst);
-    const ScheduleResult alm = SolveWcs(fps, cpu, Alm());
+    const ScheduleResult alm = AlmWcs(fps, cpu);
     const ForwardDetail replay =
         objective.Replay(objective.PackSchedule(alm.schedule));
     opt::ChainProblem problem;
@@ -147,7 +142,7 @@ TEST(ChainProgram, MatchesTheReducedProblemBothWays) {
                 1e-9 * replay.total_energy)
         << "seed " << seed;
 
-    const ScheduleResult exact = SolveWcs(fps, cpu, Exact());
+    const ScheduleResult exact = SolveWcs(fps, cpu);
     ASSERT_TRUE(exact.certificate.has_value()) << "seed " << seed;
     EXPECT_LE(exact.predicted_energy,
               exact.certificate->dual / (1.0 - 1e-6))
@@ -168,8 +163,8 @@ TEST(ChainProgram, BeatsTheAlmOnARandomCorpus) {
   for (int i = 0; i < sets; ++i) {
     const model::TaskSet set = RandomSet(cpu, 100 + static_cast<std::uint64_t>(i));
     const fps::FullyPreemptiveSchedule fps(set);
-    const ScheduleResult alm = SolveWcs(fps, cpu, Alm());
-    const ScheduleResult exact = SolveWcs(fps, cpu, Exact());
+    const ScheduleResult alm = AlmWcs(fps, cpu);
+    const ScheduleResult exact = SolveWcs(fps, cpu);
     ASSERT_TRUE(exact.certificate.has_value()) << "set " << i;
     EXPECT_FALSE(exact.used_fallback);
     EXPECT_LE(exact.certificate->relative_gap, 1e-6) << "set " << i;
@@ -191,7 +186,7 @@ TEST(ChainProgram, NonLinearModelsKeepTheAlm) {
   const model::AlphaDvsModel alpha(0.8, 3.3, 1.0, 1.0, 0.4, 1.5);
   const model::TaskSet set({{"a", 10, 3.0, 2.0, 1.0}, {"b", 20, 5.0, 3.0, 1.0}});
   const fps::FullyPreemptiveSchedule fps(set);
-  const ScheduleResult wcs = SolveWcs(fps, alpha, Exact());
+  const ScheduleResult wcs = SolveWcs(fps, alpha);
   EXPECT_FALSE(wcs.certificate.has_value());
   EXPECT_GT(wcs.alm.outer_iterations, 0u);
 }
