@@ -11,9 +11,8 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 // A primal pivot below this fraction of the diagonal mass that built it is
-// rounding noise; it is replaced by kDroppedPivot.
+// rounding noise; it is clamped to the floor.
 constexpr double kPivotFloor = 1e-13;
-constexpr double kDroppedPivot = 1e150;
 // Newton steps one centring round may take before its point is certified
 // as is (rounds from a reasonable point need well under ten).
 constexpr std::size_t kMaxRoundSteps = 30;
@@ -216,10 +215,11 @@ class Frontier {
     const std::size_t size = ws_.frontier_id.size();
     double pivot = m[slot * cap_ + slot];
     if (!negative && pivot <= kPivotFloor * ws_.frontier_scale[slot]) {
-      // A primal pivot lost to cancellation among huge barrier terms
-      // (active rows at a large barrier parameter): drop that direction
-      // for this step, as interior-point Cholesky codes do.
-      pivot = kDroppedPivot;
+      // A primal pivot lost to cancellation among huge barrier terms (an
+      // active chain row s_u >= f_{u-1} at a large barrier parameter):
+      // clamp it to the noise floor.  (Dropping the direction instead froze
+      // those starts and stalled the gap near 1e-6 on large sets.)
+      pivot = kPivotFloor * ws_.frontier_scale[slot];
     }
     if (!std::isfinite(pivot) || (negative ? !(pivot < 0.0) : !(pivot > 0.0))) {
       return false;
