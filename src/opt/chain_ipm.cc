@@ -782,7 +782,6 @@ ChainIpmReport SolveChain(const ChainProblem& problem, ChainSolution& solution,
                              p.cycle_unit * p.cycle_unit /
                              (p.time_unit * p.time_unit);
   report.dual *= energy_unit;
-  report.relative_gap = std::max(0.0, best_gap);
   solution.start.resize(n);
   solution.finish.resize(n);
   solution.budget.resize(n);

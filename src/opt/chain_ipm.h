@@ -18,7 +18,7 @@
 // the order.  The barrier Hessian is banded (only s_u and f_{u-1} couple
 // neighbouring nodes); each group's multiplier joins a dense frontier at its
 // first node and is eliminated after its last, so a step costs
-// O(n * (4 + k)^2) for at most k groups open at once (one per task).
+// O(n * (5 + k)^2) for at most k groups open at once (one per task).
 //
 // Certificate: after each centring round the barrier duals are repaired into
 // an exactly dual-feasible point of the Lagrangian dual, whose value is a
@@ -61,7 +61,6 @@ enum class ChainStatus {
 struct ChainIpmReport {
   ChainStatus status = ChainStatus::kSolved;
   double dual = 0.0;          // certified lower bound on the optimum
-  double relative_gap = 0.0;  // the solver's own (primal - dual) / primal
   std::size_t rounds = 0;        // centring rounds (barrier updates)
   std::size_t newton_steps = 0;  // Newton systems solved
   std::size_t evaluations = 0;   // barrier evaluations, line search included
