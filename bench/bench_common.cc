@@ -1,6 +1,7 @@
 #include "bench_common.h"
 
 #include <chrono>
+#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <stdexcept>
@@ -430,7 +431,8 @@ runner::GridResult RunGridTimed(const runner::ExperimentGrid& grid,
 namespace {
 
 /// Shared shape of the two list parsers: split, trim empties, convert each
-/// entry with `convert` (which must consume the whole field), require > 0.
+/// entry with `convert` (which must consume the whole field), require a
+/// finite value > 0.
 template <typename T, typename Convert>
 std::vector<T> ParsePositiveList(const std::string& flag,
                                  const std::string& text, Convert convert) {
@@ -448,7 +450,8 @@ std::vector<T> ParsePositiveList(const std::string& flag,
                                        " entries must be positive numbers, "
                                        "got \"" + part + "\"");
     }
-    ACS_REQUIRE(consumed == part.size() && value > T{0},
+    ACS_REQUIRE(consumed == part.size() && value > T{0} &&
+                    std::isfinite(static_cast<double>(value)),
                 "--" + flag + " entries must be positive numbers, got \"" +
                     part + "\"");
     values.push_back(value);

@@ -267,7 +267,7 @@ struct SweepPoint {
 std::vector<int> ParsePositiveIntList(const std::string& flag,
                                       const std::string& text);
 
-/// Same for strictly positive doubles (--sigmas style flags).
+/// Same for strictly positive, finite doubles (--sigmas style flags).
 std::vector<double> ParsePositiveDoubleList(const std::string& flag,
                                             const std::string& text);
 

@@ -30,8 +30,7 @@ bool SameSchedulerOptions(const SchedulerOptions& a, const SchedulerOptions& b) 
   const opt::AlmOptions& y = b.alm;
   const opt::SpgOptions& p = x.inner;
   const opt::SpgOptions& q = y.inner;
-  return a.warm_start_acs_with_wcs == b.warm_start_acs_with_wcs &&
-         x.max_outer == y.max_outer &&
+  return x.max_outer == y.max_outer &&
          x.feasibility_tol == y.feasibility_tol &&
          x.initial_penalty == y.initial_penalty &&
          x.penalty_growth == y.penalty_growth &&

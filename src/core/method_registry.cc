@@ -103,8 +103,6 @@ class ScenarioPlannedMethod : public ScheduleMethod {
  public:
   explicit ScenarioPlannedMethod(std::string name) : name_(std::move(name)) {}
 
-  bool PlansAtCalibratedPoint() const override { return true; }
-
   MethodPlan Plan(MethodContext& context) const override {
     const ExperimentOptions* experiment = context.experiment();
     ACS_REQUIRE(experiment != nullptr,
@@ -297,10 +295,9 @@ const ScheduleResult& MethodContext::Acs() {
   if (span.enabled()) {
     span.Arg("cache", "miss");
   }
-  cache_->acs = scheduler_->warm_start_acs_with_wcs
-                    ? SolveSchedule(*fps_, *dvs_, Scenario::kAverage,
-                                    *scheduler_, Wcs().schedule, workspace_)
-                    : SolveAcs(*fps_, *dvs_, *scheduler_, workspace_);
+  // SolveAcs, warm-started from the cached WCS instead of a fresh one.
+  cache_->acs = SolveSchedule(*fps_, *dvs_, Scenario::kAverage, *scheduler_,
+                              Wcs().schedule, workspace_);
   return *cache_->acs;
 }
 
@@ -389,7 +386,7 @@ const ScheduleResult& MethodContext::PlannedChained(
     // polishes instead of re-running the cold tolerance ramp.
     warm_start = warm->schedule;
     dual_seed = &warm->alm;
-  } else if (scheduler_->warm_start_acs_with_wcs) {
+  } else {
     warm_start = Wcs().schedule;
   }
   cache_->planned.push_back(std::make_unique<SolveCache::PlannedSolve>(

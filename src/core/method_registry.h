@@ -226,12 +226,6 @@ class ScheduleMethod {
  public:
   virtual ~ScheduleMethod() = default;
   virtual MethodPlan Plan(MethodContext& context) const = 0;
-
-  /// True when Plan() calibrates the cell's scenario and solves the NLP at
-  /// a calibrated planning point (acs-scenario, acs-mixture, acs-online,
-  /// acs-online-drift) — the one place that fact is recorded;
-  /// runner::FamilyCost charges a calibration and a planned solve for it.
-  virtual bool PlansAtCalibratedPoint() const { return false; }
 };
 
 /// Name -> strategy map: util::NamedRegistry with this domain's error

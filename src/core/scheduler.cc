@@ -321,11 +321,9 @@ ScheduleResult SolveAcs(const fps::FullyPreemptiveSchedule& fps,
                         const model::DvsModel& dvs,
                         const SchedulerOptions& options,
                         EvalWorkspace* workspace) {
-  std::optional<sim::StaticSchedule> warm;
-  if (options.warm_start_acs_with_wcs) {
-    warm = SolveWcs(fps, dvs, options, workspace).schedule;
-  }
-  return SolveSchedule(fps, dvs, Scenario::kAverage, options, warm, workspace);
+  return SolveSchedule(fps, dvs, Scenario::kAverage, options,
+                       SolveWcs(fps, dvs, options, workspace).schedule,
+                       workspace);
 }
 
 }  // namespace dvs::core

@@ -28,10 +28,6 @@ class EvalWorkspace;  // core/eval_workspace.h
 
 struct SchedulerOptions {
   opt::AlmOptions alm = DefaultAlmOptions();
-  /// ACS warm-starts from the solved WCS schedule (recommended: WCS is both
-  /// the paper's baseline and a good feasible incumbent).  When false, ACS
-  /// starts from the Vmax-ASAP schedule.
-  bool warm_start_acs_with_wcs = true;
 
   static opt::AlmOptions DefaultAlmOptions();
 };
@@ -148,7 +144,7 @@ ScheduleResult SolveWcs(const fps::FullyPreemptiveSchedule& fps,
                         const SchedulerOptions& options = {},
                         EvalWorkspace* workspace = nullptr);
 
-/// ACS: the paper's average-case-aware schedule.
+/// ACS: the paper's average-case-aware schedule, warm-started from SolveWcs.
 ScheduleResult SolveAcs(const fps::FullyPreemptiveSchedule& fps,
                         const model::DvsModel& dvs,
                         const SchedulerOptions& options = {},

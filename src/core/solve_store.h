@@ -59,8 +59,9 @@ namespace dvs::core {
 /// Bump on ANY change to the entry layout or to solver arithmetic that can
 /// alter solve bits: version-mismatched files are rejected wholesale.
 /// Version 2: WCS results come from the exact solver (under the linear
-/// model) and carry its duality-gap certificate.
-inline constexpr std::uint32_t kSolveStoreSchemaVersion = 2;
+/// model) and carry its duality-gap certificate.  Version 3: the scheduler
+/// options carry no ACS warm-start byte (ACS always starts from the WCS).
+inline constexpr std::uint32_t kSolveStoreSchemaVersion = 3;
 
 /// Concrete-parameter description of a DvsModel — the model's persistable
 /// identity.  DescribeModel recognises the three library models by

@@ -8,7 +8,6 @@
 #include "mp/fleet.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "runner/family.h"
 #include "runner/thread_pool.h"
 #include "util/error.h"
 #include "util/logging.h"
@@ -254,9 +253,9 @@ GridResult RunGrid(const ExperimentGrid& grid,
     workspace.set_solve_store(options.solve_store);
   }
 
-  // Cache-affinity handout (runner/family.h): pre-mark the out-of-window
-  // cells serially, then schedule whole families onto workers so each task
-  // set's solves stay on one worker's cache.
+  // Cache-affinity handout: pre-mark the out-of-window cells serially, then
+  // schedule whole families onto workers so each task set's solves stay on
+  // one worker's cache.
   {
     const obs::ScopedMetricsShard shard_scope(
         metrics != nullptr ? &metrics->Shard(0) : nullptr);
@@ -270,21 +269,21 @@ GridResult RunGrid(const ExperimentGrid& grid,
       }
     }
   }
-  const FamilySchedule schedule =
-      BuildFamilySchedule(grid, set_begin, set_end,
-                          static_cast<std::size_t>(pool.size()), registry);
+  // One family per in-window SetIndex: each set owns one contiguous run of
+  // cell indices of the same length (ExperimentGrid::SetCount).
+  const std::size_t cells_per_set = set_count > 0 ? cell_count / set_count : 0;
   std::vector<std::pair<std::size_t, std::size_t>> ranges;
-  ranges.reserve(schedule.families.size());
-  for (const CellFamily& family : schedule.families) {
-    ranges.emplace_back(family.begin, family.end);
+  ranges.reserve(set_end - set_begin);
+  for (std::size_t set_index = set_begin; set_index < set_end; ++set_index) {
+    ranges.emplace_back(set_index * cells_per_set,
+                        (set_index + 1) * cells_per_set);
   }
   if (metrics != nullptr) {
     metrics->Shard(0).SetGauge(obs::metric::kFamilyCount,
                                static_cast<double>(ranges.size()));
   }
   const FamilyStats stats = pool.ParallelForFamilies(
-      ranges, schedule.owner,
-      [&](std::size_t worker, std::size_t cell_index) {
+      ranges, [&](std::size_t worker, std::size_t cell_index) {
         const obs::ScopedMetricsShard shard_scope(
             metrics != nullptr ? &metrics->Shard(worker) : nullptr);
         CellResult& cell = result.cells[cell_index];

@@ -1,8 +1,9 @@
 // Parallel grid execution.
 //
-// RunGrid fans the grid's cells across a ThreadPool, one task-set family at
-// a time (runner/family.h), so each task set's sibling cells — and
-// therefore its cached solves — stay on one worker.  Every cell is
+// RunGrid fans the grid's cells across a ThreadPool, one task-set family
+// (the contiguous cell-index run of one SetIndex) at a time, handed out
+// round-robin, so each task set's sibling cells — and therefore its cached
+// solves — stay on one worker unless an idle worker steals the family.  Every cell is
 // a pure function of (grid, cell_index): it derives its own rng stream,
 // draws or copies its task set, and evaluates every grid method on
 // identical workload realisations through a per-cell core::MethodContext.

@@ -104,16 +104,7 @@ void ThreadPool::DrainFamilies(std::size_t worker) {
 
 FamilyStats ThreadPool::ParallelForFamilies(
     const std::vector<std::pair<std::size_t, std::size_t>>& families,
-    const std::vector<std::size_t>& owner,
     const std::function<void(std::size_t, std::size_t)>& fn) {
-  ACS_REQUIRE(owner.size() == families.size(),
-              "every family needs exactly one owner");
-  // Validated before the job state is armed, so a rejected call leaves the
-  // pool usable.
-  for (const std::size_t worker : owner) {
-    ACS_REQUIRE(worker < static_cast<std::size_t>(threads_),
-                "family owner must be a pool worker");
-  }
   FamilyStats stats;
   stats.cells_per_worker.assign(static_cast<std::size_t>(threads_), 0);
   if (families.empty()) {
@@ -125,10 +116,10 @@ FamilyStats ThreadPool::ParallelForFamilies(
     fn_ = &fn;
     families_ = &families;
     queues_.assign(static_cast<std::size_t>(threads_), {});
-    // Ascending family id per queue: owners drain front-to-back in id
-    // order, thieves take from the back.
+    // Round-robin owners, ascending family id per queue: owners drain
+    // front-to-back in id order, thieves take from the back.
     for (std::size_t f = 0; f < families.size(); ++f) {
-      queues_[owner[f]].push_back(f);
+      queues_[f % queues_.size()].push_back(f);
     }
     steals_ = 0;
     family_cells_.assign(static_cast<std::size_t>(threads_), 0);

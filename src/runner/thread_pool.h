@@ -1,10 +1,10 @@
 // Cache-affinity thread pool for embarrassingly parallel experiment grids.
 //
 // ParallelForFamilies hands out whole index ranges ("families", one per
-// task-set draw — see runner/family.h): each worker drains its own queue
-// in ascending order and an idle worker steals a whole family from the
-// most-loaded queue, so the tail stays short when cell costs vary wildly
-// while a family's cells stay on one worker's caches.  The calling thread
+// task-set draw — see runner/run_grid.h) round-robin: each worker drains
+// its own queue in ascending order and an idle worker steals a whole
+// family from the most-loaded queue, so the tail stays short when cell
+// costs vary wildly while a family's cells stay on one worker's caches.  The calling thread
 // participates as worker 0, so ThreadPool(1) spawns no threads and runs
 // everything inline — the serial baseline that parallel runs must match
 // bit-for-bit (see runner/run_grid.h).
@@ -50,13 +50,13 @@ class ThreadPool {
   static int HardwareThreads();
 
   /// Runs fn(worker, index) for every index of every family and blocks
-  /// until all complete.  `families[f]` is a [begin, end) index range and
-  /// `owner[f]` the worker (< size()) whose queue it starts on.  `worker`
+  /// until all complete.  `families[f]` is a [begin, end) index range that
+  /// starts on worker f % size()'s queue (its owner).  `worker`
   /// is the executing worker's index (0 = the calling thread, 1..size()-1
   /// = pool threads) — the hook for per-worker state such as
   /// core::EvalWorkspace; which worker runs which index is
   /// nondeterministic, so callers must not let it influence results.  Each
-  /// worker drains its own queue front-to-back — families were enqueued in
+  /// worker drains its own queue front-to-back — families are enqueued in
   /// ascending id order, so an owner visits its cells in ascending index
   /// order and a 1-thread pool reproduces the serial order exactly — and an
   /// idle worker steals a whole family from the BACK of the most-loaded
@@ -68,7 +68,6 @@ class ThreadPool {
   /// scheduling.
   FamilyStats ParallelForFamilies(
       const std::vector<std::pair<std::size_t, std::size_t>>& families,
-      const std::vector<std::size_t>& owner,
       const std::function<void(std::size_t, std::size_t)>& fn);
 
  private:

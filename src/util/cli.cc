@@ -1,5 +1,7 @@
 #include "util/cli.h"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
@@ -59,9 +61,11 @@ void ArgParser::Assign(const std::string& name, Option& option,
       return;
     }
     case Kind::kInt: {
+      // strtoll saturates silently on overflow; errno is the only signal.
       char* end = nullptr;
+      errno = 0;
       const long long parsed = std::strtoll(value.c_str(), &end, 10);
-      if (end == value.c_str() || *end != '\0') {
+      if (end == value.c_str() || *end != '\0' || errno == ERANGE) {
         throw InvalidArgumentError("bad integer for --" + name + ": " + value);
       }
       *static_cast<std::int64_t*>(option.target) = parsed;
@@ -69,8 +73,9 @@ void ArgParser::Assign(const std::string& name, Option& option,
     }
     case Kind::kDouble: {
       char* end = nullptr;
+      // strtod also accepts "nan" and "inf"; no knob means either.
       const double parsed = std::strtod(value.c_str(), &end);
-      if (end == value.c_str() || *end != '\0') {
+      if (end == value.c_str() || *end != '\0' || !std::isfinite(parsed)) {
         throw InvalidArgumentError("bad number for --" + name + ": " + value);
       }
       *static_cast<double*>(option.target) = parsed;

@@ -28,7 +28,8 @@ class ArgParser {
                  const std::string& help);
 
   /// Parses argv.  Returns false when --help was requested (usage already
-  /// printed); throws InvalidArgumentError on malformed input.
+  /// printed); throws InvalidArgumentError on malformed input, including
+  /// non-finite doubles ("nan", "inf") and integers outside int64.
   bool Parse(int argc, const char* const* argv);
 
   std::string Usage() const;

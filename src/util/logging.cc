@@ -1,35 +1,11 @@
 #include "util/logging.h"
 
-#include <chrono>
 #include <cstdlib>
-#include <ctime>
 #include <iostream>
-#include <thread>
 
 #include "util/error.h"
-#include "util/json.h"
 
 namespace dvs::util {
-namespace {
-
-/// ISO-8601 UTC second resolution, e.g. "2026-02-14T09:31:07Z".
-std::string Iso8601Now() {
-  const std::time_t now = std::chrono::system_clock::to_time_t(
-      std::chrono::system_clock::now());
-  std::tm utc{};
-  gmtime_r(&now, &utc);
-  char buffer[24];
-  std::strftime(buffer, sizeof(buffer), "%Y-%m-%dT%H:%M:%SZ", &utc);
-  return buffer;
-}
-
-std::string ThreadIdString() {
-  std::ostringstream out;
-  out << std::this_thread::get_id();
-  return out.str();
-}
-
-}  // namespace
 
 const char* LogLevelName(LogLevel level) {
   switch (level) {
@@ -88,26 +64,6 @@ void Logger::set_stream(std::ostream* stream) {
   stream_ = stream != nullptr ? stream : &std::clog;
 }
 
-void Logger::set_format(LogFormat format) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  format_ = format;
-}
-
-LogFormat Logger::format() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return format_;
-}
-
-void Logger::set_timestamps(bool enabled) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  timestamps_ = enabled;
-}
-
-void Logger::set_thread_ids(bool enabled) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  thread_ids_ = enabled;
-}
-
 void Logger::Write(LogLevel level, const std::string& message) {
   if (!Enabled(level)) {
     return;
@@ -115,28 +71,7 @@ void Logger::Write(LogLevel level, const std::string& message) {
   // One formatted line per lock hold: concurrent workers' lines interleave
   // whole, never mid-line.
   std::lock_guard<std::mutex> lock(mutex_);
-  if (format_ == LogFormat::kJsonl) {
-    (*stream_) << '{';
-    if (timestamps_) {
-      (*stream_) << "\"ts\":\"" << Iso8601Now() << "\",";
-    }
-    (*stream_) << "\"level\":\"" << LogLevelName(level) << '"';
-    if (thread_ids_) {
-      (*stream_) << ",\"tid\":\"" << ThreadIdString() << '"';
-    }
-    (*stream_) << ",\"msg\":\"" << JsonEscape(message) << "\"}\n";
-    return;
-  }
-  // Plain: decorations prefix the historical "[level] message" line, which
-  // stays byte-identical when both are off (the default).
-  if (timestamps_) {
-    (*stream_) << Iso8601Now() << ' ';
-  }
-  (*stream_) << '[' << LogLevelName(level) << ']';
-  if (thread_ids_) {
-    (*stream_) << " [tid " << ThreadIdString() << ']';
-  }
-  (*stream_) << ' ' << message << '\n';
+  (*stream_) << '[' << LogLevelName(level) << "] " << message << '\n';
 }
 
 LogLine::~LogLine() { Logger::Instance().Write(level_, buffer_.str()); }

@@ -6,11 +6,8 @@
 // ignored).  Logging goes through a single global logger so tests can
 // capture or silence output deterministically.
 //
-// The default sink format — "[level] message\n" to std::clog — is a
-// byte-stable contract (tests pin it).  Opt-in decorations layer on top:
-// an ISO-8601 UTC timestamp prefix (set_timestamps), a thread-id tag
-// (set_thread_ids), and a JSONL structured mode (LogFormat::kJsonl) that
-// emits one {"level", "msg", ...} object per line for log shippers.
+// The sink format — "[level] message\n" to std::clog — is a byte-stable
+// contract (tests pin it).
 #ifndef ACS_UTIL_LOGGING_H
 #define ACS_UTIL_LOGGING_H
 
@@ -37,9 +34,6 @@ const char* LogLevelName(LogLevel level);
 /// Parses a level name; throws InvalidArgumentError on unknown names.
 LogLevel ParseLogLevel(const std::string& name);
 
-/// Sink line shape: classic "[level] message" or one JSON object per line.
-enum class LogFormat { kPlain, kJsonl };
-
 /// The level ACS_LOG_LEVEL selects: ParseLogLevel on non-null `value`,
 /// falling back to `fallback` when the value is null or unknown.  Pure so
 /// tests can cover the env-init path without mutating the environment.
@@ -60,24 +54,14 @@ class Logger {
   /// Redirects output (default: std::clog).  Pass nullptr to restore.
   void set_stream(std::ostream* stream);
 
-  /// Opt-in decorations (see file comment); all default off, keeping the
-  /// plain format byte-stable.
-  void set_format(LogFormat format);
-  LogFormat format() const;
-  void set_timestamps(bool enabled);
-  void set_thread_ids(bool enabled);
-
   bool Enabled(LogLevel level) const { return level >= this->level(); }
   void Write(LogLevel level, const std::string& message);
 
  private:
   Logger();
   std::atomic<LogLevel> level_{LogLevel::kWarn};
-  mutable std::mutex mutex_;  // guards stream/format state and sink writes
+  std::mutex mutex_;  // guards the stream and sink writes
   std::ostream* stream_;
-  LogFormat format_ = LogFormat::kPlain;
-  bool timestamps_ = false;
-  bool thread_ids_ = false;
 };
 
 /// Stream-style log statement builder; emits on destruction.

@@ -38,19 +38,6 @@ TEST(MethodRegistry, BuiltinsAreSelectableByName) {
   EXPECT_THROW(registry.Get("acs-quantile"), util::InvalidArgumentError);
 }
 
-TEST(MethodRegistry, CalibratedPointArmsAreExactlyTheScenarioPlannedOnes) {
-  const MethodRegistry& registry = MethodRegistry::Builtin();
-  std::vector<std::string> calibrated;
-  for (const std::string& name : registry.Names()) {
-    if (registry.Get(name).PlansAtCalibratedPoint()) {
-      calibrated.push_back(name);
-    }
-  }
-  const std::vector<std::string> expected = {
-      "acs-scenario", "acs-mixture", "acs-online", "acs-online-drift"};
-  EXPECT_EQ(calibrated, expected);
-}
-
 TEST(MethodRegistry, UnknownNameFailsWithClearError) {
   const MethodRegistry& registry = MethodRegistry::Builtin();
   EXPECT_FALSE(registry.Contains("no-such-method"));

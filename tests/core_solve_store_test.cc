@@ -280,9 +280,9 @@ TEST(SolveStoreDir, LoadRejectsDamagedAndForeignFilesAsMisses) {
   }
 }
 
-// Entries written before exact WCS solves existed (schema version 1, whose
-// WCS results came from the ALM) must never be served: a version-1 file on
-// the current key is rejected like any foreign file, and re-solved.
+// Entries of the previous schema version (whose layout or solver arithmetic
+// differs) must never be served: such a file on the current key is rejected
+// like any foreign file, and re-solved.
 TEST(SolveStoreDir, RejectsEntriesOfThePreviousSchemaVersion) {
   ASSERT_GE(kSolveStoreSchemaVersion, 2u);
   const std::string dir = FreshDir("solve_store_version");
@@ -302,8 +302,10 @@ TEST(SolveStoreDir, RejectsEntriesOfThePreviousSchemaVersion) {
   ASSERT_TRUE(reader.Load(set, model, scheduler).has_value());
   // The header's version is the little-endian U32 after the 4-byte magic.
   std::string bytes = ReadFile(path);
-  bytes[4] = 1;
-  bytes[5] = bytes[6] = bytes[7] = 0;
+  const std::uint32_t previous = kSolveStoreSchemaVersion - 1;
+  for (int i = 0; i < 4; ++i) {
+    bytes[4 + i] = static_cast<char>((previous >> (8 * i)) & 0xFF);
+  }
   WriteFile(path, bytes);
   EXPECT_THROW(DeserializeStoredCell(bytes), util::Error);
   EXPECT_FALSE(reader.Load(set, model, scheduler).has_value());

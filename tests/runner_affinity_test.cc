@@ -1,23 +1,21 @@
-// Cache-affinity cell scheduling contract (runner/family.h +
-// ThreadPool::ParallelForFamilies).
+// Cache-affinity cell scheduling contract (ThreadPool::ParallelForFamilies
+// + RunGrid).
 //
-// BuildFamilySchedule: one family per SetIndex, contiguous ascending cell
-// coverage, deterministic LPT assignment with exact tie-breaks.  The pool:
-// every cell of every family runs exactly once even when the assignment is
-// maximally lopsided (all families on worker 0 — the forced-steal case).
-// FamilyCost: every arm that plans at a calibrated point is charged its
-// calibration and planned solve.  RunGrid: results are bit-identical across
-// 1 vs 4 threads — the scheduling can move work between workers but never
-// a bit in the results.
-#include "runner/family.h"
+// The pool starts family f on worker f % size() and an idle worker steals a
+// whole family from the back of the most-loaded queue: a forced steal runs
+// every cell exactly once and surfaces the stolen family's error.  RunGrid:
+// results are bit-identical across 1 vs 4 threads — the scheduling can move
+// work between workers but never a bit in the results.
+#include "runner/thread_pool.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
-#include <numeric>
-#include <thread>
+#include <functional>
+#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -25,7 +23,6 @@
 #include "model/power_model.h"
 #include "runner/experiment_grid.h"
 #include "runner/run_grid.h"
-#include "runner/thread_pool.h"
 #include "util/error.h"
 #include "workload/presets.h"
 #include "workload/random_taskset.h"
@@ -62,159 +59,75 @@ ExperimentGrid AffinityGrid(const model::DvsModel& dvs) {
   return grid;
 }
 
-TEST(FamilySchedule, OneContiguousFamilyPerSetIndexInWindow) {
-  const model::LinearDvsModel cpu = workload::DefaultModel();
-  const ExperimentGrid grid = AffinityGrid(cpu);
-  const std::size_t sets = grid.SetCount();
-  ASSERT_EQ(sets, 4u);
-
-  const FamilySchedule schedule = BuildFamilySchedule(grid, 0, sets, 3);
-  ASSERT_EQ(schedule.families.size(), sets);
-  ASSERT_EQ(schedule.owner.size(), sets);
-  EXPECT_EQ(schedule.TotalCells(), grid.CellCount());
-
-  std::size_t next_cell = 0;
-  for (std::size_t i = 0; i < schedule.families.size(); ++i) {
-    const CellFamily& family = schedule.families[i];
-    EXPECT_EQ(family.id, i);
-    EXPECT_EQ(family.begin, next_cell);
-    EXPECT_GT(family.end, family.begin);
-    EXPECT_GT(family.cost, 0.0);
-    EXPECT_LT(schedule.owner[i], 3u);
-    // Every cell of the family shares its SetIndex.
-    for (std::size_t cell = family.begin; cell < family.end; ++cell) {
-      EXPECT_EQ(grid.SetIndex(grid.Coord(cell)), family.set_index);
-    }
-    next_cell = family.end;
-  }
-  EXPECT_EQ(next_cell, grid.CellCount());
-
-  // Larger task sets model as costlier families.
-  double small_cost = 0.0;
-  double large_cost = 0.0;
-  for (const CellFamily& family : schedule.families) {
-    const CellCoord coord = grid.Coord(family.begin);
-    (coord.source == 0 ? small_cost : large_cost) += family.cost;
-  }
-  EXPECT_GT(large_cost, small_cost);
-
-  // The assignment is a pure function of (grid, window, workers, weights).
-  const FamilySchedule again = BuildFamilySchedule(grid, 0, sets, 3);
-  EXPECT_EQ(again.owner, schedule.owner);
-  EXPECT_EQ(again.worker_cost, schedule.worker_cost);
-
-  // Shard windows restrict the family set without renumbering cells.
-  const FamilySchedule shard = BuildFamilySchedule(grid, 1, 3, 2);
-  ASSERT_EQ(shard.families.size(), 2u);
-  EXPECT_EQ(shard.families[0].set_index, 1u);
-  EXPECT_EQ(shard.families[1].set_index, 2u);
-  EXPECT_EQ(shard.families[0].begin, schedule.families[1].begin);
-}
-
-TEST(FamilySchedule, CalibratedPointArmsCostTheirPlannedSolves) {
-  // acs-online and acs-online-drift calibrate and solve at the calibrated
-  // mean exactly like acs-scenario, so a family running one of them costs
-  // more than a family running plain acs alone.
-  const model::LinearDvsModel cpu = workload::DefaultModel();
-  ExperimentGrid plain = AffinityGrid(cpu);
-  plain.scenarios = {"iid-normal", "heavy-tail"};
-  plain.methods = {"acs"};
-  const double plain_cost = FamilyCost(plain, 0);
-  for (const char* arm : {"acs-scenario", "acs-mixture", "acs-online",
-                          "acs-online-drift"}) {
-    ExperimentGrid planned = plain;
-    planned.methods = {"acs", arm};
-    ExperimentGrid extra_sim = plain;
-    extra_sim.methods = {"acs", "wcs"};
-    // More than the second arm's simulations alone would add.
-    EXPECT_GT(FamilyCost(planned, 0), FamilyCost(extra_sim, 0)) << arm;
-    EXPECT_GT(FamilyCost(planned, 0), plain_cost) << arm;
-  }
-}
-
-TEST(FamilySchedule, LptBalancesAndAccountsEveryFamily) {
-  const model::LinearDvsModel cpu = workload::DefaultModel();
-  const ExperimentGrid grid = AffinityGrid(cpu);
-  const std::size_t workers = 2;
-  const FamilySchedule schedule =
-      BuildFamilySchedule(grid, 0, grid.SetCount(), workers);
-
-  ASSERT_EQ(schedule.worker_cost.size(), workers);
-  std::vector<double> recomputed(workers, 0.0);
-  std::size_t assigned_cells = 0;
-  for (std::size_t i = 0; i < schedule.families.size(); ++i) {
-    recomputed[schedule.owner[i]] += schedule.families[i].cost;
-    assigned_cells += schedule.families[i].CellCount();
-  }
-  for (std::size_t w = 0; w < workers; ++w) {
-    EXPECT_DOUBLE_EQ(recomputed[w], schedule.worker_cost[w]);
-    EXPECT_EQ(schedule.WorkerCells(w),
-              [&] {
-                std::size_t cells = 0;
-                for (std::size_t i = 0; i < schedule.families.size(); ++i) {
-                  if (schedule.owner[i] == w) {
-                    cells += schedule.families[i].CellCount();
-                  }
-                }
-                return cells;
-              }());
-  }
-  EXPECT_EQ(assigned_cells, grid.CellCount());
-
-  // LPT keeps the heaviest worker under the total — no worker hoards
-  // everything when several are available.
-  const double total =
-      std::accumulate(schedule.worker_cost.begin(), schedule.worker_cost.end(),
-                      0.0);
-  for (double load : schedule.worker_cost) {
-    EXPECT_LT(load, total);
-  }
-}
-
-TEST(ThreadPoolFamilies, LopsidedOwnershipIsRescuedByStealing) {
-  constexpr std::size_t kFamilies = 32;
+/// Four two-cell families on a 2-worker pool.  Round-robin hands worker 0
+/// families 0 and 2 and worker 1 families 1 and 3.  Worker 0's first cell
+/// blocks until worker 1 has drained its own queue and started family 2,
+/// which it can only have taken off the back of worker 0's queue — so
+/// every run makes exactly that one steal.  `on_cell` runs after the
+/// bookkeeping for every cell; `runs` counts executions per cell.
+FamilyStats RunForcedSteal(
+    std::vector<std::atomic<int>>& runs,
+    const std::function<void(std::size_t, std::size_t)>& on_cell) {
   constexpr std::size_t kCellsPerFamily = 2;
+  constexpr std::size_t kStolenFirstCell = 2 * kCellsPerFamily;
   std::vector<std::pair<std::size_t, std::size_t>> families;
-  for (std::size_t f = 0; f < kFamilies; ++f) {
+  for (std::size_t f = 0; f < 4; ++f) {
     families.emplace_back(f * kCellsPerFamily, (f + 1) * kCellsPerFamily);
   }
-  // Every family on worker 0: workers 1..3 can only contribute by
-  // stealing.
-  const std::vector<std::size_t> owner(kFamilies, 0);
+  runs = std::vector<std::atomic<int>>(families.size() * kCellsPerFamily);
 
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> runs(kFamilies * kCellsPerFamily);
-  const FamilyStats stats = pool.ParallelForFamilies(
-      families, owner, [&](std::size_t /*worker*/, std::size_t cell) {
+  std::mutex mutex;
+  std::condition_variable stolen_cv;
+  bool stolen = false;
+  ThreadPool pool(2);
+  return pool.ParallelForFamilies(
+      families, [&](std::size_t worker, std::size_t cell) {
         runs[cell].fetch_add(1, std::memory_order_relaxed);
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        if (cell == 0) {
+          // Bounded wait: a pool that never steals fails this expectation
+          // instead of hanging the test.
+          std::unique_lock<std::mutex> lock(mutex);
+          EXPECT_TRUE(stolen_cv.wait_for(lock, std::chrono::seconds(30),
+                                         [&] { return stolen; }))
+              << "worker 1 never stole family 2";
+        } else if (cell == kStolenFirstCell) {
+          EXPECT_EQ(worker, 1u);
+          {
+            const std::lock_guard<std::mutex> lock(mutex);
+            stolen = true;
+          }
+          stolen_cv.notify_all();
+        }
+        on_cell(worker, cell);
       });
+}
+
+TEST(ThreadPoolFamilies, IdleWorkerStealsFromABlockedOwner) {
+  std::vector<std::atomic<int>> runs;
+  const FamilyStats stats =
+      RunForcedSteal(runs, [](std::size_t, std::size_t) {});
 
   for (std::size_t cell = 0; cell < runs.size(); ++cell) {
     EXPECT_EQ(runs[cell].load(), 1) << "cell " << cell;
   }
-  // With 32 x 1ms families on one owner and three idle thieves, stealing
-  // must fire.
-  EXPECT_GT(stats.steals, 0u);
-  ASSERT_EQ(stats.cells_per_worker.size(), 4u);
-  EXPECT_EQ(std::accumulate(stats.cells_per_worker.begin(),
-                            stats.cells_per_worker.end(), std::size_t{0}),
-            kFamilies * kCellsPerFamily);
+  EXPECT_GE(stats.steals, 1u);
+  // Worker 0 ran only its first family; worker 1 ran its own two and the
+  // stolen one.
+  EXPECT_EQ(stats.cells_per_worker, (std::vector<std::size_t>{2, 6}));
 }
 
 TEST(ThreadPoolFamilies, ErrorsPropagateFromStolenFamilies) {
-  std::vector<std::pair<std::size_t, std::size_t>> families = {{0, 1},
-                                                               {1, 2}};
-  const std::vector<std::size_t> owner = {0, 0};
-  ThreadPool pool(2);
-  EXPECT_THROW(pool.ParallelForFamilies(
-                   families, owner,
-                   [&](std::size_t, std::size_t cell) {
-                     if (cell == 1) {
-                       throw util::Error("boom");
-                     }
-                   }),
+  std::vector<std::atomic<int>> runs;
+  EXPECT_THROW(RunForcedSteal(runs,
+                              [](std::size_t, std::size_t cell) {
+                                if (cell == 4) {  // family 2, stolen
+                                  throw util::Error("boom");
+                                }
+                              }),
                util::Error);
+  for (std::size_t cell = 0; cell < runs.size(); ++cell) {
+    EXPECT_EQ(runs[cell].load(), 1) << "cell " << cell;
+  }
 }
 
 void ExpectBitIdentical(const GridResult& a, const GridResult& b) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "bench_common.h"
 #include "util/error.h"
 
 namespace dvs::util {
@@ -63,16 +68,55 @@ TEST(ArgParser, RejectsUnknownOption) {
 
 TEST(ArgParser, RejectsMalformedNumbers) {
   std::int64_t count = 0;
+  std::int64_t hyper_periods = 0;
   double ratio = 0.0;
+  double drift_threshold = 0.0;
+  double critical_speed = 0.0;
+  double idle_power = 0.0;
   ArgParser parser("prog", "test");
   parser.AddInt("count", &count, "c");
+  parser.AddInt("hyper-periods", &hyper_periods, "h");
   parser.AddDouble("ratio", &ratio, "r");
-  auto argv = Argv({"--count", "seven"});
-  EXPECT_THROW(parser.Parse(static_cast<int>(argv.size()), argv.data()),
-               InvalidArgumentError);
-  argv = Argv({"--ratio", "0.5x"});
-  EXPECT_THROW(parser.Parse(static_cast<int>(argv.size()), argv.data()),
-               InvalidArgumentError);
+  parser.AddDouble("drift-threshold", &drift_threshold, "d");
+  parser.AddDouble("critical-speed", &critical_speed, "s");
+  parser.AddDouble("idle-power", &idle_power, "p");
+  // Garbage, non-finite doubles (strtod parses "nan"/"inf") and integers
+  // strtoll would saturate: each must fail naming its flag.
+  const std::vector<std::pair<const char*, const char*>> bad = {
+      {"--count", "seven"},
+      {"--ratio", "0.5x"},
+      {"--drift-threshold", "nan"},
+      {"--critical-speed", "nan"},
+      {"--idle-power", "inf"},
+      {"--ratio", "-inf"},
+      {"--ratio", "1e999"},
+      {"--hyper-periods", "99999999999999999999"},
+      {"--count", "-99999999999999999999"},
+  };
+  for (const auto& [flag, value] : bad) {
+    const auto argv = Argv({flag, value});
+    try {
+      parser.Parse(static_cast<int>(argv.size()), argv.data());
+      ADD_FAILURE() << flag << " " << value << " was accepted";
+    } catch (const InvalidArgumentError& error) {
+      EXPECT_NE(std::string(error.what()).find(flag), std::string::npos)
+          << error.what();
+    }
+  }
+}
+
+TEST(ParsePositiveDoubleList, RejectsNonFiniteEntries) {
+  EXPECT_EQ(bench::ParsePositiveDoubleList("sigmas", "3,6.5"),
+            (std::vector<double>{3.0, 6.5}));
+  for (const char* text : {"3,inf", "inf", "nan,3", "1e999"}) {
+    try {
+      bench::ParsePositiveDoubleList("sigmas", text);
+      ADD_FAILURE() << text << " was accepted";
+    } catch (const InvalidArgumentError& error) {
+      EXPECT_NE(std::string(error.what()).find("--sigmas"), std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 TEST(ArgParser, RejectsMissingValue) {

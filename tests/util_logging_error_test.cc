@@ -5,7 +5,6 @@
 #include <string>
 
 #include "util/error.h"
-#include "util/json.h"
 #include "util/logging.h"
 
 namespace dvs::util {
@@ -94,62 +93,11 @@ TEST(LogLevelEnv, FromEnvValueFallsBackOnBadInput) {
   EXPECT_EQ(LogLevelFromEnvValue("", LogLevel::kWarn), LogLevel::kWarn);
 }
 
-/// Capture fixture that also restores format/decoration state, so these
-/// tests cannot leak decorated output into other tests' captures.
-class LoggerFormatCapture : public LoggerCapture {
- protected:
-  void TearDown() override {
-    Logger::Instance().set_format(LogFormat::kPlain);
-    Logger::Instance().set_timestamps(false);
-    Logger::Instance().set_thread_ids(false);
-    LoggerCapture::TearDown();
-  }
-};
-
-TEST_F(LoggerFormatCapture, DefaultFormatIsByteStable) {
-  // The byte contract scripts grep against: no decorations by default.
+TEST_F(LoggerCapture, DefaultFormatIsByteStable) {
+  // The byte contract scripts grep against.
   Logger::Instance().set_level(LogLevel::kWarn);
   ACS_LOG_WARN << "plain message";
   EXPECT_EQ(captured_.str(), "[warn] plain message\n");
-}
-
-TEST_F(LoggerFormatCapture, TimestampAndThreadIdDecorationsPrefixTheLine) {
-  Logger::Instance().set_level(LogLevel::kWarn);
-  Logger::Instance().set_timestamps(true);
-  Logger::Instance().set_thread_ids(true);
-  ACS_LOG_WARN << "decorated";
-  const std::string out = captured_.str();
-  // "YYYY-MM-DDTHH:MM:SSZ [warn] [tid N] decorated\n"
-  ASSERT_GE(out.size(), 21u);
-  EXPECT_EQ(out[4], '-');
-  EXPECT_EQ(out[10], 'T');
-  EXPECT_EQ(out[19], 'Z');
-  EXPECT_NE(out.find(" [warn] [tid "), std::string::npos) << out;
-  EXPECT_NE(out.find("] decorated\n"), std::string::npos) << out;
-}
-
-TEST_F(LoggerFormatCapture, JsonlSinkEmitsOneValidObjectPerLine) {
-  Logger::Instance().set_level(LogLevel::kInfo);
-  Logger::Instance().set_format(LogFormat::kJsonl);
-  Logger::Instance().set_timestamps(true);
-  Logger::Instance().set_thread_ids(true);
-  EXPECT_EQ(Logger::Instance().format(), LogFormat::kJsonl);
-  ACS_LOG_INFO << "with \"quotes\" and \\ backslash";
-  ACS_LOG_WARN << "second line";
-
-  std::istringstream lines(captured_.str());
-  std::string line;
-  std::size_t count = 0;
-  while (std::getline(lines, line)) {
-    const JsonValue record = ParseJson(line);
-    ASSERT_TRUE(record.IsObject()) << line;
-    EXPECT_FALSE(record.StringAt("ts").empty());
-    EXPECT_FALSE(record.StringAt("tid").empty());
-    EXPECT_FALSE(record.StringAt("msg").empty());
-    ++count;
-  }
-  EXPECT_EQ(count, 2u);
-  EXPECT_NE(captured_.str().find("with \\\"quotes\\\""), std::string::npos);
 }
 
 }  // namespace
