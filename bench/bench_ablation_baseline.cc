@@ -33,7 +33,6 @@ int main(int argc, char** argv) {
       return 0;
     }
     config.Finalize();
-    const auto cell_sink = config.OpenCellSink();
 
     const model::LinearDvsModel cpu = workload::DefaultModel();
     const double ratio = 0.1;  // the paper's high-flexibility point

@@ -39,7 +39,7 @@ class QuantisedMethod final : public dvs::core::ScheduleMethod {
         acs_ ? context.Acs() : context.Wcs();
     return dvs::core::MethodPlan{
         solve.schedule,
-        std::make_unique<dvs::sim::GreedyReclaimPolicy>(*runtime_),
+        dvs::sim::GreedyReclaimPolicy(*runtime_),
         solve.predicted_energy, solve.used_fallback};
   }
 
@@ -76,7 +76,6 @@ int main(int argc, char** argv) {
       return 0;
     }
     config.Finalize();
-    const auto cell_sink = config.OpenCellSink();
 
     const auto continuous =
         std::make_shared<model::LinearDvsModel>(workload::DefaultModel());

@@ -33,8 +33,8 @@ class AcsEagerMethod final : public dvs::core::ScheduleMethod {
     const dvs::core::ScheduleResult& acs = context.Acs();
     return dvs::core::MethodPlan{
         acs.schedule,
-        std::make_unique<dvs::sim::GreedyReclaimPolicy>(
-            context.dvs(), /*allow_early_start=*/true),
+        dvs::sim::GreedyReclaimPolicy(context.dvs(),
+                                      /*allow_early_start=*/true),
         acs.predicted_energy, acs.used_fallback};
   }
 };
@@ -55,7 +55,6 @@ int main(int argc, char** argv) {
       return 0;
     }
     config.Finalize();
-    const auto cell_sink = config.OpenCellSink();
 
     core::MethodRegistry registry;
     core::RegisterBuiltins(registry);

@@ -42,7 +42,7 @@ class FullNlpMethod final : public dvs::core::ScheduleMethod {
         average.Value(average.PackSchedule(result.schedule));
     return dvs::core::MethodPlan{
         std::move(result.schedule),
-        std::make_unique<dvs::sim::GreedyReclaimPolicy>(context.dvs()),
+        dvs::sim::GreedyReclaimPolicy(context.dvs()),
         predicted, false};
   }
 };
@@ -67,7 +67,6 @@ int main(int argc, char** argv) {
       return 0;
     }
     config.Finalize();
-    const auto cell_sink = config.OpenCellSink();
 
     core::MethodRegistry registry;
     core::RegisterBuiltins(registry);

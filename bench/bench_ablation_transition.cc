@@ -32,7 +32,6 @@ int main(int argc, char** argv) {
       return 0;
     }
     config.Finalize();
-    const auto cell_sink = config.OpenCellSink();
 
     const model::LinearDvsModel cpu = workload::DefaultModel();
     // Stall time per volt, as a fraction of the shortest period (10 time

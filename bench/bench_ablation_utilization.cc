@@ -26,7 +26,6 @@ int main(int argc, char** argv) {
       return 0;
     }
     config.Finalize();
-    const auto cell_sink = config.OpenCellSink();
 
     const model::LinearDvsModel cpu = workload::DefaultModel();
 

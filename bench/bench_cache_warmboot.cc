@@ -165,17 +165,15 @@ int main(int argc, char** argv) {
   config.methods = "acs,acs-scenario,wcs";
   config.baseline = "acs";
   config.scenarios = "iid-normal,bursty";
-  std::string sigmas_flag = "5,8";
+  bench::FleetFlags fleet;  // --replicates and --sigmas only (no cores)
+  fleet.sigmas = "5,8";
   std::string overlap_flag = "11";
 
   util::ArgParser parser("bench_cache_warmboot",
                          "persistent solve-cache warm-boot bench: cold vs "
                          "warm-boot vs partial-overlap");
   config.Register(parser);
-  parser.AddInt("replicates", &config.tasksets,
-                "random task sets per grid point (alias of --tasksets)");
-  parser.AddString("sigmas", &sigmas_flag,
-                   "comma-separated sigma divisors of the base grid");
+  fleet.Register(parser, config);
   parser.AddString("overlap-sigmas", &overlap_flag,
                    "extra sigma divisors appended for the partial-overlap "
                    "phases");
@@ -189,6 +187,8 @@ int main(int argc, char** argv) {
     const std::string cache_root =
         config.cache_dir.empty() ? "cache_warmboot.dir" : config.cache_dir;
     config.cache_dir.clear();
+    // Each phase streams its own cache_warmboot_<phase>.csv instead.
+    config.cell_csv.clear();
     config.Finalize();
 
     // Persist hit/miss deltas need a metrics registry; install one for the
@@ -199,8 +199,7 @@ int main(int argc, char** argv) {
       obs::InstallMetrics(own_metrics.get());
     }
 
-    const std::vector<double> sigmas =
-        bench::ParsePositiveDoubleList("sigmas", sigmas_flag);
+    const std::vector<double> sigmas = fleet.SigmaList();
     std::vector<double> overlap_sigmas = sigmas;
     for (double extra :
          bench::ParsePositiveDoubleList("overlap-sigmas", overlap_flag)) {
@@ -275,30 +274,14 @@ int main(int argc, char** argv) {
               << "x\ncold vs warm CSV:   "
               << (byte_identical ? "byte-identical" : "MISMATCH") << "\n";
 
+    // Restore the flag text so the run record names the real cache root.
+    config.cache_dir = cache_root;
     if (!config.bench_json.empty()) {
       util::JsonWriter json;
       json.BeginObject();
       json.Key("bench").Value(std::string("bench_cache_warmboot"));
       json.Key("schema").Value(std::int64_t{1});
-      json.Key("config")
-          .BeginObject()
-          .Key("tasksets")
-          .Value(config.tasksets)
-          .Key("hyper_periods")
-          .Value(config.hyper_periods)
-          .Key("threads")
-          .Value(config.ResolvedThreads())
-          .Key("methods")
-          .Value(config.methods)
-          .Key("scenarios")
-          .Value(config.scenarios)
-          .Key("sigmas")
-          .Value(sigmas_flag)
-          .Key("overlap_sigmas")
-          .Value(overlap_flag)
-          .Key("cache_root")
-          .Value(cache_root)
-          .EndObject();
+      bench::WriteRecordJson(json, config.Record());
       json.Key("phases").BeginArray();
       for (const Phase& phase : phases) {
         json.BeginObject();
@@ -331,8 +314,6 @@ int main(int argc, char** argv) {
       std::cout << "bench json written to " << config.bench_json << "\n";
     }
 
-    // Restore the flag text so the run manifest records the real root.
-    config.cache_dir = cache_root;
     config.WriteRunArtifacts();
     if (own_metrics != nullptr) {
       obs::InstallMetrics(nullptr);

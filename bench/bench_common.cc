@@ -1,9 +1,11 @@
 #include "bench_common.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <fstream>
 #include <iostream>
+#include <set>
 #include <stdexcept>
 #include <utility>
 
@@ -18,6 +20,7 @@
 #include "util/logging.h"
 #include "util/strings.h"
 #include "workload/random_taskset.h"
+#include "workload/scenario.h"
 
 namespace dvs::bench {
 
@@ -32,7 +35,6 @@ TelemetryState::~TelemetryState() {
 }
 
 void SweepConfig::Register(util::ArgParser& parser) {
-  program = parser.program();
   parser.AddInt("tasksets", &tasksets,
                 "random task sets per grid point");
   parser.AddInt("hyper-periods", &hyper_periods,
@@ -40,8 +42,6 @@ void SweepConfig::Register(util::ArgParser& parser) {
   parser.AddInt("seeds", &seeds, "workload streams for fixed task sets");
   parser.AddInt("seed", reinterpret_cast<std::int64_t*>(&seed),
                 "master random seed");
-  parser.AddInt("threads", &threads,
-                "worker threads for grid sweeps (0 = all hardware threads)");
   parser.AddString("methods", &methods,
                    "comma-separated registry methods to evaluate");
   parser.AddString("baseline", &baseline,
@@ -62,12 +62,6 @@ void SweepConfig::Register(util::ArgParser& parser) {
   parser.AddDouble("drift-threshold", &online.drift_threshold,
                    "relative EWMA-vs-plan drift that triggers a warm-started "
                    "replan (acs-online-drift)");
-  parser.AddString("warm-start", &warm_start,
-                   "sigma-axis warm-start policy for the planning arms: "
-                   "off | neighbor");
-  parser.AddFlag("csv-solver-stats", &csv_solver_stats,
-                 "append solver iteration/evaluation columns to --cell-csv "
-                 "rows");
   parser.AddFlag("dpm", &dpm,
                  "enable the leakage-aware DPM layer (sleep states, "
                  "critical-speed floor, core reallocation)");
@@ -83,8 +77,22 @@ void SweepConfig::Register(util::ArgParser& parser) {
   parser.AddFlag("paper", &paper,
                  "paper scale: 100 task sets, 1000 hyper-periods");
   parser.AddString("csv", &csv, "write results to this CSV file");
+  RegisterRunSettings(parser);
+}
+
+void SweepConfig::RegisterRunSettings(util::ArgParser& parser) {
+  program = parser.program();
+  flag_parser = &parser;
+  parser.AddInt("threads", &threads,
+                "worker threads for grid sweeps (0 = all hardware threads)");
   parser.AddString("cell-csv", &cell_csv,
                    "stream one row per (cell, method) to this CSV file");
+  parser.AddFlag("csv-solver-stats", &csv_solver_stats,
+                 "append solver iteration/evaluation columns to --cell-csv "
+                 "rows");
+  parser.AddString("warm-start", &warm_start,
+                   "sigma-axis warm-start policy for the planning arms: "
+                   "off | neighbor");
   parser.AddString("bench-json", &bench_json,
                    "write a machine-readable timing/energy summary here");
   parser.AddInt("grid-repeats", &grid_repeats,
@@ -103,20 +111,11 @@ void SweepConfig::Register(util::ArgParser& parser) {
                  "collect and print the aggregated telemetry counters");
   parser.AddString("cache-dir", &cache_dir,
                    "persistent cross-run solve cache directory (created if "
-                   "missing; results are byte-identical with or without it)");
+                   "missing; one writer per directory — concurrent shards "
+                   "need --cache-read-only or their own directories)");
   parser.AddFlag("cache-read-only", &cache_read_only,
                  "open --cache-dir read-only: pre-seed solves without "
                  "locking or writing back (shared-cache shard flow)");
-}
-
-std::unique_ptr<runner::CsvSink> SweepConfig::OpenCellSink() {
-  if (cell_csv.empty()) {
-    return nullptr;
-  }
-  auto cell_sink = std::make_unique<runner::CsvSink>(
-      cell_csv, SweepsScenarios(), csv_solver_stats, dpm);
-  sink = cell_sink.get();
-  return cell_sink;
 }
 
 void SweepConfig::Finalize() {
@@ -125,6 +124,12 @@ void SweepConfig::Finalize() {
     hyper_periods = 1000;
     seeds = 20;
   }
+  // Reject bad input before anything is created on disk.
+  ACS_REQUIRE(shard_count >= 1 && shard_index >= 0 &&
+                  shard_index < shard_count,
+              "--shard must lie in [0, --shard-count) and --shard-count "
+              "must be at least 1");
+  WarmStartPolicy();
   // Install the requested telemetry before any worker thread exists (the
   // Logger-style install-before-spawn contract).  A manifest wants the
   // aggregated metrics, so --manifest-out implies the registry.
@@ -143,32 +148,41 @@ void SweepConfig::Finalize() {
         std::make_unique<obs::ConvergenceRecorder>(convergence_out);
     obs::ConvergenceRecorder::Install(telemetry->convergence.get());
   }
+  // The writable open throws on a held LOCK — two writers on one cache
+  // directory fail here, before any cell runs.
   if (!cache_dir.empty() && solve_store == nullptr) {
     solve_store = std::make_shared<core::SolveStore>(cache_dir,
                                                      cache_read_only);
   }
+  if (!cell_csv.empty() && cell_sink == nullptr) {
+    cell_sink = std::make_shared<runner::CsvSink>(
+        cell_csv, SweepsScenarios(), csv_solver_stats, dpm);
+  }
 }
 
-std::vector<std::string> SweepConfig::MethodList() const {
+namespace {
+
+/// `text` split on commas, empty fields dropped.
+std::vector<std::string> NameList(const std::string& text) {
   std::vector<std::string> list;
-  std::vector<std::string> parts = util::Split(methods, ',');
-  for (std::string& name : parts) {
+  for (std::string& name : util::Split(text, ',')) {
     if (!name.empty()) {
       list.push_back(std::move(name));
     }
   }
+  return list;
+}
+
+}  // namespace
+
+std::vector<std::string> SweepConfig::MethodList() const {
+  std::vector<std::string> list = NameList(methods);
   ACS_REQUIRE(!list.empty(), "--methods must name at least one method");
   return list;
 }
 
 std::vector<std::string> SweepConfig::ScenarioList() const {
-  std::vector<std::string> list;
-  std::vector<std::string> parts = util::Split(scenarios, ',');
-  for (std::string& name : parts) {
-    if (!name.empty()) {
-      list.push_back(std::move(name));
-    }
-  }
+  std::vector<std::string> list = NameList(scenarios);
   ACS_REQUIRE(!list.empty(), "--scenarios must name at least one scenario");
   return list;
 }
@@ -226,10 +240,45 @@ std::int64_t SweepConfig::ResolvedThreads() const {
 runner::RunOptions SweepConfig::RunOpts() const {
   runner::RunOptions options;
   options.threads = static_cast<int>(threads);
-  options.sink = sink;
+  options.sink = cell_sink.get();
   options.workspaces = workspaces.get();
   options.solve_store = solve_store.get();
+  options.shard_index = static_cast<std::size_t>(shard_index);
+  options.shard_count = static_cast<std::size_t>(shard_count);
   return options;
+}
+
+RunRecord SweepConfig::Record() const {
+  // Flags that cannot change a result.  --warm-start and --csv-solver-stats
+  // are run settings too, but they change solves or the CSV schema.
+  static const std::set<std::string> kExecution = {
+      "threads",     "grid-repeats",    "csv",
+      "cell-csv",    "bench-json",      "trace-out",
+      "manifest-out", "convergence-out", "metrics",
+      "cache-dir",   "cache-read-only", "shard",
+      "shard-count"};
+  RunRecord record;
+  if (flag_parser == nullptr) {
+    return record;
+  }
+  for (auto& [name, value] : flag_parser->Values()) {
+    std::string key = name;
+    std::replace(key.begin(), key.end(), '-', '_');
+    (kExecution.count(name) > 0 ? record.execution : record.config)
+        .emplace_back(std::move(key), std::move(value));
+  }
+  return record;
+}
+
+void WriteRecordJson(util::JsonWriter& json, const RunRecord& record) {
+  for (const auto* section : {&record.config, &record.execution}) {
+    json.Key(section == &record.config ? "config" : "execution")
+        .BeginObject();
+    for (const auto& [key, value] : *section) {
+      json.Key(key).Value(value);
+    }
+    json.EndObject();
+  }
 }
 
 void SweepConfig::WriteBenchJson() const {
@@ -239,29 +288,7 @@ void SweepConfig::WriteBenchJson() const {
   util::JsonWriter json;
   json.BeginObject();
   json.Key("bench").Value(program);
-  json.Key("config")
-      .BeginObject()
-      .Key("tasksets")
-      .Value(tasksets)
-      .Key("hyper_periods")
-      .Value(hyper_periods)
-      .Key("seeds")
-      .Value(seeds)
-      .Key("seed")
-      .Value(static_cast<std::uint64_t>(seed))
-      .Key("threads")
-      .Value(ResolvedThreads())
-      .Key("methods")
-      .Value(methods)
-      .Key("baseline")
-      .Value(baseline)
-      .Key("scenarios")
-      .Value(scenarios)
-      .Key("grid_repeats")
-      .Value(grid_repeats)
-      .Key("paper")
-      .Value(paper)
-      .EndObject();
+  WriteRecordJson(json, Record());
   json.Key("grids").BeginArray();
   for (const BenchReport::Entry& entry : report->entries) {
     json.BeginObject();
@@ -327,7 +354,8 @@ void SweepConfig::WriteRunArtifacts() const {
               << telemetry->convergence->records() << " records)\n";
   }
   if (telemetry->trace != nullptr && !trace_out.empty()) {
-    telemetry->trace->WriteChromeTrace(trace_out);
+    telemetry->trace->WriteChromeTrace(trace_out,
+                                       static_cast<std::uint32_t>(shard_index));
     std::cout << "trace written to " << trace_out << " ("
               << telemetry->trace->event_count() << " spans)\n";
   }
@@ -354,22 +382,11 @@ void SweepConfig::WriteRunArtifacts() const {
     manifest.master_seed = seed;
     manifest.threads = ResolvedThreads();
     manifest.wall_ms = report->total_wall_ms;
-    manifest.config = {
-        {"tasksets", std::to_string(tasksets)},
-        {"hyper_periods", std::to_string(hyper_periods)},
-        {"seeds", std::to_string(seeds)},
-        {"threads", std::to_string(ResolvedThreads())},
-        {"methods", methods},
-        {"baseline", baseline},
-        {"scenarios", scenarios},
-        {"warm_start", warm_start},
-        {"grid_repeats", std::to_string(grid_repeats)},
-        {"paper", paper ? "true" : "false"},
-    };
-    manifest.execution = {
-        {"cache_dir", cache_dir},
-        {"cache_read_only", cache_read_only ? "true" : "false"},
-    };
+    manifest.shard_index = static_cast<std::size_t>(shard_index);
+    manifest.shard_count = static_cast<std::size_t>(shard_count);
+    RunRecord record = Record();
+    manifest.config = std::move(record.config);
+    manifest.execution = std::move(record.execution);
     obs::WriteManifest(manifest_out, manifest, telemetry->metrics.get());
     std::cout << "manifest written to " << manifest_out << "\n";
   }
@@ -478,6 +495,150 @@ std::vector<double> ParsePositiveDoubleList(const std::string& flag,
       [](const std::string& part, std::size_t* consumed) {
         return std::stod(part, consumed);
       });
+}
+
+void FleetFlags::Register(util::ArgParser& parser, SweepConfig& config) {
+  parser.AddInt("replicates", &config.tasksets,
+                "random task sets per grid point (alias of --tasksets)");
+  if (!cores.empty()) {
+    parser.AddString("cores", &cores, "comma-separated core counts");
+    parser.AddDouble("idle-power", &idle_power,
+                     "always-on energy/ms floor per powered core");
+    parser.AddDouble("per-core-utilization", &per_core_utilization,
+                     "worst-case utilisation target per core");
+  }
+  if (!partitioners.empty()) {
+    parser.AddString("partitioners", &partitioners,
+                     "comma-separated mp partitioners");
+  }
+  if (!sigmas.empty()) {
+    parser.AddString("sigmas", &sigmas,
+                     "comma-separated sigma divisors (sigma-insensitive "
+                     "scenarios such as heavy-tail and trace run once, at "
+                     "the first value)");
+  }
+}
+
+std::vector<int> FleetFlags::CoreCounts() const {
+  return ParsePositiveIntList("cores", cores);
+}
+
+std::vector<std::string> FleetFlags::PartitionerList() const {
+  return NameList(partitioners);
+}
+
+std::vector<double> FleetFlags::SigmaList() const {
+  return ParsePositiveDoubleList("sigmas", sigmas);
+}
+
+runner::TaskSetSource FleetFlags::Source(int m, std::int64_t tasksets) const {
+  workload::RandomTaskSetOptions gen;
+  gen.num_tasks = std::max(6, 3 * m);
+  gen.bcec_wcec_ratio = 0.3;
+  gen.utilization = per_core_utilization * static_cast<double>(m);
+  gen.max_sub_instances = 350;
+  return runner::RandomSource("random-m" + std::to_string(m), gen, tasksets);
+}
+
+void RunScenarioSplit(
+    const runner::ExperimentGrid& grid, const std::vector<double>& sigmas,
+    const SweepConfig& config, const std::string& label,
+    const std::function<void(const runner::CellResult&, std::size_t)>& visit) {
+  std::vector<std::string> sigma_scenarios;
+  std::vector<std::string> fixed_scenarios;
+  for (const std::string& name : grid.scenarios) {
+    (grid.Scenarios().Get(name).UsesSigmaDivisor() ? sigma_scenarios
+                                                   : fixed_scenarios)
+        .push_back(name);
+  }
+  const auto run_subset = [&](std::vector<std::string> subset,
+                              std::vector<double> sigma_axis,
+                              const std::string& subset_label) {
+    if (subset.empty()) {
+      return;
+    }
+    runner::ExperimentGrid sub = grid;
+    sub.scenarios = std::move(subset);
+    sub.sigma_divisors = std::move(sigma_axis);
+    const runner::GridResult result = RunGridTimed(sub, config, subset_label);
+    for (const runner::CellResult& cell : result.cells) {
+      const std::string& name = sub.scenarios[cell.coord.scenario_index];
+      visit(cell, static_cast<std::size_t>(
+                      std::find(grid.scenarios.begin(), grid.scenarios.end(),
+                                name) -
+                      grid.scenarios.begin()));
+    }
+  };
+  run_subset(std::move(sigma_scenarios), sigmas, label);
+  run_subset(std::move(fixed_scenarios), {sigmas.front()},
+             label + "-fixed-sigma");
+}
+
+void AppendArmRows(const runner::ExperimentGrid& grid, int m,
+                   const std::vector<double>& sigmas,
+                   const SweepConfig& config, const std::string& reference,
+                   util::TextTable& table, util::CsvTable& csv) {
+  const std::size_t base_index = grid.BaselineIndex();
+  // The reference column is contextual: without that arm in the sweep it
+  // reports n/a instead of silently re-labelling some other arm.
+  const std::size_t ref_index = static_cast<std::size_t>(
+      std::find(grid.methods.begin(), grid.methods.end(), reference) -
+      grid.methods.begin());
+  const bool has_ref_arm = ref_index < grid.methods.size();
+  struct ArmAgg {
+    stats::OnlineStats power;
+    stats::OnlineStats vs_base;
+    stats::OnlineStats vs_ref;
+    std::int64_t misses = 0;
+    std::size_t failed = 0;
+  };
+  std::vector<std::vector<ArmAgg>> aggs(
+      grid.scenarios.size(), std::vector<ArmAgg>(grid.methods.size()));
+  RunScenarioSplit(
+      grid, sigmas, config, "cores-" + std::to_string(m),
+      [&](const runner::CellResult& cell, std::size_t s) {
+        for (std::size_t i = 0; i < grid.methods.size(); ++i) {
+          ArmAgg& agg = aggs[s][i];
+          if (!cell.ok()) {
+            ++agg.failed;
+            continue;
+          }
+          double power = cell.outcomes[i].measured_energy;
+          if (!grid.MultiCore()) {
+            power /= static_cast<double>(cell.hyper_period);
+          }
+          agg.power.Add(power);
+          agg.vs_base.Add(cell.ImprovementOver(i, base_index));
+          if (has_ref_arm) {
+            agg.vs_ref.Add(cell.ImprovementOver(i, ref_index));
+          }
+          agg.misses += cell.outcomes[i].deadline_misses;
+        }
+      });
+
+  for (std::size_t s = 0; s < grid.scenarios.size(); ++s) {
+    for (std::size_t i = 0; i < grid.methods.size(); ++i) {
+      const ArmAgg& agg = aggs[s][i];
+      const bool has_data = agg.power.count() > 0;
+      const bool has_ref = agg.vs_ref.count() > 0;
+      table.AddRow(
+          {std::to_string(m), grid.scenarios[s], grid.methods[i],
+           has_data ? util::FormatDouble(agg.power.mean(), 3) : "n/a",
+           has_data ? util::FormatPercent(agg.vs_base.mean()) : "n/a",
+           has_ref ? util::FormatPercent(agg.vs_ref.mean()) : "n/a",
+           std::to_string(agg.misses), std::to_string(agg.failed)});
+      csv.NewRow()
+          .Add(m)
+          .Add(grid.scenarios[s])
+          .Add(grid.methods[i])
+          .Add(has_data ? agg.power.mean() : 0.0, 6)
+          .Add(has_data ? agg.vs_base.mean() : 0.0, 6)
+          .Add(has_data ? agg.vs_base.stddev() : 0.0, 6)
+          .Add(has_ref ? agg.vs_ref.mean() : 0.0, 6)
+          .Add(agg.misses)
+          .Add(agg.failed);
+    }
+  }
 }
 
 std::size_t FirstNonBaseline(const runner::ExperimentGrid& grid) {

@@ -8,6 +8,11 @@
 // Grid sweeps route through runner::RunGrid: --threads fans cells across a
 // thread pool (bit-identical to the serial run), and --methods selects any
 // comma-separated subset of the core::MethodRegistry by name.
+//
+// This file is the only definition of the grid flags and the run plumbing
+// (telemetry, solve store, cell sink, manifest, trace): the benches and
+// tools/shard_grid register them from here, and CI fails when a flag name
+// is registered twice under bench/ or tools/.
 #ifndef ACS_BENCH_BENCH_COMMON_H
 #define ACS_BENCH_BENCH_COMMON_H
 
@@ -15,6 +20,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/eval_workspace.h"
@@ -28,6 +34,7 @@
 #include "stats/summary.h"
 #include "util/cli.h"
 #include "util/csv.h"
+#include "util/json.h"
 #include "util/table.h"
 
 namespace dvs::core {
@@ -83,12 +90,26 @@ struct BenchReport {
   double total_wall_ms = 0.0;
 };
 
+/// A run's identity as two flat key/value maps, keyed by flag name with
+/// '-' spelled '_'.  `config` holds every flag that can change a result;
+/// `execution` holds the ones that cannot (worker threads, timing repeats,
+/// output paths, the cache directory, the shard slot), so shards run with
+/// different settings still merge.
+struct RunRecord {
+  std::vector<std::pair<std::string, std::string>> config;
+  std::vector<std::pair<std::string, std::string>> execution;
+};
+
+/// Writes `record` as the "config" and "execution" objects of an open JSON
+/// object (the --bench-json reports).
+void WriteRecordJson(util::JsonWriter& json, const RunRecord& record);
+
 struct SweepConfig {
+  // ---- Grid knobs (Register) ----
   std::int64_t tasksets = 8;        // random sets per grid point (paper: 100)
   std::int64_t hyper_periods = 150; // simulated hyper-periods (paper: 1000)
   std::int64_t seeds = 5;           // workload repetitions for fixed sets
   std::uint64_t seed = 20050307;    // master seed (DATE'05 week, for fun)
-  std::int64_t threads = 1;         // worker threads for grid sweeps
   std::string methods = "acs,wcs";  // registry methods, comma-separated
   std::string baseline = "wcs";     // improvement reference method
   /// Execution-time scenario axis (--scenarios), comma-separated
@@ -105,14 +126,6 @@ struct SweepConfig {
   /// (--online-dp-bins, --drift-ewma, --drift-threshold), read only by the
   /// acs-online / acs-online-drift arms.
   core::OnlineOptions online;
-  /// Sigma-axis warm-start policy of the planning arms (--warm-start):
-  /// "off" keeps the pre-warm-start byte-identical solves, "neighbor"
-  /// chains each cell's solve along the sigma-axis prefix (continuation —
-  /// see runner::ExperimentGrid::warm_start).
-  std::string warm_start = "off";
-  /// Appends the opt-in solver iteration/evaluation columns to --cell-csv
-  /// rows (--csv-solver-stats); the legacy schema is untouched without it.
-  bool csv_solver_stats = false;
   /// Leakage-aware DPM layer (--dpm): sleep states across break-even idle
   /// intervals, a critical-speed dispatch floor and cross-hyper-period core
   /// reallocation.  Off keeps every bench byte-identical to the pre-DPM
@@ -133,10 +146,25 @@ struct SweepConfig {
   std::int64_t realloc_after = 1;
   bool paper = false;               // restore the paper's full scale
   std::string csv;                  // optional CSV output path (aggregates)
+
+  // ---- Run settings (RegisterRunSettings) ----
+  std::int64_t threads = 1;         // worker threads for grid sweeps
   std::string cell_csv;             // optional per-cell streaming CSV path
+  /// Appends the opt-in solver iteration/evaluation columns to --cell-csv
+  /// rows (--csv-solver-stats); the legacy schema is untouched without it.
+  bool csv_solver_stats = false;
+  /// Sigma-axis warm-start policy of the planning arms (--warm-start):
+  /// "off" keeps the pre-warm-start byte-identical solves, "neighbor"
+  /// chains each cell's solve along the sigma-axis prefix (continuation —
+  /// see runner::ExperimentGrid::warm_start).
+  std::string warm_start = "off";
   /// Machine-readable timing/energy summary path (--bench-json); empty
   /// disables the report.
   std::string bench_json;
+  /// Times each grid this many times (--grid-repeats): repeat 0 is the
+  /// result-bearing run, later repeats re-run the identical grid against
+  /// warm workspaces purely for the --bench-json timing trajectory.
+  std::int64_t grid_repeats = 1;
   /// Telemetry artifacts (src/obs).  --trace-out writes a Chrome
   /// trace_event JSON (chrome://tracing / Perfetto), --convergence-out a
   /// per-iteration solver JSONL, --manifest-out a run manifest; --metrics
@@ -155,13 +183,16 @@ struct SweepConfig {
   /// taking the writer LOCK or writing back — the shared-cache flow for
   /// concurrent shards (see tools/shard_grid).
   bool cache_read_only = false;
-  /// Times each grid this many times (--grid-repeats): repeat 0 is the
-  /// result-bearing run, later repeats re-run the identical grid against
-  /// warm workspaces purely for the --bench-json timing trajectory.
-  std::int64_t grid_repeats = 1;
-  /// Streaming sink RunOpts attaches to every grid run; set by
-  /// OpenCellSink (benches can also point it at their own ResultSink).
-  runner::ResultSink* sink = nullptr;
+  /// The shard of the grid this process runs (RunOptions::shard_index /
+  /// shard_count); flags of tools/shard_grid only.  Finalize() rejects a
+  /// slot outside [0, shard_count) before it opens anything.
+  std::int64_t shard_index = 0;
+  std::int64_t shard_count = 1;
+
+  // ---- State ----
+  /// The --cell-csv sink every grid run streams to (null without the
+  /// flag); opened by Finalize().
+  std::shared_ptr<runner::CsvSink> cell_sink;
   /// Accumulated --bench-json entries (shared so the const sweep helpers
   /// can append).
   std::shared_ptr<BenchReport> report = std::make_shared<BenchReport>();
@@ -169,8 +200,11 @@ struct SweepConfig {
   /// grid runs (the warm state --grid-repeats measures).
   std::shared_ptr<std::vector<core::EvalWorkspace>> workspaces =
       std::make_shared<std::vector<core::EvalWorkspace>>();
-  /// Bench binary name for the report header; captured by Register().
+  /// Bench binary name for the report header; captured by registration.
   std::string program;
+  /// The parser the flags were registered on; Record() reads every flag
+  /// of it, so it must outlive the config's Write* calls.
+  const util::ArgParser* flag_parser = nullptr;
   /// Telemetry backing the flags above (shared so const copies of the
   /// config reference one process-global installation).
   std::shared_ptr<TelemetryState> telemetry =
@@ -179,20 +213,18 @@ struct SweepConfig {
   /// Finalize(), written back by WriteRunArtifacts().
   std::shared_ptr<core::SolveStore> solve_store;
 
-  /// Registers the shared flags on a parser.
+  /// Registers the grid knobs and the run settings on a parser.
   void Register(util::ArgParser& parser);
 
-  /// Applies --paper (tasksets=100, hyper_periods=1000, seeds=20) and
-  /// installs the telemetry the flags ask for — call before the first grid
-  /// run so every worker thread sees it.
-  void Finalize();
+  /// Registers only the run settings (threads, outputs, telemetry, cache,
+  /// warm start) — for a tool that runs a fixed grid.
+  void RegisterRunSettings(util::ArgParser& parser);
 
-  /// Opens the --cell-csv streaming sink (null when the flag is unset) and
-  /// points `sink` at it so every subsequent grid run streams one row per
-  /// (cell, method).  The caller owns the returned sink and keeps it alive
-  /// across its RunGrid calls — discarding it would leave `sink` dangling,
-  /// hence nodiscard.
-  [[nodiscard]] std::unique_ptr<runner::CsvSink> OpenCellSink();
+  /// Applies --paper (tasksets=100, hyper_periods=1000, seeds=20), checks
+  /// the shard slot and --warm-start, then installs the telemetry the flags
+  /// ask for, opens the --cache-dir store and the --cell-csv sink — call
+  /// before the first grid run so every worker thread sees them.
+  void Finalize();
 
   /// `methods` split on commas (empty fields dropped).
   std::vector<std::string> MethodList() const;
@@ -223,18 +255,64 @@ struct SweepConfig {
 
   runner::RunOptions RunOpts() const;
 
+  /// Every registered flag's current value, split into result-affecting
+  /// `config` and result-neutral `execution` (see RunRecord).  The run
+  /// manifest and the --bench-json report both record this.
+  RunRecord Record() const;
+
   /// Writes the accumulated BenchReport to `bench_json` (no-op when the
   /// flag is unset).  Emit() calls this; benches with custom epilogues can
   /// call it directly.
   void WriteBenchJson() const;
 
   /// Writes the telemetry artifacts the flags configured: the Chrome trace
-  /// (--trace-out), the run manifest (--manifest-out), flushes the
-  /// convergence JSONL, and prints the aggregated metrics when --metrics is
-  /// set.  Emit() calls this after WriteBenchJson; benches with custom
-  /// epilogues call it directly.
+  /// (--trace-out, pid = the shard index), the run manifest
+  /// (--manifest-out), flushes the convergence JSONL, and prints the
+  /// aggregated metrics when --metrics is set.  Emit() calls this after
+  /// WriteBenchJson; benches with custom epilogues call it directly.
   void WriteRunArtifacts() const;
 };
+
+/// The flag group of the benches that sweep random task sets per core
+/// count (bench_mp_partition, bench_dpm_sleep, bench_scenario_sweep,
+/// bench_scenario_planning, bench_online_adaptive).  Each bench sets its
+/// defaults before Register(); a list left empty is not registered, and
+/// --idle-power / --per-core-utilization come with --cores.
+struct FleetFlags {
+  std::string cores;               // --cores: comma-separated core counts
+  std::string partitioners;        // --partitioners: mp partitioner names
+  std::string sigmas;              // --sigmas: sigma divisors
+  double idle_power = 0.05;        // --idle-power: energy/ms per core
+  double per_core_utilization = 0.7;  // --per-core-utilization
+
+  /// Registers --replicates (an alias of config.tasksets) and the flags
+  /// above that the bench gave a default.
+  void Register(util::ArgParser& parser, SweepConfig& config);
+
+  std::vector<int> CoreCounts() const;
+  std::vector<std::string> PartitionerList() const;  // empty fields dropped
+  std::vector<double> SigmaList() const;
+
+  /// The per-core-count random source: max(6, 3m) tasks at BCEC/WCEC ratio
+  /// 0.3, worst-case utilisation per_core_utilization x m, 350
+  /// sub-instances (per-core scale, pro-rata for m > 1), label
+  /// "random-m<m>".
+  runner::TaskSetSource Source(int m, std::int64_t tasksets) const;
+};
+
+/// Runs `grid` (whose `scenarios` is the full scenario list) split by sigma
+/// sensitivity: scenarios whose UsesSigmaDivisor() is true sweep `sigmas`
+/// under `label`; the rest would compute byte-identical duplicate cells per
+/// sigma (and double-count them), so they run in a sibling grid pinned at
+/// sigmas.front() under `label` + "-fixed-sigma".  Both grids share the
+/// master seed and sources, hence the same SetIndex-keyed streams, so the
+/// scenario columns stay paired across the split.  `visit` sees every cell
+/// of both grids, in run order, with the index of its scenario in
+/// `grid.scenarios`.
+void RunScenarioSplit(
+    const runner::ExperimentGrid& grid, const std::vector<double>& sigmas,
+    const SweepConfig& config, const std::string& label,
+    const std::function<void(const runner::CellResult&, std::size_t)>& visit);
 
 /// Runs `grid` through runner::RunGrid `config.grid_repeats` times against
 /// the config's persistent per-worker workspaces, recording one timed
@@ -247,6 +325,17 @@ runner::GridResult RunGridTimed(const runner::ExperimentGrid& grid,
 /// Same, against the built-in registry.
 runner::GridResult RunGridTimed(const runner::ExperimentGrid& grid,
                                 const SweepConfig& config, std::string label);
+
+/// The per-(scenario, arm) rows of the planning and online sweeps: runs
+/// RunScenarioSplit on `grid` (one core count, `m`, under label
+/// "cores-<m>") and appends one row per (scenario, method) to `table` and
+/// `csv`: mean fleet power (energy/ms), the paired improvement over the
+/// grid baseline (mean; stddev in the CSV) and over the `reference` arm
+/// (n/a when the sweep lacks it), deadline misses and failed cells.
+void AppendArmRows(const runner::ExperimentGrid& grid, int m,
+                   const std::vector<double>& sigmas,
+                   const SweepConfig& config, const std::string& reference,
+                   util::TextTable& table, util::CsvTable& csv);
 
 struct SweepPoint {
   stats::OnlineStats improvement;   // first non-baseline method vs baseline

@@ -15,42 +15,31 @@
 // time-weighted powered-core count, and deadline misses (which must stay
 // zero: timed sleeps never move a dispatch, and the reallocator preserves
 // exact RM admission).
-#include <algorithm>
 #include <iostream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
 #include "dpm/dpm.h"
-#include "mp/partitioner.h"
 #include "util/error.h"
 #include "util/strings.h"
 #include "workload/presets.h"
-#include "workload/random_taskset.h"
 
 int main(int argc, char** argv) {
   using namespace dvs;
   bench::SweepConfig config;
   config.tasksets = 4;
   config.hyper_periods = 50;
-  std::string cores_flag = "2,4";
-  std::string partitioners_flag = "ffd,wfd,energy-greedy";
-  double idle_power = 0.5;
-  double per_core_utilization = 0.1;
+  bench::FleetFlags fleet;
+  fleet.cores = "2,4";
+  fleet.partitioners = "ffd,wfd,energy-greedy";
+  fleet.idle_power = 0.5;
+  fleet.per_core_utilization = 0.1;
 
   util::ArgParser parser("bench_dpm_sleep",
                          "leakage-aware DPM vs the always-on idle floor");
   config.Register(parser);
-  parser.AddInt("replicates", &config.tasksets,
-                "random task sets per grid point (alias of --tasksets)");
-  parser.AddString("cores", &cores_flag, "comma-separated core counts");
-  parser.AddString("partitioners", &partitioners_flag,
-                   "comma-separated mp partitioners");
-  parser.AddDouble("idle-power", &idle_power,
-                   "always-on energy/ms floor per powered core");
-  parser.AddDouble("per-core-utilization", &per_core_utilization,
-                   "worst-case utilisation target per core");
+  fleet.Register(parser, config);
   try {
     if (!parser.Parse(argc, argv)) {
       return 0;
@@ -59,27 +48,21 @@ int main(int argc, char** argv) {
     // --cell-csv schema (the on-grid rows carry the DPM ledger columns).
     config.dpm = true;
     config.Finalize();
-    const auto cell_sink = config.OpenCellSink();
 
-    const std::vector<int> core_counts =
-        bench::ParsePositiveIntList("cores", cores_flag);
-    std::vector<std::string> partitioners;
-    for (const std::string& name : util::Split(partitioners_flag, ',')) {
-      if (!name.empty()) {
-        partitioners.push_back(name);
-      }
-    }
+    const std::vector<int> core_counts = fleet.CoreCounts();
+    const std::vector<std::string> partitioners = fleet.PartitionerList();
 
     const model::LinearDvsModel cpu = workload::DefaultModel();
-    const model::IdlePower idle{idle_power};
+    const model::IdlePower idle{fleet.idle_power};
     const dvs::dpm::Options dpm_options = config.DpmOptions(idle);
     // Driver-owned critical-speed floor: one wrapper for the whole run, so
     // solve caches keyed by model identity stay coherent (dpm/dpm.h).
     const dvs::dpm::CriticalSpeedFloor floor(cpu, dpm_options);
 
     std::cout << "Leakage-aware DPM sweep ("
-              << util::FormatPercent(per_core_utilization)
-              << " per core, idle floor " << idle_power << "/ms/core, sleep \""
+              << util::FormatPercent(fleet.per_core_utilization)
+              << " per core, idle floor " << fleet.idle_power
+              << "/ms/core, sleep \""
               << config.sleep_state << "\", "
               << (floor.active()
                       ? "speed floor " + util::FormatDouble(floor.speed_floor(), 3)
@@ -95,14 +78,7 @@ int main(int argc, char** argv) {
                         "deadline_misses", "failed_cells"});
 
     for (int m : core_counts) {
-      workload::RandomTaskSetOptions gen;
-      gen.num_tasks = std::max(6, 3 * m);
-      gen.bcec_wcec_ratio = 0.3;
-      gen.utilization = per_core_utilization * static_cast<double>(m);
-      gen.max_sub_instances = 350;
-
-      const runner::TaskSetSource source = runner::RandomSource(
-          "random-m" + std::to_string(m), gen, config.tasksets);
+      const runner::TaskSetSource source = fleet.Source(m, config.tasksets);
 
       // Sibling grids from one master seed: identical task-set draws and
       // workload streams, differing only in the DPM layer (and the floored

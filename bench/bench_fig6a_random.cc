@@ -21,7 +21,6 @@ int main(int argc, char** argv) {
       return 0;
     }
     config.Finalize();
-    const auto cell_sink = config.OpenCellSink();
 
     const model::LinearDvsModel cpu = workload::DefaultModel();
     const int task_counts[] = {2, 4, 6, 8, 10};

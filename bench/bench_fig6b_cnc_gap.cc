@@ -24,7 +24,6 @@ int main(int argc, char** argv) {
       return 0;
     }
     config.Finalize();
-    const auto cell_sink = config.OpenCellSink();
 
     const model::LinearDvsModel cpu = workload::DefaultModel();
     const double ratios[] = {0.1, 0.3, 0.5, 0.7, 0.9};

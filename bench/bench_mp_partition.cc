@@ -18,62 +18,42 @@
 // are energy per ms including the per-powered-core idle floor (mp/fleet.h);
 // the default non-zero --idle-power keeps every cell — m = 1 included — in
 // those units and gives consolidation-vs-spread a real trade-off.
-#include <algorithm>
 #include <iostream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
-#include "mp/partitioner.h"
 #include "util/error.h"
 #include "util/strings.h"
 #include "workload/presets.h"
-#include "workload/random_taskset.h"
 
 int main(int argc, char** argv) {
   using namespace dvs;
   bench::SweepConfig config;
   config.tasksets = 4;
   config.hyper_periods = 50;
-  std::string cores_flag = "1,2,4,8";
-  std::string partitioners_flag = "ffd,wfd,energy-greedy";
-  double idle_power = 0.05;
-  double per_core_utilization = 0.7;
+  bench::FleetFlags fleet;
+  fleet.cores = "1,2,4,8";
+  fleet.partitioners = "ffd,wfd,energy-greedy";
 
   util::ArgParser parser("bench_mp_partition",
                          "partitioned multi-core ACS vs WCS fleet energy");
   config.Register(parser);
-  parser.AddInt("replicates", &config.tasksets,
-                "random task sets per grid point (alias of --tasksets)");
-  parser.AddString("cores", &cores_flag, "comma-separated core counts");
-  parser.AddString("partitioners", &partitioners_flag,
-                   "comma-separated mp partitioners");
-  parser.AddDouble("idle-power", &idle_power,
-                   "always-on energy/ms floor per powered core");
-  parser.AddDouble("per-core-utilization", &per_core_utilization,
-                   "worst-case utilisation target per core");
+  fleet.Register(parser, config);
   try {
     if (!parser.Parse(argc, argv)) {
       return 0;
     }
     config.Finalize();
-    const auto cell_sink = config.OpenCellSink();
 
-    const std::vector<int> core_counts =
-        bench::ParsePositiveIntList("cores", cores_flag);
-    std::vector<std::string> partitioners;
-    for (const std::string& name : util::Split(partitioners_flag, ',')) {
-      if (!name.empty()) {
-        partitioners.push_back(name);
-      }
-    }
+    const std::vector<int> core_counts = fleet.CoreCounts();
+    const std::vector<std::string> partitioners = fleet.PartitionerList();
 
     const model::LinearDvsModel cpu = workload::DefaultModel();
 
     std::cout << "Partitioned multi-core sweep ("
-              << util::FormatPercent(per_core_utilization)
-              << " per core, idle floor " << idle_power << "/ms/core, "
+              << util::FormatPercent(fleet.per_core_utilization)
+              << " per core, idle floor " << fleet.idle_power << "/ms/core, "
               << config.tasksets << " sets/point, "
               << config.ResolvedThreads() << " threads)\n\n";
 
@@ -84,20 +64,12 @@ int main(int argc, char** argv) {
                         "deadline_misses", "failed_cells"});
 
     for (int m : core_counts) {
-      workload::RandomTaskSetOptions gen;
-      gen.num_tasks = std::max(6, 3 * m);
-      gen.bcec_wcec_ratio = 0.3;
-      gen.utilization = per_core_utilization * static_cast<double>(m);
-      gen.max_sub_instances = 350;  // per-core scale (pro-rata for m > 1)
-
       runner::ExperimentGrid grid = config.MakeGrid(
-          cpu,
-          {runner::RandomSource("random-m" + std::to_string(m), gen,
-                                config.tasksets)},
+          cpu, {fleet.Source(m, config.tasksets)},
           static_cast<std::uint64_t>(m));
       grid.core_counts = {m};
       grid.partitioners = partitioners;
-      grid.idle_power.power_per_ms = idle_power;
+      grid.idle_power.power_per_ms = fleet.idle_power;
 
       const runner::GridResult result = bench::RunGridTimed(
           grid, config, "cores-" + std::to_string(m));

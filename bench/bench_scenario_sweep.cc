@@ -26,7 +26,6 @@
 #include "util/error.h"
 #include "util/strings.h"
 #include "workload/presets.h"
-#include "workload/random_taskset.h"
 #include "workload/scenario.h"
 
 namespace {
@@ -43,35 +42,23 @@ int main(int argc, char** argv) {
   config.hyper_periods = 50;
   config.methods = "acs,wcs,greedy-reclaim";
   config.scenarios = kDefaultScenarios;
-  std::string sigmas_flag = "6,10";
-  std::string cores_flag = "1,4";
+  bench::FleetFlags fleet;
+  fleet.cores = "1,4";
+  fleet.sigmas = "6,10";
   std::string trace_csv;
-  double idle_power = 0.05;
-  double per_core_utilization = 0.7;
 
   util::ArgParser parser("bench_scenario_sweep",
                          "execution-time scenario sweep: scenario x sigma x "
                          "method x cores");
   config.Register(parser);
-  parser.AddInt("replicates", &config.tasksets,
-                "random task sets per grid point (alias of --tasksets)");
-  parser.AddString("sigmas", &sigmas_flag,
-                   "comma-separated sigma divisors (dispersion of the "
-                   "normal-based scenarios; sigma-insensitive scenarios "
-                   "like heavy-tail and trace run once at the first value)");
-  parser.AddString("cores", &cores_flag, "comma-separated core counts");
+  fleet.Register(parser, config);
   parser.AddString("trace-csv", &trace_csv,
                    "load this per-job fraction CSV as scenario "
                    "\"trace-file\" (appended to the default scenario list)");
-  parser.AddDouble("idle-power", &idle_power,
-                   "always-on energy/ms floor per powered core");
-  parser.AddDouble("per-core-utilization", &per_core_utilization,
-                   "worst-case utilisation target per core");
   try {
     if (!parser.Parse(argc, argv)) {
       return 0;
     }
-    config.Finalize();
 
     // A custom registry carries the optional loaded trace on top of the
     // built-ins; it must outlive every grid run below.
@@ -85,18 +72,16 @@ int main(int argc, char** argv) {
         config.scenarios += ",trace-file";
       }
     }
+    config.Finalize();
 
-    const auto cell_sink = config.OpenCellSink();
-    const std::vector<double> sigmas =
-        bench::ParsePositiveDoubleList("sigmas", sigmas_flag);
-    const std::vector<int> core_counts =
-        bench::ParsePositiveIntList("cores", cores_flag);
+    const std::vector<double> sigmas = fleet.SigmaList();
+    const std::vector<int> core_counts = fleet.CoreCounts();
     const std::vector<std::string> scenario_names = config.ScenarioList();
 
     const model::LinearDvsModel cpu = workload::DefaultModel();
 
     std::cout << "Execution-time scenario sweep ("
-              << util::FormatPercent(per_core_utilization)
+              << util::FormatPercent(fleet.per_core_utilization)
               << " per core, " << config.tasksets << " sets/point, "
               << config.ResolvedThreads() << " threads)\n\n";
 
@@ -106,55 +91,15 @@ int main(int argc, char** argv) {
                         "improvement_mean", "improvement_stddev",
                         "deadline_misses", "failed_cells"});
 
-    // The sigma axis only disperses the normal-based processes; scenarios
-    // reporting UsesSigmaDivisor() == false would compute byte-identical
-    // duplicate cells per sigma (and double-count them in the stats), so
-    // they run in a sibling grid pinned to the first sigma.  Both grids of
-    // one m share the master seed, sources and utilisation, hence the same
-    // SetIndex-keyed streams — the scenario columns stay paired across the
-    // split.
-    std::vector<std::string> sigma_scenarios;
-    std::vector<std::string> fixed_scenarios;
-    for (const std::string& name : scenario_names) {
-      (registry.Get(name).UsesSigmaDivisor() ? sigma_scenarios
-                                             : fixed_scenarios)
-          .push_back(name);
-    }
-
     for (int m : core_counts) {
-      workload::RandomTaskSetOptions gen;
-      gen.num_tasks = std::max(6, 3 * m);
-      gen.bcec_wcec_ratio = 0.3;
-      gen.utilization = per_core_utilization * static_cast<double>(m);
-      gen.max_sub_instances = 350;  // per-core scale (pro-rata for m > 1)
-      const runner::TaskSetSource source = runner::RandomSource(
-          "random-m" + std::to_string(m), gen, config.tasksets);
-
-      struct GridRun {
-        runner::ExperimentGrid grid;
-        runner::GridResult result;
-      };
-      std::vector<GridRun> runs;
-      const auto run_subset = [&](const std::vector<std::string>& subset,
-                                  const std::vector<double>& sigma_axis,
-                                  const std::string& label) {
-        if (subset.empty()) {
-          return;
-        }
-        runner::ExperimentGrid grid = config.MakeGrid(
-            cpu, {source}, static_cast<std::uint64_t>(m));
-        grid.core_counts = {m};
-        grid.scenario_registry = &registry;
-        grid.scenarios = subset;
-        grid.sigma_divisors = sigma_axis;
-        grid.idle_power.power_per_ms = idle_power;
-        runner::GridResult result =
-            bench::RunGridTimed(grid, config, label);
-        runs.push_back(GridRun{std::move(grid), std::move(result)});
-      };
-      run_subset(sigma_scenarios, sigmas, "cores-" + std::to_string(m));
-      run_subset(fixed_scenarios, {sigmas.front()},
-                 "cores-" + std::to_string(m) + "-fixed-sigma");
+      runner::ExperimentGrid grid = config.MakeGrid(
+          cpu, {fleet.Source(m, config.tasksets)},
+          static_cast<std::uint64_t>(m));
+      grid.core_counts = {m};
+      grid.scenario_registry = &registry;
+      grid.idle_power.power_per_ms = fleet.idle_power;
+      const std::size_t baseline = grid.BaselineIndex();
+      const std::size_t method = bench::FirstNonBaseline(grid);
 
       struct ScenarioAgg {
         stats::OnlineStats power;
@@ -163,39 +108,27 @@ int main(int argc, char** argv) {
         std::size_t failed = 0;
       };
       std::vector<ScenarioAgg> aggs(scenario_names.size());
-      const auto name_index = [&](const std::string& name) {
-        for (std::size_t s = 0; s < scenario_names.size(); ++s) {
-          if (scenario_names[s] == name) {
-            return s;
-          }
-        }
-        throw util::Error("scenario \"" + name + "\" missing from sweep");
-      };
-
-      for (const GridRun& run : runs) {
-        const std::size_t baseline = run.grid.BaselineIndex();
-        const std::size_t method = bench::FirstNonBaseline(run.grid);
-        for (const runner::CellResult& cell : run.result.cells) {
-          ScenarioAgg& agg = aggs[name_index(
-              run.grid.scenarios[cell.coord.scenario_index])];
-          if (!cell.ok()) {
-            ++agg.failed;
-            continue;
-          }
-          // Multi-core (or idle-floor) cells report energy/ms already;
-          // plain single-core cells report per hyper-period — normalise so
-          // the column compares across the cores axis.
-          double cell_power = cell.outcomes[method].measured_energy;
-          if (!run.grid.MultiCore()) {
-            cell_power /= static_cast<double>(cell.hyper_period);
-          }
-          agg.power.Add(cell_power);
-          agg.improvement.Add(cell.ImprovementOver(method, baseline));
-          for (const core::MethodOutcome& outcome : cell.outcomes) {
-            agg.misses += outcome.deadline_misses;
-          }
-        }
-      }
+      bench::RunScenarioSplit(
+          grid, sigmas, config, "cores-" + std::to_string(m),
+          [&](const runner::CellResult& cell, std::size_t s) {
+            ScenarioAgg& agg = aggs[s];
+            if (!cell.ok()) {
+              ++agg.failed;
+              return;
+            }
+            // Multi-core (or idle-floor) cells report energy/ms already;
+            // plain single-core cells report per hyper-period — normalise
+            // so the column compares across the cores axis.
+            double cell_power = cell.outcomes[method].measured_energy;
+            if (!grid.MultiCore()) {
+              cell_power /= static_cast<double>(cell.hyper_period);
+            }
+            agg.power.Add(cell_power);
+            agg.improvement.Add(cell.ImprovementOver(method, baseline));
+            for (const core::MethodOutcome& outcome : cell.outcomes) {
+              agg.misses += outcome.deadline_misses;
+            }
+          });
 
       for (std::size_t s = 0; s < scenario_names.size(); ++s) {
         const ScenarioAgg& agg = aggs[s];

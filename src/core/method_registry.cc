@@ -439,9 +439,6 @@ namespace {
 
 /// DP-dispatch count of a plan's policy (0 for non-expected-case policies).
 std::int64_t PolicyDpDispatches(const sim::AnyPolicy& policy) {
-  if (!policy.IsBuiltin()) {
-    return 0;
-  }
   if (const auto* expected =
           std::get_if<sim::ExpectedCasePolicy>(&policy.builtin())) {
     return expected->dp_dispatches();
@@ -471,6 +468,55 @@ std::int64_t DrawCount(const sim::SimResult& sim) {
   }
   return draws;
 }
+
+/// The outcome of one evaluation: the plan's offline fields plus the run's
+/// simulated totals, energies normalised per hyper-period.  `Run` is a
+/// sim::SimResult or the drift loop's RunTotals (same member names).
+template <typename Run>
+MethodOutcome AssembleOutcome(const MethodPlan& plan, const Run& run,
+                              std::int64_t hyper_periods) {
+  const double norm =
+      hyper_periods > 0 ? 1.0 / static_cast<double>(hyper_periods) : 0.0;
+  MethodOutcome outcome;
+  outcome.predicted_energy = plan.predicted_energy;
+  outcome.measured_energy =
+      hyper_periods > 0
+          ? run.total_energy / static_cast<double>(hyper_periods)
+          : 0.0;
+  outcome.deadline_misses = run.deadline_misses;
+  outcome.voltage_switches = run.voltage_switches;
+  outcome.used_fallback = plan.used_fallback;
+  outcome.solver_outer_iterations = plan.solver_outer_iterations;
+  outcome.solver_inner_iterations = plan.solver_inner_iterations;
+  outcome.solver_evaluations = plan.solver_evaluations;
+  outcome.solver_inner_capped = plan.solver_inner_capped;
+  outcome.idle_energy = run.idle_energy * norm;
+  outcome.sleep_energy = run.sleep_energy * norm;
+  outcome.sleep_time = run.sleep_time;
+  outcome.sleeps = run.sleeps;
+  return outcome;
+}
+
+/// A drift run's totals, summed over its one-hyper-period chunks.
+struct RunTotals {
+  double total_energy = 0.0;
+  std::int64_t deadline_misses = 0;
+  std::int64_t voltage_switches = 0;
+  double idle_energy = 0.0;
+  double sleep_energy = 0.0;
+  double sleep_time = 0.0;
+  std::int64_t sleeps = 0;
+
+  void Add(const sim::SimResult& sim) {
+    total_energy += sim.total_energy;
+    deadline_misses += sim.deadline_misses;
+    voltage_switches += sim.voltage_switches;
+    idle_energy += sim.idle_energy;
+    sleep_energy += sim.sleep_energy;
+    sleep_time += sim.sleep_time;
+    sleeps += sim.sleeps;
+  }
+};
 
 /// The drift-adaptive evaluation loop (MethodPlan::DriftSpec): simulate one
 /// hyper-period at a time against the *same* sampler and rng stream (so
@@ -510,29 +556,17 @@ MethodOutcome EvaluateWithDrift(MethodContext& context,
     ewma[i] = planned[i];
   }
 
-  double total_energy = 0.0;
-  std::int64_t misses = 0;
-  std::int64_t switches = 0;
+  RunTotals run;
   std::int64_t dp_dispatches = 0;
   std::int64_t replans = 0;
   std::int64_t draws = 0;
-  double idle_energy = 0.0;
-  double sleep_energy = 0.0;
-  double sleep_time = 0.0;
-  std::int64_t sleeps = 0;
   std::vector<double> scale(set.size(), 1.0);
 
   for (std::int64_t hp = 0; hp < options.hyper_periods; ++hp) {
     const sim::SimResult& sim =
         sim::Simulate(context.fps(), *schedule, context.dvs(), plan.policy,
                       *sampler, rng, chunk_options, engine);
-    total_energy += sim.total_energy;
-    misses += sim.deadline_misses;
-    switches += sim.voltage_switches;
-    idle_energy += sim.idle_energy;
-    sleep_energy += sim.sleep_energy;
-    sleep_time += sim.sleep_time;
-    sleeps += sim.sleeps;
+    run.Add(sim);
     draws += DrawCount(sim);
 
     // EWMA over this hyper-period's realised per-task mean cycles.
@@ -589,28 +623,7 @@ MethodOutcome EvaluateWithDrift(MethodContext& context,
   obs::Count(obs::metric::kDriftReplans, replans);
   obs::Count(obs::metric::kOnlineDpDispatches, dp_dispatches);
   obs::Count(obs::metric::kSamplerDraws, draws);
-
-  MethodOutcome outcome;
-  outcome.predicted_energy = plan.predicted_energy;
-  outcome.measured_energy =
-      options.hyper_periods > 0
-          ? total_energy / static_cast<double>(options.hyper_periods)
-          : 0.0;
-  outcome.deadline_misses = misses;
-  outcome.voltage_switches = switches;
-  outcome.used_fallback = plan.used_fallback;
-  outcome.solver_outer_iterations = plan.solver_outer_iterations;
-  outcome.solver_inner_iterations = plan.solver_inner_iterations;
-  outcome.solver_evaluations = plan.solver_evaluations;
-    outcome.solver_inner_capped = plan.solver_inner_capped;
-  const double norm = options.hyper_periods > 0
-                          ? 1.0 / static_cast<double>(options.hyper_periods)
-                          : 0.0;
-  outcome.idle_energy = idle_energy * norm;
-  outcome.sleep_energy = sleep_energy * norm;
-  outcome.sleep_time = sleep_time;
-  outcome.sleeps = sleeps;
-  return outcome;
+  return AssembleOutcome(plan, run, options.hyper_periods);
 }
 
 }  // namespace
@@ -681,25 +694,7 @@ std::vector<MethodOutcome> EvaluateMethods(
     if (const std::int64_t dp = PolicyDpDispatches(plan.policy)) {
       obs::Count(obs::metric::kOnlineDpDispatches, dp);
     }
-    MethodOutcome outcome;
-    outcome.predicted_energy = plan.predicted_energy;
-    outcome.measured_energy = sim->EnergyPerHyperPeriod(options.hyper_periods);
-    outcome.deadline_misses = sim->deadline_misses;
-    outcome.voltage_switches = sim->voltage_switches;
-    outcome.used_fallback = plan.used_fallback;
-    outcome.solver_outer_iterations = plan.solver_outer_iterations;
-    outcome.solver_inner_iterations = plan.solver_inner_iterations;
-    outcome.solver_evaluations = plan.solver_evaluations;
-    outcome.solver_inner_capped = plan.solver_inner_capped;
-    const double norm =
-        options.hyper_periods > 0
-            ? 1.0 / static_cast<double>(options.hyper_periods)
-            : 0.0;
-    outcome.idle_energy = sim->idle_energy * norm;
-    outcome.sleep_energy = sim->sleep_energy * norm;
-    outcome.sleep_time = sim->sleep_time;
-    outcome.sleeps = sim->sleeps;
-    outcomes.push_back(outcome);
+    outcomes.push_back(AssembleOutcome(plan, *sim, options.hyper_periods));
   }
   return outcomes;
 }

@@ -5,7 +5,7 @@
 //   offline — construct a feasible StaticSchedule for the task set (solve
 //             the ACS NLP, solve the WCS baseline, or build a closed-form
 //             schedule such as Vmax-ASAP);
-//   online  — the sim::DvsPolicy the engine dispatches through.
+//   online  — the sim::AnyPolicy the engine dispatches through.
 //
 // The registry decouples experiment drivers (core::CompareAcsWcs, the
 // runner subsystem, the benches) from the concrete strategy list: a new
@@ -167,10 +167,8 @@ class MethodContext {
 };
 
 /// The offline product of one method: a feasible static schedule plus the
-/// policy that dispatches it online.  Built-in methods hand the policy over
-/// by value (sim::AnyPolicy's variant fast path — the engine then dispatches
-/// it without virtual calls); external plugins still pass a
-/// std::unique_ptr<DvsPolicy> exactly as before.
+/// policy that dispatches it online, held by value (sim::AnyPolicy — the
+/// engine dispatches it without virtual calls).
 struct MethodPlan {
   sim::StaticSchedule schedule;
   sim::AnyPolicy policy;

@@ -1,7 +1,6 @@
 #include "core/pipeline.h"
 
 #include "core/method_registry.h"
-#include "sim/policy.h"
 #include "util/error.h"
 
 namespace dvs::core {
@@ -21,21 +20,6 @@ std::unique_ptr<model::WorkloadSampler> MakeRunSampler(
   }
   return std::make_unique<model::TruncatedNormalWorkload>(
       set, options.sigma_divisor);
-}
-
-sim::SimResult SimulateSchedule(const fps::FullyPreemptiveSchedule& fps,
-                                const sim::StaticSchedule& schedule,
-                                const model::DvsModel& dvs,
-                                const ExperimentOptions& options) {
-  const std::unique_ptr<model::WorkloadSampler> sampler =
-      MakeRunSampler(options, fps.task_set());
-  const sim::GreedyReclaimPolicy policy(dvs);
-  stats::Rng rng(options.seed);
-  sim::SimOptions sim_options;
-  sim_options.hyper_periods = options.hyper_periods;
-  sim_options.transition = options.transition;
-  return sim::Simulate(fps, schedule, dvs, policy, *sampler, rng,
-                       sim_options);
 }
 
 ComparisonResult CompareAcsWcs(const model::TaskSet& set,

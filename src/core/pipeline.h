@@ -180,7 +180,7 @@ struct ComparisonResult {
 /// when unset (the byte-compatible default).  Owning — one sampler serves
 /// one simulation run (the statefulness contract of model/workload.h);
 /// the single resolution point for everything that consumes
-/// ExperimentOptions (EvaluateMethods, SimulateSchedule).
+/// ExperimentOptions (EvaluateMethods).
 std::unique_ptr<model::WorkloadSampler> MakeRunSampler(
     const ExperimentOptions& options, const model::TaskSet& set);
 
@@ -191,13 +191,6 @@ std::unique_ptr<model::WorkloadSampler> MakeRunSampler(
 ComparisonResult CompareAcsWcs(const model::TaskSet& set,
                                const model::DvsModel& dvs,
                                const ExperimentOptions& options = {});
-
-/// Simulates one schedule under the paper's truncated-normal workload with
-/// the greedy-reclamation policy; returns energy per hyper-period.
-sim::SimResult SimulateSchedule(const fps::FullyPreemptiveSchedule& fps,
-                                const sim::StaticSchedule& schedule,
-                                const model::DvsModel& dvs,
-                                const ExperimentOptions& options);
 
 }  // namespace dvs::core
 

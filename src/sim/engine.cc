@@ -44,9 +44,9 @@ void ResetResult(SimResult& result, std::size_t task_count) {
   result.sampled_counts.assign(task_count, 0);
 }
 
-/// The engine loop, templated on the policy type so built-in policies
-/// dispatch without a virtual call per slice.  Identical logic for every
-/// instantiation; `Policy` only needs `Dispatch(const DispatchContext&)`.
+/// The engine loop, templated on the policy type so the per-slice dispatch
+/// is a direct call.  Identical logic for every instantiation; `Policy`
+/// only needs `Dispatch(const DispatchContext&)`.
 template <typename Policy>
 void SimulateLoop(const fps::FullyPreemptiveSchedule& fps,
                   const StaticSchedule& schedule, const model::DvsModel& dvs,
@@ -445,16 +445,6 @@ void SimulateLoop(const fps::FullyPreemptiveSchedule& fps,
 
 SimResult Simulate(const fps::FullyPreemptiveSchedule& fps,
                    const StaticSchedule& schedule,
-                   const model::DvsModel& dvs, const DvsPolicy& policy,
-                   const model::WorkloadSampler& sampler, stats::Rng& rng,
-                   const SimOptions& options) {
-  EngineWorkspace ws;
-  SimulateLoop(fps, schedule, dvs, policy, sampler, rng, options, ws);
-  return std::move(ws.result);
-}
-
-SimResult Simulate(const fps::FullyPreemptiveSchedule& fps,
-                   const StaticSchedule& schedule,
                    const model::DvsModel& dvs, const AnyPolicy& policy,
                    const model::WorkloadSampler& sampler, stats::Rng& rng,
                    const SimOptions& options) {
@@ -469,22 +459,12 @@ const SimResult& Simulate(const fps::FullyPreemptiveSchedule& fps,
                           const model::WorkloadSampler& sampler,
                           stats::Rng& rng, const SimOptions& options,
                           EngineWorkspace& workspace) {
-  if (policy.IsBuiltin()) {
-    std::visit(
-        [&](const auto& concrete) {
-          if constexpr (std::is_same_v<std::decay_t<decltype(concrete)>,
-                                       std::monostate>) {
-            ACS_REQUIRE(false, "AnyPolicy holds no policy");
-          } else {
-            SimulateLoop(fps, schedule, dvs, concrete, sampler, rng, options,
-                         workspace);
-          }
-        },
-        policy.builtin());
-  } else {
-    SimulateLoop(fps, schedule, dvs, policy.external(), sampler, rng, options,
-                 workspace);
-  }
+  std::visit(
+      [&](const auto& concrete) {
+        SimulateLoop(fps, schedule, dvs, concrete, sampler, rng, options,
+                     workspace);
+      },
+      policy.builtin());
   return workspace.result;
 }
 

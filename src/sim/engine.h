@@ -3,7 +3,7 @@
 // Simulates the frame-based RM system of paper §2.1 for a number of
 // hyper-periods: releases are the only preemption points, the
 // highest-dispatch-rank active instance runs, and the voltage of every
-// execution slice comes from the pluggable DvsPolicy.  Actual per-instance
+// execution slice comes from the online policy (sim/policy.h).  Actual per-instance
 // workloads are drawn from a WorkloadSampler at release time, so the same
 // engine measures the average-case scenario, the adversarial all-WCEC
 // scenario and any registered execution-time process
@@ -137,16 +137,9 @@ struct EngineWorkspace {
 
 /// Runs the simulation.  `schedule` supplies the per-sub-instance end-times
 /// and worst-case budgets consumed by the policy; `rng` drives workload
-/// sampling (pass a forked stream for reproducibility).
-SimResult Simulate(const fps::FullyPreemptiveSchedule& fps,
-                   const StaticSchedule& schedule,
-                   const model::DvsModel& dvs, const DvsPolicy& policy,
-                   const model::WorkloadSampler& sampler, stats::Rng& rng,
-                   const SimOptions& options = {});
-
-/// Same, dispatching an AnyPolicy: built-ins run a loop specialised to the
-/// concrete policy type (no virtual call per slice), external plugins take
-/// the virtual path.
+/// sampling (pass a forked stream for reproducibility).  The loop is
+/// specialised to the concrete policy type, so no call per slice is
+/// virtual.
 SimResult Simulate(const fps::FullyPreemptiveSchedule& fps,
                    const StaticSchedule& schedule,
                    const model::DvsModel& dvs, const AnyPolicy& policy,

@@ -304,20 +304,8 @@ StaticOnlyPolicy::StaticOnlyPolicy(const fps::FullyPreemptiveSchedule& fps,
 }
 
 DispatchDecision AnyPolicy::Dispatch(const DispatchContext& ctx) const {
-  if (external_ != nullptr) {
-    return external_->Dispatch(ctx);
-  }
   return std::visit(
-      [&ctx](const auto& policy) -> DispatchDecision {
-        if constexpr (std::is_same_v<std::decay_t<decltype(policy)>,
-                                     std::monostate>) {
-          ACS_REQUIRE(false, "AnyPolicy holds no policy");
-          return {};
-        } else {
-          return policy.Dispatch(ctx);
-        }
-      },
-      builtin_);
+      [&ctx](const auto& policy) { return policy.Dispatch(ctx); }, builtin_);
 }
 
 DispatchDecision StaticOnlyPolicy::Dispatch(const DispatchContext& ctx) const {

@@ -10,9 +10,7 @@
 #define ACS_SIM_POLICY_H
 
 #include <cstdint>
-#include <memory>
 #include <optional>
-#include <type_traits>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -48,12 +46,6 @@ struct DispatchDecision {
   std::optional<double> cycle_cap;
 };
 
-class DvsPolicy {
- public:
-  virtual ~DvsPolicy() = default;
-  virtual DispatchDecision Dispatch(const DispatchContext& ctx) const = 0;
-};
-
 /// The paper's online phase: stretch the remaining worst-case budget of the
 /// current sub-instance to its scheduled end-time; clamp into the voltage
 /// range.  Every sub-instance is gated at its segment start (its release):
@@ -67,7 +59,7 @@ class DvsPolicy {
 /// the processor through windows the offline plan reserved for lower-
 /// priority tasks and CAN MISS DEADLINES; it exists purely as the
 /// bench_ablation_policy counterfactual quantifying why the gate matters.
-class GreedyReclaimPolicy final : public DvsPolicy {
+class GreedyReclaimPolicy {
  public:
   explicit GreedyReclaimPolicy(const model::DvsModel& dvs,
                                bool allow_early_start = false)
@@ -76,7 +68,7 @@ class GreedyReclaimPolicy final : public DvsPolicy {
         vmax_(dvs.vmax()),
         allow_early_start_(allow_early_start) {}
 
-  DispatchDecision Dispatch(const DispatchContext& ctx) const override;
+  DispatchDecision Dispatch(const DispatchContext& ctx) const;
 
  private:
   const model::DvsModel* dvs_;
@@ -86,11 +78,11 @@ class GreedyReclaimPolicy final : public DvsPolicy {
 };
 
 /// No DVS at all: always run at Vmax (the energy ceiling reference).
-class VmaxPolicy final : public DvsPolicy {
+class VmaxPolicy {
  public:
   explicit VmaxPolicy(const model::DvsModel& dvs) : dvs_(&dvs) {}
 
-  DispatchDecision Dispatch(const DispatchContext& ctx) const override;
+  DispatchDecision Dispatch(const DispatchContext& ctx) const;
 
  private:
   const model::DvsModel* dvs_;
@@ -100,12 +92,12 @@ class VmaxPolicy final : public DvsPolicy {
 /// the voltage the offline schedule planned for the *worst-case* start, even
 /// when it actually starts early.  Quantifies how much of the win comes from
 /// the static end-times versus the online slack pass-through.
-class StaticOnlyPolicy final : public DvsPolicy {
+class StaticOnlyPolicy {
  public:
   StaticOnlyPolicy(const fps::FullyPreemptiveSchedule& fps,
                    const StaticSchedule& schedule, const model::DvsModel& dvs);
 
-  DispatchDecision Dispatch(const DispatchContext& ctx) const override;
+  DispatchDecision Dispatch(const DispatchContext& ctx) const;
 
  private:
   const model::DvsModel* dvs_;
@@ -140,7 +132,7 @@ class StaticOnlyPolicy final : public DvsPolicy {
 /// bins; the water-filling passes reuse the roots.  `task_scale` (optional,
 /// finite entries) stretches task i's calibrated law by scale[i] — the drift
 /// adaptor's cheap mid-run re-conditioning knob (Pr[f·X > x] = Pr[X > x/f]).
-class ExpectedCasePolicy final : public DvsPolicy {
+class ExpectedCasePolicy {
  public:
   /// Largest accepted `bins` (--online-dp-bins).
   static constexpr std::int64_t kMaxBins = 64;
@@ -154,7 +146,7 @@ class ExpectedCasePolicy final : public DvsPolicy {
                      std::int64_t bins,
                      const std::vector<double>* task_scale = nullptr);
 
-  DispatchDecision Dispatch(const DispatchContext& ctx) const override;
+  DispatchDecision Dispatch(const DispatchContext& ctx) const;
 
   /// Dispatches that went through the DP profile (vs degenerate fallbacks).
   std::int64_t dp_dispatches() const { return dp_dispatches_; }
@@ -193,20 +185,15 @@ class ExpectedCasePolicy final : public DvsPolicy {
   mutable std::int64_t dp_dispatches_ = 0;
 };
 
-/// The built-in policies as a closed variant.  The engine dispatches these
-/// without virtual calls: it visits the variant *once* per simulation and
-/// runs a loop specialised to the concrete policy type, so the per-slice
-/// Dispatch call inlines (see sim/engine.cc).  kNone marks an AnyPolicy
-/// holding an external plugin instead.
-using BuiltinPolicy =
-    std::variant<std::monostate, GreedyReclaimPolicy, VmaxPolicy,
-                 StaticOnlyPolicy, ExpectedCasePolicy>;
+/// The policies as a closed variant.  The engine visits the variant *once*
+/// per simulation and runs a loop specialised to the concrete policy type,
+/// so the per-slice Dispatch call inlines (see sim/engine.cc).
+using BuiltinPolicy = std::variant<GreedyReclaimPolicy, VmaxPolicy,
+                                   StaticOnlyPolicy, ExpectedCasePolicy>;
 
-/// A policy by value: either one of the built-ins (variant fast path) or an
-/// owned external DvsPolicy plugin (virtual dispatch, the extension point).
-/// Built-in construction is implicit so method implementations write
-/// `sim::GreedyReclaimPolicy(dvs)` where they previously wrote
-/// `std::make_unique<sim::GreedyReclaimPolicy>(dvs)` — no heap, no vtable.
+/// A policy by value.  Construction is implicit, so method implementations
+/// and callers write `sim::GreedyReclaimPolicy(dvs)` wherever an AnyPolicy
+/// is expected — no heap, no vtable.
 class AnyPolicy {
  public:
   AnyPolicy(GreedyReclaimPolicy policy) : builtin_(std::move(policy)) {}
@@ -214,27 +201,15 @@ class AnyPolicy {
   AnyPolicy(StaticOnlyPolicy policy) : builtin_(std::move(policy)) {}
   AnyPolicy(ExpectedCasePolicy policy) : builtin_(std::move(policy)) {}
 
-  /// External plugin path; accepts unique_ptr to any DvsPolicy subclass so
-  /// existing `std::make_unique<MyPolicy>(...)` call sites keep compiling.
-  template <typename P,
-            typename = std::enable_if_t<std::is_base_of_v<DvsPolicy, P>>>
-  AnyPolicy(std::unique_ptr<P> policy) : external_(std::move(policy)) {}
-
-  bool IsBuiltin() const { return external_ == nullptr; }
-
-  /// The builtin variant (monostate iff !IsBuiltin()).
+  /// The held policy as its variant.
   const BuiltinPolicy& builtin() const { return builtin_; }
 
-  /// The external plugin; requires !IsBuiltin().
-  const DvsPolicy& external() const { return *external_; }
-
-  /// Convenience dispatch through whichever representation is held — used
-  /// outside the engine's hot loop (the engine specialises instead).
+  /// Convenience dispatch through the held policy — used outside the
+  /// engine's hot loop (the engine specialises instead).
   DispatchDecision Dispatch(const DispatchContext& ctx) const;
 
  private:
   BuiltinPolicy builtin_;
-  std::unique_ptr<const DvsPolicy> external_;
 };
 
 }  // namespace dvs::sim

@@ -65,40 +65,6 @@ void OnlineStats::Merge(const OnlineStats& other) {
   count_ = total;
 }
 
-double PercentileSorted(const std::vector<double>& sorted, double q) {
-  ACS_REQUIRE(!sorted.empty(), "percentile of empty sample");
-  ACS_REQUIRE(q >= 0.0 && q <= 1.0, "percentile q must lie in [0, 1]");
-  if (sorted.size() == 1) {
-    return sorted.front();
-  }
-  const double position = q * static_cast<double>(sorted.size() - 1);
-  const std::size_t lower = static_cast<std::size_t>(position);
-  const double frac = position - static_cast<double>(lower);
-  if (lower + 1 >= sorted.size()) {
-    return sorted.back();
-  }
-  return sorted[lower] * (1.0 - frac) + sorted[lower + 1] * frac;
-}
-
-Summary Summarize(std::vector<double> samples) {
-  ACS_REQUIRE(!samples.empty(), "Summarize requires a non-empty sample");
-  std::sort(samples.begin(), samples.end());
-  OnlineStats acc;
-  for (double s : samples) {
-    acc.Add(s);
-  }
-  Summary out;
-  out.count = samples.size();
-  out.mean = acc.mean();
-  out.stddev = acc.stddev();
-  out.min = samples.front();
-  out.max = samples.back();
-  out.median = PercentileSorted(samples, 0.5);
-  out.p05 = PercentileSorted(samples, 0.05);
-  out.p95 = PercentileSorted(samples, 0.95);
-  return out;
-}
-
 Histogram::Histogram(double lo, double hi, std::size_t bins)
     : lo_(lo), hi_(hi), counts_(bins, 0) {
   ACS_REQUIRE(lo < hi, "Histogram requires lo < hi");

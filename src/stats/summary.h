@@ -31,24 +31,6 @@ class OnlineStats {
   double max_ = 0.0;
 };
 
-/// Batch descriptive statistics over a stored sample vector.
-struct Summary {
-  std::size_t count = 0;
-  double mean = 0.0;
-  double stddev = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-  double median = 0.0;
-  double p05 = 0.0;
-  double p95 = 0.0;
-};
-
-/// Computes a Summary; throws InvalidArgumentError on an empty sample.
-Summary Summarize(std::vector<double> samples);
-
-/// Linear-interpolated percentile of a *sorted* sample, q in [0, 1].
-double PercentileSorted(const std::vector<double>& sorted, double q);
-
 /// Fixed-width histogram for diagnostics.
 class Histogram {
  public:

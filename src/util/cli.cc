@@ -1,7 +1,9 @@
 #include "util/cli.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
@@ -123,6 +125,45 @@ bool ArgParser::Parse(int argc, const char* const* argv) {
     Assign(name, option, *value);
   }
   return true;
+}
+
+std::vector<std::pair<std::string, std::string>> ArgParser::Values() const {
+  std::vector<std::pair<std::string, std::string>> values;
+  std::vector<const void*> seen;
+  for (const std::string& name : order_) {
+    const Option& option = options_.at(name);
+    if (std::find(seen.begin(), seen.end(), option.target) != seen.end()) {
+      continue;  // an alias: listed under its first name
+    }
+    seen.push_back(option.target);
+    std::string text;
+    switch (option.kind) {
+      case Kind::kFlag:
+        text = *static_cast<const bool*>(option.target) ? "true" : "false";
+        break;
+      case Kind::kInt:
+        text = std::to_string(*static_cast<const std::int64_t*>(option.target));
+        break;
+      case Kind::kDouble: {
+        // The shortest %g text that parses back to the same double.
+        const double value = *static_cast<const double*>(option.target);
+        char buffer[32];
+        for (int digits = 15; digits <= 17; ++digits) {
+          std::snprintf(buffer, sizeof(buffer), "%.*g", digits, value);
+          if (std::strtod(buffer, nullptr) == value) {
+            break;
+          }
+        }
+        text = buffer;
+        break;
+      }
+      case Kind::kString:
+        text = *static_cast<const std::string*>(option.target);
+        break;
+    }
+    values.emplace_back(name, std::move(text));
+  }
+  return values;
 }
 
 std::string ArgParser::Usage() const {

@@ -10,6 +10,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace dvs::util {
@@ -33,6 +34,12 @@ class ArgParser {
   bool Parse(int argc, const char* const* argv);
 
   std::string Usage() const;
+
+  /// Every registered option with its current value as text, in
+  /// registration order; an alias of an earlier option (same target) is
+  /// left out, and doubles print in the shortest text that parses back
+  /// exactly.  Read after Parse() to record how a run was configured.
+  std::vector<std::pair<std::string, std::string>> Values() const;
 
   /// The program name given at construction (e.g. "bench_fig6a_random").
   const std::string& program() const { return program_; }

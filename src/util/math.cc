@@ -42,29 +42,9 @@ bool AlmostEqual(double a, double b, double abs_tol, double rel_tol) {
   return diff <= abs_tol + rel_tol * scale;
 }
 
-bool LessOrAlmostEqual(double a, double b, double tol) {
-  return a <= b + tol;
-}
-
 double Clamp(double value, double lo, double hi) {
   ACS_REQUIRE(lo <= hi, "Clamp requires lo <= hi");
   return std::min(std::max(value, lo), hi);
-}
-
-std::vector<double> Linspace(double lo, double hi, int count) {
-  ACS_REQUIRE(count >= 2, "Linspace requires count >= 2");
-  std::vector<double> points(static_cast<std::size_t>(count));
-  const double step = (hi - lo) / static_cast<double>(count - 1);
-  for (int i = 0; i < count; ++i) {
-    points[static_cast<std::size_t>(i)] = lo + step * i;
-  }
-  points.back() = hi;
-  return points;
-}
-
-double RelativeDifference(double a, double b, double eps) {
-  const double scale = std::max({std::fabs(a), std::fabs(b), eps});
-  return std::fabs(a - b) / scale;
 }
 
 }  // namespace dvs::util

@@ -22,17 +22,8 @@ std::int64_t LcmAll(const std::vector<std::int64_t>& values);
 bool AlmostEqual(double a, double b, double abs_tol = 1e-9,
                  double rel_tol = 1e-9);
 
-/// a <= b + tolerance (one-sided comparison for constraint checking).
-bool LessOrAlmostEqual(double a, double b, double tol = 1e-9);
-
 /// Clamps `value` into [lo, hi]; requires lo <= hi.
 double Clamp(double value, double lo, double hi);
-
-/// `count` evenly spaced samples covering [lo, hi] inclusive; count >= 2.
-std::vector<double> Linspace(double lo, double hi, int count);
-
-/// Relative difference |a-b| / max(|a|,|b|,eps) — used in gradient checks.
-double RelativeDifference(double a, double b, double eps = 1e-12);
 
 }  // namespace dvs::util
 

@@ -57,14 +57,6 @@ std::string FormatPercent(double fraction, int decimals) {
   return FormatDouble(fraction * 100.0, decimals) + "%";
 }
 
-std::string PadLeft(std::string_view text, std::size_t width) {
-  std::string out(text);
-  if (out.size() < width) {
-    out.insert(out.begin(), width - out.size(), ' ');
-  }
-  return out;
-}
-
 std::string PadRight(std::string_view text, std::size_t width) {
   std::string out(text);
   if (out.size() < width) {

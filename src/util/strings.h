@@ -26,8 +26,7 @@ std::string FormatDouble(double value, int decimals);
 /// Formats `value` as a percentage ("12.3%") with the given decimals.
 std::string FormatPercent(double fraction, int decimals = 1);
 
-/// Left/right-pads `text` with spaces to at least `width` characters.
-std::string PadLeft(std::string_view text, std::size_t width);
+/// Right-pads `text` with spaces to at least `width` characters.
 std::string PadRight(std::string_view text, std::size_t width);
 
 /// Lower-cases ASCII characters.

@@ -58,8 +58,7 @@ TEST(MethodRegistry, RejectsDuplicateAndEmptyNames) {
   class Dummy final : public ScheduleMethod {
    public:
     MethodPlan Plan(MethodContext& context) const override {
-      MethodPlan plan{context.VmaxAsap(),
-                      std::make_unique<sim::VmaxPolicy>(context.dvs()), 0.0,
+      MethodPlan plan{context.VmaxAsap(), sim::VmaxPolicy(context.dvs()), 0.0,
                       false};
       return plan;
     }

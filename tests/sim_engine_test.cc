@@ -31,7 +31,7 @@ struct Harness {
   explicit Harness(model::TaskSet s)
       : set(std::move(s)), cpu(workload::DefaultModel()), fps(set) {}
 
-  SimResult Run(const StaticSchedule& schedule, const DvsPolicy& policy,
+  SimResult Run(const StaticSchedule& schedule, const AnyPolicy& policy,
                 const model::WorkloadSampler& sampler,
                 std::int64_t hyper_periods = 1, bool trace = true) {
     stats::Rng rng(1234);

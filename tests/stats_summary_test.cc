@@ -64,34 +64,6 @@ TEST(OnlineStats, MergeWithEmpty) {
   EXPECT_DOUBLE_EQ(empty.mean(), 1.0);
 }
 
-TEST(Summarize, Percentiles) {
-  std::vector<double> samples;
-  for (int i = 1; i <= 100; ++i) {
-    samples.push_back(static_cast<double>(i));
-  }
-  const Summary s = Summarize(samples);
-  EXPECT_EQ(s.count, 100u);
-  EXPECT_DOUBLE_EQ(s.mean, 50.5);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 100.0);
-  EXPECT_NEAR(s.median, 50.5, 1e-12);
-  EXPECT_NEAR(s.p05, 5.95, 1e-12);
-  EXPECT_NEAR(s.p95, 95.05, 1e-12);
-}
-
-TEST(Summarize, RejectsEmpty) {
-  EXPECT_THROW(Summarize({}), util::InvalidArgumentError);
-}
-
-TEST(PercentileSorted, EdgeCases) {
-  const std::vector<double> one{5.0};
-  EXPECT_DOUBLE_EQ(PercentileSorted(one, 0.0), 5.0);
-  EXPECT_DOUBLE_EQ(PercentileSorted(one, 1.0), 5.0);
-  const std::vector<double> two{1.0, 3.0};
-  EXPECT_DOUBLE_EQ(PercentileSorted(two, 0.5), 2.0);
-  EXPECT_THROW(PercentileSorted(two, 1.5), util::InvalidArgumentError);
-}
-
 TEST(Histogram, BinsAndOverflow) {
   Histogram hist(0.0, 10.0, 5);
   hist.Add(-1.0);   // underflow

@@ -53,33 +53,11 @@ TEST(AlmostEqual, AbsoluteAndRelative) {
   EXPECT_TRUE(AlmostEqual(0.0, 0.0));
 }
 
-TEST(LessOrAlmostEqual, Tolerance) {
-  EXPECT_TRUE(LessOrAlmostEqual(1.0, 2.0));
-  EXPECT_TRUE(LessOrAlmostEqual(1.0, 1.0));
-  EXPECT_TRUE(LessOrAlmostEqual(1.0 + 5e-10, 1.0));
-  EXPECT_FALSE(LessOrAlmostEqual(1.1, 1.0));
-}
-
 TEST(Clamp, InsideAndOutside) {
   EXPECT_DOUBLE_EQ(Clamp(5.0, 0.0, 10.0), 5.0);
   EXPECT_DOUBLE_EQ(Clamp(-1.0, 0.0, 10.0), 0.0);
   EXPECT_DOUBLE_EQ(Clamp(11.0, 0.0, 10.0), 10.0);
   EXPECT_THROW(Clamp(0.0, 2.0, 1.0), InvalidArgumentError);
-}
-
-TEST(Linspace, EndpointsAndSpacing) {
-  const std::vector<double> pts = Linspace(0.0, 1.0, 5);
-  ASSERT_EQ(pts.size(), 5u);
-  EXPECT_DOUBLE_EQ(pts.front(), 0.0);
-  EXPECT_DOUBLE_EQ(pts.back(), 1.0);
-  EXPECT_DOUBLE_EQ(pts[2], 0.5);
-  EXPECT_THROW(Linspace(0.0, 1.0, 1), InvalidArgumentError);
-}
-
-TEST(RelativeDifference, Scales) {
-  EXPECT_DOUBLE_EQ(RelativeDifference(1.0, 1.0), 0.0);
-  EXPECT_NEAR(RelativeDifference(100.0, 101.0), 0.0099, 1e-4);
-  EXPECT_NEAR(RelativeDifference(0.0, 1e-15), 1e-15 / 1e-12, 1e-6);
 }
 
 }  // namespace
