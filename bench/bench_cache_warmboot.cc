@@ -181,14 +181,19 @@ int main(int argc, char** argv) {
     if (!parser.Parse(argc, argv)) {
       return 0;
     }
+    // Each phase writes its own cache_warmboot_<phase>.csv, so the shared
+    // output flags would be silently dropped: reject them instead.
+    if (!config.csv.empty() || !config.cell_csv.empty()) {
+      throw util::InvalidArgumentError(
+          "bench_cache_warmboot writes cache_warmboot_<phase>.csv per phase; "
+          "--csv and --cell-csv are not supported");
+    }
     // The phases open their own writable stores over the phase dirs; a
     // config-level store on the same dir would deadlock on the writer LOCK,
     // so --cache-dir names the bench's *root* instead of a shared store.
     const std::string cache_root =
         config.cache_dir.empty() ? "cache_warmboot.dir" : config.cache_dir;
     config.cache_dir.clear();
-    // Each phase streams its own cache_warmboot_<phase>.csv instead.
-    config.cell_csv.clear();
     config.Finalize();
 
     // Persist hit/miss deltas need a metrics registry; install one for the

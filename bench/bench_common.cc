@@ -62,18 +62,6 @@ void SweepConfig::Register(util::ArgParser& parser) {
   parser.AddDouble("drift-threshold", &online.drift_threshold,
                    "relative EWMA-vs-plan drift that triggers a warm-started "
                    "replan (acs-online-drift)");
-  parser.AddFlag("dpm", &dpm,
-                 "enable the leakage-aware DPM layer (sleep states, "
-                 "critical-speed floor, core reallocation)");
-  parser.AddString("sleep-state", &sleep_state,
-                   "DPM sleep-state preset: ideal | shallow | deep");
-  parser.AddDouble("critical-speed", &critical_speed,
-                   "critical-speed floor as a fraction of top speed "
-                   "(0 = derive from the model, < 0 = no floor)");
-  parser.AddFlag("dpm-no-realloc", &dpm_no_realloc,
-                 "disable the cross-hyper-period core reallocation pass");
-  parser.AddInt("realloc-after", &realloc_after,
-                "hyper-periods before the consolidated partition takes over");
   parser.AddFlag("paper", &paper,
                  "paper scale: 100 task sets, 1000 hyper-periods");
   parser.AddString("csv", &csv, "write results to this CSV file");
@@ -125,10 +113,11 @@ void SweepConfig::Finalize() {
     seeds = 20;
   }
   // Reject bad input before anything is created on disk.
-  ACS_REQUIRE(shard_count >= 1 && shard_index >= 0 &&
-                  shard_index < shard_count,
-              "--shard must lie in [0, --shard-count) and --shard-count "
-              "must be at least 1");
+  if (shard_count < 1 || shard_index < 0 || shard_index >= shard_count) {
+    throw util::InvalidArgumentError(
+        "--shard must lie in [0, --shard-count) and --shard-count must be "
+        "at least 1");
+  }
   WarmStartPolicy();
   // Install the requested telemetry before any worker thread exists (the
   // Logger-style install-before-spawn contract).  A manifest wants the
@@ -177,30 +166,24 @@ std::vector<std::string> NameList(const std::string& text) {
 
 std::vector<std::string> SweepConfig::MethodList() const {
   std::vector<std::string> list = NameList(methods);
-  ACS_REQUIRE(!list.empty(), "--methods must name at least one method");
+  if (list.empty()) {
+    throw util::InvalidArgumentError("--methods must name at least one method");
+  }
   return list;
 }
 
 std::vector<std::string> SweepConfig::ScenarioList() const {
   std::vector<std::string> list = NameList(scenarios);
-  ACS_REQUIRE(!list.empty(), "--scenarios must name at least one scenario");
+  if (list.empty()) {
+    throw util::InvalidArgumentError(
+        "--scenarios must name at least one scenario");
+  }
   return list;
 }
 
 bool SweepConfig::SweepsScenarios() const {
   const std::vector<std::string> list = ScenarioList();
   return list.size() != 1 || list.front() != "iid-normal";
-}
-
-dvs::dpm::Options SweepConfig::DpmOptions(const model::IdlePower& idle) const {
-  dvs::dpm::Options options;
-  options.enabled = dpm;
-  options.idle = idle;
-  options.sleep = dvs::dpm::ResolveSleepState(sleep_state, idle);
-  options.critical_speed = critical_speed;
-  options.reallocate = !dpm_no_realloc;
-  options.realloc_after = realloc_after;
-  return options;
 }
 
 core::WarmStartPolicy SweepConfig::WarmStartPolicy() const {
@@ -458,22 +441,28 @@ std::vector<T> ParsePositiveList(const std::string& flag,
     if (part.empty()) {
       continue;
     }
+    const auto bad = [&] {
+      return util::InvalidArgumentError(
+          "--" + flag + " entries must be positive numbers, got \"" + part +
+          "\"");
+    };
     T value{};
     std::size_t consumed = 0;
     try {
       value = convert(part, &consumed);
     } catch (const std::exception&) {  // stoi/stod invalid or out of range
-      throw util::InvalidArgumentError("--" + flag +
-                                       " entries must be positive numbers, "
-                                       "got \"" + part + "\"");
+      throw bad();
     }
-    ACS_REQUIRE(consumed == part.size() && value > T{0} &&
-                    std::isfinite(static_cast<double>(value)),
-                "--" + flag + " entries must be positive numbers, got \"" +
-                    part + "\"");
+    if (consumed != part.size() || !(value > T{0}) ||
+        !std::isfinite(static_cast<double>(value))) {
+      throw bad();
+    }
     values.push_back(value);
   }
-  ACS_REQUIRE(!values.empty(), "--" + flag + " must name at least one value");
+  if (values.empty()) {
+    throw util::InvalidArgumentError("--" + flag +
+                                     " must name at least one value");
+  }
   return values;
 }
 
@@ -506,6 +495,19 @@ void FleetFlags::Register(util::ArgParser& parser, SweepConfig& config) {
                      "always-on energy/ms floor per powered core");
     parser.AddDouble("per-core-utilization", &per_core_utilization,
                      "worst-case utilisation target per core");
+    parser.AddFlag("dpm", &config.dpm,
+                   "enable the leakage-aware DPM layer (sleep states, "
+                   "critical-speed floor, core reallocation)");
+    parser.AddString("sleep-state", &sleep_state,
+                     "DPM sleep-state preset: ideal | shallow | deep");
+    parser.AddDouble("critical-speed", &critical_speed,
+                     "critical-speed floor as a fraction of top speed "
+                     "(0 = derive from the model, < 0 = no floor)");
+    parser.AddFlag("dpm-no-realloc", &dpm_no_realloc,
+                   "disable the cross-hyper-period core reallocation pass");
+    parser.AddInt("realloc-after", &realloc_after,
+                  "hyper-periods before the consolidated partition takes "
+                  "over");
   }
   if (!partitioners.empty()) {
     parser.AddString("partitioners", &partitioners,
@@ -517,6 +519,17 @@ void FleetFlags::Register(util::ArgParser& parser, SweepConfig& config) {
                      "scenarios such as heavy-tail and trace run once, at "
                      "the first value)");
   }
+}
+
+void FleetFlags::Apply(const SweepConfig& config,
+                       runner::ExperimentGrid& grid) const {
+  grid.idle_power.power_per_ms = idle_power;
+  grid.dpm.enabled = config.dpm;
+  grid.dpm.idle = grid.idle_power;
+  grid.dpm.sleep = dvs::dpm::ResolveSleepState(sleep_state, grid.idle_power);
+  grid.dpm.critical_speed = critical_speed;
+  grid.dpm.reallocate = !dpm_no_realloc;
+  grid.dpm.realloc_after = realloc_after;
 }
 
 std::vector<int> FleetFlags::CoreCounts() const {

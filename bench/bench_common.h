@@ -126,24 +126,12 @@ struct SweepConfig {
   /// (--online-dp-bins, --drift-ewma, --drift-threshold), read only by the
   /// acs-online / acs-online-drift arms.
   core::OnlineOptions online;
-  /// Leakage-aware DPM layer (--dpm): sleep states across break-even idle
-  /// intervals, a critical-speed dispatch floor and cross-hyper-period core
-  /// reallocation.  Off keeps every bench byte-identical to the pre-DPM
-  /// tree.  Enabling it also adds the DPM ledger columns to --cell-csv.
+  /// Leakage-aware DPM layer (--dpm, registered by FleetFlags): sleep
+  /// states across break-even idle intervals, a critical-speed dispatch
+  /// floor and cross-hyper-period core reallocation.  Off keeps every
+  /// bench byte-identical to the pre-DPM tree.  Enabling it also adds the
+  /// DPM ledger columns to --cell-csv.
   bool dpm = false;
-  /// Sleep-state preset (--sleep-state): ideal | shallow | deep, resolved
-  /// against the bench's idle floor by dpm::ResolveSleepState.
-  std::string sleep_state = "deep";
-  /// Critical-speed floor request (--critical-speed): 0 derives it from the
-  /// model and idle floor, > 0 forces that fraction of top speed, < 0
-  /// disables the floor (see dpm::Options::critical_speed).
-  double critical_speed = 0.0;
-  /// Disables the cross-hyper-period reallocation pass (--dpm-no-realloc);
-  /// on by default under --dpm.
-  bool dpm_no_realloc = false;
-  /// Hyper-periods run on the original partition before the consolidated
-  /// one takes over (--realloc-after).
-  std::int64_t realloc_after = 1;
   bool paper = false;               // restore the paper's full scale
   std::string csv;                  // optional CSV output path (aggregates)
 
@@ -239,12 +227,6 @@ struct SweepConfig {
   /// `warm_start` parsed; throws InvalidArgumentError on unknown text.
   core::WarmStartPolicy WarmStartPolicy() const;
 
-  /// The DPM options the --dpm flags describe, resolved against `idle` (the
-  /// bench's per-core floor): sleep preset, critical-speed request,
-  /// reallocation knobs.  `enabled` mirrors --dpm, so benches can assign
-  /// the result to ExperimentGrid::dpm unconditionally.
-  dvs::dpm::Options DpmOptions(const model::IdlePower& idle) const;
-
   /// Worker count after resolving 0 to the hardware thread count.
   std::int64_t ResolvedThreads() const;
 
@@ -277,17 +259,30 @@ struct SweepConfig {
 /// count (bench_mp_partition, bench_dpm_sleep, bench_scenario_sweep,
 /// bench_scenario_planning, bench_online_adaptive).  Each bench sets its
 /// defaults before Register(); a list left empty is not registered, and
-/// --idle-power / --per-core-utilization come with --cores.
+/// --idle-power, --per-core-utilization and the DPM flags come with
+/// --cores.
 struct FleetFlags {
   std::string cores;               // --cores: comma-separated core counts
   std::string partitioners;        // --partitioners: mp partitioner names
   std::string sigmas;              // --sigmas: sigma divisors
   double idle_power = 0.05;        // --idle-power: energy/ms per core
   double per_core_utilization = 0.7;  // --per-core-utilization
+  /// DPM knobs, read when --dpm (SweepConfig::dpm) is on: the sleep-state
+  /// preset (--sleep-state: ideal | shallow | deep), the critical-speed
+  /// floor request (--critical-speed; see dpm::Options::critical_speed),
+  /// --dpm-no-realloc and --realloc-after.
+  std::string sleep_state = "deep";
+  double critical_speed = 0.0;
+  bool dpm_no_realloc = false;
+  std::int64_t realloc_after = 1;
 
   /// Registers --replicates (an alias of config.tasksets) and the flags
-  /// above that the bench gave a default.
+  /// above that the bench gave a default; --dpm sets config.dpm.
   void Register(util::ArgParser& parser, SweepConfig& config);
+
+  /// Sets `grid`'s idle floor (--idle-power) and its DPM layer: enabled
+  /// with config.dpm, the sleep preset resolved against the idle floor.
+  void Apply(const SweepConfig& config, runner::ExperimentGrid& grid) const;
 
   std::vector<int> CoreCounts() const;
   std::vector<std::string> PartitionerList() const;  // empty fields dropped

@@ -16,6 +16,7 @@
 // zero: timed sleeps never move a dispatch, and the reallocator preserves
 // exact RM admission).
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -53,19 +54,21 @@ int main(int argc, char** argv) {
     const std::vector<std::string> partitioners = fleet.PartitionerList();
 
     const model::LinearDvsModel cpu = workload::DefaultModel();
-    const model::IdlePower idle{fleet.idle_power};
-    const dvs::dpm::Options dpm_options = config.DpmOptions(idle);
-    // Driver-owned critical-speed floor: one wrapper for the whole run, so
-    // solve caches keyed by model identity stay coherent (dpm/dpm.h).
-    const dvs::dpm::CriticalSpeedFloor floor(cpu, dpm_options);
+    // The on-grid evaluates under the floored model RunGrid derives from
+    // its DPM options; resolve it here only to report the floor.
+    runner::ExperimentGrid probe;
+    fleet.Apply(config, probe);
+    const std::unique_ptr<const model::DvsModel> floored =
+        dvs::dpm::FlooredModel(cpu, probe.dpm);
 
     std::cout << "Leakage-aware DPM sweep ("
               << util::FormatPercent(fleet.per_core_utilization)
               << " per core, idle floor " << fleet.idle_power
               << "/ms/core, sleep \""
-              << config.sleep_state << "\", "
-              << (floor.active()
-                      ? "speed floor " + util::FormatDouble(floor.speed_floor(), 3)
+              << fleet.sleep_state << "\", "
+              << (floored != nullptr
+                      ? "speed floor " +
+                            util::FormatDouble(floored->MinSpeed(), 3)
                       : std::string("no speed floor"))
               << ", " << config.tasksets << " sets/point, "
               << config.ResolvedThreads() << " threads)\n\n";
@@ -82,19 +85,15 @@ int main(int argc, char** argv) {
 
       // Sibling grids from one master seed: identical task-set draws and
       // workload streams, differing only in the DPM layer (and the floored
-      // model the on-grid evaluates under).
-      runner::ExperimentGrid off_grid = config.MakeGrid(
-          cpu, {source}, static_cast<std::uint64_t>(m));
-      off_grid.core_counts = {m};
-      off_grid.partitioners = partitioners;
-      off_grid.idle_power = idle;
-
+      // model RunGrid evaluates the on-grid under).
       runner::ExperimentGrid on_grid = config.MakeGrid(
-          floor.model(), {source}, static_cast<std::uint64_t>(m));
+          cpu, {source}, static_cast<std::uint64_t>(m));
       on_grid.core_counts = {m};
       on_grid.partitioners = partitioners;
-      on_grid.idle_power = idle;
-      on_grid.dpm = dpm_options;
+      fleet.Apply(config, on_grid);
+
+      runner::ExperimentGrid off_grid = on_grid;
+      off_grid.dpm.enabled = false;
 
       const runner::GridResult off = bench::RunGridTimed(
           off_grid, config, "dpm-off-m" + std::to_string(m));

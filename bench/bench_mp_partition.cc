@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
           static_cast<std::uint64_t>(m));
       grid.core_counts = {m};
       grid.partitioners = partitioners;
-      grid.idle_power.power_per_ms = fleet.idle_power;
+      fleet.Apply(config, grid);
 
       const runner::GridResult result = bench::RunGridTimed(
           grid, config, "cores-" + std::to_string(m));

@@ -179,7 +179,7 @@ int main(int argc, char** argv) {
           static_cast<std::uint64_t>(m));
       grid.core_counts = {m};
       grid.scenario_registry = &registry;
-      grid.idle_power.power_per_ms = fleet.idle_power;
+      fleet.Apply(config, grid);
       bench::AppendArmRows(grid, m, sigmas, config, "acs-scenario", table, csv);
     }
     bench::Emit(table, csv, config);

@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
           cpu, {fleet.Source(m, config.tasksets)},
           static_cast<std::uint64_t>(m));
       grid.core_counts = {m};
-      grid.idle_power.power_per_ms = fleet.idle_power;
+      fleet.Apply(config, grid);
       bench::AppendArmRows(grid, m, sigmas, config, "wcs", table, csv);
     }
     bench::Emit(table, csv, config);

@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
           static_cast<std::uint64_t>(m));
       grid.core_counts = {m};
       grid.scenario_registry = &registry;
-      grid.idle_power.power_per_ms = fleet.idle_power;
+      fleet.Apply(config, grid);
       const std::size_t baseline = grid.BaselineIndex();
       const std::size_t method = bench::FirstNonBaseline(grid);
 

@@ -12,7 +12,7 @@
 //   objective_scratch()  EnergyObjective forward/reverse buffers
 //   engine()             sim::Simulate tables, active set and result
 //   realisation()        the shared workload draws of EvaluateMethods
-//   Prepare(key, set)    per-task-set cache: the FPS expansion plus the
+//   Prepare(set, ...)    per-task-set cache: the FPS expansion plus the
 //                        lazily solved WCS / ACS / Vmax-ASAP results
 //
 // Ownership and thread affinity: one workspace per thread, period.  Nothing
@@ -24,16 +24,22 @@
 // are deterministic functions of the task set, model and options — which is
 // also why the 1-thread-vs-N-thread determinism tests stay exact even
 // though thread count changes which worker's cache serves which cell).
+//
+// Identity: entries are found by content, with the key and exact-match
+// predicate of the persistent store (core/solve_store.h:
+// SolveStoreEntryKey, SameSolveInputs).  An entry records the model's
+// ModelDescriptor, never its address, so two model objects with equal
+// parameters share an entry and no model has to outlive the workspace.
 #ifndef ACS_CORE_EVAL_WORKSPACE_H
 #define ACS_CORE_EVAL_WORKSPACE_H
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "core/formulation.h"
 #include "core/scheduler.h"
+#include "core/solve_store.h"
 #include "fps/expansion.h"
 #include "model/task.h"
 #include "opt/workspace.h"
@@ -41,45 +47,21 @@
 
 namespace dvs::core {
 
-class SolveStore;  // core/solve_store.h
-
-/// Exact structural equality (names, periods, and bitwise-equal cycle
-/// demands).  Prepare() trusts a cache entry only when this holds, so a key
-/// collision across different grids degrades to a rebuild, never to a wrong
-/// result.
-bool SameTaskSet(const model::TaskSet& a, const model::TaskSet& b);
-
-/// Exact (bitwise) equality of every solver-relevant field, including the
-/// nested ALM/SPG options — the second half of Prepare()'s hit condition.
-bool SameSchedulerOptions(const SchedulerOptions& a, const SchedulerOptions& b);
-
-/// Derives the cache key of a task subset from its parent set's key and the
-/// owned task indices (FNV-1a).  mp::EvaluateFleet keys per-core solve
-/// caches with this, so two cells whose partitioners assign the same tasks
-/// to some core share that core's WCS/ACS solves — regardless of which core
-/// index carried them.
-std::uint64_t SubsetKey(std::uint64_t base,
-                        const std::vector<model::TaskIndex>& owned);
-
 class EvalWorkspace {
  public:
   /// Cached per-task-set state.  Owns a copy of the set (the expansion
   /// points into it), the expansion itself, and the lazy solve cache that
   /// MethodContext fills on first use.  The solves depend on the DVS model
-  /// and scheduler options as well as the set, so the entry records both
-  /// and a hit requires them to match (model by identity, options by
-  /// value) — sharing workspaces across grids that differ in either
-  /// degrades to a rebuild, never to stale solves.  The model is held
-  /// non-owning (like ExperimentGrid::dvs): it must outlive every workspace
-  /// that cached solves under it, or a recycled address could masquerade as
-  /// the original model.
+  /// and scheduler options as well as the set, so the entry records all
+  /// three by content: `content_key` is their SolveStoreEntryKey (0 for a
+  /// model DescribeModel does not know, which never hits).
   struct PreparedCell {
-    PreparedCell(std::uint64_t key, model::TaskSet set,
-                 const model::DvsModel& dvs, const SchedulerOptions& scheduler);
+    PreparedCell(std::uint64_t content_key, model::TaskSet set,
+                 ModelDescriptor model, const SchedulerOptions& scheduler);
 
-    std::uint64_t key;
+    std::uint64_t content_key;
     model::TaskSet set;
-    const model::DvsModel* dvs;
+    ModelDescriptor model;
     SchedulerOptions scheduler;
     fps::FullyPreemptiveSchedule fps;  // references `set`; do not move
     SolveCache solves;
@@ -96,28 +78,14 @@ class EvalWorkspace {
   /// context and replays to every later arm.
   std::vector<model::RecordedDraw>& realisation() { return realisation_; }
 
-  /// Returns the prepared state for (`key`, `set`, `dvs`, `scheduler`): a
-  /// hit when the key matches, the sets are structurally identical, the
-  /// model is the same object and the scheduler options are equal;
-  /// otherwise a build that may evict the least-recently-used entry
-  /// (invalidating references returned for it).  `key` is the caller's
-  /// task-set identity — runner::RunGrid uses the grid SetIndex (so all
-  /// cells of one set share the entry) and mp::EvaluateFleet uses
-  /// SubsetKey per core.  A stale key whose inputs no longer match
-  /// degrades to a rebuild, never a wrong hit.
-  PreparedCell& Prepare(std::uint64_t key, const model::TaskSet& set,
-                        const model::DvsModel& dvs,
+  /// Returns the prepared state for (`set`, `dvs`, `scheduler`): a hit
+  /// when a resident entry has the same content key and SameSolveInputs
+  /// holds; otherwise a build — pre-seeded from the attached store under
+  /// the same key — that may evict the least-recently-used entry
+  /// (invalidating references returned for it).  A model with no
+  /// descriptor (tag 0) always builds.
+  PreparedCell& Prepare(const model::TaskSet& set, const model::DvsModel& dvs,
                         const SchedulerOptions& scheduler);
-
-  /// Prepare for the subset of `parent` owning tasks `owned` (the
-  /// mp::EvaluateFleet per-core path).  Equivalent to
-  /// Prepare(key, SubTaskSet(parent, owned), ...) but verifies a cache hit
-  /// field-by-field against the parent set, so the steady-state hit path
-  /// materialises no TaskSet at all.
-  PreparedCell& PrepareSubset(std::uint64_t key, const model::TaskSet& parent,
-                              const std::vector<model::TaskIndex>& owned,
-                              const model::DvsModel& dvs,
-                              const SchedulerOptions& scheduler);
 
   /// Attaches (or detaches, with nullptr) a persistent solve store.  Every
   /// Prepare() miss then pre-seeds its fresh entry from the store, and
@@ -159,16 +127,6 @@ class EvalWorkspace {
   /// core-count x partitioner axes), so a few dozen entries cover it.
   static constexpr std::size_t kPreparedCapacity = 48;
 
-  /// Moves a hit to the MRU front; returns nullptr on miss.
-  PreparedCell* Find(std::uint64_t key, const model::DvsModel& dvs,
-                     const SchedulerOptions& scheduler,
-                     const std::function<bool(const model::TaskSet&)>& same);
-
-  /// Inserts a fresh entry at the MRU front, evicting if at capacity.
-  PreparedCell& Insert(std::uint64_t key, model::TaskSet set,
-                       const model::DvsModel& dvs,
-                       const SchedulerOptions& scheduler);
-
   /// Evicts LRU entries while over the count cap or the byte budget
   /// (keeping at least the MRU entry), absorbing each evictee into the
   /// attached store; refreshes the resident-bytes gauge.  An MRU entry
@@ -182,8 +140,7 @@ class EvalWorkspace {
   sim::EngineWorkspace engine_;
   std::vector<model::RecordedDraw> realisation_;
   std::vector<std::unique_ptr<PreparedCell>> prepared_;  // MRU order
-  std::vector<model::TaskIndex> owned_scratch_;  // PrepareSubset sort buffer
-  SolveStore* store_ = nullptr;                  // non-owning, may be null
+  SolveStore* store_ = nullptr;  // non-owning, may be null
   std::size_t prepared_budget_bytes_ = kDefaultPreparedBudgetBytes;
 };
 

@@ -98,8 +98,9 @@ struct ExperimentOptions {
   /// Online expected-case dispatch + drift replanning knobs.
   OnlineOptions online;
   /// Leakage-aware DPM layer (dpm/options.h): sleep states across
-  /// break-even idle intervals, the critical-speed floor (applied by the
-  /// driver via dpm::CriticalSpeedFloor), cross-hyper-period reallocation.
+  /// break-even idle intervals, the critical-speed floor (applied by
+  /// runner::RunGrid via dpm::FlooredModel), cross-hyper-period
+  /// reallocation.
   /// Disabled by default; every consumer's DPM-off path is byte-identical
   /// to the pre-DPM pipeline.
   dpm::Options dpm;

@@ -15,7 +15,6 @@
 #include <sys/types.h>
 #include <unistd.h>
 
-#include "core/eval_workspace.h"
 #include "fps/expansion.h"
 #include "obs/metrics.h"
 #include "util/binary_io.h"
@@ -472,6 +471,48 @@ std::uint64_t SchedulerOptionsFingerprint(const SchedulerOptions& options) {
   return util::Fnv1a(out.bytes());
 }
 
+bool SameTaskSet(const model::TaskSet& a, const model::TaskSet& b) {
+  if (a.size() != b.size() || a.hyper_period() != b.hyper_period()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const model::Task& ta = a.task(i);
+    const model::Task& tb = b.task(i);
+    if (ta.name != tb.name || ta.period != tb.period || ta.wcec != tb.wcec ||
+        ta.acec != tb.acec || ta.bcec != tb.bcec) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool SameSchedulerOptions(const SchedulerOptions& a, const SchedulerOptions& b) {
+  const opt::AlmOptions& x = a.alm;
+  const opt::AlmOptions& y = b.alm;
+  const opt::SpgOptions& p = x.inner;
+  const opt::SpgOptions& q = y.inner;
+  return x.max_outer == y.max_outer &&
+         x.feasibility_tol == y.feasibility_tol &&
+         x.initial_penalty == y.initial_penalty &&
+         x.penalty_growth == y.penalty_growth &&
+         x.max_penalty == y.max_penalty &&
+         x.violation_shrink == y.violation_shrink &&
+         x.inner_tol_start == y.inner_tol_start &&
+         p.max_iterations == q.max_iterations && p.tolerance == q.tolerance &&
+         p.history == q.history && p.armijo_c == q.armijo_c &&
+         p.step_min == q.step_min && p.step_max == q.step_max &&
+         p.backtrack == q.backtrack && p.max_backtracks == q.max_backtracks;
+}
+
+bool SameSolveInputs(const model::TaskSet& a_set, const ModelDescriptor& a_model,
+                     const SchedulerOptions& a_scheduler,
+                     const model::TaskSet& b_set, const ModelDescriptor& b_model,
+                     const SchedulerOptions& b_scheduler) {
+  return a_model.Persistable() && a_model == b_model &&
+         SameSchedulerOptions(a_scheduler, b_scheduler) &&
+         SameTaskSet(a_set, b_set);
+}
+
 std::uint64_t SolveStoreEntryKey(const model::TaskSet& set,
                                  const ModelDescriptor& model,
                                  const SchedulerOptions& scheduler) {
@@ -693,16 +734,22 @@ std::string SolveStore::EntryPath(std::uint64_t key) const {
 std::optional<StoredCell> SolveStore::Load(
     const model::TaskSet& set, const ModelDescriptor& model,
     const SchedulerOptions& scheduler) const {
+  return Load(SolveStoreEntryKey(set, model, scheduler), set, model,
+              scheduler);
+}
+
+std::optional<StoredCell> SolveStore::Load(
+    std::uint64_t key, const model::TaskSet& set, const ModelDescriptor& model,
+    const SchedulerOptions& scheduler) const {
   if (!model.Persistable()) {
     return std::nullopt;
   }
-  const std::uint64_t key = SolveStoreEntryKey(set, model, scheduler);
   {
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = absorbed_.find(key);
-    if (it != absorbed_.end() && SameTaskSet(it->second.set, set) &&
-        it->second.model == model &&
-        SameSchedulerOptions(it->second.scheduler, scheduler)) {
+    if (it != absorbed_.end() &&
+        SameSolveInputs(it->second.set, it->second.model,
+                        it->second.scheduler, set, model, scheduler)) {
       CountPersist(obs::metric::kPersistHits);
       return it->second;
     }
@@ -714,9 +761,8 @@ std::optional<StoredCell> SolveStore::Load(
   }
   try {
     StoredCell cell = DeserializeStoredCell(bytes);
-    if (cell.EntryKey() != key || !SameTaskSet(cell.set, set) ||
-        cell.model != model ||
-        !SameSchedulerOptions(cell.scheduler, scheduler)) {
+    if (!SameSolveInputs(cell.set, cell.model, cell.scheduler, set, model,
+                         scheduler)) {
       // Foreign fingerprint: a structurally valid file that answers a
       // different question (renamed file, colliding key, stale grid).
       CountPersist(obs::metric::kPersistRejects);
@@ -764,9 +810,8 @@ std::size_t SolveStore::WriteBack() {
     if (ReadFileBytes(path, &bytes)) {
       try {
         const StoredCell disk = DeserializeStoredCell(bytes);
-        if (disk.EntryKey() == key && SameTaskSet(disk.set, cell.set) &&
-            disk.model == cell.model &&
-            SameSchedulerOptions(disk.scheduler, cell.scheduler)) {
+        if (SameSolveInputs(disk.set, disk.model, disk.scheduler, cell.set,
+                            cell.model, cell.scheduler)) {
           MergeCells(cell, disk);  // accumulate across runs
         }
       } catch (const util::Error&) {

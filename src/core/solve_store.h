@@ -9,14 +9,17 @@
 // extending an axis, or picking up a different shard window only solves
 // genuinely new cells.
 //
-// Keying and verification mirror the in-memory caches exactly:
+// Keying and verification are shared with the in-memory cache
+// (core::EvalWorkspace::Prepare): one content identity serves memory and
+// disk.
 //
-//   entry key  = FNV(schema version x task-set content hash x DvsModel
-//                parameter hash x solver-option hash)  -> the file name;
-//   on load    every fingerprint match is re-verified against the *exact*
-//                values (structural task-set equality, concrete model
-//                parameters, every solver option field), and each planned
-//                solve inside the entry is additionally keyed by its
+//   entry key  = SolveStoreEntryKey: FNV(schema version x task-set content
+//                hash x DvsModel parameter hash x solver-option hash) ->
+//                the file name and the workspace's lookup key;
+//   on a hit   every key match is re-verified by SameSolveInputs against
+//                the *exact* values (structural task-set equality, concrete
+//                model parameters, every solver option field), and each
+//                planned solve inside the entry is additionally keyed by its
 //                PlanningPoint (exact values + chain ancestry) when
 //                core::MethodContext looks it up — so a hash collision, a
 //                renamed file or a foreign cache degrades to a re-solve,
@@ -26,9 +29,9 @@
 // is either part of the key (task set, model parameters, solver options,
 // planning point, chain) or covered by kSolveStoreSchemaVersion, which must
 // be bumped whenever solver arithmetic or the serialization layout changes.
-// DvsModel subclasses unknown to DescribeModel are simply not persistable
-// (Load/Absorb become no-ops) — an unknown model can never alias a known
-// one.
+// DvsModel subclasses unknown to DescribeModel have no content identity:
+// they are never cached across calls (Load/Absorb become no-ops and
+// Prepare never hits) — an unknown model can never alias a known one.
 //
 // Concurrency: one writer per directory, enforced with an O_EXCL LOCK file
 // (two shards pointed at the same writable cache dir hard-error; read-only
@@ -63,12 +66,12 @@ namespace dvs::core {
 /// options carry no ACS warm-start byte (ACS always starts from the WCS).
 inline constexpr std::uint32_t kSolveStoreSchemaVersion = 3;
 
-/// Concrete-parameter description of a DvsModel — the model's persistable
-/// identity.  DescribeModel recognises the three library models by
-/// dynamic_cast and records their exact constructor parameters; an unknown
-/// subclass yields tag 0 (not persistable), so probing SpeedAt at sample
-/// points — which could alias two models that merely agree at the probes —
-/// is never used as identity.
+/// Concrete-parameter description of a DvsModel — the model's content
+/// identity in both solve caches.  DescribeModel recognises the three
+/// library models by dynamic_cast and records their exact constructor
+/// parameters; an unknown subclass yields tag 0 (not persistable), so
+/// probing SpeedAt at sample points — which could alias two models that
+/// merely agree at the probes — is never used as identity.
 struct ModelDescriptor {
   std::uint8_t tag = 0;  // 0 unknown, 1 linear, 2 alpha, 3 discrete
   std::vector<double> params;
@@ -101,12 +104,30 @@ std::uint64_t TaskSetFingerprint(const model::TaskSet& set);
 std::uint64_t ModelFingerprint(const ModelDescriptor& model);
 std::uint64_t SchedulerOptionsFingerprint(const SchedulerOptions& options);
 
-/// The entry key = file identity of one (task set, model, solver options)
-/// cell under the current schema version.  0 when the model is not
-/// persistable — the store's universal "skip me" value.
+/// The entry key = content identity of one (task set, model, solver
+/// options) cell under the current schema version: the store's file name
+/// and EvalWorkspace's lookup key.  0 when the model is not persistable —
+/// the caches' universal "skip me" value.
 std::uint64_t SolveStoreEntryKey(const model::TaskSet& set,
                                  const ModelDescriptor& model,
                                  const SchedulerOptions& scheduler);
+
+/// Exact structural equality (names, periods, and bitwise-equal cycle
+/// demands).
+bool SameTaskSet(const model::TaskSet& a, const model::TaskSet& b);
+
+/// Exact (bitwise) equality of every solver-relevant field, including the
+/// nested ALM/SPG options.
+bool SameSchedulerOptions(const SchedulerOptions& a, const SchedulerOptions& b);
+
+/// The hit condition of every solve cache: a persistable model with an
+/// equal descriptor, equal scheduler options and a structurally identical
+/// task set.  A key match that fails this degrades to a rebuild, never to
+/// a wrong result; a tag-0 model matches nothing.
+bool SameSolveInputs(const model::TaskSet& a_set, const ModelDescriptor& a_model,
+                     const SchedulerOptions& a_scheduler,
+                     const model::TaskSet& b_set, const ModelDescriptor& b_model,
+                     const SchedulerOptions& b_scheduler);
 
 /// Serializable mirror of sim::StaticSchedule (reconstructed against the
 /// loader's own FPS expansion).
@@ -214,6 +235,12 @@ class SolveStore {
   /// (corrupt, truncated, wrong schema version, foreign fingerprint) is
   /// reported as both a reject and a miss and never aborts the run.
   std::optional<StoredCell> Load(const model::TaskSet& set,
+                                 const ModelDescriptor& model,
+                                 const SchedulerOptions& scheduler) const;
+
+  /// Same, under the caller's already computed
+  /// `key` = SolveStoreEntryKey(set, model, scheduler).
+  std::optional<StoredCell> Load(std::uint64_t key, const model::TaskSet& set,
                                  const ModelDescriptor& model,
                                  const SchedulerOptions& scheduler) const;
 

@@ -1,6 +1,7 @@
 #include "dpm/dpm.h"
 
-#include <algorithm>
+#include <memory>
+#include <string>
 
 #include "util/error.h"
 
@@ -41,31 +42,39 @@ double CriticalSpeed(const model::DvsModel& dvs, double leak_power_per_ms) {
   return 0.5 * (lo + hi);
 }
 
-CriticalSpeedModel::CriticalSpeedModel(const model::DvsModel& base,
-                                       double floor_voltage)
-    : base_(&base),
-      floor_voltage_(std::clamp(floor_voltage, base.vmin(), base.vmax())) {}
-
-CriticalSpeedFloor::CriticalSpeedFloor(const model::DvsModel& base,
-                                       const Options& options)
-    : base_(&base) {
+std::unique_ptr<const model::DvsModel> FlooredModel(
+    const model::DvsModel& base, const Options& options) {
   if (!options.enabled || options.critical_speed < 0.0) {
-    return;
+    return nullptr;
   }
   const double target =
       options.critical_speed > 0.0
           ? options.critical_speed * base.MaxSpeed()
           : CriticalSpeed(base, options.idle.power_per_ms);
   if (target <= base.MinSpeed()) {
-    return;  // the base range already respects the critical speed
+    return nullptr;  // the base range already respects the critical speed
   }
-  const double floor_voltage =
-      base.ClampVoltage(base.VoltageForSpeed(target));
+  const double floor_voltage = base.VoltageForSpeed(target);
   if (floor_voltage <= base.vmin()) {
-    return;
+    return nullptr;
   }
-  floored_.emplace(base, floor_voltage);
-  speed_floor_ = base.SpeedAt(floor_voltage);
+  if (target >= base.MaxSpeed() || floor_voltage >= base.vmax()) {
+    throw util::InvalidArgumentError(
+        "critical-speed floor " + std::to_string(target) +
+        " cycles/ms leaves no speed range below the top speed " +
+        std::to_string(base.MaxSpeed()));
+  }
+  if (const auto* linear = dynamic_cast<const model::LinearDvsModel*>(&base)) {
+    return std::make_unique<model::LinearDvsModel>(
+        floor_voltage, linear->vmax(), linear->ceff(), linear->k());
+  }
+  if (const auto* alpha = dynamic_cast<const model::AlphaDvsModel*>(&base)) {
+    return std::make_unique<model::AlphaDvsModel>(
+        floor_voltage, alpha->vmax(), alpha->ceff(), alpha->k_delay(),
+        alpha->vth(), alpha->alpha());
+  }
+  throw util::InvalidArgumentError(
+      "the critical-speed floor needs a linear or alpha-law DVS model");
 }
 
 model::SleepState ResolveSleepState(const std::string& name,

@@ -1,5 +1,5 @@
-// Leakage-aware DPM primitives: critical speed, the voltage-floor model
-// wrapper, and named sleep-state presets.
+// Leakage-aware DPM primitives: critical speed, the voltage-floor model,
+// and named sleep-state presets.
 //
 // Critical speed is the classical leakage-aware DVS observation (Huang et
 // al., leakage-aware reallocation): with an always-on power floor, the
@@ -8,19 +8,17 @@
 // speed — below it, slowing down *increases* total energy.  With DPM on,
 // the NLP's box constraint and every simulator dispatch clamp should never
 // choose a speed below it; both read DvsModel::vmin()/ClampVoltage, so one
-// wrapper that raises vmin floors the whole pipeline at once.
+// model with vmin raised floors the whole pipeline at once.
 //
-// Identity and caching: CriticalSpeedModel is a distinct DvsModel object,
-// so the in-process solve caches (core::EvalWorkspace, model-by-pointer)
-// can never serve a floored solve to an unfloored run or vice versa, and
-// core::DescribeModel does not recognise the wrapper (tag 0), so the
-// persistent solve store simply skips DPM-floored solves instead of ever
-// aliasing them with the base model's.  The driver must keep the wrapper
-// alive for the whole run (CriticalSpeedFloor is the owner type for that).
+// The floored model is an ordinary library model (FlooredModel rebuilds
+// the linear or alpha-law base with a higher vmin), so it takes the same
+// solver paths as any other model and core::DescribeModel gives it its own
+// content identity in the solve caches.  runner::RunGrid applies it once
+// per run from ExperimentGrid::dpm.
 #ifndef ACS_DPM_DPM_H
 #define ACS_DPM_DPM_H
 
-#include <optional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -36,56 +34,16 @@ namespace dvs::dpm {
 /// (no floor: without leakage, slower is always at least as good).
 double CriticalSpeed(const model::DvsModel& dvs, double leak_power_per_ms);
 
-/// DvsModel wrapper raising vmin to `floor_voltage` (clamped into the base
-/// range).  Everything else delegates, so MaxSpeed, task-set generation and
-/// Vmax admission are untouched — only the lower box bound of the NLP and
-/// the vmin-side dispatch clamps move.
-class CriticalSpeedModel final : public model::DvsModel {
- public:
-  CriticalSpeedModel(const model::DvsModel& base, double floor_voltage);
-
-  double vmin() const override { return floor_voltage_; }
-  double vmax() const override { return base_->vmax(); }
-  double ceff() const override { return base_->ceff(); }
-  double SpeedAt(double v) const override { return base_->SpeedAt(v); }
-  double VoltageForSpeed(double speed) const override {
-    return base_->VoltageForSpeed(speed);
-  }
-  double VoltageSlope(double speed) const override {
-    return base_->VoltageSlope(speed);
-  }
-  double SpeedSlope(double v) const override { return base_->SpeedSlope(v); }
-
-  const model::DvsModel& base() const { return *base_; }
-
- private:
-  const model::DvsModel* base_;  // non-owning; must outlive the wrapper
-  double floor_voltage_;
-};
-
-/// Resolves and owns the critical-speed floor for one run.  Hand the grid
-/// `&floor.model()` and keep this object alive for as long as any workspace
-/// may hold solves cached under it (the model-identity contract of
-/// core::EvalWorkspace / runner::ExperimentGrid::dvs).  When DPM is off,
-/// the floor is disabled (options.critical_speed < 0) or the resolved floor
-/// does not rise above the base vmin, model() is the base itself.
-class CriticalSpeedFloor {
- public:
-  CriticalSpeedFloor(const model::DvsModel& base, const Options& options);
-
-  const model::DvsModel& model() const {
-    return floored_.has_value() ? static_cast<const model::DvsModel&>(*floored_)
-                                : *base_;
-  }
-  bool active() const { return floored_.has_value(); }
-  /// The resolved speed floor in cycles/ms (0 when inactive).
-  double speed_floor() const { return speed_floor_; }
-
- private:
-  const model::DvsModel* base_;
-  std::optional<CriticalSpeedModel> floored_;
-  double speed_floor_ = 0.0;
-};
+/// The model a DPM run evaluates under when its critical-speed floor binds:
+/// `base` rebuilt as its own type — a LinearDvsModel or AlphaDvsModel with
+/// every parameter copied — with vmin raised to the voltage of the floor
+/// speed.  The floor speed is options.critical_speed x MaxSpeed when that
+/// is positive, else CriticalSpeed(base, options.idle.power_per_ms).
+/// Returns nullptr when no floor applies: DPM off, critical_speed < 0, or
+/// a floor not above base.vmin().  Throws util::InvalidArgumentError when a
+/// floor applies to any other model type, or reaches base.MaxSpeed().
+std::unique_ptr<const model::DvsModel> FlooredModel(
+    const model::DvsModel& base, const Options& options);
 
 /// Named sleep-state presets, resolved against the run's idle floor so the
 /// same name behaves sensibly at any power scale:

@@ -7,11 +7,11 @@
 // floor when enabled — the DPM-off paths stay byte-identical to the
 // pre-DPM pipeline (pinned by the golden CSVs and prop_invariants_test).
 //
-// The critical-speed floor is NOT applied here: it is a property of the
-// model the whole run evaluates under, so the driver wraps its DvsModel in
-// a dpm::CriticalSpeedFloor (dpm/dpm.h) and hands the grid the wrapped
-// model.  Keeping the wrapper driver-owned gives it a stable identity for
-// the solve caches (core::EvalWorkspace records models by pointer).
+// The critical-speed floor is a property of the model the whole run
+// evaluates under, not of a single evaluation: runner::RunGrid resolves it
+// once per run with dpm::FlooredModel (dpm/dpm.h) and evaluates every cell
+// under the floored model.  Direct core / mp callers evaluate under the
+// model they pass in.
 #ifndef ACS_DPM_OPTIONS_H
 #define ACS_DPM_OPTIONS_H
 
@@ -38,8 +38,8 @@ struct Options {
   /// Critical-speed floor request, as a fraction of the model's top speed:
   /// 0 derives the critical speed from the model and the idle floor
   /// (dpm::CriticalSpeed), > 0 forces the given fraction, < 0 disables the
-  /// floor entirely.  Consumed by dpm::CriticalSpeedFloor — see the header
-  /// comment for why the driver applies it, not this struct.
+  /// floor entirely.  Consumed by dpm::FlooredModel — see the header
+  /// comment for where it applies.
   double critical_speed = 0.0;
 
   /// Cross-hyper-period reallocation (core shutdown): after `realloc_after`

@@ -25,7 +25,7 @@ FleetResult EvaluateFleet(
     const Partitioner& partitioner, int cores,
     const std::vector<const core::ScheduleMethod*>& methods,
     const core::ExperimentOptions& options, const model::IdlePower& idle,
-    core::EvalWorkspace* workspace, std::uint64_t set_key) {
+    core::EvalWorkspace* workspace) {
   ACS_REQUIRE(!methods.empty(), "fleet evaluation needs at least one method");
 
   FleetResult result;
@@ -133,24 +133,20 @@ FleetResult EvaluateFleet(
       // global release order whatever the policy does, so
       // core::EvaluateMethods records the first arm's draws and replays
       // them to the others (drift arms draw their own).  With a workspace
-      // the subset's expansion and solves live in its SubsetKey-addressed
-      // cache — shared with any other cell that put the same tasks on some
-      // core (including the other span of this very cell) — and the
+      // the subset's expansion and solves live in its content-keyed cache —
+      // shared with any other cell that put the same tasks on some core
+      // (including the other span of this very cell) — and the
       // solves/simulations reuse the calling thread's scratch buffers.
       // Workload streams stay keyed by the physical core index, so cached
       // solves never change what a cell simulates.
-      std::optional<model::TaskSet> local_subset;
+      const model::TaskSet subset = SubTaskSet(set, owned);
       std::optional<fps::FullyPreemptiveSchedule> local_fps;
       core::EvalWorkspace::PreparedCell* prep = nullptr;
       if (workspace != nullptr) {
-        prep = &workspace->PrepareSubset(core::SubsetKey(set_key, owned), set,
-                                         owned, dvs, core_options.scheduler);
+        prep = &workspace->Prepare(subset, dvs, core_options.scheduler);
       } else {
-        local_subset.emplace(SubTaskSet(set, owned));
-        local_fps.emplace(*local_subset);
+        local_fps.emplace(subset);
       }
-      const model::TaskSet& subset =
-          prep != nullptr ? prep->set : *local_subset;
       const fps::FullyPreemptiveSchedule& fps =
           prep != nullptr ? prep->fps : *local_fps;
       if (s == 0) {

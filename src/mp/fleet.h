@@ -72,19 +72,16 @@ struct FleetResult {
 /// the partitioner cannot place some task.  `workspace` (optional) is the
 /// calling thread's core::EvalWorkspace: every per-core solve and
 /// simulation then runs out of its reused buffers, and each core's subset
-/// solves are cached under core::SubsetKey(set_key, owned tasks) — cells
-/// that assign the same tasks to some core (different partitioners, core
-/// counts, sigma or workload seeds on one draw) reuse the solves outright.
-/// Bit-identical results either way; `set_key` is the caller's identity for
-/// `set` (runner::RunGrid passes the grid SetIndex) and pure cache salt —
-/// a colliding key still verifies the task set before reusing anything.
+/// is prepared there by content — cells that assign the same tasks to some
+/// core (different partitioners, core counts, sigma or workload seeds on
+/// one draw) reuse the solves outright.  Bit-identical results either way.
 FleetResult EvaluateFleet(
     const model::TaskSet& set, const model::DvsModel& dvs,
     const Partitioner& partitioner, int cores,
     const std::vector<const core::ScheduleMethod*>& methods,
     const core::ExperimentOptions& options,
     const model::IdlePower& idle = {},
-    core::EvalWorkspace* workspace = nullptr, std::uint64_t set_key = 0);
+    core::EvalWorkspace* workspace = nullptr);
 
 }  // namespace dvs::mp
 

@@ -74,7 +74,11 @@ struct CellCoord {
 };
 
 struct ExperimentGrid {
-  const model::DvsModel* dvs = nullptr;  // non-owning; required
+  /// The DVS model every cell evaluates under (non-owning; required; it
+  /// must outlive the RunGrid call).  With the DPM critical-speed floor
+  /// binding, RunGrid evaluates under dpm::FlooredModel(*dvs, dpm) instead;
+  /// task sets are always drawn against `dvs` itself.
+  const model::DvsModel* dvs = nullptr;
   std::vector<TaskSetSource> sources;
   /// Worst-case utilization overrides for random sources; empty keeps each
   /// source's own value.  Fixed sources ignore this axis.  With multi-core
@@ -99,10 +103,10 @@ struct ExperimentGrid {
   /// Leakage-aware DPM layer (sleep states, critical-speed floor,
   /// cross-hyper-period reallocation), applied to every cell.  Requires a
   /// non-zero idle_power when enabled (there is no floor to manage
-  /// otherwise — Validate enforces it); dpm.idle itself is overwritten per
-  /// cell with `idle_power`, the grid's single source of truth for the
-  /// floor.  Note the critical-speed floor is realised by wrapping `dvs` in
-  /// a dpm::CriticalSpeedFloor at the driver — see dpm/dpm.h.
+  /// otherwise — Validate enforces it); dpm.idle itself is overwritten
+  /// with `idle_power`, the grid's single source of truth for the floor.
+  /// RunGrid realises dpm.critical_speed once per run by evaluating under
+  /// dpm::FlooredModel (see `dvs`).
   dpm::Options dpm;
   /// Voltage-transition overhead charged in every cell's simulation.
   model::TransitionOverhead transition;

@@ -1,9 +1,11 @@
 #include "runner/run_grid.h"
 
 #include <cmath>
+#include <memory>
 #include <utility>
 
 #include "core/solve_store.h"
+#include "dpm/dpm.h"
 #include "fps/expansion.h"
 #include "mp/fleet.h"
 #include "obs/metrics.h"
@@ -16,7 +18,7 @@
 namespace dvs::runner {
 namespace {
 
-CellResult RunCell(const ExperimentGrid& grid,
+CellResult RunCell(const ExperimentGrid& grid, const model::DvsModel& dvs,
                    const std::vector<const core::ScheduleMethod*>& methods,
                    std::size_t cell_index, core::EvalWorkspace& workspace) {
   CellResult cell;
@@ -71,31 +73,30 @@ CellResult RunCell(const ExperimentGrid& grid,
     if (!grid.MultiCore()) {
       // Single-core grid: the original per-cell pipeline, bit-identical to
       // the pre-mp runner.  The workspace caches the expansion and the
-      // WCS / ACS / Vmax-ASAP solves per SetIndex, so cells differing only
+      // WCS / ACS / Vmax-ASAP solves per task set, so cells differing only
       // on the sigma / workload-seed axes skip straight to simulation —
       // and every method still faces the identical workload realisation,
       // drawn once per cell by core::EvaluateMethods.  (Cache
       // hits depend on which worker ran the sibling cell, but the solves
       // are deterministic, so results never do.)
       core::EvalWorkspace::PreparedCell& prep =
-          workspace.Prepare(grid.SetIndex(cell.coord), set, *grid.dvs,
-                            options.scheduler);
+          workspace.Prepare(set, dvs, options.scheduler);
       cell.sub_instances = prep.fps.sub_count();
-      core::MethodContext context(prep.fps, *grid.dvs, options.scheduler,
+      core::MethodContext context(prep.fps, dvs, options.scheduler,
                                   workspace, prep.solves);
       cell.outcomes = core::EvaluateMethods(methods, context, options);
     } else {
       // Multi-core grid: partition, then per-core pipelines; outcomes are
       // fleet figures in energy-per-ms units (mp/fleet.h) for every cell,
-      // m = 1 included, so a mixed cores axis compares in one unit.  The
-      // per-core subsets vary with the cores/partitioner axes, so only the
-      // workspace buffers are shared, not the solve cache.
+      // m = 1 included, so a mixed cores axis compares in one unit.  Each
+      // core's subset is prepared in the workspace by content, so cells
+      // that put the same tasks on some core share its solves.
       const int cores = grid.core_counts[cell.coord.core_index];
       const mp::Partitioner& partitioner = grid.Partitioners().Get(
           grid.partitioners[cell.coord.partitioner_index]);
-      const mp::FleetResult fleet = mp::EvaluateFleet(
-          set, *grid.dvs, partitioner, cores, methods, options,
-          grid.idle_power, &workspace, grid.SetIndex(cell.coord));
+      const mp::FleetResult fleet =
+          mp::EvaluateFleet(set, dvs, partitioner, cores, methods, options,
+                            grid.idle_power, &workspace);
       cell.sub_instances = fleet.sub_instances;
       cell.outcomes.reserve(methods.size());
       for (const mp::FleetOutcome& outcome : fleet.outcomes) {
@@ -195,6 +196,15 @@ GridResult RunGrid(const ExperimentGrid& grid,
     methods.push_back(&registry.Get(name));
   }
 
+  // The DPM critical-speed floor, resolved once against the grid's idle
+  // floor: when it binds, every cell evaluates under the base model rebuilt
+  // with vmin raised (dpm::FlooredModel).
+  dpm::Options dpm_options = grid.dpm;
+  dpm_options.idle = grid.idle_power;
+  const std::unique_ptr<const model::DvsModel> floored =
+      dpm::FlooredModel(*grid.dvs, dpm_options);
+  const model::DvsModel& dvs = floored != nullptr ? *floored : *grid.dvs;
+
   const std::size_t cell_count = grid.CellCount();
   GridResult result;
   result.cells.resize(cell_count);
@@ -287,7 +297,7 @@ GridResult RunGrid(const ExperimentGrid& grid,
         const obs::ScopedMetricsShard shard_scope(
             metrics != nullptr ? &metrics->Shard(worker) : nullptr);
         CellResult& cell = result.cells[cell_index];
-        cell = RunCell(grid, methods, cell_index, workspaces[worker]);
+        cell = RunCell(grid, dvs, methods, cell_index, workspaces[worker]);
         if (options.sink != nullptr) {
           options.sink->OnCell(grid, cell);
         }

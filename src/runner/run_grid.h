@@ -104,11 +104,10 @@ struct RunOptions {
   /// Per-worker evaluation workspaces (grown to the pool size if short).
   /// Passing the same vector across RunGrid calls keeps solver/sim buffers
   /// — and the per-task-set solve caches — warm between grids; results are
-  /// bit-identical with or without it (cache hits additionally require the
-  /// same DVS model object and equal scheduler options, so grids differing
-  /// in either rebuild instead of reusing).  Null: RunGrid uses call-local
-  /// workspaces.  Non-owning; must outlive the call, and every grid's
-  /// `dvs` model must outlive the vector (cached solves reference it).
+  /// bit-identical with or without it (cache hits are by content: the same
+  /// task set, model parameters and scheduler options, so grids differing
+  /// in any of them rebuild instead of reusing).  Null: RunGrid uses
+  /// call-local workspaces.  Non-owning; must outlive the call.
   std::vector<core::EvalWorkspace>* workspaces = nullptr;
   /// Sharding: with shard_count N > 1, shard i of N evaluates only the
   /// cells whose SetIndex falls in [floor(i*S/N), floor((i+1)*S/N)) where

@@ -72,8 +72,8 @@ class BinaryReader {
   std::size_t offset_ = 0;
 };
 
-/// FNV-1a over a byte string — the solve store's payload checksum (same
-/// function family as core::SubsetKey and PlanningPoint::Fingerprint).
+/// FNV-1a over a byte string — the solve store's payload checksum and
+/// content keys (same function family as PlanningPoint::Fingerprint).
 std::uint64_t Fnv1a(const std::string& bytes);
 
 }  // namespace dvs::util

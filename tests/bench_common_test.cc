@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <initializer_list>
 #include <sstream>
 #include <string>
@@ -112,6 +113,80 @@ TEST(SweepConfigFinalize, RejectedShardCreatesNothing) {
     EXPECT_THROW(config.Finalize(), util::InvalidArgumentError);
     EXPECT_FALSE(std::ifstream(csv).good()) << index << "/" << count;
   }
+}
+
+// A rejected flag value reads as the message alone: no source path, no
+// line number, no C++ condition text.
+TEST(UserInputErrors, CarryNoSourceLocation) {
+  const auto message_of = [](const std::function<void()>& action) {
+    try {
+      action();
+    } catch (const util::InvalidArgumentError& error) {
+      return std::string(error.what());
+    }
+    ADD_FAILURE() << "no InvalidArgumentError thrown";
+    return std::string();
+  };
+  std::vector<std::string> messages;
+  messages.push_back(message_of([] {
+    SweepConfig config;
+    config.shard_index = 5;
+    config.shard_count = 2;
+    config.Finalize();
+  }));
+  messages.push_back(message_of([] {
+    SweepConfig config;
+    config.methods = ",";
+    config.MethodList();
+  }));
+  messages.push_back(message_of([] {
+    SweepConfig config;
+    config.scenarios = "";
+    config.ScenarioList();
+  }));
+  for (const char* text : {"4x", "0", "-2", "", "x"}) {
+    messages.push_back(
+        message_of([text] { ParsePositiveIntList("cores", text); }));
+  }
+  messages.push_back(
+      message_of([] { ParsePositiveDoubleList("sigmas", "6,inf"); }));
+  for (const std::string& message : messages) {
+    EXPECT_FALSE(message.empty());
+    EXPECT_EQ(message.find(".cc"), std::string::npos) << message;
+    EXPECT_EQ(message.find("requirement"), std::string::npos) << message;
+  }
+}
+
+// The DPM flags belong to the multi-core group: registered with --cores
+// only, and applied to the grid by FleetFlags::Apply.
+TEST(FleetFlags, DpmFlagsComeWithCoresAndReachTheGrid) {
+  {
+    SweepConfig config;
+    FleetFlags single_core;  // no --cores
+    util::ArgParser parser("bench_test", "test");
+    config.Register(parser);
+    single_core.Register(parser, config);
+    const char* argv[] = {"bench_test", "--dpm"};
+    EXPECT_THROW(parser.Parse(2, argv), util::InvalidArgumentError);
+  }
+  SweepConfig config;
+  FleetFlags fleet;
+  fleet.cores = "2";
+  util::ArgParser parser("bench_test", "test");
+  config.Register(parser);
+  fleet.Register(parser, config);
+  Parse(parser, {"--dpm", "--idle-power", "0.4", "--sleep-state", "ideal",
+                 "--critical-speed", "0.5", "--dpm-no-realloc",
+                 "--realloc-after", "3"});
+  runner::ExperimentGrid grid;
+  fleet.Apply(config, grid);
+  EXPECT_DOUBLE_EQ(grid.idle_power.power_per_ms, 0.4);
+  EXPECT_TRUE(grid.dpm.enabled);
+  EXPECT_DOUBLE_EQ(grid.dpm.idle.power_per_ms, 0.4);
+  EXPECT_TRUE(grid.dpm.sleep.IsZero());
+  EXPECT_DOUBLE_EQ(grid.dpm.critical_speed, 0.5);
+  EXPECT_FALSE(grid.dpm.reallocate);
+  EXPECT_EQ(grid.dpm.realloc_after, 3);
 }
 
 TEST(FleetFlags, PerCoreCountSource) {

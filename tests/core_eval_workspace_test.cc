@@ -83,7 +83,7 @@ TEST(EvalWorkspace, WorkspaceBackedOutcomesBitIdenticalToFresh) {
     // and the cached solves.
     for (int pass = 0; pass < 2; ++pass) {
       EvalWorkspace::PreparedCell& prep =
-          workspace.Prepare(1, set, cpu, options.scheduler);
+          workspace.Prepare(set, cpu, options.scheduler);
       MethodContext context(prep.fps, cpu, options.scheduler, workspace,
                             prep.solves);
       const MethodOutcome actual =
@@ -110,35 +110,62 @@ TEST(EvalWorkspace, PrepareVerifiesTaskSetBeforeReuse) {
   const SchedulerOptions scheduler;
   EvalWorkspace workspace;
   EvalWorkspace::PreparedCell& first =
-      workspace.Prepare(42, motivation, cpu, scheduler);
-  EXPECT_EQ(&first, &workspace.Prepare(42, motivation, cpu, scheduler));
-  // A colliding key with a different set must rebuild, not reuse.
+      workspace.Prepare(motivation, cpu, scheduler);
+  EXPECT_EQ(&first, &workspace.Prepare(motivation, cpu, scheduler));
+  // A different set must rebuild, not reuse.
   EvalWorkspace::PreparedCell& second =
-      workspace.Prepare(42, random_set, cpu, scheduler);
+      workspace.Prepare(random_set, cpu, scheduler);
+  EXPECT_NE(&first, &second);
   EXPECT_TRUE(SameTaskSet(second.set, random_set));
   // Both entries stay live (MRU cache), so the original still hits.
-  EXPECT_TRUE(SameTaskSet(
-      workspace.Prepare(42, motivation, cpu, scheduler).set, motivation));
+  EXPECT_EQ(&first, &workspace.Prepare(motivation, cpu, scheduler));
 
-  // Solves depend on the model and solver options too: a different model
-  // object or different scheduler options must miss, never serve the
-  // original entry's solves.
-  const model::LinearDvsModel other_cpu = workload::DefaultModel();
-  EXPECT_NE(&workspace.Prepare(42, motivation, other_cpu, scheduler),
-            &workspace.Prepare(42, motivation, cpu, scheduler));
+  // Identity is by content: another model object with equal parameters
+  // shares the entry.
+  const model::LinearDvsModel same_cpu = workload::DefaultModel();
+  EXPECT_EQ(&first, &workspace.Prepare(motivation, same_cpu, scheduler));
+
+  // A model differing in one parameter misses.
+  const model::LinearDvsModel raised_vmin(cpu.vmin() * 1.5, cpu.vmax(),
+                                          cpu.ceff(), cpu.k());
+  EvalWorkspace::PreparedCell& floored =
+      workspace.Prepare(motivation, raised_vmin, scheduler);
+  EXPECT_NE(&first, &floored);
+  EXPECT_EQ(floored.model, DescribeModel(raised_vmin));
+
+  // Different scheduler options miss too.
   SchedulerOptions loose = scheduler;
   loose.alm.feasibility_tol *= 10.0;
   EXPECT_FALSE(SameSchedulerOptions(scheduler, loose));
-  EXPECT_NE(&workspace.Prepare(42, motivation, cpu, loose),
-            &workspace.Prepare(42, motivation, cpu, scheduler));
-}
+  EXPECT_NE(&workspace.Prepare(motivation, cpu, loose),
+            &workspace.Prepare(motivation, cpu, scheduler));
 
-TEST(EvalWorkspace, SubsetKeyDependsOnOwnedTasks) {
-  const std::uint64_t base = 99;
-  EXPECT_EQ(SubsetKey(base, {0, 2}), SubsetKey(base, {0, 2}));
-  EXPECT_NE(SubsetKey(base, {0, 2}), SubsetKey(base, {0, 3}));
-  EXPECT_NE(SubsetKey(base, {0, 2}), SubsetKey(base + 1, {0, 2}));
-  EXPECT_NE(SubsetKey(base, {0, 2}), SubsetKey(base, {2, 0}));
+  // A model DescribeModel does not know (tag 0) has no content identity,
+  // so it never hits: every Prepare builds afresh.
+  class UnknownModel final : public model::DvsModel {
+   public:
+    explicit UnknownModel(const model::LinearDvsModel& base) : base_(base) {}
+    double vmin() const override { return base_.vmin(); }
+    double vmax() const override { return base_.vmax(); }
+    double ceff() const override { return base_.ceff(); }
+    double SpeedAt(double v) const override { return base_.SpeedAt(v); }
+    double VoltageForSpeed(double s) const override {
+      return base_.VoltageForSpeed(s);
+    }
+    double VoltageSlope(double s) const override {
+      return base_.VoltageSlope(s);
+    }
+    double SpeedSlope(double v) const override { return base_.SpeedSlope(v); }
+
+   private:
+    model::LinearDvsModel base_;
+  };
+  const UnknownModel unknown(cpu);
+  EvalWorkspace::PreparedCell& once =
+      workspace.Prepare(motivation, unknown, scheduler);
+  EXPECT_FALSE(once.model.Persistable());
+  EXPECT_NE(&once, &first);
+  EXPECT_NE(&once, &workspace.Prepare(motivation, unknown, scheduler));
 }
 
 // Analytic gradients, evaluated through a shared workspace scratch, must

@@ -1,7 +1,7 @@
 // Regression harness for the planning-arm cache hazard.
 //
 // PR 3's PreparedCell cache shares one SolveCache across every cell that
-// draws the same task set (same SetIndex), which was sound while every
+// draws the same task set, which was sound while every
 // cached solve was scenario-invariant.  The scenario-conditioned arms break
 // that premise: their ACS solve is a function of the calibrated
 // PlanningPoint, which varies with the cell's scenario, planning arm and
@@ -84,21 +84,20 @@ TEST(PlanningCache, SharedCacheBitMatchesFreshPerScenarioAndArm) {
       workload::ScenarioRegistry::Builtin();
   const core::SchedulerOptions scheduler;
 
-  // Phase 1: every (scenario, arm) through ONE workspace under ONE cache
-  // key — exactly how sibling grid cells sharing a SetIndex share a
+  // Phase 1: every (scenario, arm) through ONE workspace and ONE prepared
+  // entry — exactly how sibling grid cells sharing a task set share a
   // PreparedCell.  `options` lives only for its loop iteration; that is
   // safe because every evaluation goes through EvaluateMethod, which
   // re-attaches the current options before planning — do not add direct
   // Plan() calls after the loop without attaching live options first.
   core::EvalWorkspace workspace;
-  constexpr std::uint64_t kSetKey = 17;
   std::vector<core::MethodOutcome> shared;
   std::vector<std::string> labels;
   for (const std::string& scenario_name : scenarios.Names()) {
     const core::ExperimentOptions options =
         PlanningOptionsFor(scenarios.Get(scenario_name));
     core::EvalWorkspace::PreparedCell& prep =
-        workspace.Prepare(kSetKey, set, cpu, scheduler);
+        workspace.Prepare(set, cpu, scheduler);
     core::MethodContext context(prep.fps, cpu, scheduler, workspace,
                                 prep.solves);
     for (const char* arm : kPlanningArms) {
@@ -112,7 +111,7 @@ TEST(PlanningCache, SharedCacheBitMatchesFreshPerScenarioAndArm) {
   // broken hit condition.
   {
     core::EvalWorkspace::PreparedCell& prep =
-        workspace.Prepare(kSetKey, set, cpu, scheduler);
+        workspace.Prepare(set, cpu, scheduler);
     EXPECT_EQ(prep.solves.planned.size(),
               scenarios.Names().size() * std::size(kPlanningArms));
   }

@@ -106,7 +106,7 @@ TEST(SharedRealisation, EveryArmBitMatchesItsOwnFreshSampler) {
       const fps::FullyPreemptiveSchedule fps(set);
       core::EvalWorkspace workspace;
       core::EvalWorkspace::PreparedCell& prep =
-          workspace.Prepare(1, set, cpu, scheduler);
+          workspace.Prepare(set, cpu, scheduler);
       core::MethodContext shared(prep.fps, cpu, scheduler, workspace,
                                  prep.solves);
       const std::vector<core::MethodOutcome> together =

@@ -5,8 +5,8 @@
 // degrades to a miss instead of aborting; the writer LOCK is exclusive per
 // directory while read-only opens never lock; a grid run that writes its
 // solves back and a fresh process that pre-seeds from them stream
-// byte-identical CSVs; and the workspace's byte-budget LRU evicts into the
-// attached store.
+// byte-identical CSVs; a DPM-floored grid persists like any other; and the
+// workspace's byte-budget LRU evicts into the attached store.
 #include "core/solve_store.h"
 
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -23,6 +24,7 @@
 #include <vector>
 
 #include "core/eval_workspace.h"
+#include "dpm/dpm.h"
 #include "obs/metrics.h"
 #include "runner/csv_sink.h"
 #include "runner/experiment_grid.h"
@@ -400,6 +402,91 @@ TEST(SolveStoreGrid, WarmBootStreamsByteIdenticalCsv) {
   EXPECT_EQ(cold, ReadFile(warm_csv));
 }
 
+// The DPM critical-speed floor is an ordinary linear model with vmin
+// raised, so a floored multi-core grid sends every WCS solve through the
+// exact solver, files its solves under the floored model's content
+// identity, and a second run over the same store solves nothing.
+TEST(SolveStoreGrid, FlooredDpmGridSolvesExactlyAndWarmBoots) {
+  const std::string dir = FreshDir("solve_store_floored");
+  PurgeDir(dir);
+  const model::LinearDvsModel cpu = workload::DefaultModel();
+  workload::RandomTaskSetOptions gen;
+  gen.num_tasks = 6;
+  gen.bcec_wcec_ratio = 0.3;
+  gen.utilization = 0.2;
+  gen.max_sub_instances = 120;
+
+  runner::ExperimentGrid grid;
+  grid.dvs = &cpu;
+  grid.sources = {runner::RandomSource("random-m2", gen, 2)};
+  grid.core_counts = {2};
+  grid.partitioners = {"ffd", "wfd"};
+  grid.methods = {"acs", "wcs"};
+  grid.baseline = "wcs";
+  grid.hyper_periods = 5;
+  grid.master_seed = 29;
+  grid.idle_power.power_per_ms = 0.5;
+  grid.dpm.enabled = true;
+  grid.dpm.sleep = dpm::ResolveSleepState("deep", grid.idle_power);
+  grid.dpm.reallocate = true;
+
+  dpm::Options resolved = grid.dpm;
+  resolved.idle = grid.idle_power;
+  const std::unique_ptr<const model::DvsModel> floored =
+      dpm::FlooredModel(cpu, resolved);
+  ASSERT_NE(floored, nullptr);
+
+  std::map<std::string, obs::AggregatedMetric> counters;
+  const auto count = [&counters](const std::string& name) {
+    const auto it = counters.find(name);
+    return it == counters.end() ? std::int64_t{0} : it->second.count;
+  };
+  const auto run = [&] {
+    obs::MetricsRegistry metrics;
+    obs::InstallMetrics(&metrics);
+    std::vector<EvalWorkspace> workspaces;
+    SolveStore store(dir);
+    runner::RunOptions options;
+    options.workspaces = &workspaces;
+    options.solve_store = &store;
+    runner::GridResult result = runner::RunGrid(grid, options);
+    store.WriteBack();
+    obs::InstallMetrics(nullptr);
+    counters.clear();
+    for (obs::AggregatedMetric& m : metrics.Aggregate()) {
+      counters[m.name] = std::move(m);
+    }
+    return result;
+  };
+
+  const runner::GridResult cold = run();
+  EXPECT_EQ(cold.failed_cells, 0u);
+  EXPECT_GT(count("solve.wcs_solves"), 0);
+  EXPECT_EQ(count("solve.wcs_gap") + count("solve.wcs_fallbacks"),
+            count("solve.wcs_solves"));
+  // Every entry is filed under the floored model, none under the base.
+  const SolveStore reader(dir, /*read_only=*/true);
+  ASSERT_FALSE(reader.DiskKeys().empty());
+  for (std::uint64_t key : reader.DiskKeys()) {
+    EXPECT_EQ(DeserializeStoredCell(ReadFile(reader.EntryPath(key))).model,
+              DescribeModel(*floored));
+  }
+
+  const runner::GridResult warm = run();
+  EXPECT_EQ(count("persist.cache_misses"), 0);
+  EXPECT_GT(count("persist.cache_hits"), 0);
+  EXPECT_EQ(count("solve.wcs_solves") + count("solve.acs_solves") +
+                count("solve.planned_solves"),
+            0);
+  ASSERT_EQ(warm.cells.size(), cold.cells.size());
+  for (std::size_t i = 0; i < cold.cells.size(); ++i) {
+    for (std::size_t m = 0; m < grid.methods.size(); ++m) {
+      EXPECT_EQ(warm.cells[i].outcomes[m].measured_energy,
+                cold.cells[i].outcomes[m].measured_energy);
+    }
+  }
+}
+
 TEST(SolveStoreEviction, ByteBudgetEvictsLruIntoStore) {
   const std::string dir = FreshDir("solve_store_evict");
   PurgeDir(dir);
@@ -420,12 +507,11 @@ TEST(SolveStoreEviction, ByteBudgetEvictsLruIntoStore) {
     workspace.set_prepared_budget_bytes(1);
     for (int i = 0; i < 3; ++i) {
       const model::TaskSet set = TwoTaskSet("evict-" + std::to_string(i));
-      EvalWorkspace::PreparedCell& cell =
-          workspace.Prepare(static_cast<std::uint64_t>(i), set, cpu,
-                            scheduler);
+      EvalWorkspace::PreparedCell& cell = workspace.Prepare(set, cpu,
+                                                            scheduler);
       EXPECT_GT(EvalWorkspace::ApproxBytes(cell), 1u);
       // The fresh entry survives its own insertion's budget pass.
-      EXPECT_EQ(cell.key, static_cast<std::uint64_t>(i));
+      EXPECT_TRUE(SameTaskSet(cell.set, set));
     }
     // The two evictees flowed into the store on the way out.
     EXPECT_EQ(store.AbsorbedCount(), 2u);
@@ -433,9 +519,9 @@ TEST(SolveStoreEviction, ByteBudgetEvictsLruIntoStore) {
     const model::TaskSet last = TwoTaskSet("evict-2");
     obs::MetricsShard& shard = metrics.Shard(0);
     (void)shard;
-    EvalWorkspace::PreparedCell& again =
-        workspace.Prepare(2, last, cpu, scheduler);
-    EXPECT_EQ(again.key, 2u);
+    EvalWorkspace::PreparedCell& again = workspace.Prepare(last, cpu,
+                                                           scheduler);
+    EXPECT_TRUE(SameTaskSet(again.set, last));
   }
 
   std::int64_t evictions = 0;
@@ -477,11 +563,11 @@ TEST(SolveStoreEviction, OversizedMruEvictsNothing) {
     {
       EvalWorkspace probe;
       small_bytes =
-          EvalWorkspace::ApproxBytes(probe.Prepare(0, small0, cpu, scheduler));
+          EvalWorkspace::ApproxBytes(probe.Prepare(small0, cpu, scheduler));
       small_bytes +=
-          EvalWorkspace::ApproxBytes(probe.Prepare(1, small1, cpu, scheduler));
+          EvalWorkspace::ApproxBytes(probe.Prepare(small1, cpu, scheduler));
       big_bytes =
-          EvalWorkspace::ApproxBytes(probe.Prepare(2, big, cpu, scheduler));
+          EvalWorkspace::ApproxBytes(probe.Prepare(big, cpu, scheduler));
     }
     // Both small entries fit the budget exactly; the big one alone blows it.
     const std::size_t budget = small_bytes;
@@ -489,16 +575,18 @@ TEST(SolveStoreEviction, OversizedMruEvictsNothing) {
 
     EvalWorkspace workspace;
     workspace.set_prepared_budget_bytes(budget);
-    workspace.Prepare(0, small0, cpu, scheduler);
-    workspace.Prepare(1, small1, cpu, scheduler);
-    EvalWorkspace::PreparedCell& cell =
-        workspace.Prepare(2, big, cpu, scheduler);
-    EXPECT_EQ(cell.key, 2u);
+    workspace.Prepare(small0, cpu, scheduler);
+    workspace.Prepare(small1, cpu, scheduler);
+    EvalWorkspace::PreparedCell& cell = workspace.Prepare(big, cpu,
+                                                          scheduler);
+    EXPECT_TRUE(SameTaskSet(cell.set, big));
 
     // The small entries must still be resident: re-preparing them hits the
     // cache instead of rebuilding (no new misses below).
-    EXPECT_EQ(workspace.Prepare(0, small0, cpu, scheduler).key, 0u);
-    EXPECT_EQ(workspace.Prepare(1, small1, cpu, scheduler).key, 1u);
+    EXPECT_TRUE(
+        SameTaskSet(workspace.Prepare(small0, cpu, scheduler).set, small0));
+    EXPECT_TRUE(
+        SameTaskSet(workspace.Prepare(small1, cpu, scheduler).set, small1));
   }
 
   std::int64_t evictions = -1;

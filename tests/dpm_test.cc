@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
 
 #include "dpm/reallocate.h"
 #include "fps/expansion.h"
@@ -65,62 +66,77 @@ TEST(CriticalSpeedFn, SlowerThanCriticalIsMoreExpensive) {
 
 TEST(CriticalSpeedModelClass, RaisesOnlyTheLowerBound) {
   const model::LinearDvsModel base = workload::DefaultModel();
-  const CriticalSpeedModel floored(base, 1.7);
-  EXPECT_DOUBLE_EQ(floored.vmin(), 1.7);
-  EXPECT_DOUBLE_EQ(floored.vmax(), base.vmax());
-  EXPECT_DOUBLE_EQ(floored.ceff(), base.ceff());
-  EXPECT_DOUBLE_EQ(floored.MaxSpeed(), base.MaxSpeed());
-  EXPECT_DOUBLE_EQ(floored.SpeedAt(2.0), base.SpeedAt(2.0));
-  EXPECT_DOUBLE_EQ(floored.VoltageForSpeed(3.0), base.VoltageForSpeed(3.0));
+  Options forced;
+  forced.enabled = true;
+  forced.critical_speed = 0.5;  // half of MaxSpeed = 2.0 cycles/ms
+  const std::unique_ptr<const model::DvsModel> floored =
+      FlooredModel(base, forced);
+  // The floored model is the base's own type with only vmin raised.
+  const auto* linear = dynamic_cast<const model::LinearDvsModel*>(floored.get());
+  ASSERT_NE(linear, nullptr);
+  EXPECT_DOUBLE_EQ(linear->vmin(), base.VoltageForSpeed(2.0));
+  EXPECT_GT(linear->vmin(), base.vmin());
+  EXPECT_DOUBLE_EQ(linear->vmax(), base.vmax());
+  EXPECT_DOUBLE_EQ(linear->ceff(), base.ceff());
+  EXPECT_DOUBLE_EQ(linear->k(), base.k());
+  EXPECT_NEAR(linear->MinSpeed(), 2.0, 1e-9);
+  EXPECT_DOUBLE_EQ(linear->MaxSpeed(), base.MaxSpeed());
   // ClampVoltage now respects the floor from below.
-  EXPECT_DOUBLE_EQ(floored.ClampVoltage(0.6), 1.7);
-  EXPECT_DOUBLE_EQ(floored.ClampVoltage(2.5), 2.5);
-  EXPECT_EQ(&floored.base(), static_cast<const model::DvsModel*>(&base));
+  EXPECT_DOUBLE_EQ(linear->ClampVoltage(0.6), linear->vmin());
+  EXPECT_DOUBLE_EQ(linear->ClampVoltage(2.5), 2.5);
+
+  // A floor at top speed leaves no range: rejected, never clamped.
+  Options top = forced;
+  top.critical_speed = 1.0;
+  EXPECT_THROW(FlooredModel(base, top), util::InvalidArgumentError);
+
+  // The alpha-law model rebuilds as its own type too; any other model
+  // cannot carry a floor.
+  const model::AlphaDvsModel alpha(0.8, 3.3, 1.0, 0.25, 0.5, 1.6);
+  const std::unique_ptr<const model::DvsModel> alpha_floored =
+      FlooredModel(alpha, forced);
+  const auto* rebuilt =
+      dynamic_cast<const model::AlphaDvsModel*>(alpha_floored.get());
+  ASSERT_NE(rebuilt, nullptr);
+  EXPECT_GT(rebuilt->vmin(), alpha.vmin());
+  EXPECT_DOUBLE_EQ(rebuilt->vth(), alpha.vth());
+  const model::DiscreteDvsModel discrete(
+      std::make_shared<model::LinearDvsModel>(base),
+      model::DiscreteDvsModel::EvenLevels(base, 4));
+  EXPECT_THROW(FlooredModel(discrete, forced), util::InvalidArgumentError);
 }
 
-TEST(CriticalSpeedFloorClass, InactiveWhenDisabledOrBelowVmin) {
+TEST(FlooredModelFn, NoFloorWhenDisabledOrBelowVmin) {
   const model::LinearDvsModel cpu = workload::DefaultModel();  // vmin 0.5
 
   Options off;  // enabled defaults to false
   off.idle.power_per_ms = 0.5;
-  EXPECT_FALSE(CriticalSpeedFloor(cpu, off).active());
+  EXPECT_EQ(FlooredModel(cpu, off), nullptr);
 
   Options disabled;
   disabled.enabled = true;
   disabled.idle.power_per_ms = 0.5;
   disabled.critical_speed = -1.0;
-  EXPECT_FALSE(CriticalSpeedFloor(cpu, disabled).active());
+  EXPECT_EQ(FlooredModel(cpu, disabled), nullptr);
 
   // Idle floor so small the derived critical speed sits below MinSpeed:
-  // the wrapper would be a no-op, so the base model is handed back.
+  // the base range already respects it.
   Options weak;
   weak.enabled = true;
   weak.idle.power_per_ms = 0.05;
-  CriticalSpeedFloor weak_floor(cpu, weak);
-  EXPECT_FALSE(weak_floor.active());
-  EXPECT_EQ(&weak_floor.model(), static_cast<const model::DvsModel*>(&cpu));
+  EXPECT_EQ(FlooredModel(cpu, weak), nullptr);
 }
 
-TEST(CriticalSpeedFloorClass, DerivedAndForcedFloors) {
+TEST(FlooredModelFn, DerivedFloorIsTheCriticalSpeed) {
   const model::LinearDvsModel cpu = workload::DefaultModel();
-
   Options derived;
   derived.enabled = true;
   derived.idle.power_per_ms = 0.5;  // critical speed ~0.63 > MinSpeed 0.5
-  CriticalSpeedFloor auto_floor(cpu, derived);
-  ASSERT_TRUE(auto_floor.active());
-  EXPECT_NEAR(auto_floor.speed_floor(), std::cbrt(0.25), 1e-6);
-  EXPECT_NE(&auto_floor.model(), static_cast<const model::DvsModel*>(&cpu));
-  EXPECT_NEAR(auto_floor.model().MinSpeed(), auto_floor.speed_floor(), 1e-9);
-  EXPECT_DOUBLE_EQ(auto_floor.model().MaxSpeed(), cpu.MaxSpeed());
-
-  Options forced;
-  forced.enabled = true;
-  forced.idle.power_per_ms = 0.5;
-  forced.critical_speed = 0.5;  // half of MaxSpeed = 2.0 cycles/ms
-  CriticalSpeedFloor half(cpu, forced);
-  ASSERT_TRUE(half.active());
-  EXPECT_NEAR(half.speed_floor(), 2.0, 1e-9);
+  const std::unique_ptr<const model::DvsModel> floored =
+      FlooredModel(cpu, derived);
+  ASSERT_NE(floored, nullptr);
+  EXPECT_NEAR(floored->MinSpeed(), std::cbrt(0.25), 1e-6);
+  EXPECT_DOUBLE_EQ(floored->MaxSpeed(), cpu.MaxSpeed());
 }
 
 TEST(ResolveSleepStateFn, PresetsScaleWithTheIdleFloor) {
