@@ -11,6 +11,7 @@
 //
 // Without --trace the example writes sample_trace.csv's contents to a
 // temporary file first, so it runs from any directory.
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -90,6 +91,12 @@ int main(int argc, char** argv) {
     const fps::FullyPreemptiveSchedule fps(set);
     core::MethodContext context(fps, cpu, options.scheduler);
     const core::MethodRegistry& registry = core::MethodRegistry::Builtin();
+    // Pad every name to the longest one plus a space, so no name runs into
+    // its label.
+    std::size_t name_width = 0;
+    for (const std::string& name : registry.Names()) {
+      name_width = std::max(name_width, name.size());
+    }
     double wcs_energy = 0.0;
     for (const std::string& name : registry.Names()) {
       const core::MethodOutcome outcome =
@@ -97,7 +104,7 @@ int main(int argc, char** argv) {
       if (name == "wcs") {
         wcs_energy = outcome.measured_energy;
       }
-      std::cout << util::PadRight(name, 16)
+      std::cout << util::PadRight(name, name_width + 1)
                 << "energy/hyper-period: " << outcome.measured_energy
                 << "  (misses: " << outcome.deadline_misses << ")\n";
     }

@@ -4,12 +4,8 @@
 #include <cmath>
 #include <cstring>
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#include <immintrin.h>
-#endif
-
+#include "opt/vec.h"
 #include "util/error.h"
-#include "util/simd.h"
 
 namespace dvs::core {
 namespace {
@@ -286,19 +282,7 @@ double EnergyObjective::Evaluate(const opt::Vector& x, opt::Vector* grad,
   }
 
   std::vector<double>& row_grad = scratch_->mix_grad;
-  std::size_t row = 0;
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-  // K planned points are a natural vector width: four complete replays run
-  // in the four AVX2 lanes when the fast-path preconditions hold (linear
-  // voltage model, average scenario, no per-sub detail requested).
-  if (linear_model_ && scenario_ == Scenario::kAverage && detail == nullptr &&
-      util::simd::Active() == util::simd::Level::kAvx2) {
-    for (; row + 4 <= mixture_rows_; row += 4) {
-      total += MixtureBlock4Avx2(row, x, grad);
-    }
-  }
-#endif
-  for (; row < mixture_rows_; ++row) {
+  for (std::size_t row = 0; row < mixture_rows_; ++row) {
     const double* plan = mixture_by_sub_.data() + row * n_;
     opt::Vector* row_grad_ptr = nullptr;
     if (grad != nullptr) {
@@ -307,29 +291,29 @@ double EnergyObjective::Evaluate(const opt::Vector& x, opt::Vector* grad,
     }
     total += EvaluateOnce(plan, x, row_grad_ptr,
                           detail != nullptr ? &row_detail : nullptr);
+    // y += 1.0 * x adds x exactly, so each row sums in as it always has.
     if (grad != nullptr) {
-      util::simd::Add(row_grad.data(), grad->data(), dim_);
+      opt::Axpy(1.0, row_grad, *grad);
     }
     if (detail != nullptr) {
-      util::simd::Add(row_detail.start.data(), detail->start.data(), n_);
-      util::simd::Add(row_detail.avg_cycles.data(),
-                      detail->avg_cycles.data(), n_);
-      util::simd::Add(row_detail.voltage.data(), detail->voltage.data(), n_);
-      util::simd::Add(row_detail.finish.data(), detail->finish.data(), n_);
-      util::simd::Add(row_detail.energy.data(), detail->energy.data(), n_);
+      opt::Axpy(1.0, row_detail.start, detail->start);
+      opt::Axpy(1.0, row_detail.avg_cycles, detail->avg_cycles);
+      opt::Axpy(1.0, row_detail.voltage, detail->voltage);
+      opt::Axpy(1.0, row_detail.finish, detail->finish);
+      opt::Axpy(1.0, row_detail.energy, detail->energy);
     }
   }
 
   total *= inv_rows;
   if (grad != nullptr) {
-    util::simd::Scale(inv_rows, grad->data(), dim_);
+    opt::Scale(inv_rows, *grad);
   }
   if (detail != nullptr) {
-    util::simd::Scale(inv_rows, detail->start.data(), n_);
-    util::simd::Scale(inv_rows, detail->avg_cycles.data(), n_);
-    util::simd::Scale(inv_rows, detail->voltage.data(), n_);
-    util::simd::Scale(inv_rows, detail->finish.data(), n_);
-    util::simd::Scale(inv_rows, detail->energy.data(), n_);
+    opt::Scale(inv_rows, detail->start);
+    opt::Scale(inv_rows, detail->avg_cycles);
+    opt::Scale(inv_rows, detail->voltage);
+    opt::Scale(inv_rows, detail->finish);
+    opt::Scale(inv_rows, detail->energy);
   }
   return total;
 }
@@ -449,11 +433,14 @@ double EnergyObjective::EvaluateImpl(const double* plan, const opt::Vector& x,
     f_prev = f[u];
   }
 
-  // Phase three — energy reduction over the per-sub array.  At scalar
-  // dispatch this adds the same executing terms in the same order as the
-  // historical in-loop accumulation (non-executing slots contribute an
-  // exact +0.0), so the value is bit-identical.
-  const double total = util::simd::Sum(energy, n_);
+  // Phase three — energy reduction over the per-sub array, in index order:
+  // the same executing terms in the same order as the historical in-loop
+  // accumulation (non-executing slots contribute an exact +0.0), so the
+  // value is bit-identical.
+  double total = 0.0;
+  for (std::size_t u = 0; u < n_; ++u) {
+    total += energy[u];
+  }
 
   if (detail != nullptr) {
     std::copy(s, s + n_, detail->start.begin());
@@ -555,217 +542,6 @@ void EnergyObjective::ReverseImpl(opt::Vector& grad,
     grad[u] = d_e;
   }
 }
-
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-
-namespace {
-
-/// Folds the four lanes of `v` in the fixed order ((l0 + l1) + l2) + l3.
-__attribute__((target("avx2"))) inline double HsumLanes(__m256d v) {
-  alignas(32) double lane[4];
-  _mm256_store_pd(lane, v);
-  return ((lane[0] + lane[1]) + lane[2]) + lane[3];
-}
-
-}  // namespace
-
-__attribute__((target("avx2"))) double EnergyObjective::MixtureBlock4Avx2(
-    std::size_t first_row, const opt::Vector& x, opt::Vector* grad) const {
-  // Four mixture rows ride the four lanes through one complete replay.  The
-  // worst-case budgets w_u — and therefore the cum prefix sums — are
-  // plan-independent, so they stay scalar and shared across lanes;
-  // everything the planned point touches (avg, start, window, voltage,
-  // finish) is per-lane.  Branches in the scalar replay become compare
-  // masks: values are selected with blendv, adjoint terms are neutralised
-  // with a bitwise AND against the mask (which also scrubs the inf/NaN
-  // intermediates clamped lanes produce from 1 / d on degenerate windows).
-  ObjectiveScratch& scratch = *scratch_;
-  scratch.ResizeSubs(n_);
-  scratch.mix4_avg.resize(4 * n_);
-  scratch.mix4_d.resize(4 * n_);
-  scratch.mix4_v.resize(4 * n_);
-  scratch.mix4_ct.resize(4 * n_);
-  scratch.mix4_inside.resize(4 * n_);
-  scratch.mix4_full.resize(4 * n_);
-  scratch.mix4_partial.resize(4 * n_);
-  scratch.mix4_sff.resize(4 * n_);
-  double* const w = scratch.w.data();
-  unsigned char* const executes = scratch.executes.data();
-
-  const model::DvsModel& dvs = *dvs_;
-  const double ceff = dvs.ceff();
-  const double vmin = dvs.vmin();
-  const double vmax = dvs.vmax();
-  const double k = linear_k_;
-  const double inv_k = 1.0 / k;
-  const double ct_vmin = 1.0 / (k * vmin);
-
-  for (std::size_t u = 0; u < n_; ++u) {
-    w[u] = std::max(0.0, BudgetOf(x, u));
-    executes[u] = w[u] > kCycleEps ? 1 : 0;
-  }
-  scratch.cum.assign(fps_->instance_count(), 0.0);
-  double* const cum = scratch.cum.data();
-
-  const double* const mix = mixture_by_sub_.data();
-  const __m256d zero = _mm256_setzero_pd();
-  const __m256d ones = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
-  const __m256d vvmin = _mm256_set1_pd(vmin);
-  const __m256d vvmax = _mm256_set1_pd(vmax);
-  const __m256d vk = _mm256_set1_pd(k);
-  const __m256d vinv_k = _mm256_set1_pd(inv_k);
-  const __m256d vone = _mm256_set1_pd(1.0);
-  const __m256d vceff = _mm256_set1_pd(ceff);
-  const __m256d veps = _mm256_set1_pd(kWindowEps);
-  const __m256d vmax_speed = _mm256_set1_pd(max_speed_);
-
-  // ---- Forward pass, four lanes wide ---------------------------------------
-  __m256d total4 = zero;
-  __m256d f_prev = zero;
-  for (std::size_t u = 0; u < n_; ++u) {
-    const SubRecord& r = records_[u];
-    const double wu = w[u];
-    const __m256d vw = _mm256_set1_pd(wu);
-    const __m256d plan_lane = _mm256_set_pd(
-        mix[(first_row + 3) * n_ + u], mix[(first_row + 2) * n_ + u],
-        mix[(first_row + 1) * n_ + u], mix[first_row * n_ + u]);
-    const __m256d left =
-        _mm256_sub_pd(plan_lane, _mm256_set1_pd(cum[r.parent]));
-    // avg = clamp(left, 0, w); the case masks replicate the scalar branch
-    // order (left >= w -> full; else left > 0 -> partial; else empty).
-    const __m256d avg = _mm256_min_pd(_mm256_max_pd(left, zero), vw);
-    const __m256d m_full = _mm256_cmp_pd(left, vw, _CMP_GE_OQ);
-    const __m256d m_partial =
-        _mm256_andnot_pd(m_full, _mm256_cmp_pd(left, zero, _CMP_GT_OQ));
-    cum[r.parent] += wu;
-
-    const __m256d release = _mm256_set1_pd(r.release);
-    const __m256d m_sff = _mm256_cmp_pd(f_prev, release, _CMP_GE_OQ);
-    const __m256d sv = _mm256_max_pd(f_prev, release);
-    const __m256d dv = _mm256_sub_pd(_mm256_set1_pd(x[u]), sv);
-
-    __m256d volt;
-    __m256d ct;
-    __m256d m_inside;
-    __m256d fin;
-    if (executes[u]) {
-      const __m256d speed = _mm256_div_pd(vw, dv);
-      const __m256d v_raw = _mm256_mul_pd(speed, vinv_k);
-      // Degenerate windows (d <= eps) produce huge/inf speeds; the ordered
-      // compares route those lanes to the Vmax rail exactly like the scalar
-      // short-circuit does.
-      const __m256d m_above = _mm256_or_pd(
-          _mm256_or_pd(_mm256_cmp_pd(dv, veps, _CMP_LE_OQ),
-                       _mm256_cmp_pd(speed, vmax_speed, _CMP_GT_OQ)),
-          _mm256_cmp_pd(v_raw, vvmax, _CMP_GT_OQ));
-      const __m256d m_low =
-          _mm256_andnot_pd(m_above, _mm256_cmp_pd(v_raw, vvmin, _CMP_LT_OQ));
-      volt = _mm256_blendv_pd(_mm256_blendv_pd(v_raw, vvmax, m_above), vvmin,
-                              m_low);
-      ct = _mm256_div_pd(vone, _mm256_mul_pd(vk, volt));
-      m_inside = _mm256_andnot_pd(_mm256_or_pd(m_above, m_low), ones);
-      fin = _mm256_add_pd(sv, _mm256_mul_pd(avg, ct));
-      total4 = _mm256_add_pd(
-          total4,
-          _mm256_mul_pd(_mm256_mul_pd(_mm256_mul_pd(vceff, volt), volt), avg));
-    } else {
-      volt = vvmin;
-      ct = _mm256_set1_pd(ct_vmin);
-      m_inside = zero;
-      fin = sv;
-    }
-
-    _mm256_storeu_pd(scratch.mix4_avg.data() + 4 * u, avg);
-    _mm256_storeu_pd(scratch.mix4_d.data() + 4 * u, dv);
-    _mm256_storeu_pd(scratch.mix4_v.data() + 4 * u, volt);
-    _mm256_storeu_pd(scratch.mix4_ct.data() + 4 * u, ct);
-    _mm256_storeu_pd(scratch.mix4_inside.data() + 4 * u, m_inside);
-    _mm256_storeu_pd(scratch.mix4_full.data() + 4 * u, m_full);
-    _mm256_storeu_pd(scratch.mix4_partial.data() + 4 * u, m_partial);
-    _mm256_storeu_pd(scratch.mix4_sff.data() + 4 * u, m_sff);
-    f_prev = fin;
-  }
-
-  const double total = HsumLanes(total4);
-  if (grad == nullptr) {
-    return total;
-  }
-
-  // ---- Reverse pass, four lanes wide ---------------------------------------
-  // Lane gradients accumulate into mix4_grad (every entry written exactly
-  // once, mirroring the scalar reverse pass) and fold into *grad at the end.
-  scratch.mix4_gf.assign(4 * n_, 0.0);
-  scratch.mix4_carry.assign(4 * fps_->instance_count(), 0.0);
-  scratch.mix4_grad.resize(4 * dim_);
-  double* const gf4 = scratch.mix4_gf.data();
-  double* const carry4 = scratch.mix4_carry.data();
-  double* const grad4 = scratch.mix4_grad.data();
-  const __m256d two_ceff = _mm256_set1_pd(2.0 * ceff);
-
-  for (std::size_t u = n_; u-- > 0;) {
-    const SubRecord& r = records_[u];
-    const __m256d gf = _mm256_loadu_pd(gf4 + 4 * u);
-    __m256d d_avg = zero;
-    __m256d d_s = gf;
-    __m256d d_e = zero;
-    __m256d d_w = zero;
-
-    if (executes[u]) {
-      const __m256d avg = _mm256_loadu_pd(scratch.mix4_avg.data() + 4 * u);
-      const __m256d dv = _mm256_loadu_pd(scratch.mix4_d.data() + 4 * u);
-      const __m256d volt = _mm256_loadu_pd(scratch.mix4_v.data() + 4 * u);
-      const __m256d ct = _mm256_loadu_pd(scratch.mix4_ct.data() + 4 * u);
-      const __m256d m_inside =
-          _mm256_loadu_pd(scratch.mix4_inside.data() + 4 * u);
-      d_avg = _mm256_add_pd(_mm256_mul_pd(_mm256_mul_pd(vceff, volt), volt),
-                            _mm256_mul_pd(gf, ct));
-      // Interior lanes: dct/dV = -k ct^2, dV/dspeed = 1/k, speed = w/d.
-      const __m256d dct_dv =
-          _mm256_sub_pd(zero, _mm256_mul_pd(_mm256_mul_pd(vk, ct), ct));
-      const __m256d d_volt =
-          _mm256_add_pd(_mm256_mul_pd(_mm256_mul_pd(two_ceff, volt), avg),
-                        _mm256_mul_pd(_mm256_mul_pd(gf, avg), dct_dv));
-      const __m256d inv_d = _mm256_div_pd(vone, dv);
-      const __m256d ds = _mm256_mul_pd(d_volt, vinv_k);
-      const __m256d w_inv_d2 =
-          _mm256_mul_pd(_mm256_mul_pd(_mm256_set1_pd(w[u]), inv_d), inv_d);
-      d_e = _mm256_and_pd(m_inside,
-                          _mm256_mul_pd(ds, _mm256_sub_pd(zero, w_inv_d2)));
-      d_s = _mm256_add_pd(d_s,
-                          _mm256_and_pd(m_inside, _mm256_mul_pd(ds, w_inv_d2)));
-      d_w = _mm256_and_pd(m_inside, _mm256_mul_pd(ds, inv_d));
-    }
-
-    const __m256d m_full = _mm256_loadu_pd(scratch.mix4_full.data() + 4 * u);
-    const __m256d m_partial =
-        _mm256_loadu_pd(scratch.mix4_partial.data() + 4 * u);
-    __m256d carry = _mm256_loadu_pd(carry4 + 4 * r.parent);
-    if (r.has_budget_var) {
-      const __m256d d_w_total = _mm256_add_pd(_mm256_sub_pd(d_w, carry),
-                                              _mm256_and_pd(m_full, d_avg));
-      _mm256_storeu_pd(grad4 + 4 * r.budget_var, d_w_total);
-    }
-    carry = _mm256_add_pd(carry, _mm256_and_pd(m_partial, d_avg));
-    _mm256_storeu_pd(carry4 + 4 * r.parent, carry);
-
-    if (u > 0) {
-      const __m256d m_sff = _mm256_loadu_pd(scratch.mix4_sff.data() + 4 * u);
-      const __m256d prev = _mm256_loadu_pd(gf4 + 4 * (u - 1));
-      _mm256_storeu_pd(gf4 + 4 * (u - 1),
-                       _mm256_add_pd(prev, _mm256_and_pd(m_sff, d_s)));
-    }
-    _mm256_storeu_pd(grad4 + 4 * u, d_e);
-  }
-
-  double* const g = grad->data();
-  for (std::size_t j = 0; j < dim_; ++j) {
-    const double* lane = grad4 + 4 * j;
-    g[j] += ((lane[0] + lane[1]) + lane[2]) + lane[3];
-  }
-  return total;
-}
-
-#endif  // x86-64 && (GCC || Clang)
 
 std::shared_ptr<opt::BoxSimplexSet> EnergyObjective::BuildFeasibleSet() const {
   auto set = std::make_shared<opt::BoxSimplexSet>(dim_);

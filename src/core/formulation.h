@@ -112,10 +112,9 @@ struct ObjectiveScratch {
   enum class Clamp : unsigned char { kBelowMin, kInside, kAboveMax };
 
   // Forward-pass state, structure-of-arrays: one slot per sub-instance in
-  // each array.  The SoA layout keeps every field contiguous so the
-  // vectorized phases (budget clamp, energy reduction, the 4-lane mixture
-  // replay) stream whole cache lines of one quantity; the scalar walk reads
-  // the same values in the same order as the historical per-node struct.
+  // each array.  The SoA layout keeps every field contiguous; the walk
+  // reads the same values in the same order as the historical per-node
+  // struct.
   std::vector<double> w;       // worst-case budget
   std::vector<double> avg;     // scenario workload executed here
   std::vector<double> s;       // start (scenario chain)
@@ -133,21 +132,6 @@ struct ObjectiveScratch {
   std::vector<double> g_f;     // per sub: adjoint of the finish time
   std::vector<double> carry;   // per parent: partial-case avg adjoints
   std::vector<double> mix_grad;  // mixture planning: per-replay gradient
-
-  // Lane-major state of the AVX2 mixture replay (four mixture rows per
-  // pass): 4 doubles per sub-instance / variable / parent.  Mask arrays
-  // store all-ones/all-zeros bit patterns.  Unused at scalar dispatch.
-  std::vector<double> mix4_avg;
-  std::vector<double> mix4_d;
-  std::vector<double> mix4_v;
-  std::vector<double> mix4_ct;
-  std::vector<double> mix4_inside;
-  std::vector<double> mix4_full;
-  std::vector<double> mix4_partial;
-  std::vector<double> mix4_sff;
-  std::vector<double> mix4_gf;     // 4 * n lane adjoints
-  std::vector<double> mix4_grad;   // 4 * dim lane gradients
-  std::vector<double> mix4_carry;  // 4 * instance_count lane carries
 
   /// Grows the per-sub SoA arrays to `n` slots.
   void ResizeSubs(std::size_t n) {
@@ -264,16 +248,6 @@ class EnergyObjective final : public opt::Objective {
   /// in the scratch and writing every gradient component.
   template <typename Kernel, bool kAverageScenario>
   void ReverseImpl(opt::Vector& grad, const Kernel& kernel) const;
-
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-  /// Four complete mixture replays in the four AVX2 lanes (linear kernel,
-  /// average scenario, no detail).  Returns the sum of the four row values
-  /// and, when `grad` is non-null, adds the four rows' gradients into it.
-  /// Only called at AVX2 dispatch; folds lanes in a fixed order, so results
-  /// are deterministic but associate differently than the scalar row loop.
-  __attribute__((target("avx2"))) double MixtureBlock4Avx2(
-      std::size_t first_row, const opt::Vector& x, opt::Vector* grad) const;
-#endif
 
   const fps::FullyPreemptiveSchedule* fps_;
   const model::DvsModel* dvs_;

@@ -490,6 +490,7 @@ MethodOutcome AssembleOutcome(const MethodPlan& plan, const Run& run,
   outcome.solver_inner_iterations = plan.solver_inner_iterations;
   outcome.solver_evaluations = plan.solver_evaluations;
   outcome.solver_inner_capped = plan.solver_inner_capped;
+  outcome.solver_max_violation = plan.solver_max_violation;
   outcome.idle_energy = run.idle_energy * norm;
   outcome.sleep_energy = run.sleep_energy * norm;
   outcome.sleep_time = run.sleep_time;

@@ -41,6 +41,7 @@
 #ifndef ACS_CORE_METHOD_REGISTRY_H
 #define ACS_CORE_METHOD_REGISTRY_H
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <string>
@@ -205,6 +206,7 @@ struct MethodPlan {
   std::int64_t solver_inner_iterations = 0;
   std::int64_t solver_evaluations = 0;
   std::int64_t solver_inner_capped = 0;  // solves ending on the inner cap
+  double solver_max_violation = 0.0;     // largest final violation
 
   /// Adds one solve's counters.
   void ChargeSolver(const opt::AlmReport& report) {
@@ -214,6 +216,7 @@ struct MethodPlan {
     solver_evaluations += static_cast<std::int64_t>(report.evaluations);
     solver_inner_capped +=
         report.inner_status == opt::SolveStatus::kMaxIterations ? 1 : 0;
+    solver_max_violation = std::max(solver_max_violation, report.max_violation);
   }
 };
 

@@ -129,6 +129,7 @@ struct MethodOutcome {
   std::int64_t solver_inner_iterations = 0;
   std::int64_t solver_evaluations = 0;
   std::int64_t solver_inner_capped = 0;
+  double solver_max_violation = 0.0;  // largest final violation of a solve
   /// DPM ledger (all zero when ExperimentOptions::dpm is off).  The two
   /// energies are included in measured_energy; units follow it (per
   /// hyper-period single-core, per-ms for a fleet aggregate).

@@ -182,6 +182,8 @@ FleetResult EvaluateFleet(
         fleet.fleet.solver_inner_iterations += outcome.solver_inner_iterations;
         fleet.fleet.solver_evaluations += outcome.solver_evaluations;
         fleet.fleet.solver_inner_capped += outcome.solver_inner_capped;
+        fleet.fleet.solver_max_violation = std::max(
+            fleet.fleet.solver_max_violation, outcome.solver_max_violation);
         if (dpm) {
           fleet.fleet.idle_energy +=
               weight * (outcome.idle_energy / hyper_period);

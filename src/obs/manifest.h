@@ -7,6 +7,8 @@
 //     "schema":  "acs.run_manifest/1",
 //     "tool":    program name,
 //     "build":   { git_sha, compiler, build_type, simd },
+//                (simd names the cube-root path the host runs; both
+//                 paths return identical bits, so no result depends on it)
 //     "run":     { master_seed, threads, hardware_threads,
 //                  shard_count, wall_ms },
 //     "shards":  [shard indices this document covers],

@@ -76,6 +76,9 @@ MetricsRegistry::MetricsRegistry() {
   AddCounter("solve.wcs_fallbacks.gap");
   AddCounter("solve.wcs_fallbacks.repair");
   AddCounter("solver.inner_capped");
+  // Absolute violations; the ALM's feasibility tolerance is 1e-8.
+  AddHistogram("solver.final_violation",
+               {1e-12, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3});
   ACS_REQUIRE(definitions_.size() == metric::kBuiltinCount,
               "builtin metric count drifted from obs::metric ids");
 }

@@ -200,7 +200,14 @@ inline constexpr MetricId kWcsFallbackRepair = 42;      // ....repair
 // Solves whose last ALM inner solve hit its iteration cap (result-charged
 // from MethodOutcome, like the other solver.* counters).
 inline constexpr MetricId kSolverInnerCapped = 43;  // solver.inner_capped
-inline constexpr std::size_t kBuiltinCount = 44;
+// Per cell with at least one solve: the largest final constraint violation
+// (AlmReport::max_violation) among its solves, result-charged like the
+// solver.* counters, so store hits report it too.  Exact WCS solves
+// report 0.
+inline constexpr MetricId kSolverFinalViolation = 44;  // solver.final_
+                                                       // violation
+                                                       // (histogram)
+inline constexpr std::size_t kBuiltinCount = 45;
 }  // namespace metric
 
 /// The installed registry, or nullptr.  Installation is not synchronised

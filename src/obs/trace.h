@@ -13,7 +13,7 @@
 // complete-event format reconstructs from timestamps alone: the export
 // (WriteChromeTrace) loads directly into chrome://tracing or Perfetto as a
 // per-thread flamegraph.  Spans carry string key/value args (cache hit or
-// miss, SIMD dispatch level, cell coordinates) rendered into the event's
+// miss, cell coordinates) rendered into the event's
 // "args" object.
 //
 // MergeChromeTraces recombines per-shard trace files (tools/merge_results)

@@ -135,10 +135,9 @@ class AugmentedObjective final : public Objective {
   double Evaluate(const Vector& x, Vector* grad) const {
     double value = grad != nullptr ? base_.ValueAndGradient(x, *grad)
                                    : base_.Value(x);
-    // Two phases: batch every row value first (vectorizable — four gathered
-    // rows per step on the flat system at AVX2 dispatch), then the hinge
-    // algebra walks the rows in order; the scatter-indexed gradient
-    // accumulation repeats that walk, so scalar dispatch is bit-identical.
+    // Two phases: batch every row value first, then the hinge algebra walks
+    // the rows in order; the scatter-indexed gradient accumulation repeats
+    // that walk.
     system_.EvaluateAll(x, row_values_);
     for (std::size_t c = 0; c < system_.size(); ++c) {
       const double cv = row_values_[c];
@@ -327,40 +326,6 @@ void FlatLinearSystem::Assign(const std::vector<LinearConstraint>& constraints) 
     }
   }
   row_begin.push_back(term_index.size());
-
-  // Slot-major padded mirror for the batched evaluation; bail out when a
-  // row exceeds three terms (never happens for the ACS chain system) or an
-  // index does not fit the 32-bit gather lanes.
-  const std::size_t n_rows = rows();
-  packed3 = true;
-  for (std::size_t r = 0; r < n_rows && packed3; ++r) {
-    if (row_begin[r + 1] - row_begin[r] > 3) {
-      packed3 = false;
-    }
-  }
-  for (std::size_t t = 0; t < term_index.size() && packed3; ++t) {
-    if (term_index[t] >
-        static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max())) {
-      packed3 = false;
-    }
-  }
-  if (packed3) {
-    packed_coeff.assign(3 * n_rows, 0.0);
-    packed_idx.assign(3 * n_rows, 0);
-    for (std::size_t r = 0; r < n_rows; ++r) {
-      const std::size_t b = row_begin[r];
-      const std::size_t e = row_begin[r + 1];
-      for (std::size_t t = b; t < e; ++t) {
-        const std::size_t slot = t - b;
-        packed_coeff[slot * n_rows + r] = term_coeff[t];
-        packed_idx[slot * n_rows + r] =
-            static_cast<std::int32_t>(term_index[t]);
-      }
-    }
-  } else {
-    packed_coeff.clear();
-    packed_idx.clear();
-  }
 }
 
 AlmReport MinimizeAlm(const Objective& objective, const FeasibleSet& set,

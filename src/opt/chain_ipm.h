@@ -88,8 +88,8 @@ struct ChainIpmWorkspace {
 
 /// Solves `problem`; `solution` receives the iterate with the best
 /// certified gap (left empty unless the status is kSolved).  Deterministic:
-/// plain scalar arithmetic in a fixed order, identical at every SIMD level
-/// and with or without a workspace.
+/// plain scalar arithmetic in a fixed order, identical on every host and
+/// with or without a workspace.
 ChainIpmReport SolveChain(const ChainProblem& problem, ChainSolution& solution,
                           ChainIpmWorkspace* workspace = nullptr);
 

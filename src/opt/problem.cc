@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "util/error.h"
-#include "util/simd.h"
 
 namespace dvs::opt {
 namespace {
@@ -122,8 +121,7 @@ double FeasibleSet::SpgCriterion(const Vector& x, const Vector& grad,
 BoxSimplexSet::BoxSimplexSet(std::size_t dim)
     : lo_(dim, -kNoBound),
       hi_(dim, kNoBound),
-      in_simplex_(dim, false),
-      box_mask_(dim, 1.0) {}
+      in_simplex_(dim, false) {}
 
 void BoxSimplexSet::SetBounds(std::size_t i, double lo, double hi) {
   ACS_REQUIRE(i < lo_.size(), "variable index out of range");
@@ -143,7 +141,6 @@ void BoxSimplexSet::AddSimplex(std::vector<std::size_t> indices,
     ACS_REQUIRE(lo_[idx] == -kNoBound && hi_[idx] == kNoBound,
                 "simplex variable must not carry box bounds");
     in_simplex_[idx] = true;
-    box_mask_[idx] = 0.0;
   }
   simplexes_.push_back(Simplex{std::move(indices), total});
 }
@@ -158,7 +155,9 @@ void BoxSimplexSet::Project(Vector& x, ProjectionScratch& scratch) const {
   // Simplex-owned variables carry (-inf, +inf) bounds (enforced by
   // AddSimplex), so clamping them is an exact identity — the clamp runs
   // branchless over every variable instead of testing membership.
-  util::simd::ClampBox(lo_.data(), hi_.data(), x.data(), x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x[i] = std::min(std::max(x[i], lo_[i]), hi_[i]);
+  }
   for (const Simplex& group : simplexes_) {
     if (group.indices.size() == 2) {
       // In-place two-element projection (the dominant group size): same
@@ -235,14 +234,19 @@ double BoxSimplexSet::SpgCriterion(const Vector& x, const Vector& grad,
   // exactly |clamp(x_i - g_i) - x_i|.  Their running max is a sound lower
   // bound on the full criterion: once it exceeds the threshold the solver's
   // "not converged" decision is already fixed and the simplex projections
-  // can be skipped.  `box_mask_` zeroes simplex-owned displacements so the
-  // sweep runs branch-free (and vectorized at AVX2 dispatch).
-  double criterion = util::simd::BoxCriterion(
-      x.data(), grad.data(), lo_.data(), hi_.data(), box_mask_.data(),
-      x.size(), threshold);
-  if (criterion > threshold) {
-    // Decision fixed ("not converged"); no need to finish the sweep.
-    return criterion;
+  // can be skipped.
+  double criterion = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if (in_simplex_[i]) {
+      continue;
+    }
+    const double projected =
+        std::min(std::max(x[i] - grad[i], lo_[i]), hi_[i]);
+    criterion = std::max(criterion, std::fabs(projected - x[i]));
+    if (criterion > threshold) {
+      // Decision fixed ("not converged"); no need to finish the sweep.
+      return criterion;
+    }
   }
   // Possibly converged: finish exactly with the simplex groups.
   std::vector<double>& values = scratch.values;

@@ -120,10 +120,6 @@ class BoxSimplexSet final : public FeasibleSet {
   std::vector<double> lo_;
   std::vector<double> hi_;
   std::vector<bool> in_simplex_;
-  // 1.0 for box coordinates, 0.0 for simplex-owned ones: the multiplicative
-  // mask the vectorized SpgCriterion box sweep uses in place of the
-  // `in_simplex_` branch.
-  std::vector<double> box_mask_;
   std::vector<Simplex> simplexes_;
 };
 

@@ -6,7 +6,6 @@
 #include "opt/workspace.h"
 #include "util/error.h"
 #include "util/logging.h"
-#include "util/simd.h"
 
 namespace dvs::opt {
 
@@ -55,13 +54,15 @@ SpgReport MinimizeSpg(const Objective& objective, const FeasibleSet& set,
 
     // Projected-gradient direction with the current spectral step
     // (x + (-step) * grad is bit-identical to x - step * grad).
-    util::simd::AddScaled(x.data(), -step, grad.data(), trial.data(),
-                          x.size());
+    AddScaledInto(x, -step, grad, trial);
     set.Project(trial, ws.projection);
-    // Direction and its slope against the gradient in one pass (at scalar
-    // dispatch the sum accumulates in index order, exactly as Dot would).
-    const double slope = util::simd::StepAndSlope(
-        x.data(), grad.data(), trial.data(), direction.data(), x.size());
+    // Direction and its slope against the gradient in one pass (the sum
+    // accumulates in index order, exactly as Dot would).
+    double slope = 0.0;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      direction[i] = trial[i] - x[i];
+      slope += grad[i] * direction[i];
+    }
 
     // Convergence: unit-step projected gradient displacement.  The set may
     // return early with a lower bound once it exceeds the tolerance (the
@@ -89,8 +90,7 @@ SpgReport MinimizeSpg(const Objective& objective, const FeasibleSet& set,
     std::size_t backtracks = 0;
     for (std::size_t bt = 0; bt <= options.max_backtracks; ++bt) {
       backtracks = bt;
-      util::simd::AddScaled(x.data(), lambda, direction.data(), trial.data(),
-                            x.size());
+      AddScaledInto(x, lambda, direction, trial);
       // Points on the chord between two feasible points stay feasible for
       // convex sets, so no re-projection is needed.  Trials cost the value
       // only; the accepted one gets its gradient below.
@@ -115,8 +115,12 @@ SpgReport MinimizeSpg(const Objective& objective, const FeasibleSet& set,
     // Barzilai-Borwein spectral step from the accepted move.
     double sts = 0.0;
     double sty = 0.0;
-    util::simd::SpectralPair(lambda, direction.data(), grad.data(),
-                             trial_grad.data(), x.size(), &sts, &sty);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      const double s = lambda * direction[i];
+      const double y = trial_grad[i] - grad[i];
+      sts += s * s;
+      sty += s * y;
+    }
     step = (sty > 0.0)
                ? std::clamp(sts / sty, options.step_min, options.step_max)
                : options.step_max;

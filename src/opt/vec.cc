@@ -4,45 +4,66 @@
 #include <cmath>
 
 #include "util/error.h"
-#include "util/simd.h"
 
 namespace dvs::opt {
 
-// All kernels route through util::simd, which replicates these exact loops
-// at the scalar dispatch level and uses AVX2 when the level allows it.
+// Reductions accumulate in index order, so every result is a fixed
+// function of its inputs, independent of the host.
 
 double Dot(const Vector& a, const Vector& b) {
   ACS_REQUIRE(a.size() == b.size(), "Dot: size mismatch");
-  return util::simd::Dot(a.data(), b.data(), a.size());
+  double acc = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    acc += a[i] * b[i];
+  }
+  return acc;
 }
 
 double Norm2(const Vector& a) { return std::sqrt(Dot(a, a)); }
 
 double NormInf(const Vector& a) {
-  return util::simd::NormInf(a.data(), a.size());
+  double best = 0.0;
+  for (double value : a) {
+    best = std::max(best, std::fabs(value));
+  }
+  return best;
 }
 
 void Axpy(double alpha, const Vector& x, Vector& y) {
   ACS_REQUIRE(x.size() == y.size(), "Axpy: size mismatch");
-  util::simd::Axpy(alpha, x.data(), y.data(), x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    y[i] += alpha * x[i];
+  }
 }
 
 void Scale(double alpha, Vector& x) {
-  util::simd::Scale(alpha, x.data(), x.size());
+  for (double& value : x) {
+    value *= alpha;
+  }
 }
 
 Vector Subtract(const Vector& a, const Vector& b) {
   ACS_REQUIRE(a.size() == b.size(), "Subtract: size mismatch");
   Vector out(a.size());
-  util::simd::Subtract(a.data(), b.data(), out.data(), a.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    out[i] = a[i] - b[i];
+  }
   return out;
 }
 
 Vector AddScaled(const Vector& a, double alpha, const Vector& b) {
-  ACS_REQUIRE(a.size() == b.size(), "AddScaled: size mismatch");
   Vector out(a.size());
-  util::simd::AddScaled(a.data(), alpha, b.data(), out.data(), a.size());
+  AddScaledInto(a, alpha, b, out);
   return out;
+}
+
+void AddScaledInto(const Vector& a, double alpha, const Vector& b,
+                   Vector& out) {
+  ACS_REQUIRE(a.size() == b.size() && a.size() == out.size(),
+              "AddScaled: size mismatch");
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    out[i] = a[i] + alpha * b[i];
+  }
 }
 
 void Fill(Vector& x, double value) {

@@ -34,6 +34,11 @@ Vector Subtract(const Vector& a, const Vector& b);
 /// out = a + alpha * b.
 Vector AddScaled(const Vector& a, double alpha, const Vector& b);
 
+/// out[i] = a[i] + alpha * b[i] into a caller-sized `out` (no allocation);
+/// `out` may not alias `a` or `b`.
+void AddScaledInto(const Vector& a, double alpha, const Vector& b,
+                   Vector& out);
+
 /// Sets every element to `value`.
 void Fill(Vector& x, double value);
 

@@ -16,13 +16,11 @@
 #ifndef ACS_OPT_WORKSPACE_H
 #define ACS_OPT_WORKSPACE_H
 
-#include <cstdint>
 #include <vector>
 
 #include "opt/chain_ipm.h"
 #include "opt/problem.h"
 #include "opt/vec.h"
-#include "util/simd.h"
 
 namespace dvs::opt {
 
@@ -50,32 +48,14 @@ struct FlatLinearSystem {
   std::vector<double> constant;          // per-row constant
   std::vector<ConstraintKind> kind;      // per-row sense
 
-  // Padded slot-major mirror for the vectorized batch evaluation: slot t of
-  // row r is packed_coeff[t * rows + r] * x[packed_idx[t * rows + r]]; rows
-  // with fewer than three terms pad with coeff 0 / index 0.  Built by
-  // Assign whenever every row carries <= 3 terms (the ACS chain system
-  // always does); `packed3` is false otherwise and the batch path falls
-  // back to the per-row loop.
-  bool packed3 = false;
-  std::vector<double> packed_coeff;       // 3 * rows, slot-major
-  std::vector<std::int32_t> packed_idx;   // 3 * rows, slot-major
-
   std::size_t rows() const { return constant.size(); }
 
   /// Rebuilds from `constraints`, reusing capacity.
   void Assign(const std::vector<LinearConstraint>& constraints);
 
-  /// Every row value into `out` (resized to rows()).  At scalar dispatch
-  /// this is exactly the per-row Evaluate loop in row order; at AVX2
-  /// dispatch with a packed3 system it gathers four rows per step.
+  /// Every row value into `out` (resized to rows()), in row order.
   void EvaluateAll(const Vector& x, std::vector<double>& out) const {
     out.resize(rows());
-    if (packed3 && util::simd::Active() != util::simd::Level::kScalar) {
-      util::simd::PackedRows3(constant.data(), packed_coeff.data(),
-                              packed_idx.data(), x.data(), out.data(),
-                              rows());
-      return;
-    }
     for (std::size_t c = 0; c < rows(); ++c) {
       out[c] = Evaluate(c, x);
     }

@@ -1,5 +1,6 @@
 #include "runner/run_grid.h"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <utility>
@@ -13,7 +14,6 @@
 #include "runner/thread_pool.h"
 #include "util/error.h"
 #include "util/logging.h"
-#include "util/simd.h"
 
 namespace dvs::runner {
 namespace {
@@ -114,7 +114,11 @@ CellResult RunCell(const ExperimentGrid& grid, const model::DvsModel& dvs,
   // thread count because the outcomes themselves are.
   if (cell.ok()) {
     obs::Count(obs::metric::kCellsEvaluated);
+    bool solved = false;
+    double max_violation = 0.0;
     for (const core::MethodOutcome& outcome : cell.outcomes) {
+      solved = solved || outcome.solver_evaluations > 0;
+      max_violation = std::max(max_violation, outcome.solver_max_violation);
       obs::Count(obs::metric::kSolverOuter, outcome.solver_outer_iterations);
       obs::Count(obs::metric::kSolverInner, outcome.solver_inner_iterations);
       obs::Count(obs::metric::kSolverEvals, outcome.solver_evaluations);
@@ -123,6 +127,9 @@ CellResult RunCell(const ExperimentGrid& grid, const model::DvsModel& dvs,
       if (outcome.used_fallback) {
         obs::Count(obs::metric::kFallbacks);
       }
+    }
+    if (solved) {
+      obs::Observe(obs::metric::kSolverFinalViolation, max_violation);
     }
   } else {
     obs::Count(obs::metric::kCellsFailed);
@@ -244,7 +251,6 @@ GridResult RunGrid(const ExperimentGrid& grid,
     grid_span.Arg("shard", static_cast<std::int64_t>(options.shard_index));
     grid_span.Arg("shard_count",
                   static_cast<std::int64_t>(options.shard_count));
-    grid_span.Arg("simd", util::simd::LevelName(util::simd::Active()));
   }
 
   // One evaluation workspace per worker: caller-provided ones stay warm

@@ -189,8 +189,8 @@ DispatchDecision ExpectedCasePolicy::Dispatch(
     return decision;
   }
   ++dp_dispatches_;
-  // Each bin's cube root, taken once in one vectorised pass (bit-identical
-  // to std::cbrt at every SIMD level) and reused by every water-filling pass.
+  // Each bin's cube root, taken once in one pass (bit-identical to glibc's
+  // std::cbrt on every host) and reused by every water-filling pass.
   util::simd::Cbrt(weight_.data(), root_.data(), bins_);
 
   // Water-filling over the PACE rule s_j ∝ S_j^{-1/3}: bins with zero

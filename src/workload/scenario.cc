@@ -349,6 +349,12 @@ std::unique_ptr<model::WorkloadScenario> LoadTraceScenario(
                         field + "\"");
     }
     first_row = false;
+    // strtod accepts "nan" and "inf", and NaN passes every range test
+    // below, so a NaN row would clamp to BCEC and replay silently.
+    if (!std::isfinite(value)) {
+      throw util::Error("trace CSV " + path + ": non-finite fraction \"" +
+                        field + "\"");
+    }
     // The file-format boundary rejects out-of-range values outright (FP
     // noise excepted): a recording in absolute cycles would otherwise
     // clamp every job to fraction 1.0 and silently replay all-WCEC.

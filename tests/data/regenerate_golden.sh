@@ -23,10 +23,10 @@
 # Defaults: build-dir "build", filter the planning golden only.  To also
 # regenerate the legacy golden, pass '*GoldenCsv*' as the filter.
 #
-# --check runs BOTH golden tests at the scalar SIMD level without touching
-# the checked-in files and fails on any byte difference — the CI lane that
-# proves the working tree still reproduces its own goldens (a vector-
-# dispatch or warm-start default accidentally changing bytes trips here).
+# --check runs BOTH golden tests without touching the checked-in files and
+# fails on any byte difference — the CI lane that proves the working tree
+# still reproduces its own goldens (a solver or warm-start default
+# accidentally changing bytes trips here).
 set -euo pipefail
 
 check=0
@@ -44,10 +44,8 @@ if [[ ! -x "${build_dir}/runner_golden_csv_test" ]]; then
 fi
 
 if [[ "${check}" == 1 ]]; then
-  # Verify only: the tests compare, never overwrite.  The scalar pin makes
-  # the check meaningful on any hardware — the goldens' bytes are defined
-  # at the scalar dispatch level (util/simd.h).
-  ACS_SIMD=scalar "${build_dir}/runner_golden_csv_test" \
+  # Verify only: the tests compare, never overwrite.
+  "${build_dir}/runner_golden_csv_test" \
     --gtest_filter='*GoldenCsv*'
   echo "goldens verified byte-identical"
   exit 0

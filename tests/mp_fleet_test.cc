@@ -5,7 +5,6 @@
 #include "core/method_registry.h"
 #include "dpm/dpm.h"
 #include "util/error.h"
-#include "util/simd.h"
 #include "workload/presets.h"
 #include "workload/random_taskset.h"
 
@@ -39,11 +38,6 @@ core::ExperimentOptions SmallRun() {
 // consumes no more energy than partitioned-WCS.  Deterministic streams make
 // this an exact regression check, not a flaky statistical one.
 TEST(EvaluateFleetFn, PartitionedAcsBeatsPartitionedWcs) {
-  // The seeds were picked under scalar arithmetic; one of them sits close
-  // enough to the ACS==WCS tie that the vector levels' different reduction
-  // association flips its sign.  Pin the level the seeds were calibrated
-  // at — the cross-level agreement contract lives in util_simd_test.
-  const util::simd::ScopedLevel scalar(util::simd::Level::kScalar);
   const model::LinearDvsModel cpu = workload::DefaultModel();
   for (std::uint64_t seed : {5u, 6u, 7u}) {
     const model::TaskSet set = FleetSet(cpu, 1.2, 8, seed);

@@ -44,6 +44,7 @@ TEST(MetricsRegistry, BuiltinNamesArePinnedInIdOrder) {
       "solve.wcs_fallbacks",  "solve.wcs_fallbacks.no_interior",
       "solve.wcs_fallbacks.breakdown", "solve.wcs_fallbacks.gap",
       "solve.wcs_fallbacks.repair", "solver.inner_capped",
+      "solver.final_violation",
   };
   ASSERT_EQ(expected.size(), metric::kBuiltinCount);
   ASSERT_EQ(registry.MetricCount(), metric::kBuiltinCount);
@@ -76,6 +77,7 @@ TEST(MetricsRegistry, BuiltinKindsMatchTheIdTable) {
   EXPECT_EQ(agg[metric::kDpmSleeps].kind, MetricKind::kCounter);
   EXPECT_EQ(agg[metric::kDpmMigrations].kind, MetricKind::kCounter);
   EXPECT_EQ(agg[metric::kDpmSleepEnergy].kind, MetricKind::kHistogram);
+  EXPECT_EQ(agg[metric::kSolverFinalViolation].kind, MetricKind::kHistogram);
 }
 
 /// The determinism invariant: the same set of charges, however they are

@@ -32,7 +32,6 @@
 #include "runner/run_grid.h"
 #include "util/error.h"
 #include "util/json.h"
-#include "util/simd.h"
 #include "workload/presets.h"
 #include "workload/random_taskset.h"
 
@@ -90,8 +89,6 @@ std::string RunWithTelemetry(const runner::ExperimentGrid& grid,
 /// checked-in bytes.  (runner_golden_csv_test pins the telemetry-off run
 /// against the same file, so together they pin on == off == golden.)
 TEST(TelemetryGoldenBytes, SmokeGridUnchangedWithFullTelemetryOn) {
-  // Goldens are defined at scalar dispatch (see runner_golden_csv_test).
-  const util::simd::ScopedLevel scalar(util::simd::Level::kScalar);
   const model::LinearDvsModel cpu = workload::DefaultModel();
 
   MetricsRegistry metrics;
@@ -114,7 +111,7 @@ TEST(TelemetryGoldenBytes, SmokeGridUnchangedWithFullTelemetryOn) {
   const std::vector<AggregatedMetric> agg = metrics.Aggregate();
   EXPECT_GT(agg[metric::kCellsEvaluated].count, 0);
   EXPECT_GT(trace.event_count(), 0u);
-  // Exact solver work at the scalar level: a change to the solver's
+  // Exact solver work: a change to the solver's
   // trajectory (or to how a line search counts its trials) fails here and
   // must re-pin both counts on purpose.
   EXPECT_EQ(agg[metric::kSolverEvals].count, 48268);
@@ -153,7 +150,6 @@ TEST(TelemetryGoldenBytes, SmokeGridUnchangedWithFullTelemetryOn) {
 /// certified (gap histogram filled, at most 1e-6), none falls back, and the
 /// new keys reach the rendered manifest.
 TEST(TelemetryExactWcs, CertifiedSolvesAndKeysReachTheManifest) {
-  const util::simd::ScopedLevel scalar(util::simd::Level::kScalar);
   const model::LinearDvsModel cpu = workload::DefaultModel();
   const runner::ExperimentGrid grid = runner::GoldenSmokeGrid(cpu);
 
@@ -184,12 +180,18 @@ TEST(TelemetryExactWcs, CertifiedSolvesAndKeysReachTheManifest) {
   EXPECT_DOUBLE_EQ(gap.NumberAt("count"),
                    counters.NumberAt("solve.wcs_solves"));
   EXPECT_LE(gap.NumberAt("max"), 1e-6);
+  // Every cell of the smoke grid solves, so each reports its largest final
+  // violation once.
+  const util::JsonValue& violation =
+      doc.At("metrics").At("histograms").At("solver.final_violation");
+  EXPECT_DOUBLE_EQ(violation.NumberAt("count"),
+                   counters.NumberAt("grid.cells_evaluated"));
+  EXPECT_GE(violation.NumberAt("min"), 0.0);
 }
 
 /// Half two: the planning-arm golden (calibration, warm-link chains and
 /// planned-solve caching all instrumented) is also byte-stable.
 TEST(TelemetryGoldenBytes, PlanningGridUnchangedWithFullTelemetryOn) {
-  const util::simd::ScopedLevel scalar(util::simd::Level::kScalar);
   const model::LinearDvsModel cpu = workload::DefaultModel();
 
   MetricsRegistry metrics;
@@ -226,7 +228,6 @@ TEST(TelemetryGoldenBytes, PlanningGridUnchangedWithFullTelemetryOn) {
 /// golden planning grid has a single sigma divisor, so this needs its own
 /// grid with a real chain.)
 TEST(TraceFormat, WarmLinkSpansAppearUnderNeighborWarmStart) {
-  const util::simd::ScopedLevel scalar(util::simd::Level::kScalar);
   const model::LinearDvsModel cpu = workload::DefaultModel();
 
   runner::ExperimentGrid grid;
@@ -269,7 +270,6 @@ TEST(TraceFormat, WarmLinkSpansAppearUnderNeighborWarmStart) {
 }
 
 TEST(TraceFormat, ChromeTraceNestsGridCellSolveWithCacheAnnotations) {
-  const util::simd::ScopedLevel scalar(util::simd::Level::kScalar);
   const model::LinearDvsModel cpu = workload::DefaultModel();
   MetricsRegistry metrics;
   metrics.EnsureShards(1);

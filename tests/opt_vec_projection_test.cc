@@ -124,6 +124,42 @@ TEST(BoxSimplexSet, RejectsBoundedSimplexVariable) {
   EXPECT_THROW(set.AddSimplex({0, 1}, 1.0), util::InvalidArgumentError);
 }
 
+TEST(BoxSimplexSet, SpgCriterionDecisionMatchesFullProjection) {
+  // The box sweep may stop early with a lower bound once it passes the
+  // threshold.  The converged/not-converged decision must still be the one
+  // a full projection gives, and a converged value must be exact.
+  stats::Rng rng(31);
+  for (std::size_t n = 1; n < 20; ++n) {
+    BoxSimplexSet set(n);
+    std::vector<std::size_t> simplex;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i % 3 == 0) {
+        simplex.push_back(i);  // simplex-owned: skipped by the box sweep
+      } else {
+        const double lo = rng.Uniform(-2.0, 2.0);
+        set.SetBounds(i, lo, lo + 2.0);
+      }
+    }
+    set.AddSimplex(simplex, 1.0);
+    Vector x(n);
+    Vector grad(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      x[i] = rng.Uniform(-2.0, 2.0);
+      grad[i] = rng.Uniform(-2.0, 2.0);
+    }
+    ProjectionScratch scratch;
+    const double full = set.FeasibleSet::SpgCriterion(x, grad, 0.0, scratch);
+    for (double threshold : {0.0, 1e-6, 0.5, 1e9}) {
+      const double swept = set.SpgCriterion(x, grad, threshold, scratch);
+      EXPECT_EQ(swept > threshold, full > threshold)
+          << "n=" << n << " threshold=" << threshold;
+      if (full <= threshold) {
+        EXPECT_DOUBLE_EQ(swept, full) << "n=" << n;
+      }
+    }
+  }
+}
+
 TEST(LinearConstraint, EvaluateAndViolation) {
   LinearConstraint c;
   c.kind = ConstraintKind::kGeZero;

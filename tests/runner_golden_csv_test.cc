@@ -34,7 +34,6 @@
 #include "runner/experiment_grid.h"
 #include "runner/golden_grids.h"
 #include "runner/run_grid.h"
-#include "util/simd.h"
 #include "workload/presets.h"
 
 namespace dvs::runner {
@@ -72,13 +71,6 @@ bool MaybeRegenerate(const std::string& fresh_path,
 }
 
 TEST(GoldenCsv, SerialSmokeGridByteMatchesCheckedInFile) {
-  // The goldens' bytes are defined at the scalar dispatch level: the
-  // scalar kernels replicate the historical loops op for op, while the
-  // vector levels fold reductions in a different FP association
-  // (util/simd.h).  Pinning here keeps the byte contract meaningful on
-  // any hardware; the scalar-vs-vector agreement contract is pinned
-  // separately by util_simd_test.
-  const util::simd::ScopedLevel scalar(util::simd::Level::kScalar);
   const model::LinearDvsModel cpu = workload::DefaultModel();
   const ExperimentGrid grid = GoldenSmokeGrid(cpu);
 
@@ -112,8 +104,6 @@ TEST(GoldenCsv, SerialSmokeGridByteMatchesCheckedInFile) {
 }
 
 TEST(GoldenCsv, SerialPlanningGridByteMatchesCheckedInFile) {
-  // Scalar pin, same rationale as the legacy golden above.
-  const util::simd::ScopedLevel scalar(util::simd::Level::kScalar);
   const model::LinearDvsModel cpu = workload::DefaultModel();
   const ExperimentGrid grid = GoldenPlanningGrid(cpu);
 

@@ -4,7 +4,7 @@
 // records the exact bits of the SimResult ledger (energies, counters,
 // makespan, idle/sleep/stall fields, realised workload sums), so any engine
 // rewrite that moves a single decision, slice or rounding fails here.  No
-// NLP solve is involved, so nothing depends on the SIMD dispatch level.
+// NLP solve is involved.
 #include <gtest/gtest.h>
 
 #include <cstdint>

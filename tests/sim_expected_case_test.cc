@@ -1,6 +1,5 @@
 // Tests for the expected-case DP dispatch (sim::ExpectedCasePolicy), driven
-// directly through Dispatch on hand-built contexts: no ALM solve, so nothing
-// here depends on the SIMD dispatch level.
+// directly through Dispatch on hand-built contexts, with no ALM solve.
 #include <gtest/gtest.h>
 
 #include <algorithm>

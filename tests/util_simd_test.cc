@@ -1,20 +1,15 @@
-// SIMD dispatch + kernel agreement tests.
+// Cube-root kernel tests.
 //
-// Every kernel is exercised over a lane-width sweep (n = 0 .. 19, covering
-// empty input, sub-vector tails and multi-block bodies) at the scalar level
-// and at the best level the CPU supports.  Element-wise kernels must agree
-// bit-for-bit across levels (identical per-element arithmetic, only the
-// batching differs); reductions fold lanes in a different FP association,
-// so they agree to tight relative tolerance.  On hardware without AVX2 the
-// forced level clamps to scalar and the comparisons hold trivially — the
-// sweep then pins the scalar kernels against the reference loops below.
-// Cbrt is additionally pinned to glibc's std::cbrt bits: against libm
-// itself on glibc, and against a recorded bit table everywhere.
+// util::simd::Cbrt has a scalar and an AVX2 implementation; both run here
+// (the AVX2 one only on hosts that support it) through
+// detail::CbrtAt.  Each is pinned to glibc's std::cbrt bits: against libm
+// itself on glibc, and against a recorded bit table everywhere.  The two
+// must also agree bit for bit on vectors with special inputs in some
+// lanes, so the per-lane fallback runs mid-vector.
 #include "util/simd.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -37,13 +32,6 @@ std::vector<double> Fill(std::size_t n, std::uint64_t seed) {
     values[i] *= 2.0;
   }
   return values;
-}
-
-constexpr std::size_t kMaxN = 20;
-constexpr double kRelTol = 1e-12;
-
-double RelNear(double a, double b) {
-  return std::abs(a - b) / std::max({std::abs(a), std::abs(b), 1.0});
 }
 
 std::uint64_t BitsOf(double x) {
@@ -106,113 +94,23 @@ std::vector<double> CbrtProbeInputs() {
   return inputs;
 }
 
-TEST(SimdDispatch, ParseLevelAcceptsTheDocumentedNames) {
-  Level level = Level::kAvx2;
-  EXPECT_TRUE(ParseLevel("scalar", &level));
-  EXPECT_EQ(level, Level::kScalar);
-  EXPECT_TRUE(ParseLevel("avx2", &level));
-  EXPECT_EQ(level, Level::kAvx2);
-  EXPECT_TRUE(ParseLevel("auto", &level));
-  EXPECT_EQ(level, Detect());
-  EXPECT_FALSE(ParseLevel("sse9", &level));
-  EXPECT_FALSE(ParseLevel("", &level));
-  EXPECT_FALSE(ParseLevel("Scalar", &level));  // case-sensitive
-}
-
-TEST(SimdDispatch, SetLevelClampsToHardwareSupport) {
-  ScopedLevel guard(Active());  // restore whatever the suite runs under
-  SetLevel(Level::kAvx2);
-  EXPECT_LE(static_cast<int>(Active()), static_cast<int>(Detect()));
-  SetLevel(Level::kScalar);
-  EXPECT_EQ(Active(), Level::kScalar);
-}
-
-TEST(SimdDispatch, ScopedLevelRestoresOnExit) {
-  const Level before = Active();
-  {
-    ScopedLevel pin(Level::kScalar);
-    EXPECT_EQ(Active(), Level::kScalar);
+/// The implementations this host can run: scalar, plus AVX2 when the CPU
+/// supports it.
+std::vector<Level> HostLevels() {
+  std::vector<Level> levels = {Level::kScalar};
+  if (Active() == Level::kAvx2) {
+    levels.push_back(Level::kAvx2);
   }
-  EXPECT_EQ(Active(), before);
+  return levels;
 }
 
-TEST(SimdDispatch, LevelNamesRoundTrip) {
-  Level level;
-  ASSERT_TRUE(ParseLevel(LevelName(Level::kScalar), &level));
-  EXPECT_EQ(level, Level::kScalar);
-  ASSERT_TRUE(ParseLevel(LevelName(Level::kAvx2), &level));
-  EXPECT_EQ(level, Level::kAvx2);
+std::vector<double> CbrtAt(Level level, const std::vector<double>& x) {
+  std::vector<double> out(x.size(), -1.0);
+  detail::CbrtAt(level, x.data(), out.data(), x.size());
+  return out;
 }
 
-TEST(SimdKernels, ScalarLevelMatchesReferenceLoops) {
-  ScopedLevel pin(Level::kScalar);
-  for (std::size_t n = 0; n < kMaxN; ++n) {
-    const std::vector<double> a = Fill(n, 1);
-    const std::vector<double> b = Fill(n, 2);
-
-    double dot = 0.0;
-    double sum = 0.0;
-    double norm = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      dot += a[i] * b[i];
-      sum += a[i];
-      norm = std::max(norm, std::abs(a[i]));
-    }
-    EXPECT_EQ(Dot(a.data(), b.data(), n), dot) << "n=" << n;
-    EXPECT_EQ(Sum(a.data(), n), sum) << "n=" << n;
-    EXPECT_EQ(NormInf(a.data(), n), norm) << "n=" << n;
-
-    std::vector<double> y = Fill(n, 3);
-    std::vector<double> expected = y;
-    for (std::size_t i = 0; i < n; ++i) {
-      expected[i] += 0.75 * a[i];
-    }
-    Axpy(0.75, a.data(), y.data(), n);
-    EXPECT_EQ(y, expected) << "n=" << n;
-  }
-}
-
-TEST(SimdKernels, ElementwiseKernelsBitIdenticalAcrossLevels) {
-  for (std::size_t n = 0; n < kMaxN; ++n) {
-    const std::vector<double> a = Fill(n, 11);
-    const std::vector<double> b = Fill(n, 12);
-    std::vector<double> lo = Fill(n, 13);
-    std::vector<double> hi = lo;
-    for (double& v : hi) {
-      v += 1.5;
-    }
-
-    struct Run {
-      std::vector<double> axpy, add, scale, sub, add_scaled, clamp;
-    };
-    auto run = [&](Level level) {
-      ScopedLevel pin(level);
-      Run r;
-      r.axpy = Fill(n, 14);
-      Axpy(-1.25, a.data(), r.axpy.data(), n);
-      r.add = Fill(n, 14);
-      Add(a.data(), r.add.data(), n);
-      r.scale = a;
-      Scale(0.3, r.scale.data(), n);
-      r.sub.resize(n);
-      Subtract(a.data(), b.data(), r.sub.data(), n);
-      r.add_scaled.resize(n);
-      AddScaled(a.data(), -0.6, b.data(), r.add_scaled.data(), n);
-      r.clamp = b;
-      ClampBox(lo.data(), hi.data(), r.clamp.data(), n);
-      return r;
-    };
-
-    const Run scalar = run(Level::kScalar);
-    const Run best = run(Detect());
-    EXPECT_EQ(scalar.axpy, best.axpy) << "n=" << n;
-    EXPECT_EQ(scalar.add, best.add) << "n=" << n;
-    EXPECT_EQ(scalar.scale, best.scale) << "n=" << n;
-    EXPECT_EQ(scalar.sub, best.sub) << "n=" << n;
-    EXPECT_EQ(scalar.add_scaled, best.add_scaled) << "n=" << n;
-    EXPECT_EQ(scalar.clamp, best.clamp) << "n=" << n;
-  }
-
+TEST(SimdCbrt, ImplementationsAgreeBitForBitWithSpecialLanes) {
   // Cbrt over whole vectors, partial vectors and scalar tails, with special
   // inputs in some lanes so the per-lane fallback runs mid-vector.  Bits are
   // compared because NaN never equals itself.
@@ -228,18 +126,19 @@ TEST(SimdKernels, ElementwiseKernelsBitIdenticalAcrossLevels) {
         x[i] = std::numeric_limits<double>::quiet_NaN();
       }
     }
-    auto run = [&](Level level) {
-      ScopedLevel pin(level);
-      std::vector<double> out(n, -1.0);
-      Cbrt(x.data(), out.data(), n);
-      return BitsOf(out);
-    };
-    EXPECT_EQ(run(Level::kScalar), run(Detect())) << "n=" << n;
+    for (Level level : HostLevels()) {
+      EXPECT_EQ(BitsOf(CbrtAt(level, x)), BitsOf(CbrtAt(Level::kScalar, x)))
+          << "level=" << LevelName(level) << " n=" << n;
+    }
+    // The public entry point runs the host's implementation.
+    std::vector<double> out(n, -1.0);
+    Cbrt(x.data(), out.data(), n);
+    EXPECT_EQ(BitsOf(out), BitsOf(CbrtAt(Active(), x))) << "n=" << n;
   }
 }
 
 #if defined(__GLIBC__)
-TEST(SimdKernels, CbrtMatchesLibmBitForBitAtEveryLevel) {
+TEST(SimdCbrt, MatchesLibmBitForBitInEveryImplementation) {
   std::vector<double> inputs = CbrtProbeInputs();
   // 10^5 uniform draws from [0, 1), the range of the DP survival weights.
   std::uint64_t state = 12345;
@@ -247,10 +146,8 @@ TEST(SimdKernels, CbrtMatchesLibmBitForBitAtEveryLevel) {
     state = state * 6364136223846793005ull + 1442695040888963407ull;
     inputs.push_back(static_cast<double>(state >> 11) * 0x1.0p-53);
   }
-  for (Level level : {Level::kScalar, Detect()}) {
-    ScopedLevel pin(level);
-    std::vector<double> out(inputs.size());
-    Cbrt(inputs.data(), out.data(), inputs.size());
+  for (Level level : HostLevels()) {
+    const std::vector<double> out = CbrtAt(level, inputs);
     std::size_t mismatches = 0;
     for (std::size_t i = 0; i < inputs.size(); ++i) {
       if (BitsOf(out[i]) != BitsOf(std::cbrt(inputs[i])) &&
@@ -265,7 +162,7 @@ TEST(SimdKernels, CbrtMatchesLibmBitForBitAtEveryLevel) {
 }
 #endif
 
-TEST(SimdKernels, CbrtMatchesRecordedGlibcBits) {
+TEST(SimdCbrt, MatchesRecordedGlibcBitsInEveryImplementation) {
   // Recorded from glibc 2.36 std::cbrt.  It is not correctly rounded
   // (cbrt(27) is one ulp above 3), so these pin glibc's exact algorithm on
   // any libm.  Only positive normal inputs: the in-tree path.
@@ -300,123 +197,12 @@ TEST(SimdKernels, CbrtMatchesRecordedGlibcBits) {
   for (const Case& c : cases) {
     x.push_back(FromBits(c.x));
   }
-  for (Level level : {Level::kScalar, Detect()}) {
-    ScopedLevel pin(level);
-    std::vector<double> out(x.size());
-    Cbrt(x.data(), out.data(), x.size());
+  for (Level level : HostLevels()) {
+    const std::vector<double> out = CbrtAt(level, x);
     for (std::size_t i = 0; i < x.size(); ++i) {
       EXPECT_EQ(BitsOf(out[i]), cases[i].cbrt)
           << "level=" << LevelName(level) << " cbrt(" << std::hexfloat
           << x[i] << ")";
-    }
-  }
-}
-
-TEST(SimdKernels, ReductionsAgreeAcrossLevelsToTolerance) {
-  for (std::size_t n = 0; n < kMaxN; ++n) {
-    const std::vector<double> a = Fill(n, 21);
-    const std::vector<double> b = Fill(n, 22);
-    const std::vector<double> g = Fill(n, 23);
-    const std::vector<double> t = Fill(n, 24);
-
-    struct Run {
-      double dot, sum, norm, slope, sts, sty;
-      std::vector<double> direction;
-    };
-    auto run = [&](Level level) {
-      ScopedLevel pin(level);
-      Run r;
-      r.dot = Dot(a.data(), b.data(), n);
-      r.sum = Sum(a.data(), n);
-      r.norm = NormInf(a.data(), n);
-      r.direction.resize(n);
-      r.slope = StepAndSlope(a.data(), g.data(), t.data(), r.direction.data(),
-                             n);
-      SpectralPair(0.8, r.direction.data(), g.data(), t.data(), n, &r.sts,
-                   &r.sty);
-      return r;
-    };
-
-    const Run scalar = run(Level::kScalar);
-    const Run best = run(Detect());
-    EXPECT_LE(RelNear(scalar.dot, best.dot), kRelTol) << "n=" << n;
-    EXPECT_LE(RelNear(scalar.sum, best.sum), kRelTol) << "n=" << n;
-    // max |.| involves no accumulation: exact at every level.
-    EXPECT_EQ(scalar.norm, best.norm) << "n=" << n;
-    // direction is element-wise even inside the fused pass.
-    EXPECT_EQ(scalar.direction, best.direction) << "n=" << n;
-    EXPECT_LE(RelNear(scalar.slope, best.slope), kRelTol) << "n=" << n;
-    EXPECT_LE(RelNear(scalar.sts, best.sts), kRelTol) << "n=" << n;
-    EXPECT_LE(RelNear(scalar.sty, best.sty), kRelTol) << "n=" << n;
-  }
-}
-
-TEST(SimdKernels, BoxCriterionDecisionsMatchAcrossLevels) {
-  for (std::size_t n = 0; n < kMaxN; ++n) {
-    const std::vector<double> x = Fill(n, 31);
-    const std::vector<double> grad = Fill(n, 32);
-    std::vector<double> lo = Fill(n, 33);
-    std::vector<double> hi = lo;
-    for (double& v : hi) {
-      v += 2.0;
-    }
-    std::vector<double> mask(n, 1.0);
-    for (std::size_t i = 0; i < n; i += 3) {
-      mask[i] = 0.0;  // some simplex-owned coordinates
-    }
-
-    for (double threshold : {0.0, 1e-6, 0.5, 1e9}) {
-      double scalar_value;
-      double best_value;
-      {
-        ScopedLevel pin(Level::kScalar);
-        scalar_value = BoxCriterion(x.data(), grad.data(), lo.data(),
-                                    hi.data(), mask.data(), n, threshold);
-      }
-      {
-        ScopedLevel pin(Detect());
-        best_value = BoxCriterion(x.data(), grad.data(), lo.data(), hi.data(),
-                                  mask.data(), n, threshold);
-      }
-      // The contract is the converged/not-converged decision, not the exact
-      // value: early exit may return any sound lower bound above threshold.
-      EXPECT_EQ(scalar_value > threshold, best_value > threshold)
-          << "n=" << n << " threshold=" << threshold;
-      if (scalar_value <= threshold) {
-        EXPECT_EQ(scalar_value, best_value) << "n=" << n;
-      }
-    }
-  }
-}
-
-TEST(SimdKernels, PackedRows3MatchesPerRowEvaluation) {
-  for (std::size_t rows = 0; rows < kMaxN; ++rows) {
-    const std::size_t dim = 7;
-    const std::vector<double> x = Fill(dim, 41);
-    const std::vector<double> constant = Fill(rows, 42);
-    const std::vector<double> coeff(Fill(3 * rows, 43));
-    std::vector<std::int32_t> idx(3 * rows);
-    for (std::size_t i = 0; i < idx.size(); ++i) {
-      idx[i] = static_cast<std::int32_t>((i * 5 + 2) % dim);
-    }
-
-    std::vector<double> expected(rows);
-    for (std::size_t r = 0; r < rows; ++r) {
-      expected[r] = constant[r] + coeff[0 * rows + r] * x[idx[0 * rows + r]] +
-                    coeff[1 * rows + r] * x[idx[1 * rows + r]] +
-                    coeff[2 * rows + r] * x[idx[2 * rows + r]];
-    }
-
-    for (Level level : {Level::kScalar, Detect()}) {
-      ScopedLevel pin(level);
-      std::vector<double> out(rows, -1.0);
-      PackedRows3(constant.data(), coeff.data(), idx.data(), x.data(),
-                  out.data(), rows);
-      for (std::size_t r = 0; r < rows; ++r) {
-        EXPECT_LE(RelNear(out[r], expected[r]), kRelTol)
-            << "rows=" << rows << " r=" << r
-            << " level=" << LevelName(level);
-      }
     }
   }
 }

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "stats/summary.h"
@@ -276,13 +277,29 @@ TEST(LoadTraceScenario, ParsesCsvWithHeaderCommentsAndExtraColumns) {
 
 TEST(LoadTraceScenario, RejectsAbsoluteCycleRecordings) {
   // A recording in raw cycles (not normalised fractions) must fail loudly
-  // instead of clamping every job to WCEC.
+  // instead of clamping every job to WCEC; a non-finite row must fail
+  // instead of clamping to BCEC.  The error names the file and the field.
   const std::string path = ::testing::TempDir() + "trace_scenario_cycles.csv";
-  {
-    std::ofstream out(path);
-    out << "1200\n950\n1043\n";
+  const std::pair<const char*, const char*> cases[] = {
+      {"1200\n950\n1043\n", "1200"},
+      {"0.5\nnan\n0.7\n", "nan"},
+      {"0.5\n-nan\n0.7\n", "-nan"},
+      {"0.5\ninf\n0.7\n", "inf"},
+  };
+  for (const auto& [contents, field] : cases) {
+    {
+      std::ofstream out(path);
+      out << contents;
+    }
+    try {
+      LoadTraceScenario(path);
+      ADD_FAILURE() << "accepted a trace with the row " << field;
+    } catch (const util::Error& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find(path), std::string::npos) << message;
+      EXPECT_NE(message.find(field), std::string::npos) << message;
+    }
   }
-  EXPECT_THROW(LoadTraceScenario(path), util::Error);
   std::remove(path.c_str());
 }
 
