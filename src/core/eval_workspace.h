@@ -53,8 +53,7 @@ class EvalWorkspace {
   /// points into it), the expansion itself, and the lazy solve cache that
   /// MethodContext fills on first use.  The solves depend on the DVS model
   /// and scheduler options as well as the set, so the entry records all
-  /// three by content: `content_key` is their SolveStoreEntryKey (0 for a
-  /// model DescribeModel does not know, which never hits).
+  /// three by content: `content_key` is their SolveStoreEntryKey.
   struct PreparedCell {
     PreparedCell(std::uint64_t content_key, model::TaskSet set,
                  ModelDescriptor model, const SchedulerOptions& scheduler);
@@ -82,8 +81,8 @@ class EvalWorkspace {
   /// when a resident entry has the same content key and SameSolveInputs
   /// holds; otherwise a build — pre-seeded from the attached store under
   /// the same key — that may evict the least-recently-used entry
-  /// (invalidating references returned for it).  A model with no
-  /// descriptor (tag 0) always builds.
+  /// (invalidating references returned for it).  Throws
+  /// util::InvalidArgumentError for a model core::PlanningModel rejects.
   PreparedCell& Prepare(const model::TaskSet& set, const model::DvsModel& dvs,
                         const SchedulerOptions& scheduler);
 

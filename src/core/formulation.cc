@@ -13,42 +13,15 @@ namespace {
 constexpr double kCycleEps = 1e-9;   // budgets below this execute nothing
 constexpr double kWindowEps = 1e-12; // windows below this mean "infinitely fast"
 
-/// Voltage-model kernel dispatching through the DvsModel vtable — the
-/// general path (alpha law, discrete wrapper, external models).
-struct VirtualKernel {
-  const model::DvsModel* dvs;
-
-  double CycleTime(double v) const { return dvs->CycleTime(v); }
-  double VoltageForSpeed(double speed) const {
-    return dvs->VoltageForSpeed(speed);
-  }
-  /// VoltageSlope evaluated at speed = w / d (the reverse pass's chain
-  /// point).  Kernels whose slope is speed-independent skip the division.
-  double VoltageSlopeForRatio(double w, double d) const {
-    return dvs->VoltageSlope(w / d);
-  }
-  double SpeedSlope(double v) const { return dvs->SpeedSlope(v); }
-};
-
-/// Inlined LinearDvsModel math (speed = k * V).  Each expression mirrors
-/// the member implementation exactly — same operations, same order — so the
-/// fast path is bit-identical to the virtual one.  (`inv_k` is computed
-/// once; LinearDvsModel::VoltageSlope computes the same 1.0 / k per call.)
-struct LinearKernel {
-  double k;
-  double inv_k;
-
-  explicit LinearKernel(double k) : k(k), inv_k(1.0 / k) {}
-
-  double CycleTime(double v) const { return 1.0 / (k * v); }
-  double VoltageForSpeed(double speed) const { return speed / k; }
-  double VoltageSlopeForRatio(double /*w*/, double /*d*/) const {
-    return inv_k;
-  }
-  double SpeedSlope(double /*v*/) const { return k; }
-};
-
 }  // namespace
+
+const model::LinearDvsModel& PlanningModel(const model::DvsModel& dvs) {
+  if (const auto* linear = dynamic_cast<const model::LinearDvsModel*>(&dvs)) {
+    return *linear;
+  }
+  throw util::InvalidArgumentError(
+      "planning needs a linear-law model (speed = k*V)");
+}
 
 double PlanningPoint::ResolveFor(const std::vector<double>& cycles,
                                  const model::TaskSet& set,
@@ -100,7 +73,7 @@ EnergyObjective::EnergyObjective(const fps::FullyPreemptiveSchedule& fps,
                                  Scenario scenario, ObjectiveScratch* scratch,
                                  const PlanningPoint* planning)
     : fps_(&fps),
-      dvs_(&dvs),
+      dvs_(&PlanningModel(dvs)),
       scenario_(scenario),
       scratch_(scratch != nullptr ? scratch : &own_scratch_) {
   n_ = fps.sub_count();
@@ -152,11 +125,8 @@ EnergyObjective::EnergyObjective(const fps::FullyPreemptiveSchedule& fps,
   }
   ct_vmax_ = dvs.CycleTime(dvs.vmax());
   max_speed_ = dvs.MaxSpeed();
-
-  if (const auto* linear = dynamic_cast<const model::LinearDvsModel*>(&dvs)) {
-    linear_model_ = true;
-    linear_k_ = linear->k();
-  }
+  k_ = dvs_->k();
+  inv_k_ = 1.0 / k_;
 }
 
 bool EnergyObjective::HasBudgetVariable(std::size_t order) const {
@@ -208,20 +178,9 @@ ForwardDetail EnergyObjective::Replay(const opt::Vector& x) const {
 double EnergyObjective::EvaluateOnce(const double* plan, const opt::Vector& x,
                                      opt::Vector* grad,
                                      ForwardDetail* detail) const {
-  if (linear_model_) {
-    const LinearKernel kernel{linear_k_};
-    return scenario_ == Scenario::kAverage
-               ? EvaluateImpl<LinearKernel, true>(plan, x, grad, detail,
-                                                  kernel)
-               : EvaluateImpl<LinearKernel, false>(plan, x, grad, detail,
-                                                   kernel);
-  }
-  const VirtualKernel kernel{dvs_};
   return scenario_ == Scenario::kAverage
-             ? EvaluateImpl<VirtualKernel, true>(plan, x, grad, detail,
-                                                 kernel)
-             : EvaluateImpl<VirtualKernel, false>(plan, x, grad, detail,
-                                                  kernel);
+             ? EvaluateImpl<true>(plan, x, grad, detail)
+             : EvaluateImpl<false>(plan, x, grad, detail);
 }
 
 void EnergyObjective::GradientAfterValue(const opt::Vector& x,
@@ -234,20 +193,10 @@ void EnergyObjective::GradientAfterValue(const opt::Vector& x,
   // The single replay's forward state is still in the scratch: run only the
   // reverse pass (the same one ValueAndGradient would run after it).
   grad.resize(dim_);
-  if (linear_model_) {
-    const LinearKernel kernel{linear_k_};
-    if (scenario_ == Scenario::kAverage) {
-      ReverseImpl<LinearKernel, true>(grad, kernel);
-    } else {
-      ReverseImpl<LinearKernel, false>(grad, kernel);
-    }
-    return;
-  }
-  const VirtualKernel kernel{dvs_};
   if (scenario_ == Scenario::kAverage) {
-    ReverseImpl<VirtualKernel, true>(grad, kernel);
+    ReverseImpl<true>(grad);
   } else {
-    ReverseImpl<VirtualKernel, false>(grad, kernel);
+    ReverseImpl<false>(grad);
   }
 }
 
@@ -318,20 +267,21 @@ double EnergyObjective::Evaluate(const opt::Vector& x, opt::Vector* grad,
   return total;
 }
 
-template <typename Kernel, bool kAverageScenario>
+template <bool kAverageScenario>
 double EnergyObjective::EvaluateImpl(const double* plan, const opt::Vector& x,
-                                     opt::Vector* grad, ForwardDetail* detail,
-                                     const Kernel& kernel) const {
+                                     opt::Vector* grad,
+                                     ForwardDetail* detail) const {
   ACS_REQUIRE(x.size() == dim_, "point dimension mismatch");
   using Clamp = ObjectiveScratch::Clamp;
-  const model::DvsModel& dvs = *dvs_;
-  const double ceff = dvs.ceff();
-  const double vmin = dvs.vmin();
-  const double vmax = dvs.vmax();
+  const double ceff = dvs_->ceff();
+  const double vmin = dvs_->vmin();
+  const double vmax = dvs_->vmax();
+  const double k = k_;
   // Cycle times at the clamp rails, hoisted: a clamped dispatch runs at
-  // exactly vmin/vmax, so CycleTime(v) is one of these two constants.
-  const double ct_vmin = kernel.CycleTime(vmin);
-  const double ct_vmax = kernel.CycleTime(vmax);
+  // exactly vmin/vmax, so the cycle time 1 / (k V) is one of these two
+  // constants.
+  const double ct_vmin = 1.0 / (k * vmin);
+  const double ct_vmax = 1.0 / (k * vmax);
 
   // ---- Forward pass --------------------------------------------------------
   // All per-sub state lives in the scratch (SoA); every slot read below is
@@ -406,7 +356,7 @@ double EnergyObjective::EvaluateImpl(const double* plan, const opt::Vector& x,
         clamp[u] = Clamp::kAboveMax;
         ct[u] = ct_vmax;
       } else {
-        const double v_raw = kernel.VoltageForSpeed(speed);
+        const double v_raw = speed / k;
         if (v_raw < vmin) {
           v[u] = vmin;
           clamp[u] = Clamp::kBelowMin;
@@ -418,7 +368,7 @@ double EnergyObjective::EvaluateImpl(const double* plan, const opt::Vector& x,
         } else {
           v[u] = v_raw;
           clamp[u] = Clamp::kInside;
-          ct[u] = kernel.CycleTime(v[u]);
+          ct[u] = 1.0 / (k * v[u]);
         }
       }
       f[u] = s[u] + avg[u] * ct[u];
@@ -451,14 +401,13 @@ double EnergyObjective::EvaluateImpl(const double* plan, const opt::Vector& x,
   }
 
   if (grad != nullptr) {
-    ReverseImpl<Kernel, kAverageScenario>(*grad, kernel);
+    ReverseImpl<kAverageScenario>(*grad);
   }
   return total;
 }
 
-template <typename Kernel, bool kAverageScenario>
-void EnergyObjective::ReverseImpl(opt::Vector& grad,
-                                  const Kernel& kernel) const {
+template <bool kAverageScenario>
+void EnergyObjective::ReverseImpl(opt::Vector& grad) const {
   using Clamp = ObjectiveScratch::Clamp;
   const double ceff = dvs_->ceff();
   ObjectiveScratch& scratch = *scratch_;
@@ -498,14 +447,13 @@ void EnergyObjective::ReverseImpl(opt::Vector& grad,
     if (executes[u]) {
       d_avg = ceff * v[u] * v[u] + g_f[u] * ct[u];
       if (clamp[u] == Clamp::kInside) {
-        // dct/dV = -speed'(V) / speed(V)^2 = -speed'(V) * ct^2
-        const double dct_dv = -kernel.SpeedSlope(v[u]) * ct[u] * ct[u];
+        // dct/dV = -speed'(V) / speed(V)^2 = -k * ct^2
+        const double dct_dv = -k_ * ct[u] * ct[u];
         d_volt = 2.0 * ceff * v[u] * avg[u] + g_f[u] * avg[u] * dct_dv;
         // V = V(speed = w/d); the shared d_volt * slope factor and the
         // w / d^2 term are hoisted (multiplication is left-associative, so
         // the groupings below are the ones the spelled-out products used).
-        const double slope =
-            kernel.VoltageSlopeForRatio(w[u], d[u]);  // dV/dspeed
+        const double slope = inv_k_;  // dV/dspeed
         const double inv_d = 1.0 / d[u];
         const double ds = d_volt * slope;
         const double w_inv_d2 = w[u] * inv_d * inv_d;

@@ -37,6 +37,13 @@
 
 namespace dvs::core {
 
+/// The planning gate: every offline solve — the reduced objective, the
+/// exact WCS program, the full NLP, the solve-cache identity and the DPM
+/// floor — is derived for the paper's linear law speed = k * V, and reaches
+/// the model through this one cast.  Throws util::InvalidArgumentError for
+/// any other model (DiscreteDvsModel and the like dispatch at runtime only).
+const model::LinearDvsModel& PlanningModel(const model::DvsModel& dvs);
+
 /// Which workload the static schedule should be optimal for.
 enum class Scenario {
   kAverage,  // ACS: plan for ACEC (the paper's contribution)
@@ -211,7 +218,7 @@ class EnergyObjective final : public opt::Objective {
   ForwardDetail Replay(const opt::Vector& x) const;
 
   const fps::FullyPreemptiveSchedule& fps() const { return *fps_; }
-  const model::DvsModel& dvs() const { return *dvs_; }
+  const model::LinearDvsModel& dvs() const { return *dvs_; }
   Scenario scenario() const { return scenario_; }
 
  private:
@@ -224,33 +231,30 @@ class EnergyObjective final : public opt::Objective {
     std::size_t budget_var = 0;  // index into x when has_budget_var
   };
 
-  /// Forward + optional reverse pass; grad may be nullptr.  Dispatches to
-  /// one replay per the kernel x scenario template grid, or — under mixture
-  /// planning — averages value/gradient/detail over the K replays.
+  /// Forward + optional reverse pass; grad may be nullptr.  Runs one
+  /// replay, or — under mixture planning — averages value/gradient/detail
+  /// over the K replays.
   double Evaluate(const opt::Vector& x, opt::Vector* grad,
                   ForwardDetail* detail) const;
 
   /// One replay at the per-sub planning workloads `plan` (never null;
-  /// points at plan_by_sub_ or one mixture row), after kernel/scenario
-  /// dispatch.
+  /// points at plan_by_sub_ or one mixture row), after scenario dispatch.
   double EvaluateOnce(const double* plan, const opt::Vector& x,
                       opt::Vector* grad, ForwardDetail* detail) const;
 
-  /// The pass itself, templated on the voltage-model kernel (so the linear
-  /// model runs devirtualized) and on the scenario (so the WCS solve skips
+  /// The pass itself, templated on the scenario (so the WCS solve skips
   /// the average-case bookkeeping entirely); see formulation.cc.
-  template <typename Kernel, bool kAverageScenario>
+  template <bool kAverageScenario>
   double EvaluateImpl(const double* plan, const opt::Vector& x,
-                      opt::Vector* grad, ForwardDetail* detail,
-                      const Kernel& kernel) const;
+                      opt::Vector* grad, ForwardDetail* detail) const;
 
   /// The reverse pass of EvaluateImpl, reading the forward state it left
   /// in the scratch and writing every gradient component.
-  template <typename Kernel, bool kAverageScenario>
-  void ReverseImpl(opt::Vector& grad, const Kernel& kernel) const;
+  template <bool kAverageScenario>
+  void ReverseImpl(opt::Vector& grad) const;
 
   const fps::FullyPreemptiveSchedule* fps_;
-  const model::DvsModel* dvs_;
+  const model::LinearDvsModel* dvs_;
   Scenario scenario_;
   std::size_t n_ = 0;    // sub-instance count
   std::size_t dim_ = 0;  // n_ + number of budget variables
@@ -266,11 +270,8 @@ class EnergyObjective final : public opt::Objective {
   std::size_t mixture_rows_ = 0;
   double ct_vmax_ = 0.0;
   double max_speed_ = 0.0;
-  /// Devirtualized fast path: set when `dvs` is a LinearDvsModel, whose
-  /// closed-form speed law (speed = k * V) the evaluation inlines with
-  /// bit-identical arithmetic.
-  bool linear_model_ = false;
-  double linear_k_ = 0.0;
+  double k_ = 0.0;      // speed = k * V
+  double inv_k_ = 0.0;  // dV/dspeed
   ObjectiveScratch* scratch_;             // never null after construction
   mutable ObjectiveScratch own_scratch_;  // used when none was provided
 };

@@ -25,16 +25,16 @@ struct SmoothMin {
   }
 };
 
-/// d t_cyc / d V = -speed'(V) * t_cyc(V)^2.
-double CycleTimeSlope(const model::DvsModel& dvs, double v) {
+/// d t_cyc / d V = -speed'(V) * t_cyc(V)^2 = -k * t_cyc(V)^2.
+double CycleTimeSlope(const model::LinearDvsModel& dvs, double v) {
   const double ct = dvs.CycleTime(v);
-  return -dvs.SpeedSlope(v) * ct * ct;
+  return -dvs.k() * ct * ct;
 }
 
 /// Objective: sum ceff * vavg_u^2 * wavg_u.
 class FullObjective final : public opt::Objective {
  public:
-  FullObjective(const model::DvsModel& dvs, std::size_t n)
+  FullObjective(const model::LinearDvsModel& dvs, std::size_t n)
       : dvs_(&dvs), n_(n) {}
 
   std::size_t dim() const override { return 6 * n_; }
@@ -62,14 +62,15 @@ class FullObjective final : public opt::Objective {
   }
 
  private:
-  const model::DvsModel* dvs_;
+  const model::LinearDvsModel* dvs_;
   std::size_t n_;
 };
 
 /// (definition of vavg)  e_u - savg_u - wworst_u * t_cyc(vavg_u) >= 0.
 class WindowConstraint final : public opt::ConstraintFunction {
  public:
-  WindowConstraint(const model::DvsModel& dvs, std::size_t n, std::size_t u)
+  WindowConstraint(const model::LinearDvsModel& dvs, std::size_t n,
+                   std::size_t u)
       : dvs_(&dvs), n_(n), u_(u) {}
 
   opt::ConstraintKind kind() const override {
@@ -96,7 +97,7 @@ class WindowConstraint final : public opt::ConstraintFunction {
   }
 
  private:
-  const model::DvsModel* dvs_;
+  const model::LinearDvsModel* dvs_;
   std::size_t n_;
   std::size_t u_;
 };
@@ -105,7 +106,7 @@ class WindowConstraint final : public opt::ConstraintFunction {
 /// either e_{u-1} (chain) or the constant release r_u.
 class WorstChainConstraint final : public opt::ConstraintFunction {
  public:
-  WorstChainConstraint(const model::DvsModel& dvs, std::size_t n,
+  WorstChainConstraint(const model::LinearDvsModel& dvs, std::size_t n,
                        std::size_t u, bool from_previous, double release)
       : dvs_(&dvs),
         n_(n),
@@ -140,7 +141,7 @@ class WorstChainConstraint final : public opt::ConstraintFunction {
   }
 
  private:
-  const model::DvsModel* dvs_;
+  const model::LinearDvsModel* dvs_;
   std::size_t n_;
   std::size_t u_;
   bool from_previous_;
@@ -151,7 +152,7 @@ class WorstChainConstraint final : public opt::ConstraintFunction {
 ///       >= 0   (greedy slack pass-through bound).
 class SlackBoundConstraint final : public opt::ConstraintFunction {
  public:
-  SlackBoundConstraint(const model::DvsModel& dvs, std::size_t n,
+  SlackBoundConstraint(const model::LinearDvsModel& dvs, std::size_t n,
                        std::size_t u)
       : dvs_(&dvs), n_(n), u_(u) {}
 
@@ -184,7 +185,7 @@ class SlackBoundConstraint final : public opt::ConstraintFunction {
   }
 
  private:
-  const model::DvsModel* dvs_;
+  const model::LinearDvsModel* dvs_;
   std::size_t n_;
   std::size_t u_;
 };
@@ -252,7 +253,10 @@ opt::AlmOptions FullNlpOptions::DefaultAlmOptions() {
 
 FullNlp::FullNlp(const fps::FullyPreemptiveSchedule& fps,
                  const model::DvsModel& dvs, const FullNlpOptions& options)
-    : fps_(&fps), dvs_(&dvs), options_(options), n_(fps.sub_count()) {
+    : fps_(&fps),
+      dvs_(&PlanningModel(dvs)),
+      options_(options),
+      n_(fps.sub_count()) {
   ACS_REQUIRE(options_.planning.mixture.empty(),
               "the full NLP supports point planning only — the paper's "
               "constraint set has no mixture counterpart");

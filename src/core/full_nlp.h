@@ -80,7 +80,7 @@ class FullNlp {
   double PlannedCycles(model::TaskIndex task) const;
 
   const fps::FullyPreemptiveSchedule* fps_;
-  const model::DvsModel* dvs_;
+  const model::LinearDvsModel* dvs_;
   FullNlpOptions options_;
   std::size_t n_;
 };

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iomanip>
+#include <limits>
+#include <sstream>
 #include <vector>
 
 #include "core/eval_workspace.h"
@@ -117,6 +120,17 @@ std::optional<sim::StaticSchedule> RepairSchedule(
 
 namespace {
 
+/// Charges repair.max_shift: how far RepairSchedule moved the solver's
+/// end-times to make them exactly feasible.
+void ObserveRepairShift(const sim::StaticSchedule& repaired,
+                        const std::vector<double>& end_times) {
+  double shift = 0.0;
+  for (std::size_t u = 0; u < end_times.size(); ++u) {
+    shift = std::max(shift, std::fabs(repaired.end_time(u) - end_times[u]));
+  }
+  obs::Observe(obs::metric::kRepairMaxShift, shift);
+}
+
 /// Shared solve body: `planning` is null for the paper's ACEC/WCEC solves
 /// (exactly the historical construction, bit-for-bit) and a
 /// scenario-conditioned point for SolvePlanned.
@@ -183,6 +197,7 @@ ScheduleResult SolveWith(
       RepairSchedule(fps, dvs, end_times, budgets);
 
   if (repaired.has_value()) {
+    ObserveRepairShift(*repaired, end_times);
     const double repaired_energy =
         objective.Value(objective.PackSchedule(*repaired));
     if (repaired_energy <= start_energy + 1e-12 * std::fabs(start_energy)) {
@@ -190,7 +205,8 @@ ScheduleResult SolveWith(
       result.predicted_energy = repaired_energy;
       return result;
     }
-    ACS_LOG_WARN << "solver result (" << repaired_energy
+    ACS_LOG_WARN << std::setprecision(std::numeric_limits<double>::max_digits10)
+                 << "solver result (" << repaired_energy
                  << ") worse than warm start (" << start_energy
                  << "); keeping warm start";
   } else {
@@ -210,8 +226,10 @@ std::optional<ScheduleResult> SolveWcsExact(
     EvalWorkspace* workspace) {
   obs::ScopedWallTimer solve_timer(obs::metric::kSolveWallUs);
   obs::Span span("chain_ipm", "solve");
-  const auto fall_back = [&span](const char* reason, obs::MetricId metric) {
-    ACS_LOG_WARN << "exact WCS solve falls back to the ALM: " << reason;
+  const auto fall_back = [&span](const char* reason, obs::MetricId metric,
+                                 const std::string& detail = "") {
+    ACS_LOG_WARN << "exact WCS solve falls back to the ALM: " << reason
+                 << detail;
     if (span.enabled()) {
       span.Arg("fallback", reason);
     }
@@ -256,6 +274,7 @@ std::optional<ScheduleResult> SolveWcsExact(
     return fall_back("repair rejected the schedule",
                      obs::metric::kWcsFallbackRepair);
   }
+  ObserveRepairShift(*repaired, solution.finish);
   // The certificate is restated for the schedule actually returned: its
   // replayed energy is that of an exactly feasible point of the reduced
   // problem, so it bounds the common optimum from above just as the dual
@@ -266,8 +285,15 @@ std::optional<ScheduleResult> SolveWcsExact(
   const double energy = objective.Value(objective.PackSchedule(*repaired));
   const double gap = std::max(0.0, (energy - report.dual) / energy);
   if (!(gap <= opt::kChainAcceptGap)) {
+    if (span.enabled()) {
+      span.Arg("gap", gap);
+      span.Arg("sub_instances", static_cast<std::int64_t>(fps.sub_count()));
+    }
+    std::ostringstream detail;
+    detail << " (gap " << gap << " on " << fps.sub_count()
+           << " sub-instances)";
     return fall_back("duality gap above tolerance",
-                     obs::metric::kWcsFallbackGap);
+                     obs::metric::kWcsFallbackGap, detail.str());
   }
   obs::Count(obs::metric::kWcsSolves);
   obs::Observe(obs::metric::kWcsGap, gap);
@@ -307,11 +333,9 @@ ScheduleResult SolveWcs(const fps::FullyPreemptiveSchedule& fps,
                         const model::DvsModel& dvs,
                         const SchedulerOptions& options,
                         EvalWorkspace* workspace) {
-  if (const auto* linear = dynamic_cast<const model::LinearDvsModel*>(&dvs)) {
-    if (std::optional<ScheduleResult> exact =
-            SolveWcsExact(fps, *linear, workspace)) {
-      return std::move(*exact);
-    }
+  if (std::optional<ScheduleResult> exact =
+          SolveWcsExact(fps, PlanningModel(dvs), workspace)) {
+    return std::move(*exact);
   }
   return SolveSchedule(fps, dvs, Scenario::kWorst, options, std::nullopt,
                        workspace);

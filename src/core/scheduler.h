@@ -134,11 +134,11 @@ ScheduleResult SolveSchedule(
     EvalWorkspace* workspace = nullptr);
 
 /// WCS: the classical WCEC-only minimum-energy static schedule (paper §4's
-/// comparison baseline).  Under a LinearDvsModel it is solved exactly by
-/// the structured interior-point method (opt/chain_ipm.h) and carries a
-/// duality-gap certificate; other models, and any set the exact solve
-/// cannot certify (counted by solve.wcs_fallbacks), take the ALM path, as
-/// does SolveSchedule(Scenario::kWorst, ...) always.
+/// comparison baseline), solved exactly by the structured interior-point
+/// method (opt/chain_ipm.h) with a duality-gap certificate.  A set the
+/// exact solve cannot certify (counted by solve.wcs_fallbacks) takes the
+/// ALM path, as does SolveSchedule(Scenario::kWorst, ...) always.  Throws
+/// InvalidArgumentError for a model core::PlanningModel rejects.
 ScheduleResult SolveWcs(const fps::FullyPreemptiveSchedule& fps,
                         const model::DvsModel& dvs,
                         const SchedulerOptions& options = {},

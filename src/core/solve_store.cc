@@ -73,13 +73,17 @@ model::TaskSet ReadTaskSet(util::BinaryReader& in) {
 }
 
 void WriteModel(util::BinaryWriter& out, const ModelDescriptor& model) {
-  out.U8(model.tag);
+  out.U8(ModelDescriptor::kLinearTag);
   out.VecF64(model.params);
 }
 
 ModelDescriptor ReadModel(util::BinaryReader& in) {
+  const std::uint8_t tag = in.U8();
+  if (tag != ModelDescriptor::kLinearTag) {
+    throw util::Error("solve-store entry: model tag " + std::to_string(tag) +
+                      " is not the linear law (tag 1)");
+  }
   ModelDescriptor model;
-  model.tag = in.U8();
   model.params = in.VecF64();
   return model;
 }
@@ -418,36 +422,11 @@ std::uint64_t ModelDescriptor::BitsOf(double value) {
 }
 
 ModelDescriptor DescribeModel(const model::DvsModel& dvs) {
+  const model::LinearDvsModel& linear = PlanningModel(dvs);
   ModelDescriptor descriptor;
-  if (const auto* linear = dynamic_cast<const model::LinearDvsModel*>(&dvs)) {
-    descriptor.tag = 1;
-    descriptor.params = {linear->vmin(), linear->vmax(), linear->ceff(),
-                         linear->k()};
-    return descriptor;
-  }
-  if (const auto* alpha = dynamic_cast<const model::AlphaDvsModel*>(&dvs)) {
-    descriptor.tag = 2;
-    descriptor.params = {alpha->vmin(),    alpha->vmax(), alpha->ceff(),
-                         alpha->k_delay(), alpha->vth(),  alpha->alpha()};
-    return descriptor;
-  }
-  if (const auto* discrete =
-          dynamic_cast<const model::DiscreteDvsModel*>(&dvs)) {
-    const ModelDescriptor base = DescribeModel(discrete->base());
-    if (!base.Persistable()) {
-      return descriptor;  // unknown base: the wrapper is unknown too
-    }
-    descriptor.tag = 3;
-    descriptor.params.push_back(static_cast<double>(base.tag));
-    descriptor.params.push_back(static_cast<double>(base.params.size()));
-    descriptor.params.insert(descriptor.params.end(), base.params.begin(),
-                             base.params.end());
-    descriptor.params.insert(descriptor.params.end(),
-                             discrete->levels().begin(),
-                             discrete->levels().end());
-    return descriptor;
-  }
-  return descriptor;  // tag 0: not persistable
+  descriptor.params = {linear.vmin(), linear.vmax(), linear.ceff(),
+                       linear.k()};
+  return descriptor;
 }
 
 std::uint64_t TaskSetFingerprint(const model::TaskSet& set) {
@@ -457,9 +436,6 @@ std::uint64_t TaskSetFingerprint(const model::TaskSet& set) {
 }
 
 std::uint64_t ModelFingerprint(const ModelDescriptor& model) {
-  if (!model.Persistable()) {
-    return 0;
-  }
   util::BinaryWriter out;
   WriteModel(out, model);
   return util::Fnv1a(out.bytes());
@@ -508,7 +484,7 @@ bool SameSolveInputs(const model::TaskSet& a_set, const ModelDescriptor& a_model
                      const SchedulerOptions& a_scheduler,
                      const model::TaskSet& b_set, const ModelDescriptor& b_model,
                      const SchedulerOptions& b_scheduler) {
-  return a_model.Persistable() && a_model == b_model &&
+  return a_model == b_model &&
          SameSchedulerOptions(a_scheduler, b_scheduler) &&
          SameTaskSet(a_set, b_set);
 }
@@ -516,9 +492,6 @@ bool SameSolveInputs(const model::TaskSet& a_set, const ModelDescriptor& a_model
 std::uint64_t SolveStoreEntryKey(const model::TaskSet& set,
                                  const ModelDescriptor& model,
                                  const SchedulerOptions& scheduler) {
-  if (!model.Persistable()) {
-    return 0;
-  }
   util::BinaryWriter out;
   out.U32(kSolveStoreSchemaVersion);
   out.U64(TaskSetFingerprint(set));
@@ -741,9 +714,6 @@ std::optional<StoredCell> SolveStore::Load(
 std::optional<StoredCell> SolveStore::Load(
     std::uint64_t key, const model::TaskSet& set, const ModelDescriptor& model,
     const SchedulerOptions& scheduler) const {
-  if (!model.Persistable()) {
-    return std::nullopt;
-  }
   {
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = absorbed_.find(key);
@@ -780,9 +750,6 @@ std::optional<StoredCell> SolveStore::Load(
 }
 
 void SolveStore::Absorb(StoredCell cell) {
-  if (!cell.model.Persistable()) {
-    return;
-  }
   const std::uint64_t key = cell.EntryKey();
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = absorbed_.find(key);

@@ -29,9 +29,8 @@
 // is either part of the key (task set, model parameters, solver options,
 // planning point, chain) or covered by kSolveStoreSchemaVersion, which must
 // be bumped whenever solver arithmetic or the serialization layout changes.
-// DvsModel subclasses unknown to DescribeModel have no content identity:
-// they are never cached across calls (Load/Absorb become no-ops and
-// Prepare never hits) — an unknown model can never alias a known one.
+// Only the linear law is planned (core::PlanningModel), so every entry
+// describes a LinearDvsModel; DescribeModel rejects any other model.
 //
 // Concurrency: one writer per directory, enforced with an O_EXCL LOCK file
 // (two shards pointed at the same writable cache dir hard-error; read-only
@@ -66,20 +65,18 @@ namespace dvs::core {
 /// options carry no ACS warm-start byte (ACS always starts from the WCS).
 inline constexpr std::uint32_t kSolveStoreSchemaVersion = 3;
 
-/// Concrete-parameter description of a DvsModel — the model's content
-/// identity in both solve caches.  DescribeModel recognises the three
-/// library models by dynamic_cast and records their exact constructor
-/// parameters; an unknown subclass yields tag 0 (not persistable), so
-/// probing SpeedAt at sample points — which could alias two models that
-/// merely agree at the probes — is never used as identity.
+/// Concrete-parameter description of a planning model — the model's
+/// content identity in both solve caches: the LinearDvsModel's exact
+/// constructor parameters (vmin, vmax, ceff, k).  Entries store them after
+/// the linear law's tag byte (kLinearTag); an entry with any other tag is
+/// rejected on read.
 struct ModelDescriptor {
-  std::uint8_t tag = 0;  // 0 unknown, 1 linear, 2 alpha, 3 discrete
+  static constexpr std::uint8_t kLinearTag = 1;
+
   std::vector<double> params;
 
-  bool Persistable() const { return tag != 0; }
-
   friend bool operator==(const ModelDescriptor& a, const ModelDescriptor& b) {
-    if (a.tag != b.tag || a.params.size() != b.params.size()) {
+    if (a.params.size() != b.params.size()) {
       return false;
     }
     // Bitwise, not arithmetic, equality: 0.0 vs -0.0 are different models.
@@ -97,6 +94,8 @@ struct ModelDescriptor {
   static std::uint64_t BitsOf(double value);
 };
 
+/// Throws util::InvalidArgumentError for a model core::PlanningModel
+/// rejects.
 ModelDescriptor DescribeModel(const model::DvsModel& dvs);
 
 /// Content fingerprints (FNV-1a over the canonical serialization).
@@ -106,8 +105,7 @@ std::uint64_t SchedulerOptionsFingerprint(const SchedulerOptions& options);
 
 /// The entry key = content identity of one (task set, model, solver
 /// options) cell under the current schema version: the store's file name
-/// and EvalWorkspace's lookup key.  0 when the model is not persistable —
-/// the caches' universal "skip me" value.
+/// and EvalWorkspace's lookup key.
 std::uint64_t SolveStoreEntryKey(const model::TaskSet& set,
                                  const ModelDescriptor& model,
                                  const SchedulerOptions& scheduler);
@@ -120,10 +118,9 @@ bool SameTaskSet(const model::TaskSet& a, const model::TaskSet& b);
 /// nested ALM/SPG options.
 bool SameSchedulerOptions(const SchedulerOptions& a, const SchedulerOptions& b);
 
-/// The hit condition of every solve cache: a persistable model with an
-/// equal descriptor, equal scheduler options and a structurally identical
-/// task set.  A key match that fails this degrades to a rebuild, never to
-/// a wrong result; a tag-0 model matches nothing.
+/// The hit condition of every solve cache: an equal model descriptor,
+/// equal scheduler options and a structurally identical task set.  A key
+/// match that fails this degrades to a rebuild, never to a wrong result.
 bool SameSolveInputs(const model::TaskSet& a_set, const ModelDescriptor& a_model,
                      const SchedulerOptions& a_scheduler,
                      const model::TaskSet& b_set, const ModelDescriptor& b_model,
@@ -207,7 +204,8 @@ void RestoreSolveCache(const StoredCell& stored,
 std::string SerializeStoredCell(const StoredCell& cell);
 
 /// Parses and structurally validates an entry file; throws util::Error on a
-/// bad magic, schema version mismatch, checksum mismatch or truncation.
+/// bad magic, schema version mismatch, checksum mismatch, truncation or a
+/// model tag other than the linear one.
 /// (Key and exact-value verification against the *requesting* cell is the
 /// caller's second step — see SolveStore::Load.)
 StoredCell DeserializeStoredCell(const std::string& bytes);
@@ -246,8 +244,7 @@ class SolveStore {
 
   /// Merges `cell` into the in-memory write-back set (thread-safe): missing
   /// wcs/acs/vmax slots fill, planned solves union by (point, chain),
-  /// calibrations union by their full key tuple.  Cells with a
-  /// non-persistable model are dropped.
+  /// calibrations union by their full key tuple.
   void Absorb(StoredCell cell);
 
   std::size_t AbsorbedCount() const;

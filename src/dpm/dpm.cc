@@ -3,6 +3,7 @@
 #include <memory>
 #include <string>
 
+#include "core/formulation.h"
 #include "util/error.h"
 
 namespace dvs::dpm {
@@ -23,10 +24,10 @@ double CriticalSpeed(const model::DvsModel& dvs, double leak_power_per_ms) {
     return lo_bound;
   }
   // Fixed-iteration ternary search: the objective is unimodal (convex for
-  // the linear and alpha-power models; the discrete wrapper's staircase is
-  // still unimodal in the quantised voltage), and 200 thirds shrink the
-  // bracket far below double resolution, so the result is a deterministic
-  // pure function of (model, leak).
+  // the linear model; the discrete wrapper's staircase is still unimodal in
+  // the quantised voltage), and 200 thirds shrink the bracket far below
+  // double resolution, so the result is a deterministic pure function of
+  // (model, leak).
   double lo = lo_bound;
   double hi = hi_bound;
   for (int i = 0; i < 200; ++i) {
@@ -42,8 +43,9 @@ double CriticalSpeed(const model::DvsModel& dvs, double leak_power_per_ms) {
   return 0.5 * (lo + hi);
 }
 
-std::unique_ptr<const model::DvsModel> FlooredModel(
-    const model::DvsModel& base, const Options& options) {
+std::unique_ptr<const model::LinearDvsModel> FlooredModel(
+    const model::DvsModel& dvs, const Options& options) {
+  const model::LinearDvsModel& base = core::PlanningModel(dvs);
   if (!options.enabled || options.critical_speed < 0.0) {
     return nullptr;
   }
@@ -64,17 +66,8 @@ std::unique_ptr<const model::DvsModel> FlooredModel(
         " cycles/ms leaves no speed range below the top speed " +
         std::to_string(base.MaxSpeed()));
   }
-  if (const auto* linear = dynamic_cast<const model::LinearDvsModel*>(&base)) {
-    return std::make_unique<model::LinearDvsModel>(
-        floor_voltage, linear->vmax(), linear->ceff(), linear->k());
-  }
-  if (const auto* alpha = dynamic_cast<const model::AlphaDvsModel*>(&base)) {
-    return std::make_unique<model::AlphaDvsModel>(
-        floor_voltage, alpha->vmax(), alpha->ceff(), alpha->k_delay(),
-        alpha->vth(), alpha->alpha());
-  }
-  throw util::InvalidArgumentError(
-      "the critical-speed floor needs a linear or alpha-law DVS model");
+  return std::make_unique<model::LinearDvsModel>(floor_voltage, base.vmax(),
+                                                 base.ceff(), base.k());
 }
 
 model::SleepState ResolveSleepState(const std::string& name,

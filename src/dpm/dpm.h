@@ -10,11 +10,11 @@
 // choose a speed below it; both read DvsModel::vmin()/ClampVoltage, so one
 // model with vmin raised floors the whole pipeline at once.
 //
-// The floored model is an ordinary library model (FlooredModel rebuilds
-// the linear or alpha-law base with a higher vmin), so it takes the same
-// solver paths as any other model and core::DescribeModel gives it its own
-// content identity in the solve caches.  runner::RunGrid applies it once
-// per run from ExperimentGrid::dpm.
+// The floored model is an ordinary LinearDvsModel (FlooredModel rebuilds
+// the base with a higher vmin), so it takes the same solver paths as any
+// other model and core::DescribeModel gives it its own content identity in
+// the solve caches.  runner::RunGrid applies it once per run from
+// ExperimentGrid::dpm.
 #ifndef ACS_DPM_DPM_H
 #define ACS_DPM_DPM_H
 
@@ -35,15 +35,15 @@ namespace dvs::dpm {
 double CriticalSpeed(const model::DvsModel& dvs, double leak_power_per_ms);
 
 /// The model a DPM run evaluates under when its critical-speed floor binds:
-/// `base` rebuilt as its own type — a LinearDvsModel or AlphaDvsModel with
-/// every parameter copied — with vmin raised to the voltage of the floor
-/// speed.  The floor speed is options.critical_speed x MaxSpeed when that
-/// is positive, else CriticalSpeed(base, options.idle.power_per_ms).
-/// Returns nullptr when no floor applies: DPM off, critical_speed < 0, or
-/// a floor not above base.vmin().  Throws util::InvalidArgumentError when a
-/// floor applies to any other model type, or reaches base.MaxSpeed().
-std::unique_ptr<const model::DvsModel> FlooredModel(
-    const model::DvsModel& base, const Options& options);
+/// the linear `dvs` with every parameter copied and vmin raised to the
+/// voltage of the floor speed.  The floor speed is options.critical_speed x
+/// MaxSpeed when that is positive, else CriticalSpeed(dvs,
+/// options.idle.power_per_ms).  Returns nullptr when no floor applies: DPM
+/// off, critical_speed < 0, or a floor not above dvs.vmin().  Throws
+/// util::InvalidArgumentError for a model core::PlanningModel rejects, or
+/// when the floor reaches dvs.MaxSpeed().
+std::unique_ptr<const model::LinearDvsModel> FlooredModel(
+    const model::DvsModel& dvs, const Options& options);
 
 /// Named sleep-state presets, resolved against the run's idle floor so the
 /// same name behaves sensibly at any power scale:

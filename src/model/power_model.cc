@@ -25,6 +25,10 @@ double DvsModel::VoltageForWork(double cycles, double window) const {
 LinearDvsModel::LinearDvsModel(double vmin, double vmax, double ceff,
                                double cycles_per_ms_per_volt)
     : vmin_(vmin), vmax_(vmax), ceff_(ceff), k_(cycles_per_ms_per_volt) {
+  // The ordering checks reject NaN but not +inf, which would plan infinite
+  // energies or overflow the solver's speed bounds.
+  ACS_REQUIRE(std::isfinite(vmax) && std::isfinite(ceff) && std::isfinite(k_),
+              "DVS model parameters must be finite");
   ACS_REQUIRE(vmin > 0.0, "vmin must be positive");
   ACS_REQUIRE(vmax > vmin, "vmax must exceed vmin");
   ACS_REQUIRE(ceff > 0.0, "ceff must be positive");
@@ -39,75 +43,6 @@ double LinearDvsModel::SpeedAt(double v) const {
 double LinearDvsModel::VoltageForSpeed(double speed) const {
   ACS_REQUIRE(speed > 0.0, "speed must be positive");
   return speed / k_;
-}
-
-double LinearDvsModel::VoltageSlope(double /*speed*/) const { return 1.0 / k_; }
-
-double LinearDvsModel::SpeedSlope(double /*v*/) const { return k_; }
-
-AlphaDvsModel::AlphaDvsModel(double vmin, double vmax, double ceff,
-                             double k_delay, double vth, double alpha)
-    : vmin_(vmin),
-      vmax_(vmax),
-      ceff_(ceff),
-      k_delay_(k_delay),
-      vth_(vth),
-      alpha_(alpha) {
-  ACS_REQUIRE(vth >= 0.0, "threshold voltage must be non-negative");
-  ACS_REQUIRE(vmin > vth, "vmin must exceed the threshold voltage");
-  ACS_REQUIRE(vmax > vmin, "vmax must exceed vmin");
-  ACS_REQUIRE(ceff > 0.0, "ceff must be positive");
-  ACS_REQUIRE(k_delay > 0.0, "delay constant must be positive");
-  ACS_REQUIRE(alpha >= 1.0 && alpha <= 2.0, "alpha must lie in [1, 2]");
-}
-
-double AlphaDvsModel::SpeedAt(double v) const {
-  ACS_REQUIRE(v > vth_, "voltage at or below threshold");
-  return std::pow(v - vth_, alpha_) / (k_delay_ * v);
-}
-
-double AlphaDvsModel::SpeedSlope(double v) const {
-  // d/dV [ (V-Vth)^a / (K V) ]
-  //   = (V-Vth)^(a-1) * (a V - (V - Vth)) / (K V^2)
-  const double vv = v - vth_;
-  return std::pow(vv, alpha_ - 1.0) * (alpha_ * v - vv) / (k_delay_ * v * v);
-}
-
-double AlphaDvsModel::VoltageForSpeed(double speed) const {
-  ACS_REQUIRE(speed > 0.0, "speed must be positive");
-  // SpeedAt is strictly increasing on (vth, inf) for alpha >= 1, so we use
-  // bisection-safeguarded Newton.  Bracket: grow the upper bound until the
-  // target speed is covered.
-  double lo = vth_ + 1e-9;
-  double hi = std::max(vmax_, vth_ + 1.0);
-  while (SpeedAt(hi) < speed) {
-    hi *= 2.0;
-    ACS_CHECK(hi < 1e9, "voltage bracket runaway in VoltageForSpeed");
-  }
-  double v = 0.5 * (lo + hi);
-  for (int iter = 0; iter < 128; ++iter) {
-    const double f = SpeedAt(v) - speed;
-    if (std::fabs(f) <= 1e-12 * std::max(1.0, speed)) {
-      return v;
-    }
-    if (f > 0.0) {
-      hi = v;
-    } else {
-      lo = v;
-    }
-    const double df = SpeedSlope(v);
-    double next = v - f / df;
-    if (!(next > lo && next < hi)) {
-      next = 0.5 * (lo + hi);  // Newton left the bracket; bisect instead.
-    }
-    v = next;
-  }
-  return v;
-}
-
-double AlphaDvsModel::VoltageSlope(double speed) const {
-  const double v = VoltageForSpeed(speed);
-  return 1.0 / SpeedSlope(v);
 }
 
 DiscreteDvsModel::DiscreteDvsModel(std::shared_ptr<const DvsModel> base,

@@ -1,13 +1,14 @@
 // Variable-voltage processor models.
 //
-// The paper assumes a continuously variable-voltage CPU.  Its motivational
-// example uses the simplification "clock cycle time inversely proportional to
-// the supply voltage" (LinearDvsModel); its energy/delay preliminaries quote
-// the classical alpha-power law t_cyc = K*V/(V - Vth)^alpha (AlphaDvsModel).
-// Both are implemented behind one interface so the scheduler, the NLP
-// formulation and the runtime simulator are model-agnostic.  A discrete-level
-// wrapper (DiscreteDvsModel) models processors exposing a finite set of
-// operating points, quantising requested speeds upward so deadlines hold.
+// The paper assumes a continuously variable-voltage CPU whose clock cycle
+// time is inversely proportional to the supply voltage: speed = k * V
+// (LinearDvsModel).  That is the one law the offline planning stack solves
+// under — the NLP objective, the exact WCS program and the solve-cache
+// identity are derived for it, and core::PlanningModel rejects any other
+// model.  DvsModel stays an interface because the runtime side is wider: a
+// discrete-level wrapper (DiscreteDvsModel) models processors exposing a
+// finite set of operating points, quantising requested speeds upward so
+// deadlines hold, and the simulator dispatches through it.
 //
 // Conventions: time in milliseconds, speed in cycles per millisecond, energy
 // in units of Ceff * V^2 per cycle (arbitrary but consistent; the paper only
@@ -41,13 +42,6 @@ class DvsModel {
   /// below SpeedAt(vmin) return voltages below vmin — callers clamp with
   /// ClampVoltage to decide between "run slower" and "run at vmin and idle".
   virtual double VoltageForSpeed(double speed) const = 0;
-
-  /// d VoltageForSpeed / d speed — used by the NLP gradient.
-  virtual double VoltageSlope(double speed) const = 0;
-
-  /// d SpeedAt / d voltage — used by the NLP gradient (chain through the
-  /// cycle time).  Inverse of VoltageSlope at corresponding points.
-  virtual double SpeedSlope(double v) const = 0;
 
   // --- Derived conveniences -------------------------------------------------
 
@@ -91,8 +85,6 @@ class LinearDvsModel final : public DvsModel {
   double ceff() const override { return ceff_; }
   double SpeedAt(double v) const override;
   double VoltageForSpeed(double speed) const override;
-  double VoltageSlope(double speed) const override;
-  double SpeedSlope(double v) const override;
 
   double k() const { return k_; }
 
@@ -101,35 +93,6 @@ class LinearDvsModel final : public DvsModel {
   double vmax_;
   double ceff_;
   double k_;
-};
-
-/// Alpha-power law: t_cyc(V) = K * V / (V - Vth)^alpha, 1 < alpha <= 2.
-/// Speed is strictly increasing in V for V > Vth, so VoltageForSpeed is a
-/// well-posed monotone inversion (safeguarded Newton).
-class AlphaDvsModel final : public DvsModel {
- public:
-  AlphaDvsModel(double vmin, double vmax, double ceff, double k_delay,
-                double vth, double alpha);
-
-  double vmin() const override { return vmin_; }
-  double vmax() const override { return vmax_; }
-  double ceff() const override { return ceff_; }
-  double SpeedAt(double v) const override;
-  double VoltageForSpeed(double speed) const override;
-  double VoltageSlope(double speed) const override;
-  double SpeedSlope(double v) const override;
-
-  double vth() const { return vth_; }
-  double alpha() const { return alpha_; }
-  double k_delay() const { return k_delay_; }
-
- private:
-  double vmin_;
-  double vmax_;
-  double ceff_;
-  double k_delay_;
-  double vth_;
-  double alpha_;
 };
 
 /// Finite operating points over an underlying continuous model.  Requested
@@ -150,15 +113,6 @@ class DiscreteDvsModel final : public DvsModel {
   /// Returns the smallest level whose speed covers `speed` (vmax when even
   /// the top level is too slow — callers detect overload separately).
   double VoltageForSpeed(double speed) const override;
-
-  /// Piecewise-constant quantisation has zero slope almost everywhere.
-  double VoltageSlope(double) const override { return 0.0; }
-
-  /// Underlying physics still governs speed-vs-voltage between levels.
-  double SpeedSlope(double v) const override { return base_->SpeedSlope(v); }
-
-  const std::vector<double>& levels() const { return levels_; }
-  const DvsModel& base() const { return *base_; }
 
   /// Builds `count` evenly spaced levels across the base model's range.
   static std::vector<double> EvenLevels(const DvsModel& base, int count);

@@ -19,7 +19,7 @@
 //   energy-greedy  place each task on the feasible core with the smallest
 //                  *marginal convex-energy estimate*: the increase in
 //                  constant-speed energy rate of serving the core's cycle
-//                  demand under the model (linear or alpha law), plus the
+//                  demand under the model (speed = k * V), plus the
 //                  idle-power floor when the placement powers a new core —
 //                  leakage-aware consolidation vs. spread, decided per task
 #ifndef ACS_MP_PARTITIONER_H

@@ -79,6 +79,9 @@ MetricsRegistry::MetricsRegistry() {
   // Absolute violations; the ALM's feasibility tolerance is 1e-8.
   AddHistogram("solver.final_violation",
                {1e-12, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3});
+  // End-time shifts in ms; the engine resolves events to 1e-9 ms.
+  AddHistogram("repair.max_shift",
+               {1e-12, 1e-9, 1e-6, 1e-4, 1e-2, 1.0, 100.0});
   ACS_REQUIRE(definitions_.size() == metric::kBuiltinCount,
               "builtin metric count drifted from obs::metric ids");
 }

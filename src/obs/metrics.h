@@ -207,7 +207,12 @@ inline constexpr MetricId kSolverInnerCapped = 43;  // solver.inner_capped
 inline constexpr MetricId kSolverFinalViolation = 44;  // solver.final_
                                                        // violation
                                                        // (histogram)
-inline constexpr std::size_t kBuiltinCount = 45;
+// Per solve that RepairSchedule accepted (ALM and exact WCS alike): the
+// largest |repaired end-time - solver end-time| in ms.  Charged at solve
+// time, like solve.wcs_gap.
+inline constexpr MetricId kRepairMaxShift = 45;  // repair.max_shift
+                                                 // (histogram)
+inline constexpr std::size_t kBuiltinCount = 46;
 }  // namespace metric
 
 /// The installed registry, or nullptr.  Installation is not synchronised

@@ -139,33 +139,6 @@ TEST(EvalWorkspace, PrepareVerifiesTaskSetBeforeReuse) {
   EXPECT_FALSE(SameSchedulerOptions(scheduler, loose));
   EXPECT_NE(&workspace.Prepare(motivation, cpu, loose),
             &workspace.Prepare(motivation, cpu, scheduler));
-
-  // A model DescribeModel does not know (tag 0) has no content identity,
-  // so it never hits: every Prepare builds afresh.
-  class UnknownModel final : public model::DvsModel {
-   public:
-    explicit UnknownModel(const model::LinearDvsModel& base) : base_(base) {}
-    double vmin() const override { return base_.vmin(); }
-    double vmax() const override { return base_.vmax(); }
-    double ceff() const override { return base_.ceff(); }
-    double SpeedAt(double v) const override { return base_.SpeedAt(v); }
-    double VoltageForSpeed(double s) const override {
-      return base_.VoltageForSpeed(s);
-    }
-    double VoltageSlope(double s) const override {
-      return base_.VoltageSlope(s);
-    }
-    double SpeedSlope(double v) const override { return base_.SpeedSlope(v); }
-
-   private:
-    model::LinearDvsModel base_;
-  };
-  const UnknownModel unknown(cpu);
-  EvalWorkspace::PreparedCell& once =
-      workspace.Prepare(motivation, unknown, scheduler);
-  EXPECT_FALSE(once.model.Persistable());
-  EXPECT_NE(&once, &first);
-  EXPECT_NE(&once, &workspace.Prepare(motivation, unknown, scheduler));
 }
 
 // Analytic gradients, evaluated through a shared workspace scratch, must

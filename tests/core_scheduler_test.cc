@@ -3,9 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+
+#include "core/eval_workspace.h"
+#include "core/method_registry.h"
+#include "dpm/dpm.h"
 #include "fps/expansion.h"
 #include "sim/engine.h"
 #include "stats/rng.h"
+#include "util/error.h"
 #include "workload/motivation.h"
 #include "workload/presets.h"
 #include "workload/random_taskset.h"
@@ -190,6 +197,46 @@ TEST(Repair, FailsWhenDemandTrulyExceedsCapacity) {
   const auto repaired = RepairSchedule(fps, cpu, {10.0, 15.0, 20.0},
                                        {32.0e6, 32.0e6, 32.0e6});
   EXPECT_FALSE(repaired.has_value());
+}
+
+// Planning is derived for the linear law only: a non-linear model fails at
+// core::PlanningModel, with the gate's plain message (no source location),
+// from every planning entry point.
+TEST(PlanningModel, NonLinearModelsFailAtTheGate) {
+  const model::LinearDvsModel cpu = workload::MotivationModel();
+  EXPECT_EQ(&PlanningModel(cpu), &cpu);
+  const model::DiscreteDvsModel discrete(
+      std::make_shared<model::LinearDvsModel>(cpu),
+      model::DiscreteDvsModel::EvenLevels(cpu, 4));
+  const model::TaskSet set = workload::MotivationTaskSet();
+  const fps::FullyPreemptiveSchedule fps(set);
+  const SchedulerOptions scheduler;
+  dpm::Options floor;
+  floor.enabled = true;
+  floor.critical_speed = 0.5;
+
+  const auto expect_gate = [](const char* entry,
+                              const std::function<void()>& plan) {
+    try {
+      plan();
+      ADD_FAILURE() << entry << " planned on a non-linear model";
+    } catch (const util::InvalidArgumentError& error) {
+      EXPECT_STREQ(error.what(),
+                   "planning needs a linear-law model (speed = k*V)")
+          << entry;
+    }
+  };
+  expect_gate("SolveWcs", [&] { (void)SolveWcs(fps, discrete); });
+  expect_gate("MethodContext::Acs", [&] {
+    MethodContext context(fps, discrete, scheduler);
+    (void)context.Acs();
+  });
+  expect_gate("EvalWorkspace::Prepare", [&] {
+    EvalWorkspace workspace;
+    (void)workspace.Prepare(set, discrete, scheduler);
+  });
+  expect_gate("dpm::FlooredModel",
+              [&] { (void)dpm::FlooredModel(discrete, floor); });
 }
 
 TEST(Scheduler, DefaultAlmOptionsAreSane) {

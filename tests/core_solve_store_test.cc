@@ -29,6 +29,7 @@
 #include "runner/csv_sink.h"
 #include "runner/experiment_grid.h"
 #include "runner/run_grid.h"
+#include "util/binary_io.h"
 #include "util/error.h"
 #include "workload/presets.h"
 #include "workload/random_taskset.h"
@@ -229,6 +230,27 @@ TEST(SolveStoreFormat, RejectsEveryCorruptionClass) {
   std::string flipped = bytes;
   flipped[bytes.size() / 2] = static_cast<char>(flipped[bytes.size() / 2] ^ 1);
   EXPECT_THROW(DeserializeStoredCell(flipped), util::Error);
+
+  // A model tag other than the linear law's, under a valid checksum.  The
+  // tag byte sits just before the descriptor's parameter vector (its
+  // length 4, then vmin's bits).
+  {
+    constexpr std::size_t kHeader = 24;  // magic, version, key, size
+    std::string payload = bytes.substr(kHeader, bytes.size() - kHeader - 8);
+    util::BinaryWriter params;
+    params.VecF64({cpu.vmin()});
+    std::string needle = params.bytes();
+    needle[0] = 4;  // the stored vector's length
+    const std::size_t at = payload.find(needle);
+    ASSERT_NE(at, std::string::npos);
+    ASSERT_EQ(payload[at - 1], static_cast<char>(ModelDescriptor::kLinearTag));
+    payload[at - 1] = 2;
+    util::BinaryWriter checksum;
+    checksum.U64(util::Fnv1a(payload));
+    EXPECT_THROW(DeserializeStoredCell(bytes.substr(0, kHeader) + payload +
+                                       checksum.bytes()),
+                 util::Error);
+  }
 
   // Truncation.
   EXPECT_THROW(DeserializeStoredCell(bytes.substr(0, bytes.size() - 3)),

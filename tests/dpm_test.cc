@@ -69,10 +69,9 @@ TEST(CriticalSpeedModelClass, RaisesOnlyTheLowerBound) {
   Options forced;
   forced.enabled = true;
   forced.critical_speed = 0.5;  // half of MaxSpeed = 2.0 cycles/ms
-  const std::unique_ptr<const model::DvsModel> floored =
+  const std::unique_ptr<const model::LinearDvsModel> linear =
       FlooredModel(base, forced);
-  // The floored model is the base's own type with only vmin raised.
-  const auto* linear = dynamic_cast<const model::LinearDvsModel*>(floored.get());
+  // The floored model is the base with only vmin raised.
   ASSERT_NE(linear, nullptr);
   EXPECT_DOUBLE_EQ(linear->vmin(), base.VoltageForSpeed(2.0));
   EXPECT_GT(linear->vmin(), base.vmin());
@@ -90,20 +89,6 @@ TEST(CriticalSpeedModelClass, RaisesOnlyTheLowerBound) {
   top.critical_speed = 1.0;
   EXPECT_THROW(FlooredModel(base, top), util::InvalidArgumentError);
 
-  // The alpha-law model rebuilds as its own type too; any other model
-  // cannot carry a floor.
-  const model::AlphaDvsModel alpha(0.8, 3.3, 1.0, 0.25, 0.5, 1.6);
-  const std::unique_ptr<const model::DvsModel> alpha_floored =
-      FlooredModel(alpha, forced);
-  const auto* rebuilt =
-      dynamic_cast<const model::AlphaDvsModel*>(alpha_floored.get());
-  ASSERT_NE(rebuilt, nullptr);
-  EXPECT_GT(rebuilt->vmin(), alpha.vmin());
-  EXPECT_DOUBLE_EQ(rebuilt->vth(), alpha.vth());
-  const model::DiscreteDvsModel discrete(
-      std::make_shared<model::LinearDvsModel>(base),
-      model::DiscreteDvsModel::EvenLevels(base, 4));
-  EXPECT_THROW(FlooredModel(discrete, forced), util::InvalidArgumentError);
 }
 
 TEST(FlooredModelFn, NoFloorWhenDisabledOrBelowVmin) {

@@ -44,7 +44,7 @@ TEST(MetricsRegistry, BuiltinNamesArePinnedInIdOrder) {
       "solve.wcs_fallbacks",  "solve.wcs_fallbacks.no_interior",
       "solve.wcs_fallbacks.breakdown", "solve.wcs_fallbacks.gap",
       "solve.wcs_fallbacks.repair", "solver.inner_capped",
-      "solver.final_violation",
+      "solver.final_violation", "repair.max_shift",
   };
   ASSERT_EQ(expected.size(), metric::kBuiltinCount);
   ASSERT_EQ(registry.MetricCount(), metric::kBuiltinCount);
@@ -78,6 +78,7 @@ TEST(MetricsRegistry, BuiltinKindsMatchTheIdTable) {
   EXPECT_EQ(agg[metric::kDpmMigrations].kind, MetricKind::kCounter);
   EXPECT_EQ(agg[metric::kDpmSleepEnergy].kind, MetricKind::kHistogram);
   EXPECT_EQ(agg[metric::kSolverFinalViolation].kind, MetricKind::kHistogram);
+  EXPECT_EQ(agg[metric::kRepairMaxShift].kind, MetricKind::kHistogram);
 }
 
 /// The determinism invariant: the same set of charges, however they are

@@ -187,6 +187,12 @@ TEST(TelemetryExactWcs, CertifiedSolvesAndKeysReachTheManifest) {
   EXPECT_DOUBLE_EQ(violation.NumberAt("count"),
                    counters.NumberAt("grid.cells_evaluated"));
   EXPECT_GE(violation.NumberAt("min"), 0.0);
+  // Every solve repair accepted reports how far repair moved its end-times:
+  // each certified WCS solve, plus the ACS solves.
+  const util::JsonValue& shift =
+      doc.At("metrics").At("histograms").At("repair.max_shift");
+  EXPECT_GT(shift.NumberAt("count"), counters.NumberAt("solve.wcs_solves"));
+  EXPECT_GE(shift.NumberAt("min"), 0.0);
 }
 
 /// Half two: the planning-arm golden (calibration, warm-link chains and

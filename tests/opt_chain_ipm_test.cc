@@ -181,15 +181,5 @@ TEST(ChainProgram, BeatsTheAlmOnARandomCorpus) {
   EXPECT_LE(10.0 * exact_evaluations, alm_evaluations);
 }
 
-// Models other than the linear one keep the ALM path and its report.
-TEST(ChainProgram, NonLinearModelsKeepTheAlm) {
-  const model::AlphaDvsModel alpha(0.8, 3.3, 1.0, 1.0, 0.4, 1.5);
-  const model::TaskSet set({{"a", 10, 3.0, 2.0, 1.0}, {"b", 20, 5.0, 3.0, 1.0}});
-  const fps::FullyPreemptiveSchedule fps(set);
-  const ScheduleResult wcs = SolveWcs(fps, alpha);
-  EXPECT_FALSE(wcs.certificate.has_value());
-  EXPECT_GT(wcs.alm.outer_iterations, 0u);
-}
-
 }  // namespace
 }  // namespace dvs::core

@@ -60,8 +60,6 @@ class NanSpeedModel final : public model::DvsModel {
     return std::numeric_limits<double>::quiet_NaN();
   }
   double VoltageForSpeed(double speed) const override { return speed; }
-  double VoltageSlope(double) const override { return 1.0; }
-  double SpeedSlope(double) const override { return 1.0; }
 };
 
 TEST(VerifyWorstCase, ReportsNonFiniteChainInfeasible) {

@@ -48,19 +48,6 @@ std::string KeyHex(std::uint64_t key) {
   return std::string(16 - digits.size(), '0') + digits;
 }
 
-const char* ModelName(std::uint8_t tag) {
-  switch (tag) {
-    case 1:
-      return "linear";
-    case 2:
-      return "alpha";
-    case 3:
-      return "discrete";
-    default:
-      return "unknown";
-  }
-}
-
 int Run(int argc, const char* const* argv) {
   std::string dir;
   std::int64_t budget =
@@ -88,8 +75,8 @@ int Run(int argc, const char* const* argv) {
             << (keys.size() == 1 ? "y" : "ies") << " (schema version "
             << core::kSolveStoreSchemaVersion << ")\n\n";
 
-  util::TextTable table({"key", "bytes", "model", "tasks", "wcs", "acs",
-                         "vmax", "planned", "calibrations", "budget"});
+  util::TextTable table({"key", "bytes", "tasks", "wcs", "acs", "vmax",
+                         "planned", "calibrations", "budget"});
   std::size_t rejected = 0;
   std::size_t oversized = 0;
   for (std::uint64_t key : keys) {
@@ -112,7 +99,6 @@ int Run(int argc, const char* const* argv) {
           ++oversized;
         }
         table.AddRow({KeyHex(key), std::to_string(bytes.size()),
-                      ModelName(cell.model.tag),
                       std::to_string(cell.set.size()),
                       cell.wcs.has_value() ? "yes" : "-",
                       cell.acs.has_value() ? "yes" : "-",
@@ -127,7 +113,7 @@ int Run(int argc, const char* const* argv) {
     }
     ++rejected;
     table.AddRow({KeyHex(key), "REJECTED: " + reason, "", "", "", "", "", "",
-                  "", ""});
+                  ""});
   }
   std::cout << table.Render();
   if (oversized > 0) {
