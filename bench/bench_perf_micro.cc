@@ -69,7 +69,7 @@ void BM_ObjectiveValueAndGradient(benchmark::State& state) {
 BENCHMARK(BM_ObjectiveValueAndGradient)->ArgName("tasks")->Arg(4)->Arg(8);
 
 void BM_KernelCbrt(benchmark::State& state) {
-  // The per-dispatch bin roots of sim::ExpectedCasePolicy: survival
+  // The per-solve bin roots of sim::ExpectedCasePolicy: survival
   // weights in [0, 1], all on the in-tree path (no libm fallback).
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   std::vector<double> x = FillVec(n, 15);

@@ -12,8 +12,6 @@
 namespace dvs::sim {
 namespace {
 
-constexpr double kCycleEps = 1e-6;   // cycles considered "zero"
-constexpr double kTimeEps = 1e-9;    // simultaneous-event tolerance
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 using ActiveInstance = EngineWorkspace::ActiveInstance;
@@ -250,6 +248,7 @@ void SimulateLoop(const fps::FullyPreemptiveSchedule& fps,
       const SubRef& sub = ws.sub_refs[ws.sub_begin[inst.parent] + inst.sub_pos];
       DispatchContext ctx;
       ctx.task = inst.task;
+      ctx.instance = inst.global_instance;
       ctx.sub_order = sub.order;
       ctx.budget_remaining = std::max(0.0, sub.budget - inst.consumed_in_sub);
       ctx.local_time = now - inst.hp_base;

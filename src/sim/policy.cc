@@ -117,6 +117,7 @@ ExpectedCasePolicy::ExpectedCasePolicy(
   root_.resize(bins_, 0.0);
   speed_.resize(bins_, 0.0);
   pinned_.resize(bins_, 0);
+  tail_time_.resize(bins_ + 1, 0.0);
 }
 
 DispatchDecision ExpectedCasePolicy::Dispatch(
@@ -136,6 +137,24 @@ DispatchDecision ExpectedCasePolicy::Dispatch(
     decision.voltage = vmax_;  // degenerate window: no room to shape
     return decision;
   }
+
+  // Follow the held profile while this visit progresses through it and its
+  // tail still fits the window.  A bin ending within kCycleEps of the
+  // progress counts as run (the engine treats that many cycles as zero).
+  if (ctx.instance == held_instance_ && ctx.sub_order == held_order_ &&
+      budget < held_budget_) {
+    const double progress = held_budget_ - budget;
+    const std::size_t j = std::min(
+        static_cast<std::size_t>((progress + kCycleEps) / held_bin_w_),
+        bins_ - 1);
+    const double tail =
+        (held_bin_w_ * static_cast<double>(j + 1) - progress) / speed_[j] +
+        tail_time_[j + 1];
+    if (tail <= window + kTimeEps) {
+      return Follow(j, progress, budget);
+    }
+  }
+  held_budget_ = 0.0;  // re-solve (or fall back): the old profile is gone
 
   const double smin = smin_;
   const double smax = smax_;
@@ -265,19 +284,34 @@ DispatchDecision ExpectedCasePolicy::Dispatch(
     }
   }
 
-  // Run the first bin's speed and cap the slice at the end of the
-  // equal-speed prefix, so a flat profile dispatches once while a shaped
-  // one re-dispatches exactly at its breakpoints.
-  double cap = bin_w;
-  for (std::size_t j = 1; j < bins_; ++j) {
-    if (std::fabs(speed_[j] - speed_[0]) > 1e-12) {
+  // Hold the profile for the rest of this visit and run its first bin.
+  held_instance_ = ctx.instance;
+  held_order_ = ctx.sub_order;
+  held_budget_ = budget;
+  held_bin_w_ = bin_w;
+  tail_time_[bins_] = 0.0;
+  for (std::size_t j = bins_; j-- > 0;) {
+    tail_time_[j] = tail_time_[j + 1] + bin_w / speed_[j];
+  }
+  return Follow(0, 0.0, budget);
+}
+
+DispatchDecision ExpectedCasePolicy::Follow(std::size_t bin, double progress,
+                                            double budget) const {
+  // Run this bin's speed and cap the slice at the end of its equal-speed
+  // run, so a flat profile dispatches once while a shaped one re-dispatches
+  // exactly at its breakpoints.
+  double cap = held_bin_w_ * static_cast<double>(bin + 1) - progress;
+  for (std::size_t j = bin + 1; j < bins_; ++j) {
+    if (std::fabs(speed_[j] - speed_[bin]) > 1e-12) {
       break;
     }
-    cap += bin_w;
+    cap += held_bin_w_;
   }
   // LinearDvsModel::VoltageForSpeed and DvsModel::ClampVoltage, inlined.
-  const double raw = linear_k_ > 0.0 ? speed_[0] / linear_k_
-                                     : dvs_->VoltageForSpeed(speed_[0]);
+  const double raw = linear_k_ > 0.0 ? speed_[bin] / linear_k_
+                                     : dvs_->VoltageForSpeed(speed_[bin]);
+  DispatchDecision decision;
   decision.voltage = std::min(std::max(raw, vmin_), vmax_);
   if (cap < budget) {
     decision.cycle_cap = cap;

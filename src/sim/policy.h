@@ -21,10 +21,16 @@
 
 namespace dvs::sim {
 
+/// The engine's tolerances, which policies that track its progress share:
+/// cycles it treats as zero, and simultaneous-event time.
+inline constexpr double kCycleEps = 1e-6;
+inline constexpr double kTimeEps = 1e-9;
+
 /// Everything a policy may look at when dispatching.  Times are in local
 /// hyper-period coordinates (the schedule repeats every hyper-period).
 struct DispatchContext {
   model::TaskIndex task = 0;
+  std::int64_t instance = 0;        // global instance index (across HPs)
   std::size_t sub_order = 0;        // current sub-instance (total order index)
   double budget_remaining = 0.0;    // worst-case cycles left in this sub
   double local_time = 0.0;          // now, modulo hyper-period
@@ -105,12 +111,13 @@ class StaticOnlyPolicy {
 };
 
 /// Expected-case online DVS (the Berten/Chang/Kuo-style "online half" of the
-/// adaptive stack): at every dispatch the policy splits the current
-/// sub-instance's remaining worst-case budget into `bins` equal cycle bins,
-/// weights each bin by the calibrated probability the instance actually
-/// *reaches* it (the survival function of the scenario's realised per-task
-/// law), and picks per-bin speeds minimising expected energy subject to the
-/// same worst-case window constraint GreedyReclaimPolicy enforces:
+/// adaptive stack).  At the first dispatch of a sub-instance visit — one
+/// (global instance, sub-instance) pair — the policy splits the remaining
+/// worst-case budget into `bins` equal cycle bins, weights each bin by the
+/// calibrated probability the instance actually *reaches* it (the survival
+/// function of the scenario's realised per-task law), and picks per-bin
+/// speeds minimising expected energy subject to the same worst-case window
+/// constraint GreedyReclaimPolicy enforces:
 ///
 ///   min  sum_j S_j * w * s_j^2      (E = ceff v^2 cycles, s ∝ v)
 ///   s.t. sum_j w / s_j <= window,   s_j in [MinSpeed, MaxSpeed]
@@ -120,18 +127,28 @@ class StaticOnlyPolicy {
 /// normalise the rest).  Because the worst-case time budget is preserved
 /// exactly, the policy inherits greedy-reclaim's zero-miss guarantee; it
 /// merely *orders* the work slow-to-fast so instances that finish near the
-/// calibrated mean never pay for the tail.  The dispatch returns the first
-/// bin's speed plus a cycle_cap at the end of the equal-speed prefix, so the
-/// engine re-dispatches at profile breakpoints and the profile re-conditions
-/// on realised progress as the instance advances.
+/// calibrated mean never pay for the tail.
+///
+/// The policy then holds that profile for the rest of the visit: every
+/// dispatch returns the speed of the bin the visit's progress has reached,
+/// with a cycle_cap at the next speed change, so the engine re-dispatches
+/// exactly at the profile's breakpoints and the last run ends at the
+/// budget.  Conditioning on progress divides every later bin's survival by
+/// one constant, which the PACE rule ignores, so the held tail is the
+/// optimum of the tail problem on the same grid (principle of optimality)
+/// and following it equals re-solving.  The policy re-solves only for a new
+/// visit (or a dispatch without progress since the solve), or when the held
+/// tail no longer fits the actual window — a transition stall or float
+/// drift ate into it.
 ///
 /// All tables (per-sub worst-case prefix cycles, flat per-task survival
 /// grids) are precomputed at construction; Dispatch touches only fixed-size
-/// scratch, so the engine's hot loop stays allocation-free.  A DP dispatch
-/// costs one survival lookup per bin and one util::simd::Cbrt pass over the
-/// bins; the water-filling passes reuse the roots.  `task_scale` (optional,
-/// finite entries) stretches task i's calibrated law by scale[i] — the drift
-/// adaptor's cheap mid-run re-conditioning knob (Pr[f·X > x] = Pr[X > x/f]).
+/// scratch, so the engine's hot loop stays allocation-free.  A solve costs
+/// one survival lookup per bin and one util::simd::Cbrt pass over the
+/// bins; the water-filling passes reuse the roots.  A held dispatch costs a
+/// bin lookup and one division.  `task_scale` (optional, finite entries)
+/// stretches task i's calibrated law by scale[i] — the drift adaptor's
+/// cheap mid-run re-conditioning knob (Pr[f·X > x] = Pr[X > x/f]).
 class ExpectedCasePolicy {
  public:
   /// Largest accepted `bins` (--online-dp-bins).
@@ -148,16 +165,22 @@ class ExpectedCasePolicy {
 
   DispatchDecision Dispatch(const DispatchContext& ctx) const;
 
-  /// Dispatches that went through the DP profile (vs degenerate fallbacks).
+  /// Water-filling solves run (held dispatches and degenerate fallbacks
+  /// solve nothing).
   std::int64_t dp_dispatches() const { return dp_dispatches_; }
 
-  /// Per-bin survival weights and speeds of the last DP dispatch: the
-  /// profile whose first bin that dispatch ran.
+  /// Per-bin survival weights and speeds of the held profile: the last
+  /// solve's, whose bins later dispatches of the same visit follow.
   const std::vector<double>& profile_weights() const { return weight_; }
   const std::vector<double>& profile_speeds() const { return speed_; }
 
  private:
   static constexpr std::size_t kGridPoints = 129;  // survival grid per task
+
+  /// Runs bin `bin` of the held profile at `progress` cycles into its grid:
+  /// that bin's voltage, capped at the end of its equal-speed run.
+  DispatchDecision Follow(std::size_t bin, double progress,
+                          double budget) const;
 
   const model::DvsModel* dvs_;
   std::size_t bins_;
@@ -183,6 +206,14 @@ class ExpectedCasePolicy {
   mutable std::vector<double> speed_;
   mutable std::vector<char> pinned_;
   mutable std::int64_t dp_dispatches_ = 0;
+  // The held profile (speed_) and its visit: held_budget_ is the budget its
+  // grid spans (0 = nothing held), tail_time_[j] the time bins [j, bins)
+  // take at the held speeds.
+  mutable std::int64_t held_instance_ = 0;
+  mutable std::size_t held_order_ = 0;
+  mutable double held_budget_ = 0.0;
+  mutable double held_bin_w_ = 0.0;
+  mutable std::vector<double> tail_time_;
 };
 
 /// The policies as a closed variant.  The engine visits the variant *once*

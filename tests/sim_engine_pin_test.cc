@@ -235,7 +235,9 @@ std::uint64_t Fingerprint(const SimResult& r) {
 // its per-run dispatch tables and hoisted model constants; the two
 // expected-case heavy-tail cases of set 1 were re-recorded when a dispatch
 // reaching its sub-instance's release within the event tolerance stopped
-// running at the deferral's placeholder Vmax.
+// running at the deferral's placeholder Vmax, and every expected-case case
+// when the policy began holding one solved profile per sub-instance visit
+// instead of re-binning the remaining budget at each breakpoint.
 struct Pin {
   double total_energy;
   std::uint64_t fingerprint;
@@ -321,26 +323,26 @@ const Pin kPins[] = {
     {0x1.0cb4c769b86fbp+9, 0xb2949d62fbd1a38bULL},
     {0x1.10aa78cf0c357p+9, 0x79d9afb507142c8dULL},
     {0x1.1b5638995ededp+9, 0xdad9ff80ff7f1b7fULL},
-    {0x1.9574f4b1bf2e8p+8, 0xf96b3a486b145accULL},
-    {0x1.d6d966bea57c4p+8, 0xc8a9f3b389b81a14ULL},
-    {0x1.b6b0740aadd9ep+8, 0xccdb4a08bc27bf21ULL},
-    {0x1.f86961c34e61cp+8, 0x5d4d3b2b063d8cc5ULL},
-    {0x1.27a9a5ddd6949p+8, 0x9b076b330d35c91eULL},
-    {0x1.474029f7e9a29p+8, 0x69ef829588509bd2ULL},
-    {0x1.4073d2edc75e7p+8, 0xcea4e76f6305c612ULL},
-    {0x1.6045c0eefd29dp+8, 0xc81af4abbf777833ULL},
-    {0x1.1ebe5bcbe0903p+7, 0xbabe9a1729a4d9c9ULL},
-    {0x1.388f1110aeff7p+7, 0x61b65a4d7c2a4569ULL},
-    {0x1.42879e17eed9cp+7, 0x46ef5295e286f4c9ULL},
-    {0x1.5d003cf049e9p+7, 0x681df947ed679b70ULL},
-    {0x1.eaf6a80de8c1cp+8, 0x9272d271ce824a8fULL},
-    {0x1.1e993901cb78p+9, 0x25b3e41370293ffaULL},
-    {0x1.02c80f35c0976p+9, 0x55c1289e7e323cbcULL},
-    {0x1.2c159cd958f18p+9, 0x0742ff5d88a0b93bULL},
-    {0x1.bee6399b94e6p+8, 0x765a261a9fed7b9cULL},
-    {0x1.05e1e2ad59787p+9, 0xad646c3965a7d215ULL},
-    {0x1.df30a2a191b3p+8, 0xca455130ee0043d2ULL},
-    {0x1.162c54c9fa35cp+9, 0xa49d820cf07466aeULL},
+    {0x1.95958f1dd03cbp+8, 0xf4133137c1c588afULL},
+    {0x1.d6c08bc7c73abp+8, 0xb899051957da5ac3ULL},
+    {0x1.b6cbb771eb0a8p+8, 0x8ebc6a64fc43e7d7ULL},
+    {0x1.f85085fc79892p+8, 0x1364997c5ac4977aULL},
+    {0x1.279afcd450001p+8, 0xe22c09d85a165ee7ULL},
+    {0x1.47484ed8d248bp+8, 0x9df1f1d4c4369ab1ULL},
+    {0x1.405f6d4c6313cp+8, 0xa813a779e925f2b9ULL},
+    {0x1.604dd6d456d09p+8, 0x4a4a14980abbfdc0ULL},
+    {0x1.1e9f6ea8eb9c4p+7, 0xda4a8b2a11e0bb9aULL},
+    {0x1.388657d6afcf7p+7, 0xc97884ee48ffd31eULL},
+    {0x1.4269022812714p+7, 0x343e682126565d48ULL},
+    {0x1.5cf773dc053ebp+7, 0xbbadd2974dbb36eeULL},
+    {0x1.e5bf8dcb49994p+8, 0xadbb81e77d011c8eULL},
+    {0x1.1e5ab0d6005a5p+9, 0x57574324434ac0eeULL},
+    {0x1.002cf4b92683ep+9, 0x9ada24f96c8c82d4ULL},
+    {0x1.2bd7156e8a94p+9, 0x42c75b1505bacb44ULL},
+    {0x1.be50d6584d741p+8, 0xe6f10e2a5bf7eba8ULL},
+    {0x1.05de80a9f864ep+9, 0x3d09e127173b28bbULL},
+    {0x1.de90b556746ffp+8, 0xf933b89d1c3ec97fULL},
+    {0x1.1628f2c96b95ap+9, 0xf07e84bfe3e4f9c6ULL},
     {0x1.dfe8844aa1c53p+10, 0xe9250968c032de61ULL},
     {0x1.f72f2953e0446p+10, 0xa69bed84b02786edULL},
     {0x1.e86acdf31f89ep+10, 0x41b7aec20aa0f995ULL},
@@ -421,26 +423,26 @@ const Pin kPins[] = {
     {0x1.74a3b95de3b0fp+11, 0x0ef254b676ad4804ULL},
     {0x1.75444f2bcf1a3p+11, 0xdaf473df108b9401ULL},
     {0x1.78260ad98fb22p+11, 0xa5fab43a5d5ef655ULL},
-    {0x1.cb6d4b9c37c4fp+10, 0x77cb00661470a601ULL},
-    {0x1.0abf71bd0b099p+11, 0x699e6463cf13125eULL},
-    {0x1.d4387ce3e3744p+10, 0x541d772da0eeb037ULL},
-    {0x1.0f3391816534ap+11, 0x1110eb367d4e9fafULL},
-    {0x1.f6079b3ce48f6p+9, 0x6157ee783c2fca7cULL},
-    {0x1.1baad3e551f5ep+10, 0x71ae6204e4c12ed5ULL},
-    {0x1.026b56ddd34dap+10, 0x1d92458230239c3eULL},
-    {0x1.2330112bab1bp+10, 0x8c8f5962a2141891ULL},
-    {0x1.9b85cd30d20eap+8, 0xfbb02493cbeea377ULL},
-    {0x1.d414fb5017b7dp+8, 0x6ed151b22efeab86ULL},
-    {0x1.b281543a4ca39p+8, 0x627ae8b273700d89ULL},
-    {0x1.ebb7453f39defp+8, 0x1f90b47ce3f3d18dULL},
-    {0x1.80ea71a4c2765p+10, 0x9405568dd8359f49ULL},
-    {0x1.c90a06fd7894ep+10, 0xa628d2e2d8213112ULL},
-    {0x1.89eb6fc396f62p+10, 0x7009c58bf2f93346ULL},
-    {0x1.d22f217a79f97p+10, 0xbb34870bece7110fULL},
-    {0x1.c160e16d7fae7p+10, 0xf536b7ac446e1d0bULL},
-    {0x1.0448ad8448bfep+11, 0x246f5068aeb394f0ULL},
-    {0x1.ca24a13672e06p+10, 0xa111bc6ec2ff04c8ULL},
-    {0x1.08b7a4aa32a23p+11, 0x42c687767618a5caULL},
+    {0x1.cbb9af063620ap+10, 0x860817e6c74d0ee7ULL},
+    {0x1.0ad59a999e03dp+11, 0xdaa6ad0cc56db61cULL},
+    {0x1.d486b3195b8c7p+10, 0xee349587a1c1bdf9ULL},
+    {0x1.0f49ba6d8979ap+11, 0x552d1a53e9dbc088ULL},
+    {0x1.f66674b2b01p+9, 0x54990b35b48c490dULL},
+    {0x1.1bac4f9e30a36p+10, 0xf8facddcc0bd5d2eULL},
+    {0x1.029ba9cee3865p+10, 0xeafb0beb92eb95abULL},
+    {0x1.23318d58e4f75p+10, 0xeeb74582b241ee0fULL},
+    {0x1.9bc757edd08d9p+8, 0xba71bcdd4e66acbbULL},
+    {0x1.d410b741930b9p+8, 0x24b39e1627e2a710ULL},
+    {0x1.b2c2dbb8f3d8fp+8, 0xed6a443b19391ee3ULL},
+    {0x1.ebb3013b14f06p+8, 0x81026229766fc2e3ULL},
+    {0x1.81260da08c5fap+10, 0x80fb1941737de114ULL},
+    {0x1.c91c84094df4ep+10, 0x41bd9fa506fc1c93ULL},
+    {0x1.8a2947a8c72fep+10, 0x51f7e2464b8aed5eULL},
+    {0x1.d2419e88dd50ep+10, 0xe2977080d36b11d7ULL},
+    {0x1.c18cc99b0c34p+10, 0x9df8b0d192657729ULL},
+    {0x1.04479f57b7b1ap+11, 0x53746dff3023d8ffULL},
+    {0x1.ca5102945b8b3p+10, 0x9b417fb8f0fd67aeULL},
+    {0x1.08b6967da193fp+11, 0xd7e2db164fb845eeULL},
     {0x1.b4f93a773fdedp+10, 0xccf1274fe60ebe63ULL},
     {0x1.cb5c7598e77p+10, 0x35b56a240281348fULL},
     {0x1.bd6b2dc356e8p+10, 0x1fddd1f5f7a5ccfaULL},
@@ -521,26 +523,26 @@ const Pin kPins[] = {
     {0x1.7ab232e1a4e29p+11, 0xd6e1ebdee622b932ULL},
     {0x1.7b0e6d5851a0ap+11, 0x9680aa3eadfe808bULL},
     {0x1.7e3523c0e7448p+11, 0xa23b17a747a7ccebULL},
-    {0x1.969711469a4fdp+10, 0x3af236bed240e2c1ULL},
-    {0x1.da16905ef4fafp+10, 0x4ee41818c99d0760ULL},
-    {0x1.9f5046e395f72p+10, 0xbcfd0e009473912dULL},
-    {0x1.e2ee6194988f5p+10, 0x84ce851d1e556584ULL},
-    {0x1.3e7ea18f9a59fp+10, 0xe2f911ec0f51d330ULL},
-    {0x1.6e232843e93fdp+10, 0x684e533db5dc5479ULL},
-    {0x1.462dfa10d27cfp+10, 0x9c00209421476b41ULL},
-    {0x1.75f186d8f0426p+10, 0x490620c6613814cbULL},
-    {0x1.c42e8fc92887fp+8, 0xede306a3816ed3b4ULL},
-    {0x1.fe455fe8a892p+8, 0xc4b30f7b1ed3ee72ULL},
-    {0x1.db24d60a506e9p+8, 0x8a9bd6af660f8d5aULL},
-    {0x1.0af5eea0deabcp+9, 0x4fe30793066d7137ULL},
-    {0x1.e9bb9b847b937p+10, 0x2c7e43ad9f603e05ULL},
-    {0x1.1f84474c322ep+11, 0xb0ca0ab8b61bde0cULL},
-    {0x1.f25ab70f14aa3p+10, 0x80397bb7db3b4ac4ULL},
-    {0x1.23e172972ef51p+11, 0x93149f3e0a4a6029ULL},
-    {0x1.dc86973319p+10, 0x5681217229dd6b32ULL},
-    {0x1.14a26a47b1eaep+11, 0x12ac0b8b71d2c68fULL},
-    {0x1.e4eeeaa6549dcp+10, 0xd019dda6398263e3ULL},
-    {0x1.18e5e6cc74a64p+11, 0xad47fec7fe427c06ULL},
+    {0x1.9684cddcc32aap+10, 0x4c43543c55e6892dULL},
+    {0x1.da3a34e1fe24fp+10, 0x8b1a8c12ed8ad4b6ULL},
+    {0x1.9f3fbca992403p+10, 0xc72fcca67b061bd4ULL},
+    {0x1.e312060685d6cp+10, 0xb9951ca03fb351ebULL},
+    {0x1.3eae1a7e07f21p+10, 0x991b6cd8fe32ae7cULL},
+    {0x1.6e1e50682957cp+10, 0xea1c57fd0a67d052ULL},
+    {0x1.465dbb2aab5dp+10, 0x750739817efa1307ULL},
+    {0x1.75ecaefb658aap+10, 0x9dff522958a4f696ULL},
+    {0x1.c4f64507e8c13p+8, 0xaedd3ca0eef6068fULL},
+    {0x1.fe4112ee65989p+8, 0x131b8d5afe5cdc4aULL},
+    {0x1.dbecd0b14a3afp+8, 0x7c620ab09df66b04ULL},
+    {0x1.0af3c82876bcfp+9, 0xbd8e87a339ee2b79ULL},
+    {0x1.ea00afb058b9dp+10, 0x679f928a9a818909ULL},
+    {0x1.1f90b7392f432p+11, 0xef794352bc95e201ULL},
+    {0x1.f2a04484021p+10, 0x0bb71ecef829c6f8ULL},
+    {0x1.23ede285ae132p+11, 0x61082e08b8096b61ULL},
+    {0x1.dc4eb9924d703p+10, 0xa088e916684fad45ULL},
+    {0x1.14b4b6d6e890ap+11, 0x3f95821706163f02ULL},
+    {0x1.e4b8bb46b00b5p+10, 0x480ecd2f100c0af7ULL},
+    {0x1.18f833ac67754p+11, 0xd520086689691c7eULL},
 };
 
 TEST(EnginePin, SchedulesAreFeasible) {

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <tuple>
+
 #include "dpm/dpm.h"
 #include "fps/expansion.h"
 #include "model/workload.h"
@@ -239,6 +243,59 @@ TEST(Engine, BestCaseWorkloadUsesLessEnergyThanWorst) {
   const SimResult r_best = h.Run(schedule, policy, best, 2, false);
   const SimResult r_worst = h.Run(schedule, policy, worst, 2, false);
   EXPECT_LT(r_best.total_energy, r_worst.total_energy);
+}
+
+TEST(Engine, ExpectedCaseRunsEachSubBudgetOnALongChain) {
+  // b (period 30) is preempted by a (period 1) at every release.  Planned
+  // at 2 cycles/ms, the worst-case chain gives b one cycle in each of its
+  // 30 segments and ends exactly at its deadline, while the real model's
+  // 4 cycles/ms leaves the expected-case policy room to shape every
+  // segment.  A sub ending short of its budget would carry the rest into
+  // b's last segment and push it past the deadline.
+  Harness h(model::TaskSet({MakeTask("a", 1, 1.0), MakeTask("b", 30, 30.0)}));
+  const model::LinearDvsModel planning(0.5, 2.0, 1.0, 1.0);
+  const StaticSchedule schedule = BuildVmaxAsapSchedule(h.fps, planning);
+  const FeasibilityReport report = VerifyWorstCase(h.fps, schedule, h.cpu);
+  ASSERT_TRUE(report.feasible) << report.detail;
+  // Draws spread evenly over each task's [BCEC, WCEC), so the survival
+  // falls across every bin of every segment.
+  std::vector<std::vector<double>> draws(2);
+  for (std::size_t i = 0; i < 2; ++i) {
+    const model::Task& task = h.set.task(i);
+    for (int k = 0; k < 200; ++k) {
+      draws[i].push_back(task.bcec + (task.wcec - task.bcec) * k / 200.0);
+    }
+  }
+  const ExpectedCasePolicy policy(h.fps, schedule, h.cpu, draws, 8);
+  const model::FixedWorkload worst(h.set, model::FixedScenario::kWorst);
+  const std::int64_t hyper_periods = 2;
+  const SimResult result = h.Run(schedule, policy, worst, hyper_periods);
+  EXPECT_EQ(result.deadline_misses, 0) << result.first_miss;
+
+  // Executed cycles per (task, global instance, sub position).
+  std::map<std::tuple<model::TaskIndex, std::int64_t, int>, double> executed;
+  for (const ExecutionSlice& slice : result.trace.slices()) {
+    executed[{slice.task, slice.instance, slice.sub_k}] += slice.cycles;
+  }
+  std::size_t longest = 0;
+  for (std::size_t p = 0; p < h.fps.instance_count(); ++p) {
+    const fps::InstanceRecord& rec = h.fps.instance(p);
+    std::size_t with_budget = 0;
+    for (std::int64_t hp = 0; hp < hyper_periods; ++hp) {
+      const std::int64_t instance =
+          hp * h.set.InstanceCount(rec.info.task) + rec.info.instance;
+      for (std::size_t k = 0; k < rec.subs.size(); ++k) {
+        const double budget = schedule.worst_budget(rec.subs[k]);
+        with_budget += hp == 0 && budget > 0.0;
+        EXPECT_NEAR((executed[{rec.info.task, instance, static_cast<int>(k)}]),
+                    budget, 1e-9)
+            << h.set.task(rec.info.task).name << "[" << instance << "] sub "
+            << k;
+      }
+    }
+    longest = std::max(longest, with_budget);
+  }
+  EXPECT_GE(longest, 25u);
 }
 
 TEST(GreedyPolicy, VoltageFromBudgetAndWindow) {

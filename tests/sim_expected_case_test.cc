@@ -407,12 +407,16 @@ TEST(ExpectedCaseDispatch, TaskScaleEqualsScaledDraws) {
                                       {Draws()[0], base}, 8, &scale);
     const ExpectedCasePolicy by_draws(f.fps, f.schedule, f.cpu,
                                       {Draws()[0], scaled}, 8);
+    // Each context is the first dispatch of its own visit (instance), so
+    // both policies solve every one rather than following a held profile.
+    std::int64_t visit = 0;
     for (double budget : {6.0, 3.0}) {
       for (double speed : {1.1, 2.5}) {
         const std::string label = "stretch " + std::to_string(stretch) +
                                   " budget " + std::to_string(budget) +
                                   " speed " + std::to_string(speed);
-        const DispatchContext ctx = At(f, 1, budget, budget / speed);
+        DispatchContext ctx = At(f, 1, budget, budget / speed);
+        ctx.instance = visit++;
         const DispatchDecision a = by_scale.Dispatch(ctx);
         const DispatchDecision b = by_draws.Dispatch(ctx);
         for (std::size_t j = 0; j < 8; ++j) {
@@ -428,6 +432,106 @@ TEST(ExpectedCaseDispatch, TaskScaleEqualsScaledDraws) {
     EXPECT_EQ(by_scale.dp_dispatches(), 4);
     EXPECT_EQ(by_draws.dp_dispatches(), 4);
   }
+}
+
+// Time the bins [from, bins) of `speeds` take over `bin_w`-cycle bins.
+double TailTime(const std::vector<double>& speeds, std::size_t from,
+                double bin_w) {
+  double time = 0.0;
+  for (std::size_t j = from; j < speeds.size(); ++j) {
+    time += bin_w / speeds[j];
+  }
+  return time;
+}
+
+TEST(ExpectedCaseDispatch, HeldTailIsTheTailOptimumOnTheSameGrid) {
+  // b's second segment (sub 3) starts 6 worst-case cycles in, where every
+  // bin has a different survival, so the held profile is fully shaped.
+  const Fixture f;
+  const double budget = 6.0;
+  const double bin_w = budget / 8.0;
+  const ExpectedCasePolicy held(f.fps, f.schedule, f.cpu, Draws(), 8);
+  held.Dispatch(At(f, 3, budget, budget / 1.1));
+  ASSERT_EQ(held.dp_dispatches(), 1);
+  const std::vector<double> speeds = held.profile_speeds();
+  ASSERT_LT(speeds.front(), speeds.back());
+  for (std::size_t j = 1; j < 8; ++j) {
+    // The visit at bin boundary j, on schedule: it follows the held
+    // profile without solving.
+    const double rest = budget - bin_w * static_cast<double>(j);
+    const double window = TailTime(speeds, j, bin_w);
+    const DispatchDecision d = held.Dispatch(At(f, 3, rest, window));
+    EXPECT_EQ(held.dp_dispatches(), 1) << "bin " << j;
+    EXPECT_NEAR(d.voltage, speeds[j] / f.cpu.k(), 1e-15 * speeds[j])
+        << "bin " << j;
+    // Solving the tail problem from scratch on the same grid (8 - j bins
+    // of the same width and centres, the held tail's time as the window)
+    // gives the held speeds.
+    const ExpectedCasePolicy tail(f.fps, f.schedule, f.cpu, Draws(),
+                                  static_cast<std::int64_t>(8 - j));
+    tail.Dispatch(At(f, 3, rest, window));
+    ASSERT_EQ(tail.dp_dispatches(), 1) << "bin " << j;
+    for (std::size_t k = 0; k + j < 8; ++k) {
+      EXPECT_NEAR(tail.profile_speeds()[k], speeds[j + k],
+                  1e-12 * speeds[j + k])
+          << "bin " << j << " tail bin " << k;
+    }
+  }
+}
+
+TEST(ExpectedCaseDispatch, StallShrunkWindowForcesAFittingResolve) {
+  const Fixture f;
+  const double budget = 6.0;
+  const ExpectedCasePolicy policy(f.fps, f.schedule, f.cpu, Draws(), 8);
+  const DispatchDecision first = policy.Dispatch(At(f, 3, budget, 5.0));
+  ASSERT_TRUE(first.cycle_cap.has_value());
+  const std::vector<double> speeds = policy.profile_speeds();
+  // An interior profile spends the whole window, so on schedule the held
+  // tail takes exactly what is left of it.
+  ASSERT_NEAR(TailTime(speeds, 0, budget / 8.0), 5.0, 1e-12);
+  const double rest = budget - *first.cycle_cap;
+  const double on_time = 5.0 - *first.cycle_cap / speeds[0];
+
+  // At the breakpoint on schedule the held profile still fits.
+  policy.Dispatch(At(f, 3, rest, on_time));
+  EXPECT_EQ(policy.dp_dispatches(), 1);
+
+  // A transition stall ate 0.2 ms: the held tail overruns the window, so
+  // the policy re-solves the remaining budget, and the new profile fits.
+  const double stalled = on_time - 0.2;
+  policy.Dispatch(At(f, 3, rest, stalled));
+  EXPECT_EQ(policy.dp_dispatches(), 2);
+  EXPECT_LE(TailTime(policy.profile_speeds(), 0, rest / 8.0),
+            stalled * (1.0 + 1e-12));
+}
+
+TEST(ExpectedCaseDispatch, NextHyperPeriodNeverReusesTheHeldProfile) {
+  // b has one instance per hyper-period, so global instance 1 is the same
+  // sub-instance one hyper-period later.
+  const Fixture f;
+  const double budget = 6.0;
+  const ExpectedCasePolicy policy(f.fps, f.schedule, f.cpu, Draws(), 8);
+  const DispatchDecision first = policy.Dispatch(At(f, 3, budget, 5.0));
+  ASSERT_TRUE(first.cycle_cap.has_value());
+  const double rest = budget - *first.cycle_cap;
+  const double on_time = 5.0 - *first.cycle_cap / policy.profile_speeds()[0];
+
+  DispatchContext ctx = At(f, 3, rest, on_time);
+  policy.Dispatch(ctx);
+  EXPECT_EQ(policy.dp_dispatches(), 1);  // the same visit follows
+
+  ctx.instance = 1;
+  policy.Dispatch(ctx);
+  EXPECT_EQ(policy.dp_dispatches(), 2);  // the next hyper-period solves
+
+  // A run that restarts instance ids (the drift arm simulates one
+  // hyper-period per run) starts each visit with its full budget, which no
+  // held profile continues, so every first dispatch solves.
+  ctx = At(f, 3, budget, 5.0);
+  ctx.instance = 1;
+  policy.Dispatch(ctx);
+  policy.Dispatch(ctx);
+  EXPECT_EQ(policy.dp_dispatches(), 4);
 }
 
 TEST(ExpectedCaseDispatch, RejectsOutOfRangeBins) {
