@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
     // Solver-recovered schedules.
     const core::ScheduleResult wcs = core::SolveWcs(fps, cpu);
     const core::ScheduleResult acs = core::SolveSchedule(
-        fps, cpu, core::Scenario::kAverage, {}, wcs.schedule);
+        fps, cpu, core::Scenario::kAverage, wcs.schedule);
 
     const Row rows[] = {
         Measure("Fig.1 schedule (paper WCS)", fps, fig1, cpu),

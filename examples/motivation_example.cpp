@@ -52,7 +52,7 @@ int main() {
     // The two candidate schedules, recovered by the solvers.
     const core::ScheduleResult wcs = core::SolveWcs(fps, cpu);
     const core::ScheduleResult acs = core::SolveSchedule(
-        fps, cpu, core::Scenario::kAverage, {}, wcs.schedule);
+        fps, cpu, core::Scenario::kAverage, wcs.schedule);
 
     std::cout << "WCS end-times (paper Fig. 1): ";
     for (std::size_t u = 0; u < 3; ++u) {

@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
     options.scenario = scenario.get();
 
     const fps::FullyPreemptiveSchedule fps(set);
-    core::MethodContext context(fps, cpu, options.scheduler);
+    core::MethodContext context(fps, cpu);
     const core::MethodRegistry& registry = core::MethodRegistry::Builtin();
     // Pad every name to the longest one plus a space, so no name runs into
     // its label.

@@ -10,12 +10,10 @@ namespace dvs::core {
 
 EvalWorkspace::PreparedCell::PreparedCell(std::uint64_t content_key,
                                           model::TaskSet set,
-                                          ModelDescriptor model,
-                                          const SchedulerOptions& scheduler)
+                                          ModelDescriptor model)
     : content_key(content_key),
       set(std::move(set)),
       model(std::move(model)),
-      scheduler(scheduler),
       fps(this->set) {}
 
 namespace {
@@ -109,8 +107,7 @@ void EvalWorkspace::EnforceBudget() {
     total -= victim_bytes;
     charged -= victim_bytes;
     if (store_ != nullptr) {
-      store_->Absorb(MakeStoredCell(victim.set, victim.model, victim.scheduler,
-                                    victim.solves));
+      store_->Absorb(MakeStoredCell(victim.set, victim.model, victim.solves));
     }
     prepared_.pop_back();
     obs::Count(obs::metric::kPrepareEvictions);
@@ -120,21 +117,18 @@ void EvalWorkspace::EnforceBudget() {
 
 void EvalWorkspace::AbsorbInto(SolveStore& store) const {
   for (const auto& entry : prepared_) {
-    store.Absorb(MakeStoredCell(entry->set, entry->model, entry->scheduler,
-                                entry->solves));
+    store.Absorb(MakeStoredCell(entry->set, entry->model, entry->solves));
   }
 }
 
 EvalWorkspace::PreparedCell& EvalWorkspace::Prepare(
-    const model::TaskSet& set, const model::DvsModel& dvs,
-    const SchedulerOptions& scheduler) {
+    const model::TaskSet& set, const model::DvsModel& dvs) {
   ModelDescriptor model = DescribeModel(dvs);
-  const std::uint64_t key = SolveStoreEntryKey(set, model, scheduler);
+  const std::uint64_t key = SolveStoreEntryKey(set, model);
   for (std::size_t i = 0; i < prepared_.size(); ++i) {
     const PreparedCell& cached = *prepared_[i];
     if (cached.content_key == key &&
-        SameSolveInputs(cached.set, cached.model, cached.scheduler, set,
-                        model, scheduler)) {
+        SameSolveInputs(cached.set, cached.model, set, model)) {
       if (i != 0) {  // move to MRU front
         std::unique_ptr<PreparedCell> hit = std::move(prepared_[i]);
         prepared_.erase(prepared_.begin() + static_cast<std::ptrdiff_t>(i));
@@ -150,12 +144,11 @@ EvalWorkspace::PreparedCell& EvalWorkspace::Prepare(
 
   obs::Count(obs::metric::kPrepareMisses);
   prepared_.insert(prepared_.begin(),
-                   std::make_unique<PreparedCell>(key, set, std::move(model),
-                                                  scheduler));
+                   std::make_unique<PreparedCell>(key, set, std::move(model)));
   PreparedCell& entry = *prepared_.front();
   if (store_ != nullptr) {
     if (std::optional<StoredCell> stored =
-            store_->Load(key, entry.set, entry.model, scheduler)) {
+            store_->Load(key, entry.set, entry.model)) {
       try {
         RestoreSolveCache(*stored, entry.fps, entry.solves);
       } catch (const util::Error&) {

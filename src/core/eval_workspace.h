@@ -21,7 +21,7 @@
 // per-core solve.  Reuse never changes results: every consumer overwrites
 // its buffers before reading, and a Prepare() cache hit returns solves that
 // are bit-identical to what a fresh computation would produce (the solvers
-// are deterministic functions of the task set, model and options — which is
+// are deterministic functions of the task set and model — which is
 // also why the 1-thread-vs-N-thread determinism tests stay exact even
 // though thread count changes which worker's cache serves which cell).
 //
@@ -52,16 +52,15 @@ class EvalWorkspace {
   /// Cached per-task-set state.  Owns a copy of the set (the expansion
   /// points into it), the expansion itself, and the lazy solve cache that
   /// MethodContext fills on first use.  The solves depend on the DVS model
-  /// and scheduler options as well as the set, so the entry records all
-  /// three by content: `content_key` is their SolveStoreEntryKey.
+  /// as well as the set, so the entry records both by content:
+  /// `content_key` is their SolveStoreEntryKey.
   struct PreparedCell {
     PreparedCell(std::uint64_t content_key, model::TaskSet set,
-                 ModelDescriptor model, const SchedulerOptions& scheduler);
+                 ModelDescriptor model);
 
     std::uint64_t content_key;
     model::TaskSet set;
     ModelDescriptor model;
-    SchedulerOptions scheduler;
     fps::FullyPreemptiveSchedule fps;  // references `set`; do not move
     SolveCache solves;
   };
@@ -77,14 +76,13 @@ class EvalWorkspace {
   /// context and replays to every later arm.
   std::vector<model::RecordedDraw>& realisation() { return realisation_; }
 
-  /// Returns the prepared state for (`set`, `dvs`, `scheduler`): a hit
-  /// when a resident entry has the same content key and SameSolveInputs
-  /// holds; otherwise a build — pre-seeded from the attached store under
-  /// the same key — that may evict the least-recently-used entry
-  /// (invalidating references returned for it).  Throws
-  /// util::InvalidArgumentError for a model core::PlanningModel rejects.
-  PreparedCell& Prepare(const model::TaskSet& set, const model::DvsModel& dvs,
-                        const SchedulerOptions& scheduler);
+  /// Returns the prepared state for (`set`, `dvs`): a hit when a resident
+  /// entry has the same content key and SameSolveInputs holds; otherwise a
+  /// build — pre-seeded from the attached store under the same key — that
+  /// may evict the least-recently-used entry (invalidating references
+  /// returned for it).  Throws util::InvalidArgumentError for a model
+  /// core::PlanningModel rejects.
+  PreparedCell& Prepare(const model::TaskSet& set, const model::DvsModel& dvs);
 
   /// Attaches (or detaches, with nullptr) a persistent solve store.  Every
   /// Prepare() miss then pre-seeds its fresh entry from the store, and

@@ -237,9 +237,11 @@ class CaseSelectConstraint final : public opt::ConstraintFunction {
   double eps_;
 };
 
-}  // namespace
+/// Epsilon of the smoothed min() in (13)-(14).
+constexpr double kMinSmoothing = 1e-3;
 
-opt::AlmOptions FullNlpOptions::DefaultAlmOptions() {
+/// The full model's one ALM configuration.
+opt::AlmOptions FullNlpAlmOptions() {
   opt::AlmOptions alm;
   alm.max_outer = 20;
   alm.feasibility_tol = 1e-6;
@@ -250,6 +252,8 @@ opt::AlmOptions FullNlpOptions::DefaultAlmOptions() {
   alm.inner_tol_start = 1e-3;
   return alm;
 }
+
+}  // namespace
 
 FullNlp::FullNlp(const fps::FullyPreemptiveSchedule& fps,
                  const model::DvsModel& dvs, const FullNlpOptions& options)
@@ -355,7 +359,7 @@ FullNlpResult FullNlp::Solve(const sim::StaticSchedule& warm_start) const {
       linear.push_back(std::move(dominate));
 
       owned.push_back(std::make_unique<CaseSelectConstraint>(
-          n_, order, earlier, planned, options_.min_smoothing));
+          n_, order, earlier, planned, kMinSmoothing));
       earlier.push_back(order);
     }
     worst_sum.name = "wcec-sum";
@@ -380,8 +384,8 @@ FullNlpResult FullNlp::Solve(const sim::StaticSchedule& warm_start) const {
 
   opt::Vector x = InitialPoint(warm_start);
   FullNlpResult result{warm_start, 0.0, {}};
-  result.alm =
-      opt::MinimizeAlm(objective, feasible, constraints, x, options_.alm);
+  result.alm = opt::MinimizeAlm(objective, feasible, constraints, x,
+                                FullNlpAlmOptions());
   result.objective = objective.Value(x);
 
   // Extract (e, wworst) and restore strict feasibility.

@@ -35,9 +35,9 @@
 
 namespace dvs::core {
 
+/// The solver configuration (ALM budget, smoothing of the min() in
+/// (13)-(14)) is a constant of full_nlp.cc; only the planning point varies.
 struct FullNlpOptions {
-  opt::AlmOptions alm = DefaultAlmOptions();
-  double min_smoothing = 1e-3;  // epsilon of the smoothed min() in (13)-(14)
   /// Per-task planning point replacing ACEC in the workload-conservation
   /// constraint (12) and the case selection (13)-(14) — the full-model twin
   /// of the reduced objective's PlanningPoint threading, so the two
@@ -46,8 +46,6 @@ struct FullNlpOptions {
   /// set and is rejected at construction.  Default: the ACEC point,
   /// bit-identical to the pre-planning model.
   PlanningPoint planning;
-
-  static opt::AlmOptions DefaultAlmOptions();
 };
 
 struct FullNlpResult {

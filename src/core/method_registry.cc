@@ -111,7 +111,7 @@ class ScenarioPlannedMethod : public ScheduleMethod {
                     "through EvaluateMethod or call AttachExperiment first");
 
     // Resolve the arm's solve — either the single planned solve or the
-    // sigma-axis continuation chain (WarmStartPolicy::kNeighbor): the
+    // sigma-axis continuation chain (ExperimentOptions::sigma_chain): the
     // cell's prefix chain of sigma divisors in axis order, each link seeded
     // from the previous converged schedule (the base link seeds from WCS
     // exactly like the unchained path).  The chain is a pure function of
@@ -125,8 +125,7 @@ class ScenarioPlannedMethod : public ScheduleMethod {
     std::vector<PlanningPoint> ancestry;
     std::vector<const ScheduleResult*> links;
     const ScheduleResult* solved = nullptr;
-    if (experiment->warm_start == WarmStartPolicy::kNeighbor &&
-        experiment->sigma_chain.size() > 1) {
+    if (experiment->sigma_chain.size() > 1) {
       ACS_REQUIRE(experiment->sigma_chain.back() == experiment->sigma_divisor,
                   "sigma_chain must end at the cell's own sigma divisor");
       ExperimentOptions step = *experiment;
@@ -279,7 +278,7 @@ const ScheduleResult& MethodContext::Wcs() {
   if (span.enabled()) {
     span.Arg("cache", "miss");
   }
-  cache_->wcs = SolveWcs(*fps_, *dvs_, *scheduler_, workspace_);
+  cache_->wcs = SolveWcs(*fps_, *dvs_, workspace_);
   return *cache_->wcs;
 }
 
@@ -296,7 +295,7 @@ const ScheduleResult& MethodContext::Acs() {
     span.Arg("cache", "miss");
   }
   // SolveAcs, warm-started from the cached WCS instead of a fresh one.
-  cache_->acs = SolveSchedule(*fps_, *dvs_, Scenario::kAverage, *scheduler_,
+  cache_->acs = SolveSchedule(*fps_, *dvs_, Scenario::kAverage,
                               Wcs().schedule, workspace_);
   return *cache_->acs;
 }
@@ -391,8 +390,8 @@ const ScheduleResult& MethodContext::PlannedChained(
   }
   cache_->planned.push_back(std::make_unique<SolveCache::PlannedSolve>(
       key, planning, chain,
-      SolvePlanned(*fps_, *dvs_, planning, *scheduler_, warm_start,
-                   workspace_, dual_seed)));
+      SolvePlanned(*fps_, *dvs_, planning, warm_start, workspace_,
+                   dual_seed)));
   return cache_->planned.back()->result;
 }
 
@@ -535,6 +534,7 @@ MethodOutcome EvaluateWithDrift(MethodContext& context,
   const MethodPlan::DriftSpec& spec = *plan.drift;
   const workload::Calibration& calibration = *spec.calibration;
   const OnlineOptions& online = options.online;
+  online.Validate();
 
   const std::unique_ptr<model::WorkloadSampler> sampler =
       MakeRunSampler(options, set);

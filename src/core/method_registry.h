@@ -71,8 +71,14 @@ class EvalWorkspace;  // core/eval_workspace.h
 class MethodContext {
  public:
   MethodContext(const fps::FullyPreemptiveSchedule& fps,
-                const model::DvsModel& dvs, const SchedulerOptions& scheduler)
-      : fps_(&fps), dvs_(&dvs), scheduler_(&scheduler), cache_(&own_cache_) {}
+                const model::DvsModel& dvs)
+      : fps_(&fps), dvs_(&dvs), cache_(&own_cache_) {}
+
+  /// The same context for callers that still pass the setting-free
+  /// SchedulerOptions; it plays no part in any solve.
+  MethodContext(const fps::FullyPreemptiveSchedule& fps,
+                const model::DvsModel& dvs, const SchedulerOptions& /*unused*/)
+      : MethodContext(fps, dvs) {}
 
   /// Workspace-backed variant: solves run out of `workspace`'s scratch
   /// buffers, simulations reuse its engine buffers, and results are cached
@@ -80,13 +86,9 @@ class MethodContext {
   /// on the same task set skip the solves entirely).  Bit-identical to the
   /// self-contained constructor.
   MethodContext(const fps::FullyPreemptiveSchedule& fps,
-                const model::DvsModel& dvs, const SchedulerOptions& scheduler,
-                EvalWorkspace& workspace, SolveCache& cache)
-      : fps_(&fps),
-        dvs_(&dvs),
-        scheduler_(&scheduler),
-        workspace_(&workspace),
-        cache_(&cache) {}
+                const model::DvsModel& dvs, EvalWorkspace& workspace,
+                SolveCache& cache)
+      : fps_(&fps), dvs_(&dvs), workspace_(&workspace), cache_(&cache) {}
 
   // The default cache is a member the context points at, so copies would
   // dangle; contexts are cheap to construct where needed instead.
@@ -95,7 +97,6 @@ class MethodContext {
 
   const fps::FullyPreemptiveSchedule& fps() const { return *fps_; }
   const model::DvsModel& dvs() const { return *dvs_; }
-  const SchedulerOptions& scheduler() const { return *scheduler_; }
 
   /// The attached workspace, or nullptr for a self-contained context.
   EvalWorkspace* workspace() const { return workspace_; }
@@ -114,9 +115,9 @@ class MethodContext {
   /// Solves (once) and returns the WCS schedule.
   const ScheduleResult& Wcs();
 
-  /// Solves (once) and returns the ACS schedule, warm-started per the
-  /// scheduler options.  Shared by the "acs" arm and its policy variants
-  /// (e.g. the eager-dispatch ablation), so the NLP solve amortises.
+  /// Solves (once) and returns the ACS schedule, warm-started from Wcs().
+  /// Shared by the "acs" arm and its policy variants (e.g. the
+  /// eager-dispatch ablation), so the NLP solve amortises.
   const ScheduleResult& Acs();
 
   /// Builds (once) and returns the Vmax-ASAP schedule.  Throws
@@ -160,7 +161,6 @@ class MethodContext {
  private:
   const fps::FullyPreemptiveSchedule* fps_;
   const model::DvsModel* dvs_;
-  const SchedulerOptions* scheduler_;
   EvalWorkspace* workspace_ = nullptr;
   const ExperimentOptions* experiment_ = nullptr;
   SolveCache* cache_;
@@ -253,9 +253,7 @@ void RegisterBuiltins(MethodRegistry& registry);
 /// arms replay them (model::ReplaySampler), bit-identical to giving each
 /// arm a fresh sampler on `options.seed` because the engine draws once per
 /// release in global release order whatever the policy does.  Drift arms
-/// (MethodPlan::drift) draw from their own fresh sampler.  Planning reads
-/// `context.scheduler()` exclusively; `options.scheduler` is not consulted
-/// here, so construct the context from the same options.
+/// (MethodPlan::drift) draw from their own fresh sampler.
 std::vector<MethodOutcome> EvaluateMethods(
     const std::vector<const ScheduleMethod*>& methods, MethodContext& context,
     const ExperimentOptions& options);

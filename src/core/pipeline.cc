@@ -1,9 +1,25 @@
 #include "core/pipeline.h"
 
+#include <cmath>
+#include <string>
+
 #include "core/method_registry.h"
 #include "util/error.h"
 
 namespace dvs::core {
+
+void OnlineOptions::Validate() const {
+  if (!(std::isfinite(drift_ewma) && drift_ewma >= 0.0 && drift_ewma <= 1.0)) {
+    throw util::InvalidArgumentError(
+        "drift_ewma must be finite and lie in [0, 1], got " +
+        std::to_string(drift_ewma));
+  }
+  if (!(std::isfinite(drift_threshold) && drift_threshold >= 0.0)) {
+    throw util::InvalidArgumentError(
+        "drift_threshold must be finite and non-negative, got " +
+        std::to_string(drift_threshold));
+  }
+}
 
 std::uint64_t CalibrationSeed(const ExperimentOptions& options) {
   // A fixed fork label (any constant distinct from the per-core fork labels
@@ -31,7 +47,7 @@ ComparisonResult CompareAcsWcs(const model::TaskSet& set,
   // and replayed to "wcs" — bit-identical to the original hard-coded pair.
   const fps::FullyPreemptiveSchedule fps(set);
   const MethodRegistry& registry = MethodRegistry::Builtin();
-  MethodContext context(fps, dvs, options.scheduler);
+  MethodContext context(fps, dvs);
 
   ComparisonResult result;
   result.sub_instances = fps.sub_count();

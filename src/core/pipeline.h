@@ -50,9 +50,15 @@ struct OnlineOptions {
   /// Replan trigger: max-over-tasks |ewma - planned| / (WCEC - BCEC) above
   /// this fires a recalibrated replan through the warm-start machinery.
   double drift_threshold = 0.2;
+
+  /// Throws util::InvalidArgumentError naming the field unless drift_ewma
+  /// is finite and in [0, 1] and drift_threshold is finite and >= 0.
+  void Validate() const;
 };
 
-/// How the scenario-conditioned planning arms seed their NLP solve.
+/// How the scenario-conditioned planning arms of a grid seed their NLP
+/// solve (runner::ExperimentGrid::warm_start; runner::RunCell turns it into
+/// ExperimentOptions::sigma_chain).
 enum class WarmStartPolicy {
   /// Every planned solve seeds from the WCS incumbent (the legacy path —
   /// byte-identical to the pre-warm-start pipeline).
@@ -69,12 +75,11 @@ struct ExperimentOptions {
   std::int64_t hyper_periods = 200;  // paper: 1000 (set via --paper)
   double sigma_divisor = 6.0;        // workload sigma = (WCEC-BCEC)/divisor
   std::uint64_t seed = 1;            // workload sampling stream
-  /// Warm-start policy of the scenario-conditioned solves (see above).
-  WarmStartPolicy warm_start = WarmStartPolicy::kOff;
-  /// Continuation chain for kNeighbor: the sigma-divisor axis entries up to
-  /// and including this cell's own (runner::RunCell fills it from the grid;
-  /// the last entry must equal sigma_divisor).  Empty disables chaining
-  /// even under kNeighbor.
+  /// Continuation chain of the scenario-conditioned solves: the
+  /// sigma-divisor axis entries up to and including this cell's own
+  /// (runner::RunCell fills it under WarmStartPolicy::kNeighbor; the last
+  /// entry must equal sigma_divisor).  The planning arms chain iff it holds
+  /// more than one entry; otherwise every planned solve seeds from WCS.
   std::vector<double> sigma_chain;
   /// Charged by the simulator per voltage change; zero matches the paper's
   /// "transition overhead is negligible" assumption (ablation bench knob).
@@ -104,7 +109,6 @@ struct ExperimentOptions {
   /// Disabled by default; every consumer's DPM-off path is byte-identical
   /// to the pre-DPM pipeline.
   dpm::Options dpm;
-  SchedulerOptions scheduler;
 };
 
 /// The calibration stream of one evaluation: a fixed-label fork of the

@@ -18,7 +18,7 @@
 
 namespace dvs::core {
 
-opt::AlmOptions SchedulerOptions::DefaultAlmOptions() {
+opt::AlmOptions AcsAlmOptions() {
   opt::AlmOptions alm;
   alm.max_outer = 14;
   alm.feasibility_tol = 1e-8;
@@ -137,7 +137,6 @@ void ObserveRepairShift(const sim::StaticSchedule& repaired,
 ScheduleResult SolveWith(
     const fps::FullyPreemptiveSchedule& fps, const model::DvsModel& dvs,
     Scenario scenario, const PlanningPoint* planning,
-    const SchedulerOptions& options,
     const std::optional<sim::StaticSchedule>& warm_start,
     EvalWorkspace* workspace, const opt::AlmReport* dual_seed = nullptr) {
   // Telemetry (observation-only: none of this feeds back into the solve).
@@ -174,14 +173,13 @@ ScheduleResult SolveWith(
   const double start_energy = objective.Value(x);
 
   ScheduleResult result{start_schedule, start_energy, {}, false};
-  opt::AlmOptions alm_options = options.alm;
+  // The per-call dual seed and observer go on a copy of the constant
+  // configuration; the observer never changes the solve trajectory.
+  opt::AlmOptions alm_options = AcsAlmOptions();
   if (dual_seed != nullptr) {
     alm_options.dual_seed = &dual_seed->multipliers;
     alm_options.dual_penalty_seed = dual_seed->final_penalty;
   }
-  // The observer goes on the local copy only, never into stored
-  // SchedulerOptions, so solve-cache identity (SameSchedulerOptions) and
-  // the solve trajectory are untouched.
   alm_options.observer = convergence.observer();
   result.alm = opt::MinimizeAlm(
       objective, *feasible_set, chain, x, alm_options,
@@ -313,41 +311,33 @@ std::optional<ScheduleResult> SolveWcsExact(
 
 ScheduleResult SolveSchedule(
     const fps::FullyPreemptiveSchedule& fps, const model::DvsModel& dvs,
-    Scenario scenario, const SchedulerOptions& options,
-    const std::optional<sim::StaticSchedule>& warm_start,
+    Scenario scenario, const std::optional<sim::StaticSchedule>& warm_start,
     EvalWorkspace* workspace) {
-  return SolveWith(fps, dvs, scenario, nullptr, options, warm_start,
-                   workspace);
+  return SolveWith(fps, dvs, scenario, nullptr, warm_start, workspace);
 }
 
 ScheduleResult SolvePlanned(
     const fps::FullyPreemptiveSchedule& fps, const model::DvsModel& dvs,
-    const PlanningPoint& planning, const SchedulerOptions& options,
+    const PlanningPoint& planning,
     const std::optional<sim::StaticSchedule>& warm_start,
     EvalWorkspace* workspace, const opt::AlmReport* dual_seed) {
-  return SolveWith(fps, dvs, Scenario::kAverage, &planning, options,
-                   warm_start, workspace, dual_seed);
+  return SolveWith(fps, dvs, Scenario::kAverage, &planning, warm_start,
+                   workspace, dual_seed);
 }
 
 ScheduleResult SolveWcs(const fps::FullyPreemptiveSchedule& fps,
-                        const model::DvsModel& dvs,
-                        const SchedulerOptions& options,
-                        EvalWorkspace* workspace) {
+                        const model::DvsModel& dvs, EvalWorkspace* workspace) {
   if (std::optional<ScheduleResult> exact =
           SolveWcsExact(fps, PlanningModel(dvs), workspace)) {
     return std::move(*exact);
   }
-  return SolveSchedule(fps, dvs, Scenario::kWorst, options, std::nullopt,
-                       workspace);
+  return SolveSchedule(fps, dvs, Scenario::kWorst, std::nullopt, workspace);
 }
 
 ScheduleResult SolveAcs(const fps::FullyPreemptiveSchedule& fps,
-                        const model::DvsModel& dvs,
-                        const SchedulerOptions& options,
-                        EvalWorkspace* workspace) {
-  return SolveSchedule(fps, dvs, Scenario::kAverage, options,
-                       SolveWcs(fps, dvs, options, workspace).schedule,
-                       workspace);
+                        const model::DvsModel& dvs, EvalWorkspace* workspace) {
+  return SolveSchedule(fps, dvs, Scenario::kAverage,
+                       SolveWcs(fps, dvs, workspace).schedule, workspace);
 }
 
 }  // namespace dvs::core

@@ -26,11 +26,19 @@ namespace dvs::core {
 
 class EvalWorkspace;  // core/eval_workspace.h
 
-struct SchedulerOptions {
-  opt::AlmOptions alm = DefaultAlmOptions();
+/// Has no settings: every solve runs AcsAlmOptions().  The type stays only
+/// for the benchmark-facing signatures that still take it
+/// (MethodContext's three-argument constructor, the three-argument
+/// SolveStore::Load and runner::ExperimentGrid::scheduler).
+struct SchedulerOptions {};
 
-  static opt::AlmOptions DefaultAlmOptions();
-};
+/// The one ALM configuration of every ACS / WCS / planned solve: 14 outer
+/// iterations at feasibility tolerance 1e-8, initial penalty 10 growing
+/// tenfold, 700 inner SPG iterations tightening from 1e-4 to 1e-7, every
+/// other field at its opt::AlmOptions default.  These values are part of
+/// the solve identity through core::kSolveStoreSchemaVersion: changing any
+/// of them needs a schema bump.
+opt::AlmOptions AcsAlmOptions();
 
 /// Duality-gap certificate of an exact WCS solve (opt/chain_ipm.h): the
 /// explicit-start program's objective at the returned point and a rigorous
@@ -58,9 +66,9 @@ struct ScheduleResult {
 /// grid cells that share a set reuse the solves outright.
 ///
 /// The wcs / acs / vmax_asap slots are *planning-invariant*: they depend on
-/// the task set, model and scheduler options alone (plain ACS plans at the
-/// ACEC point whatever the cell's scenario), so sharing them across
-/// scenario / planning-arm cells is sound.  Scenario-conditioned solves are
+/// the task set and model alone (plain ACS plans at the ACEC point whatever
+/// the cell's scenario), so sharing them across scenario / planning-arm
+/// cells is sound.  Scenario-conditioned solves are
 /// NOT — their schedule is a function of the calibrated PlanningPoint — so
 /// they live in `planned`, keyed by the point's exact values: two cells
 /// sharing a SetIndex but differing in scenario, planning arm, sigma or
@@ -129,7 +137,7 @@ struct SolveCache {
 /// reusable solver/objective scratch — bit-identical results either way.
 ScheduleResult SolveSchedule(
     const fps::FullyPreemptiveSchedule& fps, const model::DvsModel& dvs,
-    Scenario scenario, const SchedulerOptions& options = {},
+    Scenario scenario,
     const std::optional<sim::StaticSchedule>& warm_start = std::nullopt,
     EvalWorkspace* workspace = nullptr);
 
@@ -141,13 +149,11 @@ ScheduleResult SolveSchedule(
 /// InvalidArgumentError for a model core::PlanningModel rejects.
 ScheduleResult SolveWcs(const fps::FullyPreemptiveSchedule& fps,
                         const model::DvsModel& dvs,
-                        const SchedulerOptions& options = {},
                         EvalWorkspace* workspace = nullptr);
 
 /// ACS: the paper's average-case-aware schedule, warm-started from SolveWcs.
 ScheduleResult SolveAcs(const fps::FullyPreemptiveSchedule& fps,
                         const model::DvsModel& dvs,
-                        const SchedulerOptions& options = {},
                         EvalWorkspace* workspace = nullptr);
 
 /// Scenario-conditioned ACS: the average-scenario pipeline with the NLP
@@ -163,7 +169,7 @@ ScheduleResult SolveAcs(const fps::FullyPreemptiveSchedule& fps,
 /// ramp (opt::AlmOptions::dual_seed).  Null keeps the cold solve untouched.
 ScheduleResult SolvePlanned(
     const fps::FullyPreemptiveSchedule& fps, const model::DvsModel& dvs,
-    const PlanningPoint& planning, const SchedulerOptions& options = {},
+    const PlanningPoint& planning,
     const std::optional<sim::StaticSchedule>& warm_start = std::nullopt,
     EvalWorkspace* workspace = nullptr,
     const opt::AlmReport* dual_seed = nullptr);

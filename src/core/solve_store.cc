@@ -88,50 +88,6 @@ ModelDescriptor ReadModel(util::BinaryReader& in) {
   return model;
 }
 
-void WriteScheduler(util::BinaryWriter& out, const SchedulerOptions& o) {
-  // Exactly the fields SameSchedulerOptions compares — transient per-solve
-  // state (dual_seed, observers) is not part of the solve identity.
-  const opt::AlmOptions& alm = o.alm;
-  const opt::SpgOptions& spg = alm.inner;
-  out.U64(alm.max_outer);
-  out.F64(alm.feasibility_tol);
-  out.F64(alm.initial_penalty);
-  out.F64(alm.penalty_growth);
-  out.F64(alm.max_penalty);
-  out.F64(alm.violation_shrink);
-  out.F64(alm.inner_tol_start);
-  out.U64(spg.max_iterations);
-  out.F64(spg.tolerance);
-  out.U64(spg.history);
-  out.F64(spg.armijo_c);
-  out.F64(spg.step_min);
-  out.F64(spg.step_max);
-  out.F64(spg.backtrack);
-  out.U64(spg.max_backtracks);
-}
-
-SchedulerOptions ReadScheduler(util::BinaryReader& in) {
-  SchedulerOptions o;
-  opt::AlmOptions& alm = o.alm;
-  opt::SpgOptions& spg = alm.inner;
-  alm.max_outer = static_cast<std::size_t>(in.U64());
-  alm.feasibility_tol = in.F64();
-  alm.initial_penalty = in.F64();
-  alm.penalty_growth = in.F64();
-  alm.max_penalty = in.F64();
-  alm.violation_shrink = in.F64();
-  alm.inner_tol_start = in.F64();
-  spg.max_iterations = static_cast<std::size_t>(in.U64());
-  spg.tolerance = in.F64();
-  spg.history = static_cast<std::size_t>(in.U64());
-  spg.armijo_c = in.F64();
-  spg.step_min = in.F64();
-  spg.step_max = in.F64();
-  spg.backtrack = in.F64();
-  spg.max_backtracks = static_cast<std::size_t>(in.U64());
-  return o;
-}
-
 void WritePoint(util::BinaryWriter& out, const PlanningPoint& point) {
   out.VecF64(point.cycles);
   out.VecVecF64(point.mixture);
@@ -238,7 +194,6 @@ std::string SerializePayload(const StoredCell& cell) {
   util::BinaryWriter out;
   WriteTaskSet(out, cell.set);
   WriteModel(out, cell.model);
-  WriteScheduler(out, cell.scheduler);
   out.U8(cell.wcs.has_value() ? 1 : 0);
   if (cell.wcs.has_value()) {
     WriteResult(out, *cell.wcs);
@@ -270,7 +225,6 @@ std::string SerializePayload(const StoredCell& cell) {
 StoredCell ParsePayload(util::BinaryReader& in) {
   StoredCell cell(ReadTaskSet(in));
   cell.model = ReadModel(in);
-  cell.scheduler = ReadScheduler(in);
   if (in.U8() != 0) {
     cell.wcs = ReadResult(in);
   }
@@ -441,12 +395,6 @@ std::uint64_t ModelFingerprint(const ModelDescriptor& model) {
   return util::Fnv1a(out.bytes());
 }
 
-std::uint64_t SchedulerOptionsFingerprint(const SchedulerOptions& options) {
-  util::BinaryWriter out;
-  WriteScheduler(out, options);
-  return util::Fnv1a(out.bytes());
-}
-
 bool SameTaskSet(const model::TaskSet& a, const model::TaskSet& b) {
   if (a.size() != b.size() || a.hyper_period() != b.hyper_period()) {
     return false;
@@ -462,51 +410,26 @@ bool SameTaskSet(const model::TaskSet& a, const model::TaskSet& b) {
   return true;
 }
 
-bool SameSchedulerOptions(const SchedulerOptions& a, const SchedulerOptions& b) {
-  const opt::AlmOptions& x = a.alm;
-  const opt::AlmOptions& y = b.alm;
-  const opt::SpgOptions& p = x.inner;
-  const opt::SpgOptions& q = y.inner;
-  return x.max_outer == y.max_outer &&
-         x.feasibility_tol == y.feasibility_tol &&
-         x.initial_penalty == y.initial_penalty &&
-         x.penalty_growth == y.penalty_growth &&
-         x.max_penalty == y.max_penalty &&
-         x.violation_shrink == y.violation_shrink &&
-         x.inner_tol_start == y.inner_tol_start &&
-         p.max_iterations == q.max_iterations && p.tolerance == q.tolerance &&
-         p.history == q.history && p.armijo_c == q.armijo_c &&
-         p.step_min == q.step_min && p.step_max == q.step_max &&
-         p.backtrack == q.backtrack && p.max_backtracks == q.max_backtracks;
-}
-
 bool SameSolveInputs(const model::TaskSet& a_set, const ModelDescriptor& a_model,
-                     const SchedulerOptions& a_scheduler,
-                     const model::TaskSet& b_set, const ModelDescriptor& b_model,
-                     const SchedulerOptions& b_scheduler) {
-  return a_model == b_model &&
-         SameSchedulerOptions(a_scheduler, b_scheduler) &&
-         SameTaskSet(a_set, b_set);
+                     const model::TaskSet& b_set,
+                     const ModelDescriptor& b_model) {
+  return a_model == b_model && SameTaskSet(a_set, b_set);
 }
 
 std::uint64_t SolveStoreEntryKey(const model::TaskSet& set,
-                                 const ModelDescriptor& model,
-                                 const SchedulerOptions& scheduler) {
+                                 const ModelDescriptor& model) {
   util::BinaryWriter out;
   out.U32(kSolveStoreSchemaVersion);
   out.U64(TaskSetFingerprint(set));
   out.U64(ModelFingerprint(model));
-  out.U64(SchedulerOptionsFingerprint(scheduler));
   return util::Fnv1a(out.bytes());
 }
 
 StoredCell MakeStoredCell(const model::TaskSet& set,
                           const ModelDescriptor& model,
-                          const SchedulerOptions& scheduler,
                           const SolveCache& solves) {
   StoredCell cell(set);
   cell.model = model;
-  cell.scheduler = scheduler;
   if (solves.wcs.has_value()) {
     cell.wcs = StoreResult(*solves.wcs);
   }
@@ -705,21 +628,24 @@ std::string SolveStore::EntryPath(std::uint64_t key) const {
 }
 
 std::optional<StoredCell> SolveStore::Load(
-    const model::TaskSet& set, const ModelDescriptor& model,
-    const SchedulerOptions& scheduler) const {
-  return Load(SolveStoreEntryKey(set, model, scheduler), set, model,
-              scheduler);
+    const model::TaskSet& set, const ModelDescriptor& model) const {
+  return Load(SolveStoreEntryKey(set, model), set, model);
 }
 
 std::optional<StoredCell> SolveStore::Load(
-    std::uint64_t key, const model::TaskSet& set, const ModelDescriptor& model,
-    const SchedulerOptions& scheduler) const {
+    const model::TaskSet& set, const ModelDescriptor& model,
+    const SchedulerOptions& /*scheduler*/) const {
+  return Load(set, model);
+}
+
+std::optional<StoredCell> SolveStore::Load(
+    std::uint64_t key, const model::TaskSet& set,
+    const ModelDescriptor& model) const {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = absorbed_.find(key);
     if (it != absorbed_.end() &&
-        SameSolveInputs(it->second.set, it->second.model,
-                        it->second.scheduler, set, model, scheduler)) {
+        SameSolveInputs(it->second.set, it->second.model, set, model)) {
       CountPersist(obs::metric::kPersistHits);
       return it->second;
     }
@@ -731,8 +657,7 @@ std::optional<StoredCell> SolveStore::Load(
   }
   try {
     StoredCell cell = DeserializeStoredCell(bytes);
-    if (!SameSolveInputs(cell.set, cell.model, cell.scheduler, set, model,
-                         scheduler)) {
+    if (!SameSolveInputs(cell.set, cell.model, set, model)) {
       // Foreign fingerprint: a structurally valid file that answers a
       // different question (renamed file, colliding key, stale grid).
       CountPersist(obs::metric::kPersistRejects);
@@ -777,8 +702,7 @@ std::size_t SolveStore::WriteBack() {
     if (ReadFileBytes(path, &bytes)) {
       try {
         const StoredCell disk = DeserializeStoredCell(bytes);
-        if (SameSolveInputs(disk.set, disk.model, disk.scheduler, cell.set,
-                            cell.model, cell.scheduler)) {
+        if (SameSolveInputs(disk.set, disk.model, cell.set, cell.model)) {
           MergeCells(cell, disk);  // accumulate across runs
         }
       } catch (const util::Error&) {

@@ -14,21 +14,23 @@
 // disk.
 //
 //   entry key  = SolveStoreEntryKey: FNV(schema version x task-set content
-//                hash x DvsModel parameter hash x solver-option hash) ->
-//                the file name and the workspace's lookup key;
+//                hash x DvsModel parameter hash) -> the file name and the
+//                workspace's lookup key;
 //   on a hit   every key match is re-verified by SameSolveInputs against
 //                the *exact* values (structural task-set equality, concrete
-//                model parameters, every solver option field), and each
-//                planned solve inside the entry is additionally keyed by its
+//                model parameters), and each planned solve inside the
+//                entry is additionally keyed by its
 //                PlanningPoint (exact values + chain ancestry) when
 //                core::MethodContext looks it up — so a hash collision, a
 //                renamed file or a foreign cache degrades to a re-solve,
 //                never to a wrong reuse.
 //
 // Invalidation is by construction: anything that can change a solve's bits
-// is either part of the key (task set, model parameters, solver options,
-// planning point, chain) or covered by kSolveStoreSchemaVersion, which must
-// be bumped whenever solver arithmetic or the serialization layout changes.
+// is either part of the key (task set, model parameters, planning point,
+// chain) or covered by kSolveStoreSchemaVersion, which must be bumped
+// whenever solver arithmetic, the solver configuration (core::AcsAlmOptions
+// and the opt::AlmOptions / opt::SpgOptions defaults it keeps) or the
+// serialization layout changes.
 // Only the linear law is planned (core::PlanningModel), so every entry
 // describes a LinearDvsModel; DescribeModel rejects any other model.
 //
@@ -58,12 +60,16 @@ class FullyPreemptiveSchedule;
 
 namespace dvs::core {
 
-/// Bump on ANY change to the entry layout or to solver arithmetic that can
-/// alter solve bits: version-mismatched files are rejected wholesale.
+/// Bump on ANY change to the entry layout, to solver arithmetic or to the
+/// solver configuration that can alter solve bits: version-mismatched files
+/// are rejected wholesale.  Editing any value core::AcsAlmOptions returns,
+/// or any opt::AlmOptions / opt::SpgOptions default it keeps, needs a bump.
 /// Version 2: WCS results come from the exact solver (under the linear
 /// model) and carry its duality-gap certificate.  Version 3: the scheduler
 /// options carry no ACS warm-start byte (ACS always starts from the WCS).
-inline constexpr std::uint32_t kSolveStoreSchemaVersion = 3;
+/// Version 4: entries carry no solver options; the configuration is the
+/// constant core::AcsAlmOptions, covered by this version.
+inline constexpr std::uint32_t kSolveStoreSchemaVersion = 4;
 
 /// Concrete-parameter description of a planning model — the model's
 /// content identity in both solve caches: the LinearDvsModel's exact
@@ -101,30 +107,22 @@ ModelDescriptor DescribeModel(const model::DvsModel& dvs);
 /// Content fingerprints (FNV-1a over the canonical serialization).
 std::uint64_t TaskSetFingerprint(const model::TaskSet& set);
 std::uint64_t ModelFingerprint(const ModelDescriptor& model);
-std::uint64_t SchedulerOptionsFingerprint(const SchedulerOptions& options);
 
-/// The entry key = content identity of one (task set, model, solver
-/// options) cell under the current schema version: the store's file name
-/// and EvalWorkspace's lookup key.
+/// The entry key = content identity of one (task set, model) cell under the
+/// current schema version: the store's file name and EvalWorkspace's
+/// lookup key.
 std::uint64_t SolveStoreEntryKey(const model::TaskSet& set,
-                                 const ModelDescriptor& model,
-                                 const SchedulerOptions& scheduler);
+                                 const ModelDescriptor& model);
 
 /// Exact structural equality (names, periods, and bitwise-equal cycle
 /// demands).
 bool SameTaskSet(const model::TaskSet& a, const model::TaskSet& b);
 
-/// Exact (bitwise) equality of every solver-relevant field, including the
-/// nested ALM/SPG options.
-bool SameSchedulerOptions(const SchedulerOptions& a, const SchedulerOptions& b);
-
-/// The hit condition of every solve cache: an equal model descriptor,
-/// equal scheduler options and a structurally identical task set.  A key
-/// match that fails this degrades to a rebuild, never to a wrong result.
+/// The hit condition of every solve cache: an equal model descriptor and a
+/// structurally identical task set.  A key match that fails this degrades
+/// to a rebuild, never to a wrong result.
 bool SameSolveInputs(const model::TaskSet& a_set, const ModelDescriptor& a_model,
-                     const SchedulerOptions& a_scheduler,
-                     const model::TaskSet& b_set, const ModelDescriptor& b_model,
-                     const SchedulerOptions& b_scheduler);
+                     const model::TaskSet& b_set, const ModelDescriptor& b_model);
 
 /// Serializable mirror of sim::StaticSchedule (reconstructed against the
 /// loader's own FPS expansion).
@@ -162,14 +160,13 @@ struct StoredCalibration {
   workload::Calibration calibration;
 };
 
-/// Everything one cache entry holds: the exact-verify material (set, model
-/// descriptor, solver options) plus the solves and calibrations.
+/// Everything one cache entry holds: the exact-verify material (set and
+/// model descriptor) plus the solves and calibrations.
 struct StoredCell {
   explicit StoredCell(model::TaskSet set) : set(std::move(set)) {}
 
   model::TaskSet set;
   ModelDescriptor model;
-  SchedulerOptions scheduler;
   std::optional<StoredScheduleResult> wcs;
   std::optional<StoredScheduleResult> acs;
   std::optional<StoredSchedule> vmax_asap;
@@ -177,7 +174,7 @@ struct StoredCell {
   std::vector<StoredCalibration> calibrations;
 
   std::uint64_t EntryKey() const {
-    return SolveStoreEntryKey(set, model, scheduler);
+    return SolveStoreEntryKey(set, model);
   }
 };
 
@@ -186,7 +183,6 @@ struct StoredCell {
 /// scenario_key) are skipped — their scenario identity cannot be restored.
 StoredCell MakeStoredCell(const model::TaskSet& set,
                           const ModelDescriptor& model,
-                          const SchedulerOptions& scheduler,
                           const SolveCache& solves);
 
 /// Rebuilds a SolveCache from a verified StoredCell: StaticSchedules are
@@ -228,19 +224,23 @@ class SolveStore {
 
   /// Looks the cell up by content key — first among this process's absorbed
   /// entries, then on disk — and verifies every match exactly (task set
-  /// structure, model parameters, every solver option).  Counts
-  /// persist.cache_hits / cache_misses / verify_rejects; a rejected file
-  /// (corrupt, truncated, wrong schema version, foreign fingerprint) is
-  /// reported as both a reject and a miss and never aborts the run.
+  /// structure and model parameters).  Counts persist.cache_hits /
+  /// cache_misses / verify_rejects; a rejected file (corrupt, truncated,
+  /// wrong schema version, foreign fingerprint) is reported as both a
+  /// reject and a miss and never aborts the run.
+  std::optional<StoredCell> Load(const model::TaskSet& set,
+                                 const ModelDescriptor& model) const;
+
+  /// The same lookup for callers that still pass the setting-free
+  /// SchedulerOptions; it plays no part in the identity.
   std::optional<StoredCell> Load(const model::TaskSet& set,
                                  const ModelDescriptor& model,
                                  const SchedulerOptions& scheduler) const;
 
   /// Same, under the caller's already computed
-  /// `key` = SolveStoreEntryKey(set, model, scheduler).
+  /// `key` = SolveStoreEntryKey(set, model).
   std::optional<StoredCell> Load(std::uint64_t key, const model::TaskSet& set,
-                                 const ModelDescriptor& model,
-                                 const SchedulerOptions& scheduler) const;
+                                 const ModelDescriptor& model) const;
 
   /// Merges `cell` into the in-memory write-back set (thread-safe): missing
   /// wcs/acs/vmax slots fill, planned solves union by (point, chain),

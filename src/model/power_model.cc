@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "util/error.h"
 
@@ -80,6 +81,18 @@ std::vector<double> DiscreteDvsModel::EvenLevels(const DvsModel& base,
   }
   levels.back() = base.vmax();
   return levels;
+}
+
+void TransitionOverhead::Validate() const {
+  const auto check = [](const char* field, double value) {
+    if (!(std::isfinite(value) && value >= 0.0)) {
+      throw util::InvalidArgumentError(std::string("transition ") + field +
+                                       " must be finite and non-negative, "
+                                       "got " + std::to_string(value));
+    }
+  };
+  check("time_per_volt", time_per_volt);
+  check("energy_per_volt", energy_per_volt);
 }
 
 }  // namespace dvs::model

@@ -130,6 +130,11 @@ struct TransitionOverhead {
   double energy_per_volt = 0.0;  // energy per volt of change
 
   bool IsZero() const { return time_per_volt == 0.0 && energy_per_volt == 0.0; }
+
+  /// Throws util::InvalidArgumentError naming the field unless both fields
+  /// are finite and non-negative (a negative stall would run time
+  /// backwards).
+  void Validate() const;
 };
 
 /// Always-on per-core power floor (leakage + uncore), the term that makes

@@ -143,7 +143,7 @@ FleetResult EvaluateFleet(
       std::optional<fps::FullyPreemptiveSchedule> local_fps;
       core::EvalWorkspace::PreparedCell* prep = nullptr;
       if (workspace != nullptr) {
-        prep = &workspace->Prepare(subset, dvs, core_options.scheduler);
+        prep = &workspace->Prepare(subset, dvs);
       } else {
         local_fps.emplace(subset);
       }
@@ -160,10 +160,9 @@ FleetResult EvaluateFleet(
 
       std::optional<core::MethodContext> context;
       if (workspace != nullptr) {
-        context.emplace(fps, dvs, core_options.scheduler, *workspace,
-                        prep->solves);
+        context.emplace(fps, dvs, *workspace, prep->solves);
       } else {
-        context.emplace(fps, dvs, core_options.scheduler);
+        context.emplace(fps, dvs);
       }
       const std::vector<core::MethodOutcome> outcomes =
           core::EvaluateMethods(methods, *context, core_options);

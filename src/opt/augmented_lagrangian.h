@@ -46,8 +46,7 @@ struct AlmOptions {
   /// Optional solver observer (convergence tracing; see opt/spg.h).  The
   /// driver copies it into every inner solve's SpgOptions, so one observer
   /// sees the full outer/inner event stream.  Observation-only: the solve
-  /// trajectory is bit-identical with or without it, and caches comparing
-  /// AlmOptions ignore it (core::SameSchedulerOptions).
+  /// trajectory is bit-identical with or without it.
   SolveObserver* observer = nullptr;
 };
 

@@ -74,9 +74,7 @@ struct SpgOptions {
   double backtrack = 0.5;         // line-search contraction factor
   std::size_t max_backtracks = 60;
   /// Optional per-iteration observer (convergence tracing).  Non-owning;
-  /// null (the default) skips the hook entirely.  Not part of the solve
-  /// identity: caches comparing SpgOptions ignore it
-  /// (core::SameSchedulerOptions).
+  /// null (the default) skips the hook entirely.
   SolveObserver* observer = nullptr;
 };
 

@@ -169,9 +169,8 @@ void ExperimentGrid::Validate(const core::MethodRegistry& registry) const {
               "planning calibration samples must be >= max(2, mixture size)");
   ACS_REQUIRE(idle_power.power_per_ms >= 0.0,
               "idle power must be non-negative");
-  ACS_REQUIRE(transition.time_per_volt >= 0.0 &&
-                  transition.energy_per_volt >= 0.0,
-              "transition overheads must be non-negative");
+  transition.Validate();
+  online.Validate();
   if (dpm.enabled) {
     ACS_REQUIRE(!idle_power.IsZero(),
                 "DPM needs a non-zero idle power floor to manage");

@@ -150,6 +150,8 @@ struct ExperimentGrid {
   std::string baseline = "wcs";
   std::int64_t hyper_periods = 200;
   std::uint64_t master_seed = 20050307;
+  /// Has no settings (core::SchedulerOptions); kept for callers that
+  /// forward it to SolveStore::Load.
   core::SchedulerOptions scheduler;
 
   std::size_t CellCount() const;

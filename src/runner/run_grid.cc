@@ -59,8 +59,6 @@ CellResult RunCell(const ExperimentGrid& grid, const model::DvsModel& dvs,
     options.scenario_key = scenario_name;
     options.planning = grid.planning;
     options.online = grid.online;
-    options.scheduler = grid.scheduler;
-    options.warm_start = grid.warm_start;
     options.dpm = grid.dpm;
     if (grid.warm_start == core::WarmStartPolicy::kNeighbor) {
       // The cell's continuation chain: the sigma-axis prefix through its
@@ -79,11 +77,9 @@ CellResult RunCell(const ExperimentGrid& grid, const model::DvsModel& dvs,
       // drawn once per cell by core::EvaluateMethods.  (Cache
       // hits depend on which worker ran the sibling cell, but the solves
       // are deterministic, so results never do.)
-      core::EvalWorkspace::PreparedCell& prep =
-          workspace.Prepare(set, dvs, options.scheduler);
+      core::EvalWorkspace::PreparedCell& prep = workspace.Prepare(set, dvs);
       cell.sub_instances = prep.fps.sub_count();
-      core::MethodContext context(prep.fps, dvs, options.scheduler,
-                                  workspace, prep.solves);
+      core::MethodContext context(prep.fps, dvs, workspace, prep.solves);
       cell.outcomes = core::EvaluateMethods(methods, context, options);
     } else {
       // Multi-core grid: partition, then per-core pipelines; outcomes are

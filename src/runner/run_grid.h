@@ -105,8 +105,8 @@ struct RunOptions {
   /// Passing the same vector across RunGrid calls keeps solver/sim buffers
   /// — and the per-task-set solve caches — warm between grids; results are
   /// bit-identical with or without it (cache hits are by content: the same
-  /// task set, model parameters and scheduler options, so grids differing
-  /// in any of them rebuild instead of reusing).  Null: RunGrid uses
+  /// task set and model parameters, so grids differing in either rebuild
+  /// instead of reusing).  Null: RunGrid uses
   /// call-local workspaces.  Non-owning; must outlive the call.
   std::vector<core::EvalWorkspace>* workspaces = nullptr;
   /// Sharding: with shard_count N > 1, shard i of N evaluates only the

@@ -52,6 +52,7 @@ void SimulateLoop(const fps::FullyPreemptiveSchedule& fps,
                   stats::Rng& rng, const SimOptions& options,
                   EngineWorkspace& ws) {
   ACS_REQUIRE(options.hyper_periods > 0, "need at least one hyper-period");
+  options.transition.Validate();
 
   const model::TaskSet& set = fps.task_set();
   const double hyper = static_cast<double>(set.hyper_period());

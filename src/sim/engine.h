@@ -139,7 +139,8 @@ struct EngineWorkspace {
 /// and worst-case budgets consumed by the policy; `rng` drives workload
 /// sampling (pass a forked stream for reproducibility).  The loop is
 /// specialised to the concrete policy type, so no call per slice is
-/// virtual.
+/// virtual.  Throws util::InvalidArgumentError for a negative or
+/// non-finite transition overhead (model::TransitionOverhead::Validate).
 SimResult Simulate(const fps::FullyPreemptiveSchedule& fps,
                    const StaticSchedule& schedule,
                    const model::DvsModel& dvs, const AnyPolicy& policy,

@@ -2,27 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <thread>
 
 #include "stats/rng.h"
 #include "util/error.h"
 
 namespace dvs::workload {
-
-double Calibration::Quantile(model::TaskIndex task, double p) const {
-  ACS_REQUIRE(task < sorted.size(), "task index out of range");
-  ACS_REQUIRE(p >= 0.0 && p <= 1.0, "quantile must lie in [0, 1]");
-  const std::vector<double>& samples = sorted[task];
-  ACS_REQUIRE(!samples.empty(), "calibration holds no samples");
-  // Nearest-rank: the smallest sample with empirical CDF >= p.  Exact on
-  // stored doubles (no interpolation), so a quantile is always a value the
-  // scenario actually produced.
-  const double rank = std::ceil(p * static_cast<double>(samples.size()));
-  const std::size_t index = static_cast<std::size_t>(
-      std::clamp(rank - 1.0, 0.0,
-                 static_cast<double>(samples.size() - 1)));
-  return samples[index];
-}
 
 std::vector<std::vector<double>> Calibration::SampleVectors(
     std::int64_t k) const {
@@ -53,8 +37,6 @@ ScenarioCalibrator::ScenarioCalibrator(const model::WorkloadScenario* scenario,
     : scenario_(scenario), sigma_divisor_(sigma_divisor), options_(options) {
   ACS_REQUIRE(options_.samples_per_task >= 2,
               "calibration needs at least two samples per task");
-  ACS_REQUIRE(options_.threads >= 1,
-              "calibration thread count must be at least 1");
 }
 
 Calibration ScenarioCalibrator::Calibrate(const model::TaskSet& set,
@@ -72,10 +54,8 @@ Calibration ScenarioCalibrator::Calibrate(const model::TaskSet& set,
   // One task's calibration is a pure function of (scenario, sigma, set,
   // seed, task): its own sampler instance (so stateful per-task samplers
   // start from their reset state and never interleave with other tasks'
-  // queries) and its own ForkWith(task)-derived stream.  That independence
-  // is the whole thread-invariance argument — the loop body below runs
-  // identically wherever it is scheduled.
-  const auto calibrate_task = [&](model::TaskIndex task) {
+  // queries) and its own ForkWith(task)-derived stream.
+  for (model::TaskIndex task = 0; task < tasks; ++task) {
     std::unique_ptr<model::WorkloadSampler> sampler =
         scenario_ != nullptr
             ? scenario_->MakeSampler(set, sigma_divisor_)
@@ -104,34 +84,6 @@ Calibration ScenarioCalibrator::Calibrate(const model::TaskSet& set,
     cal.stddev[task] = std::sqrt(sq / static_cast<double>(n - 1));
     cal.sorted[task] = draws;
     std::sort(cal.sorted[task].begin(), cal.sorted[task].end());
-  };
-
-  const int workers =
-      static_cast<int>(std::min<std::size_t>(
-          static_cast<std::size_t>(options_.threads), std::max<std::size_t>(
-              tasks, 1)));
-  if (workers <= 1 || tasks <= 1) {
-    for (model::TaskIndex task = 0; task < tasks; ++task) {
-      calibrate_task(task);
-    }
-    return cal;
-  }
-
-  // Static round-robin split of the task axis; each worker writes only its
-  // own tasks' slots, so no synchronisation is needed and the result is the
-  // serial one by construction.
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
-    pool.emplace_back([&, w]() {
-      for (std::size_t task = static_cast<std::size_t>(w); task < tasks;
-           task += static_cast<std::size_t>(workers)) {
-        calibrate_task(task);
-      }
-    });
-  }
-  for (std::thread& worker : pool) {
-    worker.join();
   }
   return cal;
 }

@@ -14,17 +14,15 @@
 //     processes (Markov phases, AR(1) memory, trace cursors) expose their
 //     per-task marginal law without cross-task stream coupling;
 //   - one independent rng stream per task, derived as
-//     Rng(seed).ForkWith(task) — a pure function of (seed, task), which is
-//     what makes multi-threaded calibration bit-identical to serial
-//     calibration (threads only change which worker draws a task's stream,
-//     never the stream itself);
+//     Rng(seed).ForkWith(task) — a pure function of (seed, task), so a
+//     task's draws never depend on the other tasks of the set;
 //   - every draw clamped to the task's [BCEC, WCEC] window (the sampler
 //     contract already guarantees it; the clamp makes the planning-point
 //     invariant locally checkable).
 //
 // Determinism contract: Calibrate(set, seed) is a pure function of
 // (scenario, sigma_divisor, samples_per_task, set, seed) — same inputs,
-// bit-identical Calibration, whatever the thread count or call order.
+// bit-identical Calibration, whatever the call order.
 // Experiment drivers derive `seed` from the same SetIndex-keyed stream that
 // seeds evaluation (core::CalibrationSeed), so calibration is paired with
 // the cell it plans for while drawing from an independent fork.
@@ -49,11 +47,9 @@ struct Calibration {
   /// SampleVectors, kept so mixture vectors reflect actual joint draws of
   /// one draw index rather than artificial comonotone quantile stacks.
   std::vector<std::vector<double>> draws;
-  /// Per-task draws sorted ascending — the quantile store.
+  /// Per-task draws sorted ascending — the survival law the expected-case
+  /// dispatch (sim::ExpectedCasePolicy) reads.
   std::vector<std::vector<double>> sorted;
-
-  /// Nearest-rank empirical quantile of task `task` at p in [0, 1].
-  double Quantile(model::TaskIndex task, double p) const;
 
   /// `k` per-task sample vectors spread evenly through the draw order:
   /// vector j holds every task's draw at index (2j+1) * N / (2k).  Each
@@ -70,9 +66,6 @@ struct CalibratorOptions {
   /// ~2% of the dispersion — well inside the NLP's sensitivity — while
   /// keeping calibration orders of magnitude cheaper than one solve.
   std::int64_t samples_per_task = 2048;
-  /// Worker threads splitting the task axis; results are bit-identical
-  /// for every value (per-task streams, see the header comment).
-  int threads = 1;
 };
 
 class ScenarioCalibrator {

@@ -75,17 +75,15 @@ TEST(EvalWorkspace, WorkspaceBackedOutcomesBitIdenticalToFresh) {
   EvalWorkspace workspace;
   for (const std::string& name : registry.Names()) {
     // Self-contained reference.
-    MethodContext fresh(fps, cpu, options.scheduler);
+    MethodContext fresh(fps, cpu);
     const MethodOutcome expected =
         EvaluateMethod(registry.Get(name), fresh, options);
 
     // Workspace-backed, twice: the second pass reuses every warm buffer
     // and the cached solves.
     for (int pass = 0; pass < 2; ++pass) {
-      EvalWorkspace::PreparedCell& prep =
-          workspace.Prepare(set, cpu, options.scheduler);
-      MethodContext context(prep.fps, cpu, options.scheduler, workspace,
-                            prep.solves);
+      EvalWorkspace::PreparedCell& prep = workspace.Prepare(set, cpu);
+      MethodContext context(prep.fps, cpu, workspace, prep.solves);
       const MethodOutcome actual =
           EvaluateMethod(registry.Get(name), context, options);
       EXPECT_TRUE(SameOutcome(expected, actual))
@@ -107,38 +105,28 @@ TEST(EvalWorkspace, PrepareVerifiesTaskSetBeforeReuse) {
   EXPECT_TRUE(SameTaskSet(motivation, motivation));
   EXPECT_FALSE(SameTaskSet(motivation, random_set));
 
-  const SchedulerOptions scheduler;
   EvalWorkspace workspace;
-  EvalWorkspace::PreparedCell& first =
-      workspace.Prepare(motivation, cpu, scheduler);
-  EXPECT_EQ(&first, &workspace.Prepare(motivation, cpu, scheduler));
+  EvalWorkspace::PreparedCell& first = workspace.Prepare(motivation, cpu);
+  EXPECT_EQ(&first, &workspace.Prepare(motivation, cpu));
   // A different set must rebuild, not reuse.
-  EvalWorkspace::PreparedCell& second =
-      workspace.Prepare(random_set, cpu, scheduler);
+  EvalWorkspace::PreparedCell& second = workspace.Prepare(random_set, cpu);
   EXPECT_NE(&first, &second);
   EXPECT_TRUE(SameTaskSet(second.set, random_set));
   // Both entries stay live (MRU cache), so the original still hits.
-  EXPECT_EQ(&first, &workspace.Prepare(motivation, cpu, scheduler));
+  EXPECT_EQ(&first, &workspace.Prepare(motivation, cpu));
 
   // Identity is by content: another model object with equal parameters
   // shares the entry.
   const model::LinearDvsModel same_cpu = workload::DefaultModel();
-  EXPECT_EQ(&first, &workspace.Prepare(motivation, same_cpu, scheduler));
+  EXPECT_EQ(&first, &workspace.Prepare(motivation, same_cpu));
 
   // A model differing in one parameter misses.
   const model::LinearDvsModel raised_vmin(cpu.vmin() * 1.5, cpu.vmax(),
                                           cpu.ceff(), cpu.k());
   EvalWorkspace::PreparedCell& floored =
-      workspace.Prepare(motivation, raised_vmin, scheduler);
+      workspace.Prepare(motivation, raised_vmin);
   EXPECT_NE(&first, &floored);
   EXPECT_EQ(floored.model, DescribeModel(raised_vmin));
-
-  // Different scheduler options miss too.
-  SchedulerOptions loose = scheduler;
-  loose.alm.feasibility_tol *= 10.0;
-  EXPECT_FALSE(SameSchedulerOptions(scheduler, loose));
-  EXPECT_NE(&workspace.Prepare(motivation, cpu, loose),
-            &workspace.Prepare(motivation, cpu, scheduler));
 }
 
 // Analytic gradients, evaluated through a shared workspace scratch, must

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <limits>
+#include <string>
 
 #include "core/pipeline.h"
 #include "fps/expansion.h"
@@ -78,7 +81,7 @@ TEST(MethodRegistry, ShimMatchesDirectEvaluation) {
   const ComparisonResult shim = CompareAcsWcs(set, cpu, options);
 
   const fps::FullyPreemptiveSchedule fps(set);
-  MethodContext context(fps, cpu, options.scheduler);
+  MethodContext context(fps, cpu);
   const MethodRegistry& registry = MethodRegistry::Builtin();
   const MethodOutcome acs =
       EvaluateMethod(registry.Get("acs"), context, options);
@@ -99,7 +102,7 @@ TEST(MethodRegistry, StaticVmaxIsTheEnergyCeiling) {
   const ExperimentOptions options = FastOptions();
 
   const fps::FullyPreemptiveSchedule fps(set);
-  MethodContext context(fps, cpu, options.scheduler);
+  MethodContext context(fps, cpu);
   const MethodRegistry& registry = MethodRegistry::Builtin();
 
   const MethodOutcome ceiling =
@@ -113,6 +116,57 @@ TEST(MethodRegistry, StaticVmaxIsTheEnergyCeiling) {
         EvaluateMethod(registry.Get(name), context, options);
     EXPECT_LE(outcome.measured_energy, ceiling.measured_energy + 1e-9) << name;
     EXPECT_EQ(outcome.deadline_misses, 0) << name;
+  }
+}
+
+// Direct callers get the range checks grids get: the drift arm rejects a
+// meaningless detector setting and the simulator a negative or non-finite
+// transition overhead, naming the field and no source location.
+TEST(MethodRegistry, DirectCallersRejectBadDriftAndTransitionSettings) {
+  const model::LinearDvsModel cpu = workload::MotivationModel();
+  const model::TaskSet set = workload::MotivationTaskSet();
+  const fps::FullyPreemptiveSchedule fps(set);
+  const ScheduleMethod& drift_arm =
+      MethodRegistry::Builtin().Get("acs-online-drift");
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto expect_rejected = [](const std::function<void()>& run,
+                                  const std::string& field, double value) {
+    try {
+      run();
+      ADD_FAILURE() << field << " = " << value << " was accepted";
+    } catch (const util::InvalidArgumentError& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find(field), std::string::npos) << what;
+      EXPECT_EQ(what.find(".cc:"), std::string::npos) << what;
+    }
+  };
+  ExperimentOptions base = FastOptions();
+  base.hyper_periods = 4;
+  base.planning.calibration_samples = 64;
+  MethodContext context(fps, cpu);
+
+  for (const double bad : {5.0, -1.0, nan, inf}) {
+    ExperimentOptions options = base;
+    options.online.drift_ewma = bad;
+    expect_rejected([&] { EvaluateMethod(drift_arm, context, options); },
+                    "drift_ewma", bad);
+  }
+  for (const double bad : {-1.0, nan, inf}) {
+    ExperimentOptions options = base;
+    options.online.drift_threshold = bad;
+    expect_rejected([&] { EvaluateMethod(drift_arm, context, options); },
+                    "drift_threshold", bad);
+  }
+  for (const double bad : {-1.0, nan, inf}) {
+    ExperimentOptions time = base;
+    time.transition.time_per_volt = bad;
+    expect_rejected([&] { CompareAcsWcs(set, cpu, time); }, "time_per_volt",
+                    bad);
+    ExperimentOptions energy = base;
+    energy.transition.energy_per_volt = bad;
+    expect_rejected([&] { CompareAcsWcs(set, cpu, energy); },
+                    "energy_per_volt", bad);
   }
 }
 

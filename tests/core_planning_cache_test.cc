@@ -82,7 +82,6 @@ TEST(PlanningCache, SharedCacheBitMatchesFreshPerScenarioAndArm) {
   const core::MethodRegistry& methods = core::MethodRegistry::Builtin();
   const workload::ScenarioRegistry& scenarios =
       workload::ScenarioRegistry::Builtin();
-  const core::SchedulerOptions scheduler;
 
   // Phase 1: every (scenario, arm) through ONE workspace and ONE prepared
   // entry — exactly how sibling grid cells sharing a task set share a
@@ -96,10 +95,8 @@ TEST(PlanningCache, SharedCacheBitMatchesFreshPerScenarioAndArm) {
   for (const std::string& scenario_name : scenarios.Names()) {
     const core::ExperimentOptions options =
         PlanningOptionsFor(scenarios.Get(scenario_name));
-    core::EvalWorkspace::PreparedCell& prep =
-        workspace.Prepare(set, cpu, scheduler);
-    core::MethodContext context(prep.fps, cpu, scheduler, workspace,
-                                prep.solves);
+    core::EvalWorkspace::PreparedCell& prep = workspace.Prepare(set, cpu);
+    core::MethodContext context(prep.fps, cpu, workspace, prep.solves);
     for (const char* arm : kPlanningArms) {
       shared.push_back(EvaluateMethod(methods.Get(arm), context, options));
       labels.push_back(scenario_name + " / " + arm);
@@ -110,8 +107,7 @@ TEST(PlanningCache, SharedCacheBitMatchesFreshPerScenarioAndArm) {
   // (scenario, arm): fewer would mean a cross-combination reuse, more a
   // broken hit condition.
   {
-    core::EvalWorkspace::PreparedCell& prep =
-        workspace.Prepare(set, cpu, scheduler);
+    core::EvalWorkspace::PreparedCell& prep = workspace.Prepare(set, cpu);
     EXPECT_EQ(prep.solves.planned.size(),
               scenarios.Names().size() * std::size(kPlanningArms));
   }
@@ -122,7 +118,7 @@ TEST(PlanningCache, SharedCacheBitMatchesFreshPerScenarioAndArm) {
     const core::ExperimentOptions options =
         PlanningOptionsFor(scenarios.Get(scenario_name));
     const fps::FullyPreemptiveSchedule fps(set);
-    core::MethodContext fresh(fps, cpu, scheduler);
+    core::MethodContext fresh(fps, cpu);
     for (const char* arm : kPlanningArms) {
       const core::MethodOutcome outcome =
           EvaluateMethod(methods.Get(arm), fresh, options);
@@ -141,10 +137,9 @@ TEST(PlanningCache, DistinctScenariosProduceDistinctPlannedSolves) {
   const core::MethodRegistry& methods = core::MethodRegistry::Builtin();
   const workload::ScenarioRegistry& scenarios =
       workload::ScenarioRegistry::Builtin();
-  const core::SchedulerOptions scheduler;
   const fps::FullyPreemptiveSchedule fps(set);
 
-  core::MethodContext context(fps, cpu, scheduler);
+  core::MethodContext context(fps, cpu);
   const core::ExperimentOptions iid =
       PlanningOptionsFor(scenarios.Get("iid-normal"));
   const core::ExperimentOptions heavy =
@@ -162,7 +157,6 @@ TEST(PlanningCache, AcecPlanningPointBitMatchesPlainAcs) {
   // (same warm start, same objective values, same solver trajectory).
   const model::LinearDvsModel cpu = workload::DefaultModel();
   const model::TaskSet set = PlanningSet(cpu);
-  const core::SchedulerOptions scheduler;
   const fps::FullyPreemptiveSchedule fps(set);
 
   core::PlanningPoint point;
@@ -170,7 +164,7 @@ TEST(PlanningCache, AcecPlanningPointBitMatchesPlainAcs) {
     point.cycles.push_back(set.task(i).acec);
   }
 
-  core::MethodContext context(fps, cpu, scheduler);
+  core::MethodContext context(fps, cpu);
   const core::ScheduleResult& acs = context.Acs();
   const core::ScheduleResult& planned = context.Planned(point);
 

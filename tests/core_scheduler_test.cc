@@ -8,6 +8,7 @@
 
 #include "core/eval_workspace.h"
 #include "core/method_registry.h"
+#include "core/solve_store.h"
 #include "dpm/dpm.h"
 #include "fps/expansion.h"
 #include "sim/engine.h"
@@ -55,7 +56,7 @@ TEST(Scheduler, SolutionsAreAlwaysWorstCaseFeasible) {
     const fps::FullyPreemptiveSchedule fps(set);
     const ScheduleResult wcs = SolveWcs(fps, cpu);
     const ScheduleResult acs =
-        SolveSchedule(fps, cpu, Scenario::kAverage, {}, wcs.schedule);
+        SolveSchedule(fps, cpu, Scenario::kAverage, wcs.schedule);
     const sim::FeasibilityReport wr =
         sim::VerifyWorstCase(fps, wcs.schedule, cpu);
     const sim::FeasibilityReport ar =
@@ -79,7 +80,7 @@ TEST(Scheduler, AcsNeverPredictsWorseThanItsWarmStart) {
     const double warm_energy =
         avg_objective.Value(avg_objective.PackSchedule(wcs.schedule));
     const ScheduleResult acs =
-        SolveSchedule(fps, cpu, Scenario::kAverage, {}, wcs.schedule);
+        SolveSchedule(fps, cpu, Scenario::kAverage, wcs.schedule);
     EXPECT_LE(acs.predicted_energy, warm_energy * (1.0 + 1e-9))
         << "seed " << seed;
   }
@@ -210,7 +211,6 @@ TEST(PlanningModel, NonLinearModelsFailAtTheGate) {
       model::DiscreteDvsModel::EvenLevels(cpu, 4));
   const model::TaskSet set = workload::MotivationTaskSet();
   const fps::FullyPreemptiveSchedule fps(set);
-  const SchedulerOptions scheduler;
   dpm::Options floor;
   floor.enabled = true;
   floor.critical_speed = 0.5;
@@ -228,22 +228,47 @@ TEST(PlanningModel, NonLinearModelsFailAtTheGate) {
   };
   expect_gate("SolveWcs", [&] { (void)SolveWcs(fps, discrete); });
   expect_gate("MethodContext::Acs", [&] {
-    MethodContext context(fps, discrete, scheduler);
+    MethodContext context(fps, discrete);
     (void)context.Acs();
   });
   expect_gate("EvalWorkspace::Prepare", [&] {
     EvalWorkspace workspace;
-    (void)workspace.Prepare(set, discrete, scheduler);
+    (void)workspace.Prepare(set, discrete);
   });
   expect_gate("dpm::FlooredModel",
               [&] { (void)dpm::FlooredModel(discrete, floor); });
 }
 
-TEST(Scheduler, DefaultAlmOptionsAreSane) {
-  const opt::AlmOptions alm = SchedulerOptions::DefaultAlmOptions();
-  EXPECT_GT(alm.max_outer, 0u);
-  EXPECT_GT(alm.inner.max_iterations, 0u);
-  EXPECT_LT(alm.feasibility_tol, 1e-4);
+// The solver configuration is a constant covered by the solve store's
+// schema version: stored solves carry no options, so a changed value would
+// serve stale entries unless the version moves with it.
+TEST(Scheduler, AcsAlmOptionsArePinnedToTheStoreSchemaVersion) {
+  const char* const bump =
+      "a changed solver setting needs a kSolveStoreSchemaVersion bump "
+      "(core/solve_store.h); update this pin together with it";
+  ASSERT_EQ(kSolveStoreSchemaVersion, 4u) << bump;
+  const opt::AlmOptions alm = AcsAlmOptions();
+  EXPECT_EQ(alm.max_outer, 14u) << bump;
+  EXPECT_EQ(alm.feasibility_tol, 1e-8) << bump;
+  EXPECT_EQ(alm.initial_penalty, 10.0) << bump;
+  EXPECT_EQ(alm.penalty_growth, 10.0) << bump;
+  EXPECT_EQ(alm.max_penalty, 1e12) << bump;
+  EXPECT_EQ(alm.violation_shrink, 0.25) << bump;
+  EXPECT_EQ(alm.inner_tol_start, 1e-4) << bump;
+  EXPECT_EQ(alm.dual_seed, nullptr);
+  EXPECT_EQ(alm.dual_penalty_seed, 0.0);
+  EXPECT_EQ(alm.observer, nullptr);
+
+  const opt::SpgOptions& spg = alm.inner;
+  EXPECT_EQ(spg.max_iterations, 700u) << bump;
+  EXPECT_EQ(spg.tolerance, 1e-7) << bump;
+  EXPECT_EQ(spg.history, 10u) << bump;
+  EXPECT_EQ(spg.armijo_c, 1e-4) << bump;
+  EXPECT_EQ(spg.step_min, 1e-12) << bump;
+  EXPECT_EQ(spg.step_max, 1e12) << bump;
+  EXPECT_EQ(spg.backtrack, 0.5) << bump;
+  EXPECT_EQ(spg.max_backtracks, 60u) << bump;
+  EXPECT_EQ(spg.observer, nullptr);
 }
 
 }  // namespace

@@ -90,7 +90,6 @@ TEST(SharedRealisation, EveryArmBitMatchesItsOwnFreshSampler) {
   for (const char* arm : kArms) {
     methods.push_back(&registry.Get(arm));
   }
-  const core::SchedulerOptions scheduler;
   for (const char* scenario : kStatefulScenarios) {
     const core::ExperimentOptions options =
         OptionsFor(workload::ScenarioRegistry::Builtin().Get(scenario));
@@ -105,15 +104,13 @@ TEST(SharedRealisation, EveryArmBitMatchesItsOwnFreshSampler) {
       }
       const fps::FullyPreemptiveSchedule fps(set);
       core::EvalWorkspace workspace;
-      core::EvalWorkspace::PreparedCell& prep =
-          workspace.Prepare(set, cpu, scheduler);
-      core::MethodContext shared(prep.fps, cpu, scheduler, workspace,
-                                 prep.solves);
+      core::EvalWorkspace::PreparedCell& prep = workspace.Prepare(set, cpu);
+      core::MethodContext shared(prep.fps, cpu, workspace, prep.solves);
       const std::vector<core::MethodOutcome> together =
           core::EvaluateMethods(methods, shared, run);
       ASSERT_EQ(together.size(), methods.size());
       for (std::size_t m = 0; m < methods.size(); ++m) {
-        core::MethodContext fresh(fps, cpu, scheduler);
+        core::MethodContext fresh(fps, cpu);
         const core::MethodOutcome alone =
             core::EvaluateMethod(*methods[m], fresh, run);
         ExpectBitEqual(together[m], alone,
@@ -142,8 +139,7 @@ TEST(SharedRealisation, CountersSplitDrawsIntoMadeAndReplayed) {
   metrics.EnsureShards(1);
   {
     const obs::ScopedMetricsShard scope(&metrics.Shard(0));
-    const core::SchedulerOptions scheduler;
-    core::MethodContext context(fps, cpu, scheduler);
+    core::MethodContext context(fps, cpu);
     core::EvaluateMethods(methods, context, options);
   }
   EXPECT_EQ(CounterValue(metrics, obs::metric::kSamplerDraws), draws_per_run);

@@ -103,7 +103,6 @@ model::TaskSet ManyTaskSet(const std::string& prefix, int count) {
 StoredCell FullCell(const model::TaskSet& set, const ModelDescriptor& model) {
   StoredCell cell(set);
   cell.model = model;
-  cell.scheduler = SchedulerOptions{};
 
   StoredScheduleResult wcs;
   wcs.schedule.end_times = {1.25, 3.5, 7.0};
@@ -266,7 +265,6 @@ TEST(SolveStoreDir, LoadRejectsDamagedAndForeignFilesAsMisses) {
   const ModelDescriptor model = DescribeModel(cpu);
   const model::TaskSet set_a = TwoTaskSet("a");
   const model::TaskSet set_b = TwoTaskSet("b");
-  const SchedulerOptions scheduler;
 
   {
     SolveStore writer(dir);
@@ -274,16 +272,16 @@ TEST(SolveStoreDir, LoadRejectsDamagedAndForeignFilesAsMisses) {
     EXPECT_EQ(writer.WriteBack(), 1u);
   }
 
-  const std::uint64_t key_a = SolveStoreEntryKey(set_a, model, scheduler);
-  const std::uint64_t key_b = SolveStoreEntryKey(set_b, model, scheduler);
+  const std::uint64_t key_a = SolveStoreEntryKey(set_a, model);
+  const std::uint64_t key_b = SolveStoreEntryKey(set_b, model);
   ASSERT_NE(key_a, key_b);
 
   {
     // Clean reload hits.
     SolveStore reader(dir, /*read_only=*/true);
-    EXPECT_TRUE(reader.Load(set_a, model, scheduler).has_value());
+    EXPECT_TRUE(reader.Load(set_a, model).has_value());
     // Absent key is a plain miss.
-    EXPECT_FALSE(reader.Load(set_b, model, scheduler).has_value());
+    EXPECT_FALSE(reader.Load(set_b, model).has_value());
   }
 
   // Foreign fingerprint: set_a's entry renamed onto set_b's key parses
@@ -291,7 +289,7 @@ TEST(SolveStoreDir, LoadRejectsDamagedAndForeignFilesAsMisses) {
   {
     SolveStore reader(dir, /*read_only=*/true);
     WriteFile(reader.EntryPath(key_b), ReadFile(reader.EntryPath(key_a)));
-    EXPECT_FALSE(reader.Load(set_b, model, scheduler).has_value());
+    EXPECT_FALSE(reader.Load(set_b, model).has_value());
   }
 
   // Corrupt file on the right key: reject, not abort.
@@ -300,7 +298,7 @@ TEST(SolveStoreDir, LoadRejectsDamagedAndForeignFilesAsMisses) {
     std::string bytes = ReadFile(reader.EntryPath(key_a));
     bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 1);
     WriteFile(reader.EntryPath(key_a), bytes);
-    EXPECT_FALSE(reader.Load(set_a, model, scheduler).has_value());
+    EXPECT_FALSE(reader.Load(set_a, model).has_value());
   }
 }
 
@@ -314,16 +312,14 @@ TEST(SolveStoreDir, RejectsEntriesOfThePreviousSchemaVersion) {
   const model::LinearDvsModel cpu = workload::DefaultModel();
   const ModelDescriptor model = DescribeModel(cpu);
   const model::TaskSet set = TwoTaskSet("v");
-  const SchedulerOptions scheduler;
   {
     SolveStore writer(dir);
     writer.Absorb(FullCell(set, model));
     EXPECT_EQ(writer.WriteBack(), 1u);
   }
   SolveStore reader(dir, /*read_only=*/true);
-  const std::string path =
-      reader.EntryPath(SolveStoreEntryKey(set, model, scheduler));
-  ASSERT_TRUE(reader.Load(set, model, scheduler).has_value());
+  const std::string path = reader.EntryPath(SolveStoreEntryKey(set, model));
+  ASSERT_TRUE(reader.Load(set, model).has_value());
   // The header's version is the little-endian U32 after the 4-byte magic.
   std::string bytes = ReadFile(path);
   const std::uint32_t previous = kSolveStoreSchemaVersion - 1;
@@ -332,7 +328,7 @@ TEST(SolveStoreDir, RejectsEntriesOfThePreviousSchemaVersion) {
   }
   WriteFile(path, bytes);
   EXPECT_THROW(DeserializeStoredCell(bytes), util::Error);
-  EXPECT_FALSE(reader.Load(set, model, scheduler).has_value());
+  EXPECT_FALSE(reader.Load(set, model).has_value());
 }
 
 TEST(SolveStoreDir, WriterLockIsExclusivePerDirectory) {
@@ -513,7 +509,6 @@ TEST(SolveStoreEviction, ByteBudgetEvictsLruIntoStore) {
   const std::string dir = FreshDir("solve_store_evict");
   PurgeDir(dir);
   const model::LinearDvsModel cpu = workload::DefaultModel();
-  const SchedulerOptions scheduler;
 
   obs::MetricsRegistry metrics;
   obs::InstallMetrics(&metrics);
@@ -529,8 +524,7 @@ TEST(SolveStoreEviction, ByteBudgetEvictsLruIntoStore) {
     workspace.set_prepared_budget_bytes(1);
     for (int i = 0; i < 3; ++i) {
       const model::TaskSet set = TwoTaskSet("evict-" + std::to_string(i));
-      EvalWorkspace::PreparedCell& cell = workspace.Prepare(set, cpu,
-                                                            scheduler);
+      EvalWorkspace::PreparedCell& cell = workspace.Prepare(set, cpu);
       EXPECT_GT(EvalWorkspace::ApproxBytes(cell), 1u);
       // The fresh entry survives its own insertion's budget pass.
       EXPECT_TRUE(SameTaskSet(cell.set, set));
@@ -541,8 +535,7 @@ TEST(SolveStoreEviction, ByteBudgetEvictsLruIntoStore) {
     const model::TaskSet last = TwoTaskSet("evict-2");
     obs::MetricsShard& shard = metrics.Shard(0);
     (void)shard;
-    EvalWorkspace::PreparedCell& again = workspace.Prepare(last, cpu,
-                                                           scheduler);
+    EvalWorkspace::PreparedCell& again = workspace.Prepare(last, cpu);
     EXPECT_TRUE(SameTaskSet(again.set, last));
   }
 
@@ -568,7 +561,6 @@ TEST(SolveStoreEviction, ByteBudgetEvictsLruIntoStore) {
 // prepare.oversized_rejects counts the event.
 TEST(SolveStoreEviction, OversizedMruEvictsNothing) {
   const model::LinearDvsModel cpu = workload::DefaultModel();
-  const SchedulerOptions scheduler;
 
   obs::MetricsRegistry metrics;
   obs::InstallMetrics(&metrics);
@@ -584,12 +576,9 @@ TEST(SolveStoreEviction, OversizedMruEvictsNothing) {
     std::size_t big_bytes = 0;
     {
       EvalWorkspace probe;
-      small_bytes =
-          EvalWorkspace::ApproxBytes(probe.Prepare(small0, cpu, scheduler));
-      small_bytes +=
-          EvalWorkspace::ApproxBytes(probe.Prepare(small1, cpu, scheduler));
-      big_bytes =
-          EvalWorkspace::ApproxBytes(probe.Prepare(big, cpu, scheduler));
+      small_bytes = EvalWorkspace::ApproxBytes(probe.Prepare(small0, cpu));
+      small_bytes += EvalWorkspace::ApproxBytes(probe.Prepare(small1, cpu));
+      big_bytes = EvalWorkspace::ApproxBytes(probe.Prepare(big, cpu));
     }
     // Both small entries fit the budget exactly; the big one alone blows it.
     const std::size_t budget = small_bytes;
@@ -597,18 +586,15 @@ TEST(SolveStoreEviction, OversizedMruEvictsNothing) {
 
     EvalWorkspace workspace;
     workspace.set_prepared_budget_bytes(budget);
-    workspace.Prepare(small0, cpu, scheduler);
-    workspace.Prepare(small1, cpu, scheduler);
-    EvalWorkspace::PreparedCell& cell = workspace.Prepare(big, cpu,
-                                                          scheduler);
+    workspace.Prepare(small0, cpu);
+    workspace.Prepare(small1, cpu);
+    EvalWorkspace::PreparedCell& cell = workspace.Prepare(big, cpu);
     EXPECT_TRUE(SameTaskSet(cell.set, big));
 
     // The small entries must still be resident: re-preparing them hits the
     // cache instead of rebuilding (no new misses below).
-    EXPECT_TRUE(
-        SameTaskSet(workspace.Prepare(small0, cpu, scheduler).set, small0));
-    EXPECT_TRUE(
-        SameTaskSet(workspace.Prepare(small1, cpu, scheduler).set, small1));
+    EXPECT_TRUE(SameTaskSet(workspace.Prepare(small0, cpu).set, small0));
+    EXPECT_TRUE(SameTaskSet(workspace.Prepare(small1, cpu).set, small1));
   }
 
   std::int64_t evictions = -1;

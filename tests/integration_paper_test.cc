@@ -176,7 +176,7 @@ TEST_P(WorstCaseSafetyTest, NoMissesEvenWhenEveryInstanceTakesWcec) {
 
   const core::ScheduleResult wcs = core::SolveWcs(fps, cpu);
   const core::ScheduleResult acs = core::SolveSchedule(
-      fps, cpu, core::Scenario::kAverage, {}, wcs.schedule);
+      fps, cpu, core::Scenario::kAverage, wcs.schedule);
 
   const model::FixedWorkload adversary(set, model::FixedScenario::kWorst);
   const sim::GreedyReclaimPolicy policy(cpu);

@@ -79,7 +79,6 @@ TEST(Partitioners, EveryCoreIsRmSchedulable) {
 TEST(Partitioners, PerCoreSchedulesPassVerifyWorstCase) {
   const model::LinearDvsModel cpu = workload::DefaultModel();
   const model::TaskSet set = FleetSet(cpu, 1.4, 6, 7);
-  const core::SchedulerOptions scheduler;
   for (const std::string& name : PartitionerRegistry::Builtin().Names()) {
     const Partition partition =
         PartitionerRegistry::Builtin().Get(name).Assign(set, cpu, 2, {});
@@ -90,7 +89,7 @@ TEST(Partitioners, PerCoreSchedulesPassVerifyWorstCase) {
       }
       const model::TaskSet subset = SubTaskSet(set, owned);
       const fps::FullyPreemptiveSchedule fps(subset);
-      core::MethodContext context(fps, cpu, scheduler);
+      core::MethodContext context(fps, cpu);
       const sim::FeasibilityReport wcs =
           sim::VerifyWorstCase(fps, context.Wcs().schedule, cpu);
       EXPECT_TRUE(wcs.feasible) << name << " core " << c << ": " << wcs.detail;

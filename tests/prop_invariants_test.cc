@@ -89,9 +89,7 @@ TEST(PropInvariants, EveryMethodEveryScenarioSafeAndBounded) {
   const core::ExperimentOptions base = PropertyOptions();
   for (const model::TaskSet& set : PropertySets(cpu)) {
     const fps::FullyPreemptiveSchedule fps(set);
-    // `base` outlives the context: MethodContext keeps a pointer to the
-    // scheduler options.
-    core::MethodContext context(fps, cpu, base.scheduler);
+    core::MethodContext context(fps, cpu);
     const double floor = VminBcecFloor(set, cpu);
 
     for (const std::string& scenario_name : scenarios.Names()) {

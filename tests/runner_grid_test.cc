@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
+#include <string>
 
 #include "runner/experiment_grid.h"
 #include "runner/golden_grids.h"
@@ -102,6 +104,59 @@ TEST(ExperimentGrid, ValidateRejectsBadGrids) {
   ExperimentGrid bad_baseline = SmallGrid(cpu);
   bad_baseline.methods = {"acs", "static-vmax"};  // baseline "wcs" missing
   EXPECT_THROW(bad_baseline.Validate(registry), util::InvalidArgumentError);
+}
+
+// Drift-detector and transition settings outside their meaningful range
+// fail before the first cell, with a message that names the field and
+// carries no source location.
+TEST(ExperimentGrid, ValidateRejectsBadDriftAndTransitionSettings) {
+  const model::LinearDvsModel cpu = workload::DefaultModel();
+  const core::MethodRegistry& registry = core::MethodRegistry::Builtin();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto expect_rejected = [&](const ExperimentGrid& grid,
+                                   const std::string& field, double value) {
+    try {
+      grid.Validate(registry);
+      ADD_FAILURE() << field << " = " << value << " was accepted";
+    } catch (const util::InvalidArgumentError& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find(field), std::string::npos) << what;
+      EXPECT_EQ(what.find(".cc:"), std::string::npos) << what;
+    }
+    CountingSink sink;
+    RunOptions options;
+    options.sink = &sink;
+    EXPECT_THROW(RunGrid(grid, options), util::InvalidArgumentError);
+    EXPECT_EQ(sink.completed.load(), 0u) << field << " = " << value;
+  };
+
+  for (const double bad : {5.0, -1.0, nan, inf, -inf}) {
+    ExperimentGrid grid = SmallGrid(cpu);
+    grid.online.drift_ewma = bad;
+    expect_rejected(grid, "drift_ewma", bad);
+  }
+  for (const double bad : {-1.0, nan, inf}) {
+    ExperimentGrid grid = SmallGrid(cpu);
+    grid.online.drift_threshold = bad;
+    expect_rejected(grid, "drift_threshold", bad);
+  }
+  for (const double bad : {-1.0, nan, inf}) {
+    ExperimentGrid time = SmallGrid(cpu);
+    time.transition.time_per_volt = bad;
+    expect_rejected(time, "time_per_volt", bad);
+    ExperimentGrid energy = SmallGrid(cpu);
+    energy.transition.energy_per_volt = bad;
+    expect_rejected(energy, "energy_per_volt", bad);
+  }
+
+  // The closed ends of each range stay valid.
+  for (const double ewma : {0.0, 1.0}) {
+    ExperimentGrid grid = SmallGrid(cpu);
+    grid.online.drift_ewma = ewma;
+    grid.online.drift_threshold = 0.0;
+    grid.Validate(registry);
+  }
 }
 
 TEST(RunGrid, UnknownMethodFailsBeforeRunningCells) {
@@ -528,12 +583,12 @@ TEST(RunGrid, IidNormalScenarioMatchesDefaultPipeline) {
   for (const char* name : {"acs", "wcs", "greedy-reclaim"}) {
     const core::ScheduleMethod& method = methods.Get(name);
 
-    core::MethodContext legacy_context(fps, cpu, options.scheduler);
+    core::MethodContext legacy_context(fps, cpu);
     options.scenario = nullptr;  // the pre-scenario pipeline
     const core::MethodOutcome legacy =
         EvaluateMethod(method, legacy_context, options);
 
-    core::MethodContext scenario_context(fps, cpu, options.scheduler);
+    core::MethodContext scenario_context(fps, cpu);
     options.scenario =
         &workload::ScenarioRegistry::Builtin().Get("iid-normal");
     const core::MethodOutcome via_registry =

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <tuple>
 
@@ -232,6 +233,29 @@ TEST(Engine, RejectsNonPositiveHyperPeriods) {
   EXPECT_THROW(
       Simulate(h.fps, schedule, h.cpu, policy, sampler, rng, options),
       util::InvalidArgumentError);
+}
+
+// A negative stall would run time backwards and a non-finite one never
+// ends, so both overhead fields must be finite and non-negative.
+TEST(Engine, RejectsNegativeAndNonFiniteTransitionOverheads) {
+  Harness h(model::TaskSet({MakeTask("a", 10, 8.0), MakeTask("b", 20, 12.0)}));
+  const StaticSchedule schedule = BuildVmaxAsapSchedule(h.fps, h.cpu);
+  const model::TruncatedNormalWorkload sampler(h.set, 6.0);
+  const GreedyReclaimPolicy policy(h.cpu);
+  for (const double bad : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    for (const bool time_field : {true, false}) {
+      SimOptions options;
+      options.hyper_periods = 2;
+      (time_field ? options.transition.time_per_volt
+                  : options.transition.energy_per_volt) = bad;
+      stats::Rng rng(1);
+      EXPECT_THROW(
+          Simulate(h.fps, schedule, h.cpu, policy, sampler, rng, options),
+          util::InvalidArgumentError)
+          << (time_field ? "time_per_volt " : "energy_per_volt ") << bad;
+    }
+  }
 }
 
 TEST(Engine, BestCaseWorkloadUsesLessEnergyThanWorst) {
