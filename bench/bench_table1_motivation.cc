@@ -76,8 +76,8 @@ int main(int argc, char** argv) {
                                    budgets);
     // Solver-recovered schedules.
     const core::ScheduleResult wcs = core::SolveWcs(fps, cpu);
-    const core::ScheduleResult acs = core::SolveSchedule(
-        fps, cpu, core::Scenario::kAverage, wcs.schedule);
+    const core::ScheduleResult acs =
+        core::SolveAcsFrom(fps, cpu, wcs.schedule);
 
     const Row rows[] = {
         Measure("Fig.1 schedule (paper WCS)", fps, fig1, cpu),

@@ -295,8 +295,7 @@ const ScheduleResult& MethodContext::Acs() {
     span.Arg("cache", "miss");
   }
   // SolveAcs, warm-started from the cached WCS instead of a fresh one.
-  cache_->acs = SolveSchedule(*fps_, *dvs_, Scenario::kAverage,
-                              Wcs().schedule, workspace_);
+  cache_->acs = SolveAcsFrom(*fps_, *dvs_, Wcs().schedule, workspace_);
   return *cache_->acs;
 }
 

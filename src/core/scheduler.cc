@@ -12,6 +12,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "opt/chain_ipm.h"
+#include "opt/replay_newton.h"
 #include "sim/engine.h"
 #include "util/error.h"
 #include "util/logging.h"
@@ -131,6 +132,121 @@ void ObserveRepairShift(const sim::StaticSchedule& repaired,
   obs::Observe(obs::metric::kRepairMaxShift, shift);
 }
 
+/// Largest set the converged solve serves.  Above it the solve stalls: on
+/// default bench_fig6a_random (sets of 120-1000 sub-instances) 53 of 120
+/// solves ended above the KKT tolerance or at the Newton-step guard and
+/// fell back, which made the bench 3.3x slower than the ALM alone.  Every
+/// sim-online set (20-60) and every grid-warm core (at most 120) is below.
+constexpr std::size_t kReplayMaxSubInstances = 240;
+
+/// The converged single-replay solve (DESIGN.md §2.4): the lifted
+/// start-chain program at the ACEC point or at `planning`'s point, solved by
+/// opt::SolveReplay from `start_schedule`, then the usual repair and audit.
+/// Returns nullopt, counting the fallback by reason, when the solve does
+/// not converge or its schedule does not survive repair; the caller then
+/// solves with the ALM.  A result worse than the warm start returns the
+/// warm start (counted, and flagged used_fallback like the ALM's guard).
+std::optional<ScheduleResult> SolveReplayExact(
+    const fps::FullyPreemptiveSchedule& fps, const model::LinearDvsModel& dvs,
+    const PlanningPoint* planning, const sim::StaticSchedule& start_schedule,
+    double start_energy, const EnergyObjective& objective,
+    EvalWorkspace* workspace) {
+  obs::Span span("replay_newton", "solve");
+  const auto fall_back = [&span](const char* reason, obs::MetricId metric) {
+    ACS_LOG_WARN << "converged ACS solve falls back to the ALM: " << reason;
+    if (span.enabled()) {
+      span.Arg("fallback", reason);
+    }
+    obs::Count(obs::metric::kAcsFallbacks);
+    obs::Count(metric);
+    return std::nullopt;
+  };
+
+  const model::TaskSet& set = fps.task_set();
+  static const std::vector<double> kAcec;
+  const std::vector<double>& cycles =
+      planning != nullptr ? planning->cycles : kAcec;
+  opt::ReplayProblem problem;
+  const std::size_t n = fps.sub_count();
+  problem.release.resize(n);
+  problem.begin.resize(n);
+  problem.cap = fps.effective_end_bounds();
+  problem.group.resize(n);
+  std::vector<double> warm_end(n);
+  std::vector<double> warm_budget(n);
+  for (std::size_t u = 0; u < n; ++u) {
+    problem.release[u] = fps.sub(u).release();
+    problem.begin[u] = fps.sub(u).seg_begin;
+    problem.group[u] = fps.sub(u).parent;
+    warm_end[u] = start_schedule.end_time(u);
+    warm_budget[u] = start_schedule.worst_budget(u);
+  }
+  problem.group_total.resize(fps.instance_count());
+  problem.group_plan.resize(fps.instance_count());
+  for (std::size_t p = 0; p < fps.instance_count(); ++p) {
+    const std::size_t task = fps.instance(p).info.task;
+    problem.group_total[p] = set.task(task).wcec;
+    problem.group_plan[p] = PlanningPoint::ResolveFor(cycles, set, task);
+  }
+  // speed = k V, so a cycles at speed q cost ceff (q / k)^2 a.
+  problem.energy_coeff = dvs.ceff() / (dvs.k() * dvs.k());
+  problem.min_speed = dvs.k() * dvs.vmin();
+  problem.max_speed = dvs.k() * dvs.vmax();
+
+  opt::ReplaySolution solution;
+  const opt::ReplayNewtonReport report = opt::SolveReplay(
+      problem, warm_end, warm_budget, solution,
+      workspace != nullptr ? &workspace->solver().replay : nullptr);
+  switch (report.status) {
+    case opt::ReplayStatus::kSolved:
+      break;
+    case opt::ReplayStatus::kNoInterior:
+      return fall_back("no strictly feasible start",
+                       obs::metric::kAcsFallbackNoInterior);
+    case opt::ReplayStatus::kBreakdown:
+      return fall_back("no usable Newton system",
+                       obs::metric::kAcsFallbackBreakdown);
+    case opt::ReplayStatus::kNoConvergence:
+      return fall_back("KKT residual stalled",
+                       obs::metric::kAcsFallbackNoConvergence);
+  }
+  std::optional<sim::StaticSchedule> repaired =
+      RepairSchedule(fps, dvs, solution.end, solution.budget);
+  if (!repaired.has_value()) {
+    return fall_back("repair rejected the schedule",
+                     obs::metric::kAcsFallbackRepair);
+  }
+  const double energy = objective.Value(objective.PackSchedule(*repaired));
+  ScheduleResult result{std::move(*repaired), energy, {}, false};
+  if (!(energy <= start_energy * (1.0 + opt::kReplayKktTol))) {
+    // A local optimum worse than the warm start (a converged neighbour's
+    // schedule can be), beyond the solve's own tolerance: keep the warm
+    // start, as the ALM path does.
+    ACS_LOG_WARN << "converged ACS solve worse than its warm start; keeping "
+                    "the warm start";
+    obs::Count(obs::metric::kAcsFallbacks);
+    obs::Count(obs::metric::kAcsFallbackWorse);
+    result.schedule = start_schedule;
+    result.predicted_energy = start_energy;
+    result.used_fallback = true;
+  } else {
+    ObserveRepairShift(result.schedule, solution.end);
+  }
+  obs::Observe(obs::metric::kAcsKkt, report.kkt_residual);
+  if (span.enabled()) {
+    span.Arg("patterns", static_cast<std::int64_t>(report.patterns));
+    span.Arg("newton_steps", static_cast<std::int64_t>(report.newton_steps));
+  }
+  opt::AlmReport& work = result.alm;
+  work.feasible = true;
+  work.inner_status = opt::SolveStatus::kConverged;
+  work.outer_iterations = report.rounds;
+  work.total_inner_iterations = report.newton_steps;
+  work.evaluations = report.evaluations;
+  work.final_value = result.predicted_energy;
+  return result;
+}
+
 /// Shared solve body: `planning` is null for the paper's ACEC/WCEC solves
 /// (exactly the historical construction, bit-for-bit) and a
 /// scenario-conditioned point for SolvePlanned.
@@ -138,7 +254,8 @@ ScheduleResult SolveWith(
     const fps::FullyPreemptiveSchedule& fps, const model::DvsModel& dvs,
     Scenario scenario, const PlanningPoint* planning,
     const std::optional<sim::StaticSchedule>& warm_start,
-    EvalWorkspace* workspace, const opt::AlmReport* dual_seed = nullptr) {
+    EvalWorkspace* workspace, bool converged,
+    const opt::AlmReport* dual_seed = nullptr) {
   // Telemetry (observation-only: none of this feeds back into the solve).
   // The phase label keys the span, the solve counter and the convergence
   // records to the same taxonomy the --csv-solver-stats columns use.
@@ -171,6 +288,19 @@ ScheduleResult SolveWith(
 
   opt::Vector x = objective.PackSchedule(start_schedule);
   const double start_energy = objective.Value(x);
+
+  // Average-scenario solves at one planning point take the converged
+  // solve; mixtures (K replays sharing one schedule), sets above
+  // kReplayMaxSubInstances and the converged solve's fallbacks take the ALM.
+  if (converged && scenario == Scenario::kAverage &&
+      (planning == nullptr || planning->mixture.empty()) &&
+      fps.sub_count() <= kReplayMaxSubInstances) {
+    if (std::optional<ScheduleResult> solved = SolveReplayExact(
+            fps, PlanningModel(dvs), planning, start_schedule, start_energy,
+            objective, workspace)) {
+      return std::move(*solved);
+    }
+  }
 
   ScheduleResult result{start_schedule, start_energy, {}, false};
   // The per-call dual seed and observer go on a copy of the constant
@@ -313,7 +443,8 @@ ScheduleResult SolveSchedule(
     const fps::FullyPreemptiveSchedule& fps, const model::DvsModel& dvs,
     Scenario scenario, const std::optional<sim::StaticSchedule>& warm_start,
     EvalWorkspace* workspace) {
-  return SolveWith(fps, dvs, scenario, nullptr, warm_start, workspace);
+  return SolveWith(fps, dvs, scenario, nullptr, warm_start, workspace,
+                   /*converged=*/false);
 }
 
 ScheduleResult SolvePlanned(
@@ -322,7 +453,7 @@ ScheduleResult SolvePlanned(
     const std::optional<sim::StaticSchedule>& warm_start,
     EvalWorkspace* workspace, const opt::AlmReport* dual_seed) {
   return SolveWith(fps, dvs, Scenario::kAverage, &planning, warm_start,
-                   workspace, dual_seed);
+                   workspace, /*converged=*/true, dual_seed);
 }
 
 ScheduleResult SolveWcs(const fps::FullyPreemptiveSchedule& fps,
@@ -336,8 +467,16 @@ ScheduleResult SolveWcs(const fps::FullyPreemptiveSchedule& fps,
 
 ScheduleResult SolveAcs(const fps::FullyPreemptiveSchedule& fps,
                         const model::DvsModel& dvs, EvalWorkspace* workspace) {
-  return SolveSchedule(fps, dvs, Scenario::kAverage,
-                       SolveWcs(fps, dvs, workspace).schedule, workspace);
+  return SolveAcsFrom(fps, dvs, SolveWcs(fps, dvs, workspace).schedule,
+                      workspace);
+}
+
+ScheduleResult SolveAcsFrom(const fps::FullyPreemptiveSchedule& fps,
+                            const model::DvsModel& dvs,
+                            const sim::StaticSchedule& warm_start,
+                            EvalWorkspace* workspace) {
+  return SolveWith(fps, dvs, Scenario::kAverage, nullptr, warm_start,
+                   workspace, /*converged=*/true);
 }
 
 }  // namespace dvs::core

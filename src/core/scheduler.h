@@ -1,8 +1,11 @@
 // Offline schedulers: ACS (the paper's contribution) and the WCS baseline.
 //
-// Both run the same pipeline — fully preemptive expansion -> reduced NLP ->
-// augmented-Lagrangian solve -> feasibility repair — differing only in the
-// scenario the objective replays (ACEC vs WCEC).  The repair pass converts
+// Both run the same pipeline — fully preemptive expansion -> NLP solve ->
+// feasibility repair — differing only in the scenario the objective replays
+// (ACEC vs WCEC).  WCS solves its convex lift exactly (opt/chain_ipm.h);
+// ACS and point-planned solves solve theirs to a KKT residual
+// (opt/replay_newton.h); mixtures and every fallback run the
+// augmented-Lagrangian solve of the reduced NLP.  The repair pass converts
 // the solver's epsilon-feasible iterate into a *strictly* feasible static
 // schedule (exact budget simplexes, chain-respecting end-times); if repair
 // cannot absorb the residual violation the scheduler falls back to its warm
@@ -131,7 +134,8 @@ struct SolveCache {
   std::vector<std::unique_ptr<CalibrationEntry>> calibrations;
 };
 
-/// Solves for one scenario.  `warm_start` must be worst-case feasible; when
+/// Solves for one scenario with the ALM (the reference and fallback of the
+/// converged solves).  `warm_start` must be worst-case feasible; when
 /// absent the Vmax-ASAP schedule is used.  Throws InfeasibleError when the
 /// task set is not RM-schedulable at Vmax.  `workspace` (optional) supplies
 /// reusable solver/objective scratch — bit-identical results either way.
@@ -151,22 +155,32 @@ ScheduleResult SolveWcs(const fps::FullyPreemptiveSchedule& fps,
                         const model::DvsModel& dvs,
                         EvalWorkspace* workspace = nullptr);
 
-/// ACS: the paper's average-case-aware schedule, warm-started from SolveWcs.
+/// ACS: the paper's average-case-aware schedule, warm-started from SolveWcs
+/// and solved to its KKT residual on the lifted start-chain program
+/// (opt/replay_newton.h, DESIGN.md §2.4).  A solve that does not converge,
+/// fails repair or ends worse than its warm start is counted by
+/// solve.acs_fallbacks and re-solved by the ALM.
 ScheduleResult SolveAcs(const fps::FullyPreemptiveSchedule& fps,
                         const model::DvsModel& dvs,
                         EvalWorkspace* workspace = nullptr);
 
+/// SolveAcs from a given worst-case feasible warm start.
+ScheduleResult SolveAcsFrom(const fps::FullyPreemptiveSchedule& fps,
+                            const model::DvsModel& dvs,
+                            const sim::StaticSchedule& warm_start,
+                            EvalWorkspace* workspace = nullptr);
+
 /// Scenario-conditioned ACS: the average-scenario pipeline with the NLP
 /// objective replaying at `planning` instead of the ACEC point (calibrated
 /// mean or the K-vector mixture expectation — see
-/// core::PlanningPoint and workload/calibrator.h).  An IsAcec() point is
-/// bit-identical to SolveSchedule(kAverage, ...) with the same warm start.
+/// core::PlanningPoint and workload/calibrator.h).  A single point is
+/// solved like SolveAcsFrom (an IsAcec() point gives its result exactly);
+/// a mixture is solved by the ALM.
 ///
-/// `dual_seed` (optional) is the AlmReport of a previous converged solve of
-/// the SAME task set at a nearby planning point — a warm-start chain
-/// neighbor.  Its multipliers and final penalty continue the ALM dual state
-/// so the chained solve polishes instead of re-running the cold tolerance
-/// ramp (opt::AlmOptions::dual_seed).  Null keeps the cold solve untouched.
+/// `dual_seed` (optional) is the AlmReport of a previous solve of the SAME
+/// task set at a nearby planning point — a warm-start chain neighbor.  An
+/// ALM solve continues its multipliers and final penalty
+/// (opt::AlmOptions::dual_seed); the converged solve does not use it.
 ScheduleResult SolvePlanned(
     const fps::FullyPreemptiveSchedule& fps, const model::DvsModel& dvs,
     const PlanningPoint& planning,

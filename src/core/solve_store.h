@@ -68,8 +68,10 @@ namespace dvs::core {
 /// model) and carry its duality-gap certificate.  Version 3: the scheduler
 /// options carry no ACS warm-start byte (ACS always starts from the WCS).
 /// Version 4: entries carry no solver options; the configuration is the
-/// constant core::AcsAlmOptions, covered by this version.
-inline constexpr std::uint32_t kSolveStoreSchemaVersion = 4;
+/// constant core::AcsAlmOptions, covered by this version.  Version 5: ACS
+/// and point-planned results come from the converged Newton solve
+/// (opt/replay_newton.h), whose constants this version also covers.
+inline constexpr std::uint32_t kSolveStoreSchemaVersion = 5;
 
 /// Concrete-parameter description of a planning model — the model's
 /// content identity in both solve caches: the LinearDvsModel's exact

@@ -82,6 +82,14 @@ MetricsRegistry::MetricsRegistry() {
   // End-time shifts in ms; the engine resolves events to 1e-9 ms.
   AddHistogram("repair.max_shift",
                {1e-12, 1e-9, 1e-6, 1e-4, 1e-2, 1.0, 100.0});
+  AddCounter("solve.acs_fallbacks");
+  AddCounter("solve.acs_fallbacks.no_interior");
+  AddCounter("solve.acs_fallbacks.breakdown");
+  AddCounter("solve.acs_fallbacks.no_convergence");
+  AddCounter("solve.acs_fallbacks.repair");
+  AddCounter("solve.acs_fallbacks.worse");
+  // Relative KKT residuals: converged solves end at or below 1e-9.
+  AddHistogram("solve.acs_kkt", {1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-6});
   ACS_REQUIRE(definitions_.size() == metric::kBuiltinCount,
               "builtin metric count drifted from obs::metric ids");
 }

@@ -4,15 +4,13 @@
 #include <cmath>
 #include <limits>
 
+#include "opt/frontal.h"
 #include "util/error.h"
 
 namespace dvs::opt {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-// A primal pivot below this fraction of the diagonal mass that built it is
-// rounding noise; it is clamped to the floor.
-constexpr double kPivotFloor = 1e-13;
 // Newton steps one centring round may take before its point is certified
 // as is (rounds from a reasonable point need well under ten).
 constexpr std::size_t kMaxRoundSteps = 30;
@@ -167,129 +165,6 @@ double Barrier(const Scaled& p, double t, const double* s, const double* f,
   return obj == kInf ? kInf : t * obj - logs;
 }
 
-/// Dense frontier of the forward elimination: variables by id (primal ids
-/// 4u .. 4u+3 for s_u, f_u, w_u and the lifting variable z_u; 4n + g for
-/// group g's multiplier).
-class Frontier {
- public:
-  Frontier(ChainIpmWorkspace& ws, std::size_t cap) : ws_(ws), cap_(cap) {
-    ws_.frontier.assign(cap * cap, 0.0);
-    ws_.frontier_rhs.assign(cap, 0.0);
-    ws_.frontier_scale.assign(cap, 0.0);
-    ws_.frontier_id.clear();
-    ws_.rec_id.clear();
-    ws_.rec_pivot.clear();
-    ws_.rec_rhs.clear();
-    ws_.rec_begin.clear();
-    ws_.rec_nbr.clear();
-    ws_.rec_coeff.clear();
-  }
-
-  std::size_t Slot(std::int64_t id) {
-    for (std::size_t i = 0; i < ws_.frontier_id.size(); ++i) {
-      if (ws_.frontier_id[i] == id) {
-        return i;
-      }
-    }
-    ACS_CHECK(ws_.frontier_id.size() < cap_, "chain IPM frontier overflow");
-    ws_.frontier_id.push_back(id);
-    return ws_.frontier_id.size() - 1;
-  }
-
-  void Add(std::size_t i, std::size_t j, double value) {
-    ws_.frontier[i * cap_ + j] += value;
-    if (i != j) {
-      ws_.frontier[j * cap_ + i] += value;
-    } else {
-      ws_.frontier_scale[i] += std::fabs(value);
-    }
-  }
-  void AddRhs(std::size_t i, double value) { ws_.frontier_rhs[i] += value; }
-
-  /// Eliminates `slot`, recording its row for back-substitution.  False
-  /// when the pivot has the wrong sign (primal pivots are positive,
-  /// multiplier pivots negative) or is not finite.
-  bool Eliminate(std::size_t slot, bool negative) {
-    double* m = ws_.frontier.data();
-    double* rhs = ws_.frontier_rhs.data();
-    const std::size_t size = ws_.frontier_id.size();
-    double pivot = m[slot * cap_ + slot];
-    if (!negative && pivot <= kPivotFloor * ws_.frontier_scale[slot]) {
-      // A primal pivot lost to cancellation among huge barrier terms (an
-      // active chain row s_u >= f_{u-1} at a large barrier parameter):
-      // clamp it to the noise floor.  (Dropping the direction instead froze
-      // those starts and stalled the gap near 1e-6 on large sets.)
-      pivot = kPivotFloor * ws_.frontier_scale[slot];
-    }
-    if (!std::isfinite(pivot) || (negative ? !(pivot < 0.0) : !(pivot > 0.0))) {
-      return false;
-    }
-    ws_.rec_id.push_back(ws_.frontier_id[slot]);
-    ws_.rec_pivot.push_back(pivot);
-    ws_.rec_rhs.push_back(rhs[slot]);
-    ws_.rec_begin.push_back(ws_.rec_nbr.size());
-    for (std::size_t j = 0; j < size; ++j) {
-      if (j != slot) {
-        ws_.rec_nbr.push_back(ws_.frontier_id[j]);
-        ws_.rec_coeff.push_back(m[slot * cap_ + j]);
-      }
-    }
-    for (std::size_t i = 0; i < size; ++i) {
-      const double l = i == slot ? 0.0 : m[i * cap_ + slot] / pivot;
-      if (l == 0.0) {
-        continue;
-      }
-      for (std::size_t j = 0; j < size; ++j) {
-        if (j != slot) {
-          m[i * cap_ + j] -= l * m[slot * cap_ + j];
-        }
-      }
-      rhs[i] -= l * rhs[slot];
-    }
-    // Move the last slot into the freed one and clear the last.
-    const std::size_t last = size - 1;
-    if (slot != last) {
-      for (std::size_t j = 0; j < size; ++j) {
-        m[slot * cap_ + j] = m[last * cap_ + j];
-      }
-      for (std::size_t i = 0; i < size; ++i) {
-        m[i * cap_ + slot] = m[i * cap_ + last];
-      }
-      m[slot * cap_ + slot] = m[last * cap_ + last];
-      rhs[slot] = rhs[last];
-      ws_.frontier_scale[slot] = ws_.frontier_scale[last];
-      ws_.frontier_id[slot] = ws_.frontier_id[last];
-    }
-    for (std::size_t j = 0; j < size; ++j) {
-      m[last * cap_ + j] = 0.0;
-      m[j * cap_ + last] = 0.0;
-    }
-    rhs[last] = 0.0;
-    ws_.frontier_scale[last] = 0.0;
-    ws_.frontier_id.pop_back();
-    return true;
-  }
-
-  /// Solves for every eliminated id (reverse elimination order).
-  void BackSubstitute(std::vector<double>& values) const {
-    for (std::size_t k = ws_.rec_id.size(); k-- > 0;) {
-      double v = ws_.rec_rhs[k];
-      const std::size_t end =
-          k + 1 < ws_.rec_begin.size() ? ws_.rec_begin[k + 1]
-                                       : ws_.rec_nbr.size();
-      for (std::size_t e = ws_.rec_begin[k]; e < end; ++e) {
-        v -= ws_.rec_coeff[e] *
-             values[static_cast<std::size_t>(ws_.rec_nbr[e])];
-      }
-      values[static_cast<std::size_t>(ws_.rec_id[k])] = v / ws_.rec_pivot[k];
-    }
-  }
-
- private:
-  ChainIpmWorkspace& ws_;
-  std::size_t cap_;
-};
-
 /// One Newton system of the barrier problem at (s, f, w): fills the step
 /// (ds, df, dw), the gradient (gs, gf, gw) and the group multipliers
 /// (values[4n + g]).  False on a pivot breakdown.
@@ -298,7 +173,9 @@ bool NewtonSystem(const Scaled& p, double t, ChainIpmWorkspace& ws) {
   const double* s = ws.s.data();
   const double* f = ws.f.data();
   const double* w = ws.w.data();
-  Frontier fr(ws, p.frontier_cap);
+  // Variables by id: primal ids 4u .. 4u+3 for s_u, f_u, w_u and the lifting
+  // variable z_u; 4n + g for group g's multiplier.
+  Frontier fr(ws.frontal, p.frontier_cap);
   std::vector<double>& budget_sum = ws.group_sum;
   budget_sum.assign(p.groups, 0.0);
   for (std::size_t u = 0; u < n; ++u) {
@@ -321,10 +198,7 @@ bool NewtonSystem(const Scaled& p, double t, ChainIpmWorkspace& ws) {
     const std::size_t g = p.group[u];
     if (free_w) {
       const std::int64_t nu_id = static_cast<std::int64_t>(4 * n + g);
-      bool opened = false;
-      for (std::int64_t id : ws.frontier_id) {
-        opened = opened || id == nu_id;
-      }
+      const bool opened = fr.Has(nu_id);
       const std::size_t knu = fr.Slot(nu_id);
       if (!opened) {
         fr.AddRhs(knu, p.total[g] - budget_sum[g]);

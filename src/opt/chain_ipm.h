@@ -31,6 +31,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "opt/frontal.h"
+
 namespace dvs::opt {
 
 struct ChainProblem {
@@ -72,15 +74,7 @@ struct ChainIpmWorkspace {
   std::vector<double> trial_s, trial_f, trial_w;
   std::vector<double> best_s, best_f, best_w;
   std::vector<double> values;          // back-substitution result by id
-  std::vector<double> frontier;        // dense frontier matrix
-  std::vector<double> frontier_rhs;
-  std::vector<double> frontier_scale;  // diagonal mass per frontier slot
-  std::vector<std::int64_t> frontier_id;
-  std::vector<std::int64_t> rec_id;    // elimination records
-  std::vector<double> rec_pivot, rec_rhs;
-  std::vector<std::size_t> rec_begin;
-  std::vector<std::int64_t> rec_nbr;
-  std::vector<double> rec_coeff;
+  FrontalBuffers frontal;              // the Newton system's elimination
   std::vector<double> lambda;          // certificate duals, 5 per node
   std::vector<double> alpha;           // certificate: d coefficients
   std::vector<double> group_sum, group_excess, group_room;  // per group

@@ -1,0 +1,109 @@
+// Structured Newton solver for the lifted single-replay ACS program
+// (DESIGN.md §2.4): the average-case-aware static schedule of one planning
+// point, with the greedy runtime's start chain relaxed to inequalities.
+//
+// Per node u (a sub-instance, in execution order) the variables are the
+// start s_u of the scenario replay, the end-time e_u and the worst-case
+// budget w_u; a node's window is d_u = e_u - s_u and its greedy speed
+// q_u = w_u / d_u.  The scenario runs avg_u cycles of the node, fixed by the
+// Fig. 5 case pattern: avg_u = w_u (full), the group's plan left over
+// (partial, at most one node per group) or 0 (empty).
+//
+//   minimise   c * sum_u avg_u * max(min_speed, q_u)^2
+//   subject to s_u >= release_u,   s_u >= f_{u-1},
+//              e_u - e_{u-1} >= w_u / max_speed,
+//              e_u - release_u >= w_u / max_speed,
+//              begin_u <= e_u <= cap_u,   w_u <= max_speed * d_u,
+//              sum_{u in g} w_u = total_g,  w_u >= 0
+//
+// with the scenario finish f_u = s_u + avg_u / max(min_speed, q_u), the
+// greedy runtime's own finish.  A relaxed start is never better than the
+// greedy one (energy and finish grow with s_u), so the relaxation is tight.
+//
+// Method.  The case pattern and the Vmin-floor state of every node are fixed
+// per path; each fixed pattern is a smooth program whose pieces are exact:
+// a full free node costs the jointly convex perspective w^3/d^2, a floored
+// node is linear, and only the partial node of a group (avg = plan - earlier
+// budgets, finish s + avg d / w) is non-convex.  Budgets are each group's
+// running sums, so no Newton system carries an equality row.  A log-barrier
+// path-following Newton method solves the pattern; every Newton system is
+// eliminated along the order in one frontal sweep (opt/frontal.h) whose
+// modified pivots keep each step a descent step where a partial node leaves
+// the system indefinite.  A pattern-boundary row still active at a
+// converged point moves its node to the neighbouring piece and the path
+// restarts from that point, until the pattern is stable, a boundary is
+// crossed back (a kink optimum) or a change stops paying.  The solve stops
+// on its relative KKT residual, never on an iteration count: a solve that
+// cannot reach the tolerance reports kNoConvergence.
+#ifndef ACS_OPT_REPLAY_NEWTON_H
+#define ACS_OPT_REPLAY_NEWTON_H
+
+#include <cstddef>
+#include <cstdint>
+#include <vector>
+
+#include "opt/frontal.h"
+
+namespace dvs::opt {
+
+struct ReplayProblem {
+  std::vector<double> release;      // per node, in execution order
+  std::vector<double> begin;        // per node: earliest end-time
+  std::vector<double> cap;          // per node: latest end-time
+  std::vector<std::size_t> group;   // per node: budget group in [0, G)
+  std::vector<double> group_total;  // per group: worst-case cycles (> 0)
+  std::vector<double> group_plan;   // per group: scenario cycles in [0, total]
+  double energy_coeff = 1.0;        // c: a cycles at speed q cost c a q^2
+  double min_speed = 0.0;           // >= 0
+  double max_speed = 1.0;           // > min_speed
+};
+
+struct ReplaySolution {
+  std::vector<double> start;   // s_u of the scenario replay
+  std::vector<double> end;     // e_u
+  std::vector<double> budget;  // w_u (the group total for one-node groups)
+};
+
+/// Relative KKT residual at or below which a solve is accepted.
+inline constexpr double kReplayKktTol = 1e-9;
+
+enum class ReplayStatus {
+  kSolved,         // converged: the solution is set
+  kNoInterior,     // no strictly feasible start near the warm start
+  kBreakdown,      // no inertia correction gave a usable Newton system
+  kNoConvergence,  // the KKT residual stalled above the tolerance
+};
+
+struct ReplayNewtonReport {
+  ReplayStatus status = ReplayStatus::kSolved;
+  double objective = 0.0;        // program energy of the solution
+  double kkt_residual = 0.0;     // relative, of the returned point
+  std::size_t rounds = 0;        // centring rounds, all patterns
+  std::size_t newton_steps = 0;  // Newton systems solved
+  std::size_t evaluations = 0;   // barrier evaluations, line search included
+  std::size_t patterns = 0;      // case / floor patterns solved
+};
+
+/// Reusable buffers of SolveReplay (one per thread; see opt/workspace.h).
+struct ReplayNewtonWorkspace {
+  FrontalBuffers frontal;
+  std::vector<double> values;      // Newton step by variable id
+  std::vector<double> grad, step;  // gradient and step by primitive id
+  // The rows of the last Newton system: shifted slack and linear terms.
+  std::vector<double> row_slack, row_coeff;
+  std::vector<std::size_t> row_begin;
+  std::vector<std::int64_t> row_id;
+};
+
+/// Solves `problem` from the worst-case feasible warm start (`warm_end`,
+/// `warm_budget`; empty for a cold start).  Deterministic: plain scalar
+/// arithmetic in a fixed order, with or without a workspace.
+ReplayNewtonReport SolveReplay(const ReplayProblem& problem,
+                               const std::vector<double>& warm_end,
+                               const std::vector<double>& warm_budget,
+                               ReplaySolution& solution,
+                               ReplayNewtonWorkspace* workspace = nullptr);
+
+}  // namespace dvs::opt
+
+#endif  // ACS_OPT_REPLAY_NEWTON_H

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "opt/chain_ipm.h"
+#include "opt/replay_newton.h"
 #include "opt/problem.h"
 #include "opt/vec.h"
 
@@ -143,6 +144,7 @@ struct AlmWorkspace {
 struct SolverWorkspace {
   AlmWorkspace alm;
   ChainIpmWorkspace chain;  // exact WCS solves
+  ReplayNewtonWorkspace replay;  // converged ACS / point-planned solves
 };
 
 }  // namespace dvs::opt

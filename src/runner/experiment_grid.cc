@@ -1,6 +1,7 @@
 #include "runner/experiment_grid.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "util/error.h"
@@ -134,61 +135,66 @@ std::size_t ExperimentGrid::BaselineIndex() const {
 }
 
 void ExperimentGrid::Validate(const core::MethodRegistry& registry) const {
-  ACS_REQUIRE(dvs != nullptr, "grid needs a DVS model");
-  ACS_REQUIRE(!sources.empty(), "grid needs at least one task-set source");
-  ACS_REQUIRE(!sigma_divisors.empty(), "grid needs a sigma divisor");
-  ACS_REQUIRE(!workload_seeds.empty(), "grid needs a workload seed");
-  ACS_REQUIRE(!methods.empty(), "grid needs at least one method");
-  ACS_REQUIRE(hyper_periods > 0, "grid hyper_periods must be positive");
+  // Every check here guards a user setting, so a failure reports the setting
+  // alone (no source location or C++ condition).
+  const auto require = [](bool ok, const std::string& message) {
+    if (!ok) {
+      throw util::InvalidArgumentError(message);
+    }
+  };
+  require(dvs != nullptr, "grid needs a DVS model");
+  require(!sources.empty(), "grid needs at least one task-set source");
+  require(!sigma_divisors.empty(), "grid needs a sigma divisor");
+  require(!workload_seeds.empty(), "grid needs a workload seed");
+  require(!methods.empty(), "grid needs at least one method");
+  require(hyper_periods > 0, "grid hyper_periods must be positive");
   for (const TaskSetSource& source : sources) {
-    ACS_REQUIRE(source.fixed.has_value() || source.replicates > 0,
-                "random source \"" + source.label +
-                    "\" needs a positive replicate count");
+    require(source.fixed.has_value() || source.replicates > 0,
+            "random source \"" + source.label +
+                "\" needs a positive replicate count");
   }
   for (double divisor : sigma_divisors) {
-    ACS_REQUIRE(divisor > 0.0, "sigma divisors must be positive");
+    require(divisor > 0.0, "sigma divisors must be positive");
   }
-  ACS_REQUIRE(!core_counts.empty(), "grid needs a core count");
+  require(!core_counts.empty(), "grid needs a core count");
   int max_cores = 0;
   for (int cores : core_counts) {
-    ACS_REQUIRE(cores >= 1, "core counts must be at least 1");
+    require(cores >= 1, "core counts must be at least 1");
     max_cores = std::max(max_cores, cores);
   }
-  ACS_REQUIRE(!partitioners.empty(), "grid needs a partitioner");
+  require(!partitioners.empty(), "grid needs a partitioner");
   for (const std::string& name : partitioners) {
     Partitioners().Get(name);  // throws, listing the registered names
   }
-  ACS_REQUIRE(!scenarios.empty(), "grid needs a workload scenario");
+  require(!scenarios.empty(), "grid needs a workload scenario");
   for (const std::string& name : scenarios) {
     Scenarios().Get(name);  // throws, listing the registered names
   }
-  ACS_REQUIRE(planning.mixture_samples >= 1,
-              "planning mixture size must be at least 1");
-  ACS_REQUIRE(planning.calibration_samples >= planning.mixture_samples &&
-                  planning.calibration_samples >= 2,
-              "planning calibration samples must be >= max(2, mixture size)");
-  ACS_REQUIRE(idle_power.power_per_ms >= 0.0,
-              "idle power must be non-negative");
+  require(planning.mixture_samples >= 1,
+          "planning mixture size must be at least 1");
+  require(planning.calibration_samples >= planning.mixture_samples &&
+              planning.calibration_samples >= 2,
+          "planning calibration samples must be >= max(2, mixture size)");
+  require(idle_power.power_per_ms >= 0.0, "idle power must be non-negative");
   transition.Validate();
   online.Validate();
   if (dpm.enabled) {
-    ACS_REQUIRE(!idle_power.IsZero(),
-                "DPM needs a non-zero idle power floor to manage");
-    ACS_REQUIRE(dpm.sleep.power_per_ms >= 0.0 &&
-                    dpm.sleep.enter_latency >= 0.0 &&
-                    dpm.sleep.exit_latency >= 0.0 &&
-                    dpm.sleep.enter_energy >= 0.0 &&
-                    dpm.sleep.exit_energy >= 0.0,
-                "sleep-state fields must be non-negative");
-    ACS_REQUIRE(dpm.realloc_after >= 1,
-                "realloc_after must be at least one hyper-period");
+    require(!idle_power.IsZero(),
+            "DPM needs a non-zero idle power floor to manage");
+    require(dpm.sleep.power_per_ms >= 0.0 &&
+                dpm.sleep.enter_latency >= 0.0 &&
+                dpm.sleep.exit_latency >= 0.0 &&
+                dpm.sleep.enter_energy >= 0.0 &&
+                dpm.sleep.exit_energy >= 0.0,
+            "sleep-state fields must be non-negative");
+    require(dpm.realloc_after >= 1,
+            "realloc_after must be at least one hyper-period");
   }
   // A utilization must stay below the fleet's capacity; single-core grids
   // keep the paper's (0, 1) admission.
   for (double utilization : utilizations) {
-    ACS_REQUIRE(utilization > 0.0 &&
-                    utilization < static_cast<double>(max_cores),
-                "utilizations must lie in (0, max core count)");
+    require(utilization > 0.0 && utilization < static_cast<double>(max_cores),
+            "utilizations must lie in (0, max core count)");
   }
   for (const std::string& name : methods) {
     registry.Get(name);  // throws with the full method list on failure

@@ -11,6 +11,7 @@
 #include "core/solve_store.h"
 #include "dpm/dpm.h"
 #include "fps/expansion.h"
+#include "opt/replay_newton.h"
 #include "sim/engine.h"
 #include "stats/rng.h"
 #include "util/error.h"
@@ -246,7 +247,8 @@ TEST(Scheduler, AcsAlmOptionsArePinnedToTheStoreSchemaVersion) {
   const char* const bump =
       "a changed solver setting needs a kSolveStoreSchemaVersion bump "
       "(core/solve_store.h); update this pin together with it";
-  ASSERT_EQ(kSolveStoreSchemaVersion, 4u) << bump;
+  ASSERT_EQ(kSolveStoreSchemaVersion, 5u) << bump;
+  EXPECT_EQ(opt::kReplayKktTol, 1e-9) << bump;
   const opt::AlmOptions alm = AcsAlmOptions();
   EXPECT_EQ(alm.max_outer, 14u) << bump;
   EXPECT_EQ(alm.feasibility_tol, 1e-8) << bump;

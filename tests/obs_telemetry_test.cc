@@ -57,7 +57,8 @@ std::string RunWithTelemetry(const runner::ExperimentGrid& grid,
                              bool scenario_column,
                              MetricsRegistry* metrics,
                              TraceRecorder* trace,
-                             const std::string& convergence_path) {
+                             const std::string& convergence_path,
+                             std::size_t* convergence_records = nullptr) {
   const std::string csv_path =
       FreshPath(scenario_column ? "telemetry_planning" : "telemetry_smoke",
                 ".csv");
@@ -77,7 +78,9 @@ std::string RunWithTelemetry(const runner::ExperimentGrid& grid,
   TraceRecorder::Install(nullptr);
   InstallMetrics(nullptr);
   convergence.Flush();
-  EXPECT_GT(convergence.records(), 0u);
+  if (convergence_records != nullptr) {
+    *convergence_records = convergence.records();
+  }
 
   const std::string bytes = ReadFile(csv_path);
   std::remove(csv_path.c_str());
@@ -96,9 +99,10 @@ TEST(TelemetryGoldenBytes, SmokeGridUnchangedWithFullTelemetryOn) {
   TraceRecorder trace;
   const std::string convergence_path =
       FreshPath("telemetry_smoke_convergence", ".jsonl");
+  std::size_t records = 0;
   const std::string fresh = RunWithTelemetry(
       runner::GoldenSmokeGrid(cpu), /*scenario_column=*/false, &metrics,
-      &trace, convergence_path);
+      &trace, convergence_path, &records);
 
   const std::string golden =
       ReadFile(std::string(ACS_TEST_DATA_DIR) + "/golden_smoke_grid.csv");
@@ -114,35 +118,14 @@ TEST(TelemetryGoldenBytes, SmokeGridUnchangedWithFullTelemetryOn) {
   // Exact solver work: a change to the solver's
   // trajectory (or to how a line search counts its trials) fails here and
   // must re-pin both counts on purpose.
-  EXPECT_EQ(agg[metric::kSolverEvals].count, 48268);
-  EXPECT_EQ(agg[metric::kSolverInner].count, 47088);
+  // Re-pinned when ACS moved to the converged Newton solve (from 48268
+  // evaluations and 47088 inner iterations under the capped ALM).
+  EXPECT_EQ(agg[metric::kSolverEvals].count, 2392);
+  EXPECT_EQ(agg[metric::kSolverInner].count, 2348);
 
-  // Every convergence line is a standalone JSON object with the record
-  // schema the plotting scripts key on.
-  std::ifstream jsonl(convergence_path);
-  ASSERT_TRUE(jsonl.good());
-  std::string line;
-  std::size_t lines = 0;
-  while (std::getline(jsonl, line)) {
-    const util::JsonValue record = util::ParseJson(line);
-    ASSERT_TRUE(record.IsObject());
-    EXPECT_NE(record.Find("solve"), nullptr);
-    EXPECT_NE(record.Find("phase"), nullptr);
-    const std::string event = record.StringAt("event");
-    if (event == "spg") {
-      EXPECT_NE(record.Find("f"), nullptr) << "spg record missing objective";
-      EXPECT_NE(record.Find("criterion"), nullptr);
-    } else {
-      ASSERT_EQ(event, "alm");
-      EXPECT_NE(record.Find("penalty"), nullptr);
-      EXPECT_NE(record.Find("violation"), nullptr);
-    }
-    ++lines;
-    if (lines >= 500) {
-      break;  // format check, not an exhaustive parse of every record
-    }
-  }
-  EXPECT_GT(lines, 0u);
+  // Every ACS solve of the smoke grid converges on the Newton path, so the
+  // ALM (the only solver that writes convergence records) never runs.
+  EXPECT_EQ(records, 0u);
   std::remove(convergence_path.c_str());
 }
 
@@ -193,6 +176,19 @@ TEST(TelemetryExactWcs, CertifiedSolvesAndKeysReachTheManifest) {
       doc.At("metrics").At("histograms").At("repair.max_shift");
   EXPECT_GT(shift.NumberAt("count"), counters.NumberAt("solve.wcs_solves"));
   EXPECT_GE(shift.NumberAt("min"), 0.0);
+  // Every ACS solve converges on the Newton path: no fallback, and one
+  // final KKT residual at or below the tolerance per solve.
+  EXPECT_DOUBLE_EQ(counters.NumberAt("solve.acs_fallbacks"), 0.0);
+  for (const char* reason :
+       {"no_interior", "breakdown", "no_convergence", "repair", "worse"}) {
+    EXPECT_DOUBLE_EQ(
+        counters.NumberAt(std::string("solve.acs_fallbacks.") + reason), 0.0);
+  }
+  const util::JsonValue& kkt =
+      doc.At("metrics").At("histograms").At("solve.acs_kkt");
+  EXPECT_DOUBLE_EQ(kkt.NumberAt("count"),
+                   counters.NumberAt("solve.acs_solves"));
+  EXPECT_LE(kkt.NumberAt("max"), 1e-9);
 }
 
 /// Half two: the planning-arm golden (calibration, warm-link chains and
@@ -205,9 +201,38 @@ TEST(TelemetryGoldenBytes, PlanningGridUnchangedWithFullTelemetryOn) {
   TraceRecorder trace;
   const std::string convergence_path =
       FreshPath("telemetry_planning_convergence", ".jsonl");
+  std::size_t records = 0;
   const std::string fresh = RunWithTelemetry(
       runner::GoldenPlanningGrid(cpu), /*scenario_column=*/true, &metrics,
-      &trace, convergence_path);
+      &trace, convergence_path, &records);
+  // The mixture arm solves with the ALM, which records its iterations.
+  EXPECT_GT(records, 0u);
+  // Every convergence line is a standalone JSON object with the record
+  // schema the plotting scripts key on.
+  std::ifstream jsonl(convergence_path);
+  ASSERT_TRUE(jsonl.good());
+  std::string line;
+  std::size_t lines = 0;
+  while (std::getline(jsonl, line)) {
+    const util::JsonValue record = util::ParseJson(line);
+    ASSERT_TRUE(record.IsObject());
+    EXPECT_NE(record.Find("solve"), nullptr);
+    EXPECT_NE(record.Find("phase"), nullptr);
+    const std::string event = record.StringAt("event");
+    if (event == "spg") {
+      EXPECT_NE(record.Find("f"), nullptr) << "spg record missing objective";
+      EXPECT_NE(record.Find("criterion"), nullptr);
+    } else {
+      ASSERT_EQ(event, "alm");
+      EXPECT_NE(record.Find("penalty"), nullptr);
+      EXPECT_NE(record.Find("violation"), nullptr);
+    }
+    ++lines;
+    if (lines >= 500) {
+      break;  // format check, not an exhaustive parse of every record
+    }
+  }
+  EXPECT_GT(lines, 0u);
   std::remove(convergence_path.c_str());
 
   const std::string golden =

@@ -1,0 +1,237 @@
+// Tests for the structured Newton solver of the lifted single-replay ACS
+// program: input validation, determinism, convexity of its full-node piece,
+// tightness of the start relaxation, quality against the capped ALM on
+// tiny random sets and against the checked-in multi-start reference corpus.
+#include "opt/replay_newton.h"
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <string>
+#include <vector>
+
+#include "core/formulation.h"
+#include "core/scheduler.h"
+#include "fps/expansion.h"
+#include "stats/rng.h"
+#include "util/error.h"
+#include "workload/presets.h"
+#include "workload/random_taskset.h"
+
+namespace dvs::core {
+namespace {
+
+/// The ACEC program of `fps` under the linear model `dvs`.
+opt::ReplayProblem ProblemOf(const fps::FullyPreemptiveSchedule& fps,
+                             const model::LinearDvsModel& dvs) {
+  opt::ReplayProblem problem;
+  const std::size_t n = fps.sub_count();
+  problem.release.resize(n);
+  problem.begin.resize(n);
+  problem.cap = fps.effective_end_bounds();
+  problem.group.resize(n);
+  for (std::size_t u = 0; u < n; ++u) {
+    problem.release[u] = fps.sub(u).release();
+    problem.begin[u] = fps.sub(u).seg_begin;
+    problem.group[u] = fps.sub(u).parent;
+  }
+  for (std::size_t p = 0; p < fps.instance_count(); ++p) {
+    const model::Task& task = fps.task_set().task(fps.instance(p).info.task);
+    problem.group_total.push_back(task.wcec);
+    problem.group_plan.push_back(task.acec);
+  }
+  problem.energy_coeff = dvs.ceff() / (dvs.k() * dvs.k());
+  problem.min_speed = dvs.k() * dvs.vmin();
+  problem.max_speed = dvs.k() * dvs.vmax();
+  return problem;
+}
+
+struct Warm {
+  std::vector<double> end, budget;
+};
+
+Warm WarmOf(const sim::StaticSchedule& schedule) {
+  Warm warm;
+  for (std::size_t u = 0; u < schedule.size(); ++u) {
+    warm.end.push_back(schedule.end_time(u));
+    warm.budget.push_back(schedule.worst_budget(u));
+  }
+  return warm;
+}
+
+model::TaskSet TinySet(int seed, const model::DvsModel& dvs) {
+  stats::Rng rng(static_cast<std::uint64_t>(1000 + seed));
+  workload::RandomTaskSetOptions options;
+  options.num_tasks = 2 + seed % 3;
+  options.bcec_wcec_ratio = seed % 2 == 0 ? 0.1 : 0.5;
+  options.max_sub_instances = 40;
+  return workload::GenerateRandomTaskSet(options, dvs, rng);
+}
+
+// On tiny sets (2-4 tasks, at most 40 sub-instances) the program energy of
+// every converged solve is the greedy replay energy of its repaired
+// schedule: the start relaxation is tight at the optimum.  Against the
+// capped ALM from the same exact-WCS warm start the solve is better on most
+// sets (by up to 11 %); it is a local method, and on two sets of this
+// corpus (seeds 11 and 13) its pattern search stops in a local optimum
+// 0.7-2.5 % worse.  That gap is pinned here and must close before the
+// planning arms can route through the solver.
+TEST(ReplayNewton, BeatsTheCappedAlmOnMostTinySets) {
+  const model::LinearDvsModel cpu = workload::DefaultModel();
+  int converged = 0;
+  int better = 0;
+  int worse = 0;
+  const int kSets = 24;
+  for (int seed = 0; seed < kSets; ++seed) {
+    SCOPED_TRACE(seed);
+    const model::TaskSet set = TinySet(seed, cpu);
+    const fps::FullyPreemptiveSchedule fps(set);
+    const ScheduleResult wcs = SolveWcs(fps, cpu);
+    const ScheduleResult alm =
+        SolveSchedule(fps, cpu, Scenario::kAverage, wcs.schedule);
+    const Warm warm = WarmOf(wcs.schedule);
+    opt::ReplaySolution solution;
+    const opt::ReplayNewtonReport report =
+        opt::SolveReplay(ProblemOf(fps, cpu), warm.end, warm.budget, solution);
+    if (report.status != opt::ReplayStatus::kSolved) {
+      EXPECT_EQ(report.status, opt::ReplayStatus::kNoConvergence);
+      continue;
+    }
+    ++converged;
+    EXPECT_LE(report.kkt_residual, opt::kReplayKktTol);
+    const std::optional<sim::StaticSchedule> repaired =
+        RepairSchedule(fps, cpu, solution.end, solution.budget);
+    ASSERT_TRUE(repaired.has_value());
+    const EnergyObjective objective(fps, cpu, Scenario::kAverage);
+    const double energy = objective.Value(objective.PackSchedule(*repaired));
+    EXPECT_NEAR(energy, report.objective, 1e-6 * energy);
+    better += energy < alm.predicted_energy * (1.0 - 1e-6) ? 1 : 0;
+    worse += energy > alm.predicted_energy * (1.0 + 1e-6) ? 1 : 0;
+  }
+  EXPECT_GE(converged, kSets - 3);
+  EXPECT_GE(better, kSets / 2);
+  EXPECT_LE(worse, 2);
+}
+
+/// Set `index` of the reference corpus: the draw of
+/// tools/replay_reference.cc's ReferenceSet (change both together and
+/// regenerate tests/data/replay_reference.csv).
+model::TaskSet ReferenceSet(int index, const model::DvsModel& dvs) {
+  stats::Rng rng(static_cast<std::uint64_t>(5000 + index));
+  workload::RandomTaskSetOptions options;
+  options.num_tasks = 2 + index % 3;
+  options.bcec_wcec_ratio = index % 3 == 0 ? 0.1 : index % 3 == 1 ? 0.5 : 0.9;
+  options.max_sub_instances = 40;
+  return workload::GenerateRandomTaskSet(options, dvs, rng);
+}
+
+// The quality oracle: on the 20 checked-in sets, each ACS solve converges
+// and lands within 1e-6 of, or below, the best of five multi-start ALM
+// solves at a raised budget (tools/replay_reference.cc).  At the time of
+// writing it is below every reference but the two- and eight-node sets it
+// matches, by up to 3.6 %.
+TEST(ReplayNewton, MatchesOrBeatsTheMultiStartAlmReferences) {
+  const model::LinearDvsModel cpu = workload::DefaultModel();
+  std::ifstream csv(std::string(ACS_TEST_DATA_DIR) +
+                    "/replay_reference.csv");
+  ASSERT_TRUE(csv.good());
+  std::string line;
+  std::getline(csv, line);  // header
+  int sets = 0;
+  while (std::getline(csv, line)) {
+    int index = 0;
+    std::size_t subs = 0;
+    double reference = 0.0;
+    ASSERT_EQ(std::sscanf(line.c_str(), "%d,%zu,%lf", &index, &subs,
+                          &reference),
+              3)
+        << line;
+    SCOPED_TRACE(index);
+    const model::TaskSet set = ReferenceSet(index, cpu);
+    const fps::FullyPreemptiveSchedule fps(set);
+    ASSERT_EQ(fps.sub_count(), subs) << "the corpus draw drifted";
+    const ScheduleResult acs = SolveAcs(fps, cpu);
+    EXPECT_FALSE(acs.used_fallback);
+    EXPECT_LE(acs.predicted_energy, reference * (1.0 + 1e-6));
+    ++sets;
+  }
+  EXPECT_EQ(sets, 20);
+}
+
+// A full node's energy w * max(smin, w / d)^2 (speed units) is jointly
+// convex in (w, d): the perspective of w^3 and a linear piece, maxed.
+TEST(ReplayNewton, FullNodeEnergyIsMidpointConvex) {
+  stats::Rng rng(9);
+  const double smin = 0.125;
+  const auto energy = [smin](double w, double d) {
+    const double q = std::max(smin, w / d);
+    return w * q * q;
+  };
+  int floored = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    const double w0 = rng.Uniform(0.01, 1.0);
+    const double w1 = rng.Uniform(0.01, 1.0);
+    // Windows up to 12x the budget put both ends on either side of the
+    // Vmin floor (w / d = smin at d = 8 w).
+    const double d0 = w0 * rng.Uniform(1.0, 12.0);
+    const double d1 = w1 * rng.Uniform(1.0, 12.0);
+    floored += (w0 / d0 < smin) + (w1 / d1 < smin);
+    const double mid = energy(0.5 * (w0 + w1), 0.5 * (d0 + d1));
+    EXPECT_LE(mid, 0.5 * (energy(w0, d0) + energy(w1, d1)) + 1e-12);
+  }
+  EXPECT_GT(floored, 200);
+  EXPECT_LT(floored, 3800);
+}
+
+TEST(ReplayNewton, WorkspaceDoesNotChangeTheResult) {
+  const model::LinearDvsModel cpu = workload::DefaultModel();
+  const model::TaskSet set = TinySet(7, cpu);
+  const fps::FullyPreemptiveSchedule fps(set);
+  const Warm warm = WarmOf(SolveWcs(fps, cpu).schedule);
+  const opt::ReplayProblem problem = ProblemOf(fps, cpu);
+  opt::ReplaySolution plain;
+  opt::ReplaySolution reused;
+  opt::ReplayNewtonWorkspace workspace;
+  const opt::ReplayNewtonReport a =
+      opt::SolveReplay(problem, warm.end, warm.budget, plain);
+  opt::SolveReplay(problem, warm.end, warm.budget, reused, &workspace);
+  const opt::ReplayNewtonReport b =
+      opt::SolveReplay(problem, warm.end, warm.budget, reused, &workspace);
+  ASSERT_EQ(a.status, opt::ReplayStatus::kSolved);
+  EXPECT_EQ(a.objective, b.objective);
+  EXPECT_EQ(a.newton_steps, b.newton_steps);
+  EXPECT_EQ(plain.end, reused.end);
+  EXPECT_EQ(plain.budget, reused.budget);
+}
+
+TEST(ReplayNewton, RejectsMalformedProblems) {
+  const model::LinearDvsModel cpu = workload::DefaultModel();
+  const model::TaskSet set = TinySet(0, cpu);
+  const fps::FullyPreemptiveSchedule fps(set);
+  const opt::ReplayProblem good = ProblemOf(fps, cpu);
+  opt::ReplaySolution solution;
+  opt::ReplayProblem bad = good;
+  bad.cap.pop_back();
+  EXPECT_THROW(opt::SolveReplay(bad, {}, {}, solution),
+               util::InvalidArgumentError);
+  bad = good;
+  bad.min_speed = 0.0;
+  EXPECT_THROW(opt::SolveReplay(bad, {}, {}, solution),
+               util::InvalidArgumentError);
+  bad = good;
+  bad.group_plan[0] = 2.0 * bad.group_total[0];
+  EXPECT_THROW(opt::SolveReplay(bad, {}, {}, solution),
+               util::InvalidArgumentError);
+  EXPECT_THROW(opt::SolveReplay(good, {1.0}, {1.0}, solution),
+               util::InvalidArgumentError);
+  // A cold start (no warm schedule) solves from the worst-case interior.
+  const opt::ReplayNewtonReport cold =
+      opt::SolveReplay(good, {}, {}, solution);
+  EXPECT_EQ(cold.status, opt::ReplayStatus::kSolved);
+}
+
+}  // namespace
+}  // namespace dvs::core

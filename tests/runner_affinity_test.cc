@@ -60,10 +60,12 @@ ExperimentGrid AffinityGrid(const model::DvsModel& dvs) {
 }
 
 /// Four two-cell families on a 2-worker pool.  Round-robin hands worker 0
-/// families 0 and 2 and worker 1 families 1 and 3.  Worker 0's first cell
-/// blocks until worker 1 has drained its own queue and started family 2,
-/// which it can only have taken off the back of worker 0's queue — so
-/// every run makes exactly that one steal.  `on_cell` runs after the
+/// families 0 and 2 and worker 1 families 1 and 3.  Worker 1's first cell
+/// waits until worker 0 has started cell 0 (otherwise worker 1 could drain
+/// its queue and steal families 2 and 0 before worker 0 ran at all), and
+/// worker 0's first cell blocks until worker 1 has drained its own queue
+/// and started family 2, which it can only have taken off the back of
+/// worker 0's queue — so every run makes exactly that one steal.  `on_cell` runs after the
 /// bookkeeping for every cell; `runs` counts executions per cell.
 FamilyStats RunForcedSteal(
     std::vector<std::atomic<int>>& runs,
@@ -79,17 +81,25 @@ FamilyStats RunForcedSteal(
   std::mutex mutex;
   std::condition_variable stolen_cv;
   bool stolen = false;
+  bool owner_started = false;
   ThreadPool pool(2);
   return pool.ParallelForFamilies(
       families, [&](std::size_t worker, std::size_t cell) {
         runs[cell].fetch_add(1, std::memory_order_relaxed);
         if (cell == 0) {
-          // Bounded wait: a pool that never steals fails this expectation
+          // Bounded waits: a pool that never steals fails this expectation
           // instead of hanging the test.
           std::unique_lock<std::mutex> lock(mutex);
+          owner_started = true;
+          stolen_cv.notify_all();
           EXPECT_TRUE(stolen_cv.wait_for(lock, std::chrono::seconds(30),
                                          [&] { return stolen; }))
               << "worker 1 never stole family 2";
+        } else if (cell == kCellsPerFamily) {
+          std::unique_lock<std::mutex> lock(mutex);
+          EXPECT_TRUE(stolen_cv.wait_for(lock, std::chrono::seconds(30),
+                                         [&] { return owner_started; }))
+              << "worker 0 never started cell 0";
         } else if (cell == kStolenFirstCell) {
           EXPECT_EQ(worker, 1u);
           {

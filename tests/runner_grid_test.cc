@@ -159,6 +159,74 @@ TEST(ExperimentGrid, ValidateRejectsBadDriftAndTransitionSettings) {
   }
 }
 
+// Every other user setting Validate checks fails the same way: an
+// InvalidArgumentError whose message names the setting and carries no
+// source location or C++ condition.
+TEST(ExperimentGrid, ValidateReportsBadSettingsByName) {
+  const model::LinearDvsModel cpu = workload::DefaultModel();
+  const core::MethodRegistry& registry = core::MethodRegistry::Builtin();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto expect_rejected = [&](const ExperimentGrid& grid,
+                                   const std::string& field) {
+    try {
+      grid.Validate(registry);
+      ADD_FAILURE() << field << " was accepted";
+    } catch (const util::InvalidArgumentError& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find(field), std::string::npos) << what;
+      EXPECT_EQ(what.find(".cc:"), std::string::npos) << what;
+      EXPECT_EQ(what.find("require"), std::string::npos) << what;
+    }
+  };
+  const auto dpm_grid = [&cpu] {
+    ExperimentGrid grid = SmallGrid(cpu);
+    grid.idle_power.power_per_ms = 0.3;
+    grid.dpm.enabled = true;
+    return grid;
+  };
+
+  ExperimentGrid realloc = dpm_grid();
+  realloc.dpm.realloc_after = 0;
+  expect_rejected(realloc, "realloc_after");
+
+  ExperimentGrid calibration = SmallGrid(cpu);
+  calibration.planning.calibration_samples = 1;
+  expect_rejected(calibration, "calibration samples");
+
+  ExperimentGrid mixture = SmallGrid(cpu);
+  mixture.planning.mixture_samples = 0;
+  expect_rejected(mixture, "mixture size");
+
+  for (const double bad : {-1.0, nan}) {
+    ExperimentGrid idle = SmallGrid(cpu);
+    idle.idle_power.power_per_ms = bad;
+    expect_rejected(idle, "idle power");
+  }
+
+  ExperimentGrid no_floor = dpm_grid();
+  no_floor.idle_power.power_per_ms = 0.0;
+  expect_rejected(no_floor, "idle power floor");
+
+  for (double model::SleepState::*field :
+       {&model::SleepState::power_per_ms, &model::SleepState::enter_latency,
+        &model::SleepState::exit_latency, &model::SleepState::enter_energy,
+        &model::SleepState::exit_energy}) {
+    ExperimentGrid sleep = dpm_grid();
+    sleep.dpm.sleep.*field = -1.0;
+    expect_rejected(sleep, "sleep-state fields");
+  }
+
+  for (const double bad : {0.0, -0.5, nan, 1.0}) {
+    ExperimentGrid utilization = SmallGrid(cpu);
+    utilization.utilizations = {bad};
+    expect_rejected(utilization, "utilizations");
+  }
+
+  ExperimentGrid cores = SmallGrid(cpu);
+  cores.core_counts = {0};
+  expect_rejected(cores, "core counts");
+}
+
 TEST(RunGrid, UnknownMethodFailsBeforeRunningCells) {
   const model::LinearDvsModel cpu = workload::DefaultModel();
   ExperimentGrid grid = SmallGrid(cpu);
