@@ -200,9 +200,6 @@ std::optional<ScheduleResult> SolveReplayExact(
   switch (report.status) {
     case opt::ReplayStatus::kSolved:
       break;
-    case opt::ReplayStatus::kNoInterior:
-      return fall_back("no strictly feasible start",
-                       obs::metric::kAcsFallbackNoInterior);
     case opt::ReplayStatus::kBreakdown:
       return fall_back("no usable Newton system",
                        obs::metric::kAcsFallbackBreakdown);
@@ -233,6 +230,10 @@ std::optional<ScheduleResult> SolveReplayExact(
     ObserveRepairShift(result.schedule, solution.end);
   }
   obs::Observe(obs::metric::kAcsKkt, report.kkt_residual);
+  obs::Observe(obs::metric::kAcsNewtonSteps,
+               static_cast<double>(report.newton_steps));
+  obs::Observe(obs::metric::kAcsPatterns,
+               static_cast<double>(report.patterns));
   if (span.enabled()) {
     span.Arg("patterns", static_cast<std::int64_t>(report.patterns));
     span.Arg("newton_steps", static_cast<std::int64_t>(report.newton_steps));
@@ -240,9 +241,9 @@ std::optional<ScheduleResult> SolveReplayExact(
   opt::AlmReport& work = result.alm;
   work.feasible = true;
   work.inner_status = opt::SolveStatus::kConverged;
-  work.outer_iterations = report.rounds;
+  work.outer_iterations = report.patterns;
   work.total_inner_iterations = report.newton_steps;
-  work.evaluations = report.evaluations;
+  work.evaluations = report.newton_steps;
   work.final_value = result.predicted_energy;
   return result;
 }

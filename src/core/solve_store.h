@@ -71,7 +71,9 @@ namespace dvs::core {
 /// constant core::AcsAlmOptions, covered by this version.  Version 5: ACS
 /// and point-planned results come from the converged Newton solve
 /// (opt/replay_newton.h), whose constants this version also covers.
-inline constexpr std::uint32_t kSolveStoreSchemaVersion = 5;
+/// Version 6: that solve is primal-dual (its results moved within the KKT
+/// tolerance, and to other local optima on some sets).
+inline constexpr std::uint32_t kSolveStoreSchemaVersion = 6;
 
 /// Concrete-parameter description of a planning model — the model's
 /// content identity in both solve caches: the LinearDvsModel's exact

@@ -46,8 +46,10 @@ struct InstanceRecord {
 
 class FullyPreemptiveSchedule {
  public:
-  /// Expands `set` over one hyper-period.
+  /// Expands `set` over one hyper-period.  The schedule refers to `set`,
+  /// which must outlive it: a temporary set does not compile.
   explicit FullyPreemptiveSchedule(const model::TaskSet& set);
+  explicit FullyPreemptiveSchedule(model::TaskSet&&) = delete;
 
   const model::TaskSet& task_set() const { return *set_; }
 

@@ -83,13 +83,15 @@ MetricsRegistry::MetricsRegistry() {
   AddHistogram("repair.max_shift",
                {1e-12, 1e-9, 1e-6, 1e-4, 1e-2, 1.0, 100.0});
   AddCounter("solve.acs_fallbacks");
-  AddCounter("solve.acs_fallbacks.no_interior");
   AddCounter("solve.acs_fallbacks.breakdown");
   AddCounter("solve.acs_fallbacks.no_convergence");
   AddCounter("solve.acs_fallbacks.repair");
   AddCounter("solve.acs_fallbacks.worse");
   // Relative KKT residuals: converged solves end at or below 1e-9.
   AddHistogram("solve.acs_kkt", {1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-6});
+  // Newton systems and patterns per converged solve.
+  AddHistogram("solve.acs_newton_steps", {10, 20, 40, 80, 160, 320, 640});
+  AddHistogram("solve.acs_patterns", {1, 2, 3, 4, 6, 8, 12});
   ACS_REQUIRE(definitions_.size() == metric::kBuiltinCount,
               "builtin metric count drifted from obs::metric ids");
 }

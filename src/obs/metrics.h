@@ -213,17 +213,19 @@ inline constexpr MetricId kSolverFinalViolation = 44;  // solver.final_
 inline constexpr MetricId kRepairMaxShift = 45;  // repair.max_shift
                                                  // (histogram)
 // Converged ACS / point-planned solves (core::SolveAcs, SolvePlanned):
-// the solves that fell back to the ALM, in total and by reason, and the
-// final relative KKT residual of each converged solve.  Charged at solve
-// time, like solve.wcs_fallbacks.
+// the solves that fell back to the ALM, in total and by reason, and per
+// converged solve its final relative KKT residual, its Newton systems and
+// its patterns.  Charged at solve time, like solve.wcs_fallbacks.
 inline constexpr MetricId kAcsFallbacks = 46;             // solve.acs_fallbacks
-inline constexpr MetricId kAcsFallbackNoInterior = 47;    // ....no_interior
-inline constexpr MetricId kAcsFallbackBreakdown = 48;     // ....breakdown
-inline constexpr MetricId kAcsFallbackNoConvergence = 49; // ....no_convergence
-inline constexpr MetricId kAcsFallbackRepair = 50;        // ....repair
-inline constexpr MetricId kAcsFallbackWorse = 51;         // ....worse
-inline constexpr MetricId kAcsKkt = 52;  // solve.acs_kkt (histogram)
-inline constexpr std::size_t kBuiltinCount = 53;
+inline constexpr MetricId kAcsFallbackBreakdown = 47;     // ....breakdown
+inline constexpr MetricId kAcsFallbackNoConvergence = 48; // ....no_convergence
+inline constexpr MetricId kAcsFallbackRepair = 49;        // ....repair
+inline constexpr MetricId kAcsFallbackWorse = 50;         // ....worse
+inline constexpr MetricId kAcsKkt = 51;  // solve.acs_kkt (histogram)
+inline constexpr MetricId kAcsNewtonSteps = 52;  // solve.acs_newton_steps
+                                                 // (histogram)
+inline constexpr MetricId kAcsPatterns = 53;  // solve.acs_patterns (histogram)
+inline constexpr std::size_t kBuiltinCount = 54;
 }  // namespace metric
 
 /// The installed registry, or nullptr.  Installation is not synchronised

@@ -1,5 +1,6 @@
 // Frontal elimination of a symmetric Newton (KKT) system along an execution
 // order, shared by the structured solvers (opt/chain_ipm, opt/replay_newton).
+// A factored system can be solved again for another right-hand side.
 //
 // Variables enter a small dense frontier by id when a node first touches
 // them and leave it once no later node can: elimination records the pivot
@@ -11,6 +12,7 @@
 #ifndef ACS_OPT_FRONTAL_H
 #define ACS_OPT_FRONTAL_H
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -43,9 +45,11 @@ class Frontier {
   /// `modify` replaces a primal pivot that is clearly negative (below minus
   /// the noise floor) by its magnitude, so a non-convex system is factored
   /// as the Hessian plus a non-negative diagonal (a modified Cholesky
-  /// factorisation, whose step still descends); modified() counts them.
-  /// The default clamps every small primal pivot, which is right for
-  /// convex systems whose only failure is cancellation.
+  /// factorisation, whose step still descends), and a negative (lifting)
+  /// pivot that is not clearly negative by minus its magnitude, at least the
+  /// floor; modified() counts both.  The default clamps every small primal
+  /// pivot, which is right for convex systems whose only failure is
+  /// cancellation.
   Frontier(FrontalBuffers& ws, std::size_t cap, bool modify = false)
       : ws_(ws), cap_(cap), modify_(modify) {
     ws_.frontier.assign(cap * cap, 0.0);
@@ -101,6 +105,12 @@ class Frontier {
     const double floor = kFrontalPivotFloor * ws_.frontier_scale[slot];
     if (!negative && modify_ && pivot < -floor) {
       pivot = -pivot;
+      ++modified_;
+    }
+    if (negative && modify_ && !(pivot < -floor)) {
+      // A lifting pivot that its couplings to earlier lifting or modified
+      // pivots left non-negative: the same modification, mirrored.
+      pivot = -std::max(std::fabs(pivot), floor);
       ++modified_;
     }
     if (!negative && pivot <= floor) {
@@ -174,6 +184,32 @@ class Frontier {
           k + 1 < ws_.rec_begin.size() ? ws_.rec_begin[k + 1]
                                        : ws_.rec_nbr.size();
       for (std::size_t e = ws_.rec_begin[k]; e < end; ++e) {
+        v -= ws_.rec_coeff[e] *
+             values[static_cast<std::size_t>(ws_.rec_nbr[e])];
+      }
+      values[static_cast<std::size_t>(ws_.rec_id[k])] = v / ws_.rec_pivot[k];
+    }
+  }
+
+  /// Solves the factored system for another right-hand side, given in full
+  /// by id: replays the recorded eliminations on `rhs` (overwritten by the
+  /// forward pass), then back-substitutes into `values`.  The factorisation
+  /// is reused as it was recorded, modified and clamped pivots included.
+  void Resolve(std::vector<double>& rhs, std::vector<double>& values) const {
+    const std::size_t records = ws_.rec_id.size();
+    const auto end_of = [this, records](std::size_t k) {
+      return k + 1 < records ? ws_.rec_begin[k + 1] : ws_.rec_nbr.size();
+    };
+    for (std::size_t k = 0; k < records; ++k) {
+      const double y =
+          rhs[static_cast<std::size_t>(ws_.rec_id[k])] / ws_.rec_pivot[k];
+      for (std::size_t e = ws_.rec_begin[k]; e < end_of(k); ++e) {
+        rhs[static_cast<std::size_t>(ws_.rec_nbr[e])] -= ws_.rec_coeff[e] * y;
+      }
+    }
+    for (std::size_t k = records; k-- > 0;) {
+      double v = rhs[static_cast<std::size_t>(ws_.rec_id[k])];
+      for (std::size_t e = ws_.rec_begin[k]; e < end_of(k); ++e) {
         v -= ws_.rec_coeff[e] *
              values[static_cast<std::size_t>(ws_.rec_nbr[e])];
       }

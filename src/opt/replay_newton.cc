@@ -11,39 +11,35 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
-// The barrier parameter's growth per round.
-constexpr double kBarrierGrowth = 20.0;
-// Newton decrement squared below which full (boundary-safe) steps are taken
-// without a sufficient-decrease test, and below which a point counts as
-// central: the parameter grows only from a central point (growing it from
-// an uncentred one runs the path ahead of the iterate).  The relative KKT
-// residual reads the decrement over t * objective, so at the final
-// parameter a central point is converged.
-constexpr double kPureNewton = 0.1;
-constexpr double kNearCentral = 1.0;
-// Newton steps after which a centring round ends uncentred, and the total
-// budget of a solve: guards against a solve that cannot terminate, never a
-// stop rule (a solve that reaches them reports kNoConvergence).
-constexpr std::size_t kMaxRoundSteps = 20;
-constexpr std::size_t kMaxNewton = 1500;
 // Patterns a solve may visit (each visit is a converged sub-solve).
 constexpr std::size_t kMaxPatterns = 24;
-// A pattern row whose slack is below this fraction of its group's budget is
+// A pattern row whose value is below this fraction of its group's budget is
 // active at a converged point.
 constexpr double kActiveSlack = 1e-7;
-// A row that a pattern change leaves at or below this slack (solver units)
-// starts shifted to it.
-constexpr double kShiftMargin = 1e-9;
-// A pattern change restarts the path at the first round's parameter from
-// the converged point (restarting at a large parameter leaves the point
-// against every active row, where Newton steps crawl; a restart with every
-// row shifted to its central slack there lost the path more often than it
-// saved steps).  While a shift is open the parameter is held, and each
-// round gives back this fraction of a row's shifted slack; a shift still
-// open after kShiftedRounds rounds means the new piece's optimum lies
-// across that row.
-constexpr double kShiftDecay = 0.99;
-constexpr std::size_t kShiftedRounds = 4;
+// A step covers at most this fraction of the distance to the boundary of
+// any slack or multiplier, and of a free node's speed band.
+constexpr double kToBoundary = 0.995;
+// The smallest slack a relaxed row starts with (solver units): a row below
+// it starts violated by the difference, which its slack carries until the
+// iteration closes it.
+constexpr double kStartSlack = 1e-3;
+// A pattern row is shifted just enough to hold with this slack where the
+// start or a pattern change leaves it at or below zero.
+constexpr double kBoundaryShift = 1e-12;
+// The barrier subproblem at mu is solved when the Newton decrement is at
+// most mu and the complementarity and row violation are at most the gap;
+// the relative gap then falls to min(kMuFactor * gap, gap^kMuPower).
+constexpr double kMuFactor = 0.05;
+constexpr double kMuPower = 1.5;
+// Below this summed row violation (solver units) a step must lower the
+// barrier objective by the Armijo rule.
+constexpr double kNearlyFeasible = 1e-6;
+// A free node's speed w / d stays within [kSpeedBand * floor, max speed /
+// kSpeedBand] once it is there: its energy and finish degenerate as the
+// budget and the window vanish together.
+constexpr double kSpeedBand = 0.5;
+// Multipliers stay within this factor of mu / slack.
+constexpr double kDualSafeguard = 1e10;
 
 enum class Case : unsigned char { kEmpty, kFull, kPartial };
 
@@ -208,6 +204,7 @@ struct Row {
   Term terms[6];
   Flip flip = Flip::kNone;
   bool curved = false;  // s_{u+1} - f_u with a partial free f_u
+  bool strict = false;  // a pattern boundary: never relaxed by a slack
   void Add(std::int64_t id, double coeff) { terms[count++] = Term{id, coeff}; }
   /// Starts a new row (the terms past `count` are never read).
   void Reset() {
@@ -215,6 +212,7 @@ struct Row {
     count = 0;
     flip = Flip::kNone;
     curved = false;
+    strict = false;
   }
 };
 
@@ -332,6 +330,7 @@ void NodeRows(const Scaled& p, const Pattern& pat, const State& x,
       piece.Add(IdS(u), -coeff_d);
     }
     piece.flip = flip;
+    piece.strict = flip != Flip::kNone;
     emit(piece);
   };
   if (!Executes(pat, u)) {
@@ -359,6 +358,7 @@ void NodeRows(const Scaled& p, const Pattern& pat, const State& x,
       row.value = x.a[u];
       row.Add(IdA(u), 1.0);
       row.flip = Flip::kToPrevious;
+      row.strict = true;
       emit(row);
     }
     row.Reset();
@@ -368,6 +368,7 @@ void NodeRows(const Scaled& p, const Pattern& pat, const State& x,
       row.Add(IdA(u), -1.0);
     }
     row.flip = u == p.members[g].back() ? Flip::kNone : Flip::kToNext;
+    row.strict = true;
     emit(row);
   }
 }
@@ -398,50 +399,40 @@ double Objective(const Scaled& p, const Pattern& pat, const State& x) {
   return total;
 }
 
-/// t * objective - sum of logarithms of the shifted rows, +inf outside the
-/// domain.  `shift` is indexed by row in emission order.
-double Barrier(const Scaled& p, const Pattern& pat, const State& x, double t,
-               const std::vector<double>& shift) {
-  double obj = 0.0;
-  double logs = 0.0;
-  std::size_t index = 0;
-  bool inside = true;
-  for (std::size_t u = 0; u < p.n && inside; ++u) {
-    obj += NodeEnergy(p, pat, x, u);
-    // One logarithm per node: a product of at most nine slacks in (0, ~2]
-    // stays far inside double range.
-    double product = 1.0;
-    NodeRows(p, pat, x, u, [&](const Row& row) {
-      const double c = row.value + shift[index++];
-      inside = inside && c > 0.0;
-      product *= c;
-    });
-    if (inside) {
-      logs += std::log(product);
+/// Maps a vector over the primitives s, e, w, a of every node (ids 5u +
+/// 0..3) onto the variables s, e and C (ids 5u + 0..2): the transpose of
+/// the primitives' expansion w_u = C_u - C_prev, a_u = plan - C_prev.
+void ToVariables(const Scaled& p, const Pattern& pat,
+                 const std::vector<double>& prim, std::vector<double>& var) {
+  var.assign(5 * p.n, 0.0);
+  for (std::size_t u = 0; u < p.n; ++u) {
+    var[IdS(u)] += prim[IdS(u)];
+    var[IdE(u)] += prim[IdE(u)];
+    if (p.w_var[u]) {
+      if (p.c_var[u]) {
+        var[IdC(u)] += prim[IdW(u)];
+      }
+      if (p.prev[u] != kNone) {
+        var[IdC(p.prev[u])] -= prim[IdW(u)];
+      }
+    }
+    if (AvgVar(p, pat, u)) {
+      var[IdC(p.prev[u])] -= prim[IdA(u)];
     }
   }
-  return inside && obj < kInf ? t * obj - logs : kInf;
 }
 
-std::size_t RowCount(const Scaled& p, const Pattern& pat, const State& x) {
-  std::size_t count = 0;
-  for (std::size_t u = 0; u < p.n; ++u) {
-    NodeRows(p, pat, x, u, [&count](const Row&) { ++count; });
-  }
-  return count;
-}
-
-/// One Newton system of the barrier problem at x: fills the step by
-/// variable id (ws.values), and the gradient (ws.grad) and step (ws.step)
-/// over the primitives s, e, w, a of every node (ids 5u + 0..3).  Where the
-/// non-convex blocks leave the system indefinite, the modified
-/// factorisation (opt/frontal.h) turns it into a descent step.  False on a
-/// non-finite pivot.
+/// Assembles and factors the primal-dual Newton matrix at x
+///
+///   Hess f + sum_i dual_i Hess(-g_i) + sum_i (dual_i / slack_i) a_i a_i^T
+///
+/// over the variables, and records the rows' shifted values and gradients
+/// (ws.row_*) and the objective's gradient over the primitives (ws.grad).  Where the non-convex blocks
+/// leave the matrix indefinite, the modified factorisation (opt/frontal.h)
+/// keeps every direction a descent one.  False on a non-finite pivot.
 bool NewtonSystem(const Scaled& p, const Pattern& pat, const State& x,
-                  const std::vector<double>& shift, double t,
-                  ReplayNewtonWorkspace& ws) {
+                  Frontier& fr, ReplayNewtonWorkspace& ws) {
   const std::size_t n = p.n;
-  Frontier fr(ws.frontal, p.frontier_cap, /*modify=*/true);
   ws.grad.assign(5 * n, 0.0);
   double* grad = ws.grad.data();
 
@@ -493,13 +484,6 @@ bool NewtonSystem(const Scaled& p, const Pattern& pat, const State& x,
     }
     return lin;
   };
-  const auto add_grad = [&](std::int64_t id, double value) {
-    grad[id] += value;
-    const Lin lin = expand(id);
-    for (int i = 0; i < lin.count; ++i) {
-      fr.AddRhs(lin.slot[i], -value * lin.coeff[i]);
-    }
-  };
   // Adds value * (e_i e_j^T + e_j e_i^T) (value * e_i e_i^T when i == j)
   // over primitives, mapped onto the variables.
   const auto add_hess = [&](std::int64_t i, std::int64_t j, double value) {
@@ -520,7 +504,7 @@ bool NewtonSystem(const Scaled& p, const Pattern& pat, const State& x,
     }
   };
 
-  ws.row_slack.clear();
+  ws.row_value.clear();
   ws.row_begin.assign(1, 0);
   ws.row_id.clear();
   ws.row_coeff.clear();
@@ -541,20 +525,20 @@ bool NewtonSystem(const Scaled& p, const Pattern& pat, const State& x,
       const double avg = Avg(p, pat, x, u);
       if (pat.floored[u]) {
         if (pat.node[u] == Case::kFull && wv) {
-          add_grad(IdW(u), t * p.smin * p.smin);
+          grad[IdW(u)] += p.smin * p.smin;
         } else if (av) {
-          add_grad(IdA(u), t * p.smin * p.smin);
+          grad[IdA(u)] += p.smin * p.smin;
         }
       } else if (pat.node[u] == Case::kFull) {
-        // t w^3 / d^2: its Hessian is the rank-one kappa v v^T, v = (s: w,
-        // e: -w, w: d), kappa = 6 t w / d^4, entered through the lifting
+        // w^3 / d^2: its Hessian is the rank-one kappa v v^T, v = (s: w,
+        // e: -w, w: d), kappa = 6 w / d^4, entered through the lifting
         // variable z_u with pivot -1/kappa (as in opt/chain_ipm).
         const double q = w / d;
-        const double obj_d = -2.0 * t * q * q * q;
-        add_grad(IdS(u), -obj_d);
-        add_grad(IdE(u), obj_d);
+        const double obj_d = -2.0 * q * q * q;
+        grad[IdS(u)] -= obj_d;
+        grad[IdE(u)] += obj_d;
         if (wv) {
-          add_grad(IdW(u), 3.0 * t * q * q);
+          grad[IdW(u)] += 3.0 * q * q;
         }
         const std::size_t kz = fr.Slot(IdZ(u));
         const double v[3] = {w, -w, d};
@@ -564,55 +548,54 @@ bool NewtonSystem(const Scaled& p, const Pattern& pat, const State& x,
             fr.Add(kz, lin.slot[a], v[i] * lin.coeff[a]);
           }
         }
-        fr.Add(kz, kz, -d * d * d / (6.0 * t * q));
+        fr.Add(kz, kz, -d * d * d / (6.0 * q));
         lifted = true;
       } else {
-        // t avg w^2 / d^2 over (s, e, w, avg), d = e - s.
+        // avg w^2 / d^2 over (s, e, w, avg), d = e - s.
         const double w2 = w * w;
         const double d2 = d * d;
         const double d3 = d2 * d;
-        add_grad(IdS(u), t * 2.0 * avg * w2 / d3);
-        add_grad(IdE(u), -t * 2.0 * avg * w2 / d3);
+        grad[IdS(u)] += 2.0 * avg * w2 / d3;
+        grad[IdE(u)] -= 2.0 * avg * w2 / d3;
         if (wv) {
-          add_grad(IdW(u), t * 2.0 * avg * w / d2);
+          grad[IdW(u)] += 2.0 * avg * w / d2;
         }
         if (av) {
-          add_grad(IdA(u), t * w2 / d2);
+          grad[IdA(u)] += w2 / d2;
         }
-        const double hdd = t * 6.0 * avg * w2 / (d2 * d2);
-        const double hwd = -t * 4.0 * avg * w / d3;
-        const double had = -t * 2.0 * w2 / d3;
+        const double hdd = 6.0 * avg * w2 / (d2 * d2);
+        const double hwd = -4.0 * avg * w / d3;
+        const double had = -2.0 * w2 / d3;
         block[0][0] += hdd;
         block[1][0] -= hdd;
         block[1][1] += hdd;
         block[2][0] -= hwd;
         block[2][1] += hwd;
-        block[2][2] += t * 2.0 * avg / d2;
+        block[2][2] += 2.0 * avg / d2;
         block[3][0] -= had;
         block[3][1] += had;
-        block[3][2] += t * 2.0 * w / d2;
+        block[3][2] += 2.0 * w / d2;
       }
     }
 
-    // Rows: -log(c) adds -a / c to the gradient and a a^T / c^2 to the
-    // Hessian; the curved start row adds its own curvature over c.
+    // Rows: row i adds (dual_i / slack_i) a_i a_i^T; the curved start row
+    // g = s_{u+1} - f_u adds dual_i Hess(-g) = dual_i Hess(avg d / w) over
+    // (avg, w, d).
     NodeRows(p, pat, x, u, [&](const Row& row) {
-      const double c = row.value + shift[index++];
-      ws.row_slack.push_back(c);
+      const double dual = ws.dual[index];
+      const double weight = dual / ws.slack[index];
+      ws.row_value.push_back(row.value + ws.row_shift[index]);
+      ++index;
       for (int i = 0; i < row.count; ++i) {
         ws.row_id.push_back(row.terms[i].id);
         ws.row_coeff.push_back(row.terms[i].coeff);
       }
       ws.row_begin.push_back(ws.row_id.size());
-      const double inv = 1.0 / c;
-      // The row's gradient a / c over the variables (terms merged by slot);
-      // it adds -a / c to the gradient and (a / c)(a / c)^T to the Hessian.
+      // The row's gradient over the variables (terms merged by slot).
       std::size_t slot[8];
       double coeff[8];
       int count = 0;
       for (int i = 0; i < row.count; ++i) {
-        const double a = row.terms[i].coeff * inv;
-        grad[row.terms[i].id] -= a;
         const Lin lin = expand(row.terms[i].id);
         for (int k = 0; k < lin.count; ++k) {
           int m = 0;
@@ -623,27 +606,24 @@ bool NewtonSystem(const Scaled& p, const Pattern& pat, const State& x,
             slot[count] = lin.slot[k];
             coeff[count++] = 0.0;
           }
-          coeff[m] += a * lin.coeff[k];
+          coeff[m] += row.terms[i].coeff * lin.coeff[k];
         }
       }
       for (int i = 0; i < count; ++i) {
-        fr.AddRhs(slot[i], coeff[i]);
         for (int j = 0; j <= i; ++j) {
-          fr.Add(slot[i], slot[j], coeff[i] * coeff[j]);
+          fr.Add(slot[i], slot[j], weight * coeff[i] * coeff[j]);
         }
       }
       if (row.curved) {
-        // g = s_{u+1} - f_u with f_u = s + avg d / w: -log g adds
-        // +Hess(avg d / w) / g over (avg, w, d).
         const double avg = Avg(p, pat, x, u);
-        const double hwd = -avg / (w * w) * inv;
-        const double had = inv / w;
+        const double hwd = -avg / (w * w) * dual;
+        const double had = dual / w;
         block[2][0] -= hwd;
         block[2][1] += hwd;
-        block[2][2] += 2.0 * avg * d / (w * w * w) * inv;
+        block[2][2] += 2.0 * avg * d / (w * w * w) * dual;
         block[3][0] -= had;
         block[3][1] += had;
-        block[3][2] += -d / (w * w) * inv;
+        block[3][2] += -d / (w * w) * dual;
       }
     });
     for (int i = 0; i < 4; ++i) {
@@ -668,75 +648,16 @@ bool NewtonSystem(const Scaled& p, const Pattern& pat, const State& x,
       return false;
     }
   }
-
-  ws.values.assign(5 * n, 0.0);
-  fr.BackSubstitute(ws.values);
-  const double* val = ws.values.data();
-  ws.step.assign(5 * n, 0.0);
-  for (std::size_t u = 0; u < n; ++u) {
-    const double before = p.prev[u] != kNone ? val[IdC(p.prev[u])] : 0.0;
-    ws.step[IdS(u)] = val[IdS(u)];
-    ws.step[IdE(u)] = val[IdE(u)];
-    if (p.w_var[u]) {
-      ws.step[IdW(u)] = (p.c_var[u] ? val[IdC(u)] : 0.0) - before;
-    }
-    if (AvgVar(p, pat, u)) {
-      ws.step[IdA(u)] = -before;
-    }
-  }
   return true;
-}
-
-double Slope(const Scaled& p, const ReplayNewtonWorkspace& ws) {
-  double slope = 0.0;
-  for (std::size_t i = 0; i < 5 * p.n; ++i) {
-    slope += ws.grad[i] * ws.step[i];
-  }
-  return slope;
-}
-
-void Move(const Scaled& p, const Pattern& pat, const State& x, double alpha,
-          const std::vector<double>& values, State& out) {
-  for (std::size_t u = 0; u < p.n; ++u) {
-    out.s[u] = x.s[u] + alpha * values[IdS(u)];
-    out.e[u] = x.e[u] + alpha * values[IdE(u)];
-    out.c[u] = p.c_var[u] ? x.c[u] + alpha * values[IdC(u)] : x.c[u];
-  }
-  Derive(p, pat, out);
-}
-
-/// Largest step along the Newton direction that keeps every row's
-/// linearisation (the rows NewtonSystem last assembled, kept in the
-/// workspace) and every free window positive.
-double MaxStep(const Scaled& p, const Pattern& pat, const State& x,
-               const ReplayNewtonWorkspace& ws) {
-  const std::vector<double>& step = ws.step;
-  double limit = kInf;
-  const auto bound = [&limit](double c, double dc) {
-    if (dc < 0.0) {
-      limit = std::min(limit, -c / dc);
-    }
-  };
-  for (std::size_t r = 0; r < ws.row_slack.size(); ++r) {
-    double dc = 0.0;
-    for (std::size_t k = ws.row_begin[r]; k < ws.row_begin[r + 1]; ++k) {
-      dc += ws.row_coeff[k] * step[ws.row_id[k]];
-    }
-    bound(ws.row_slack[r], dc);
-  }
-  for (std::size_t u = 0; u < p.n; ++u) {
-    if (FreeExecuting(pat, u)) {
-      bound(x.e[u] - x.s[u], step[IdE(u)] - step[IdS(u)]);
-    }
-  }
-  return limit;
 }
 
 /// The natural pattern of (e, w) with its greedy starts: Fig. 5 cases by
 /// the group's plan, the floor by the greedy speed, and starts
-/// max(release, previous finish) + gap.  False when a node sits on a
-/// pattern boundary (no strictly interior classification).
-bool NaturalStart(const Scaled& p, double gap, State& x, Pattern& pat) {
+/// max(release, previous finish).  A node on a case boundary is partial,
+/// so every group with a plan strictly inside (0, total) has its partial
+/// node; an executing node without a window faster than the floor is
+/// floored.  The point need not satisfy any row.
+void NaturalStart(const Scaled& p, State& x, Pattern& pat) {
   pat.node.assign(p.n, Case::kEmpty);
   pat.floored.assign(p.n, 0);
   pat.partial.assign(p.groups, kNone);
@@ -748,222 +669,318 @@ bool NaturalStart(const Scaled& p, double gap, State& x, Pattern& pat) {
     const std::size_t g = p.group[u];
     const double left = p.plan[g] - cum[g];
     cum[g] += x.w[u];
-    if (!p.w_var[u]) {
-      pat.node[u] = p.plan[g] >= p.total[g] ? Case::kFull
-                    : p.plan[g] > 0.0       ? Case::kPartial
-                                            : Case::kEmpty;
-    } else if (p.plan[g] >= p.total[g]) {
+    if (p.plan[g] >= p.total[g]) {
       pat.node[u] = Case::kFull;
     } else if (p.plan[g] <= 0.0) {
       pat.node[u] = Case::kEmpty;
+    } else if (!p.w_var[u]) {
+      pat.node[u] = Case::kPartial;
     } else if (left > x.w[u]) {
       pat.node[u] = Case::kFull;
-    } else if (left > 0.0 && left < x.w[u]) {
+    } else if (left > 0.0) {
       pat.node[u] = Case::kPartial;
       x.a[u] = left;
-    } else if (left < 0.0) {
-      pat.node[u] = Case::kEmpty;
-    } else {
-      return false;  // on a case boundary
     }
     if (pat.node[u] == Case::kPartial) {
       pat.partial[g] = u;
     }
-    x.s[u] = std::max(p.r[u], finish) + gap;
+    x.s[u] = std::max(p.r[u], finish);
     if (Executes(pat, u)) {
-      const double speed = x.w[u] / (x.e[u] - x.s[u]);
-      if (!(x.e[u] > x.s[u]) || speed == p.smin) {
-        return false;
-      }
-      pat.floored[u] = speed < p.smin ? 1 : 0;
+      const double d = x.e[u] - x.s[u];
+      pat.floored[u] = d > 0.0 && x.w[u] > p.smin * d ? 0 : 1;
     }
     finish = Finish(p, pat, x, u, 1.0, nullptr);
   }
-  // Every multi-node group with a plan strictly inside (0, total) has its
-  // partial node; a group whose plan meets a budget boundary exactly does
-  // not, and cannot start strictly inside a piece.
-  for (std::size_t g = 0; g < p.groups; ++g) {
-    if (p.members[g].size() > 1 && p.plan[g] > 0.0 &&
-        p.plan[g] < p.total[g] && pat.partial[g] == kNone) {
-      return false;
-    }
-  }
-  return true;
 }
 
-bool StrictlyInside(const Scaled& p, const Pattern& pat, const State& x) {
-  bool inside = true;
-  for (std::size_t u = 0; u < p.n && inside; ++u) {
-    NodeRows(p, pat, x, u, [&inside](const Row& row) {
-      inside = inside && row.value > 0.0;
-    });
-    inside = inside && NodeEnergy(p, pat, x, u) < kInf;
-  }
-  return inside;
-}
-
-/// An interior point of the worst-case rows: an as-soon-as-possible sweep
-/// running every node at max_speed / rho with `gap` of idle time around
-/// each window, early nodes of a group taking at most 1 - `spare` of their
-/// room (as opt/chain_ipm's start).  End-times are the sweep's finishes.
-bool WorstCaseInterior(const Scaled& p, double rho, double gap, double spare,
-                       std::vector<double>& e, std::vector<double>& w) {
-  e.assign(p.n, 0.0);
-  w.assign(p.n, 0.0);
+/// A worst-case start without a warm schedule: an as-soon-as-possible
+/// sweep at max_speed, each node taking what its group still needs up to
+/// its room (a group's last node takes the rest).
+void AsapStart(const Scaled& p, State& x) {
   std::vector<double> pending(p.total);
-  std::vector<std::size_t> left(p.groups);
-  for (std::size_t g = 0; g < p.groups; ++g) {
-    left[g] = p.members[g].size();
-  }
   double prev_end = 0.0;
   for (std::size_t u = 0; u < p.n; ++u) {
     const std::size_t g = p.group[u];
-    const double start = std::max(p.r[u], prev_end) + gap;
-    const double room = p.cap[u] - gap - start;
-    if (!(room > 0.0)) {
-      return false;
-    }
-    --left[g];
-    if (!p.w_var[u] || left[g] == 0) {
-      w[u] = pending[g];
-    } else {
-      const double share =
-          1e-3 * p.total[g] / static_cast<double>(p.members[g].size());
-      const double capacity = (1.0 - spare) * room / rho;
-      const double rest = pending[g] - static_cast<double>(left[g]) * share;
-      w[u] = std::max(share, std::min(rest, capacity));
-    }
-    const double d = w[u] * rho;
-    if (!(w[u] > 0.0) || d > room) {
-      return false;
-    }
-    e[u] = std::max(start + d, p.b[u] + gap);
-    if (!(e[u] < p.cap[u])) {
-      return false;
-    }
-    pending[g] -= w[u];
-    prev_end = e[u];
+    const double start = std::max(p.r[u], prev_end);
+    const bool last = p.members[g].back() == u;
+    x.w[u] = last ? pending[g]
+                  : std::min(pending[g], std::max(0.0, p.cap[u] - start));
+    x.e[u] = std::max(start + x.w[u], p.b[u]);
+    pending[g] -= x.w[u];
+    prev_end = x.e[u];
   }
-  return true;
 }
 
-/// Solver state of one run over patterns.
+/// Largest step in (0, limit] that keeps every entry of v + alpha dv at or
+/// above (1 - fraction) of its value.
+double StepLimit(const std::vector<double>& v, const std::vector<double>& dv,
+                 double fraction, double limit) {
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (dv[i] < 0.0) {
+      limit = std::min(limit, -fraction * v[i] / dv[i]);
+    }
+  }
+  return limit;
+}
+
+/// Solver state of one run over patterns: the primal point x with its
+/// pattern and barrier parameter mu, and per row (in emission order) its
+/// slack, multiplier and shift in the workspace.
 struct Run {
   const Scaled& p;
   ReplayNewtonWorkspace& ws;
   ReplayNewtonReport& report;
+  std::size_t max_newton;
   Pattern pat;
   State x, trial;
-  std::vector<double> shift;
-  double t = 1.0;
+  double mu = 0.0;
   double kkt = kInf;
   ReplayStatus failure = ReplayStatus::kNoConvergence;
 
-  /// Follows the central path from (x, t) to the KKT tolerance.  True when
-  /// it converged with every shift back at zero.
-  bool Centre(double rows) {
-    double phi = Barrier(p, pat, x, t, shift);
-    ++report.evaluations;
-    if (phi == kInf) {
-      return false;
+  /// Starts the pattern from x at complementarity energy / rows: a pattern
+  /// row shifted just enough to hold, with its shifted value as its slack
+  /// (a pattern row is never relaxed: its piece's formulas hold only inside
+  /// it), any other row at slack max(row, kStartSlack).
+  void Restart() {
+    ws.slack.clear();
+    ws.row_shift.clear();
+    for (std::size_t u = 0; u < p.n; ++u) {
+      NodeRows(p, pat, x, u, [&](const Row& row) {
+        ws.row_shift.push_back(
+            row.strict ? std::max(0.0, kBoundaryShift - row.value) : 0.0);
+        ws.slack.push_back(row.strict ? row.value + ws.row_shift.back()
+                                      : std::max(row.value, kStartSlack));
+      });
     }
-    std::size_t stuck_rounds = 0;
-    while (report.newton_steps < kMaxNewton) {
-      ++report.rounds;
-      const std::size_t round_start = report.newton_steps;
-      bool centred = false;
-      double decrement = kInf;
-      while (true) {
-        ++report.newton_steps;
-        if (!NewtonSystem(p, pat, x, shift, t, ws)) {
-          failure = ReplayStatus::kBreakdown;
-          return false;
-        }
-        const double slope = Slope(p, ws);
-        decrement = std::max(0.0, -slope);
-        if (!(slope < 0.0) || -slope <= kNearCentral) {
-          centred = true;
-          break;
-        }
-        if (report.newton_steps >= kMaxNewton ||
-            report.newton_steps - round_start >= kMaxRoundSteps) {
-          break;
-        }
-        double alpha =
-            std::min(1.0, 0.99 * MaxStep(p, pat, x, ws));
-        bool accepted = false;
-        for (int bt = 0; bt < 60 && alpha > 0.0; ++bt) {
-          Move(p, pat, x, alpha, ws.values, trial);
-          const double value = Barrier(p, pat, trial, t, shift);
-          ++report.evaluations;
-          if (value < kInf &&
-              (-slope < kPureNewton || value <= phi + 0.01 * alpha * slope)) {
-            std::swap(x, trial);
-            phi = value;
-            accepted = true;
-            break;
-          }
-          alpha *= 0.5;
-        }
-        if (!accepted || alpha < 1e-6) {
-          // No progress at working precision: centred as far as the
-          // arithmetic resolves (the residual below says how far).
-          centred = !accepted || -slope <= 1e-4 * std::fabs(phi);
-          break;
-        }
+    const double obj = Objective(p, pat, x);
+    mu = (obj > 0.0 ? obj : 1.0) / static_cast<double>(ws.slack.size());
+    ws.dual.resize(ws.slack.size());
+    for (std::size_t r = 0; r < ws.slack.size(); ++r) {
+      ws.dual[r] = mu / ws.slack[r];
+    }
+  }
+
+  /// The primal step over the primitives (ws.step) from the variables'
+  /// (ws.values).
+  void StepOfValues() {
+    const double* val = ws.values.data();
+    ws.step.assign(5 * p.n, 0.0);
+    for (std::size_t u = 0; u < p.n; ++u) {
+      const double before = p.prev[u] != kNone ? val[IdC(p.prev[u])] : 0.0;
+      ws.step[IdS(u)] = val[IdS(u)];
+      ws.step[IdE(u)] = val[IdE(u)];
+      if (p.w_var[u]) {
+        ws.step[IdW(u)] = (p.c_var[u] ? val[IdC(u)] : 0.0) - before;
       }
-      const double obj = Objective(p, pat, x);
-      // Relax the shifts of rows a pattern change started outside their
-      // piece, keeping a hundredth of each row's shifted slack.
-      bool shifted = false;
-      std::size_t index = 0;
-      const bool any_shift =
-          std::any_of(shift.begin(), shift.end(),
-                      [](double sigma) { return sigma > 0.0; });
-      for (std::size_t u = 0; u < p.n && any_shift; ++u) {
-        NodeRows(p, pat, x, u, [&](const Row& row) {
-          double& sigma = shift[index++];
-          if (sigma > 0.0) {
-            sigma = std::max(0.0, sigma - kShiftDecay * (row.value + sigma));
-            shifted = shifted || sigma > 0.0;
-          }
-        });
+      if (AvgVar(p, pat, u)) {
+        ws.step[IdA(u)] = -before;
       }
-      kkt = obj > 0.0 ? std::max(rows / (t * obj), decrement / (t * obj))
-                      : 0.0;
-      const double t_final = rows / (0.5 * kReplayKktTol * obj);
-      if (!shifted && kkt <= kReplayKktTol) {
-        return true;
+    }
+  }
+
+  /// The Newton direction at mu on the factored system: the primal step
+  /// (ws.values, ws.step) and the slack and multiplier steps (ws.d_slack,
+  /// ws.d_dual).  Returns the barrier objective's slope along it.
+  double Direction(const Frontier& fr) {
+    const std::size_t rows = ws.slack.size();
+    ws.prim.resize(ws.grad.size());
+    for (std::size_t i = 0; i < ws.grad.size(); ++i) {
+      ws.prim[i] = -ws.grad[i];
+    }
+    for (std::size_t r = 0; r < rows; ++r) {
+      const double rho =
+          ws.dual[r] - (ws.dual[r] * ws.row_value[r] - mu) / ws.slack[r];
+      for (std::size_t k = ws.row_begin[r]; k < ws.row_begin[r + 1]; ++k) {
+        ws.prim[ws.row_id[k]] += rho * ws.row_coeff[k];
       }
-      // Shifts relax at a fixed parameter (each round then gives back most
-      // of a row's shifted slack); one still open after a few rounds means
-      // the piece's optimum lies across its row.
-      if (shifted) {
-        if (++stuck_rounds > kShiftedRounds) {
-          return false;
-        }
-      } else if (centred) {
-        t = std::min(t * kBarrierGrowth, std::max(t, t_final));
+    }
+    ToVariables(p, pat, ws.prim, ws.rhs);
+    ws.values.assign(5 * p.n, 0.0);
+    fr.Resolve(ws.rhs, ws.values);
+    StepOfValues();
+    double slope = 0.0;
+    for (std::size_t i = 0; i < ws.grad.size(); ++i) {
+      slope += ws.grad[i] * ws.step[i];
+    }
+    ws.d_slack.resize(rows);
+    ws.d_dual.resize(rows);
+    for (std::size_t r = 0; r < rows; ++r) {
+      double ds = ws.row_value[r] - ws.slack[r];
+      for (std::size_t k = ws.row_begin[r]; k < ws.row_begin[r + 1]; ++k) {
+        ds += ws.row_coeff[k] * ws.step[ws.row_id[k]];
       }
-      phi = Barrier(p, pat, x, t, shift);
-      ++report.evaluations;
-      if (phi == kInf) {
+      ws.d_slack[r] = ds;
+      ws.d_dual[r] = (mu - ws.dual[r] * ds) / ws.slack[r] - ws.dual[r];
+      slope -= mu * ds / ws.slack[r];
+    }
+    return slope;
+  }
+
+  /// Largest primal step in (0, 1] keeping `fraction` of every slack and of
+  /// every free node's distance to its speed band (or of its budget and
+  /// window while it is outside the band).
+  double PrimalLimit(double fraction) const {
+    double limit = StepLimit(ws.slack, ws.d_slack, fraction, 1.0);
+    const auto bound = [&limit, fraction](double v, double dv) {
+      if (dv < 0.0) {
+        limit = std::min(limit, -fraction * v / dv);
+      }
+    };
+    const double lo = kSpeedBand * p.smin;
+    const double hi = 1.0 / kSpeedBand;
+    for (std::size_t u = 0; u < p.n; ++u) {
+      if (!FreeExecuting(pat, u)) {
+        continue;
+      }
+      const double d = x.e[u] - x.s[u];
+      const double dd = ws.step[IdE(u)] - ws.step[IdS(u)];
+      const double w = x.w[u];
+      const double dw = p.w_var[u] ? ws.step[IdW(u)] : 0.0;
+      if (w > lo * d) {
+        bound(w - lo * d, dw - lo * dd);
+      } else {
+        bound(w, dw);
+      }
+      if (hi * d > w) {
+        bound(hi * d - w, hi * dd - dw);
+      } else {
+        bound(d, dd);
+      }
+    }
+    return limit;
+  }
+
+  /// Moves x by alpha along the primal step (ws.values) into `out`.
+  void MoveTo(double alpha, State& out) const {
+    out = x;
+    for (std::size_t u = 0; u < p.n; ++u) {
+      out.s[u] = x.s[u] + alpha * ws.values[IdS(u)];
+      out.e[u] = x.e[u] + alpha * ws.values[IdE(u)];
+      if (p.c_var[u]) {
+        out.c[u] = x.c[u] + alpha * ws.values[IdC(u)];
+      }
+    }
+    Derive(p, pat, out);
+  }
+
+  /// The barrier objective f - mu sum log(slack) at `at` with the slacks
+  /// moved by alpha along ws.d_slack (+inf outside the domain); `violation`
+  /// receives the summed row violation |row - slack|.
+  double Merit(const State& at, double alpha, double& violation) const {
+    const double obj = Objective(p, pat, at);
+    double logs = 0.0;
+    violation = 0.0;
+    bool inside = obj < kInf;
+    std::size_t index = 0;
+    for (std::size_t u = 0; u < p.n && inside; ++u) {
+      NodeRows(p, pat, at, u, [&](const Row& row) {
+        const double slack = ws.slack[index] + alpha * ws.d_slack[index];
+        inside = inside && slack > 0.0;
+        logs += std::log(slack);
+        violation += std::fabs(row.value + ws.row_shift[index] - slack);
+        ++index;
+      });
+    }
+    return inside ? obj - mu * logs : kInf;
+  }
+
+  /// Primal-dual barrier iterations on the fixed pattern until the
+  /// relative KKT residual is at most kReplayKktTol.  Each builds one
+  /// Newton system; a barrier update re-solves it for the new right-hand
+  /// side.
+  bool Converge() {
+    const double rows = static_cast<double>(ws.slack.size());
+    while (true) {
+      if (report.newton_steps >= max_newton) {
+        failure = ReplayStatus::kNoConvergence;
         return false;
       }
+      ++report.newton_steps;
+      Frontier fr(ws.frontal, p.frontier_cap, /*modify=*/true);
+      const double obj = Objective(p, pat, x);
+      if (!NewtonSystem(p, pat, x, fr, ws) || !(obj < kInf)) {
+        failure = ReplayStatus::kBreakdown;
+        return false;
+      }
+      const double scale = obj > 0.0 ? obj : 1.0;
+      double gap = 0.0;
+      double centrality = 0.0;
+      double infeasible = 0.0;
+      for (std::size_t r = 0; r < ws.slack.size(); ++r) {
+        gap += ws.slack[r] * ws.dual[r];
+        centrality += std::fabs(ws.slack[r] * ws.dual[r] - mu);
+        infeasible =
+            std::max(infeasible, std::fabs(ws.row_value[r] - ws.slack[r]));
+      }
+      // The residual: the gap and the Newton decrement relative to the
+      // energy, and the largest row violation.
+      double slope = Direction(fr);
+      kkt = std::max({gap / scale, std::fabs(slope) / scale, infeasible});
+      if (!std::isfinite(kkt)) {
+        failure = ReplayStatus::kBreakdown;
+        return false;
+      }
+      if (kkt <= kReplayKktTol) {
+        return true;
+      }
+      // A solved barrier subproblem lowers mu superlinearly (relative to
+      // the energy, down to a tenth of the tolerance) and re-solves.
+      const double floor_mu = 0.1 * kReplayKktTol * scale / rows;
+      if (mu > floor_mu && std::fabs(slope) <= mu &&
+          centrality <= mu * rows && infeasible * scale <= mu * rows) {
+        const double relative = mu * rows / scale;
+        mu = std::max(floor_mu, std::min(kMuFactor * relative,
+                                         std::pow(relative, kMuPower)) *
+                                    scale / rows);
+        slope = Direction(fr);
+      }
+      // Line search: a trial point is accepted when it lowers the row
+      // violation or the barrier objective in proportion to the step and
+      // the violation; a nearly feasible point must lower the barrier
+      // objective by the Armijo rule.
+      double violation = 0.0;
+      const double phi = Merit(x, 0.0, violation);
+      double alpha = PrimalLimit(kToBoundary);
+      const double alpha_dual =
+          StepLimit(ws.dual, ws.d_dual, kToBoundary, 1.0);
+      bool accepted = false;
+      for (int halvings = 0; halvings < 50 && !accepted; ++halvings) {
+        MoveTo(alpha, trial);
+        double trial_violation = 0.0;
+        const double value = Merit(trial, alpha, trial_violation);
+        if (value < kInf) {
+          accepted =
+              violation <= kNearlyFeasible && slope < 0.0
+                  ? value <= phi + 1e-4 * alpha * slope
+                  : trial_violation <= (1.0 - 1e-4 * alpha) * violation ||
+                        value <= phi - 1e-4 * alpha * violation;
+        }
+        if (!accepted) {
+          alpha *= 0.5;
+        }
+      }
+      if (!accepted) {
+        continue;  // no step left: the guard ends the solve
+      }
+      std::swap(x, trial);
+      for (std::size_t r = 0; r < ws.slack.size(); ++r) {
+        ws.slack[r] += alpha * ws.d_slack[r];
+        ws.dual[r] = std::min(
+            std::max(ws.dual[r] + alpha_dual * ws.d_dual[r],
+                     mu / (kDualSafeguard * ws.slack[r])),
+            kDualSafeguard * mu / ws.slack[r]);
+      }
     }
-    return false;
   }
 
   /// Pattern rows left active at the converged point, with the move each
   /// asks for (one per node at most).
   std::vector<std::pair<std::size_t, Flip>> ActiveFlips() const {
     std::vector<std::pair<std::size_t, Flip>> flips;
-    std::size_t index = 0;
     for (std::size_t u = 0; u < p.n; ++u) {
       const double ref = p.total[p.group[u]];
       NodeRows(p, pat, x, u, [&](const Row& row) {
-        const double c = row.value + shift[index++];
-        if (row.flip != Flip::kNone && c < kActiveSlack * ref &&
+        if (row.flip != Flip::kNone && row.value < kActiveSlack * ref &&
             (flips.empty() || flips.back().first != u)) {
           flips.emplace_back(u, row.flip);
         }
@@ -972,10 +989,10 @@ struct Run {
     return flips;
   }
 
-  /// Moves the flipped nodes to their neighbouring pieces at the current
-  /// point.  False when no flip applies.
+  /// Moves the flipped nodes to their neighbouring pieces at the converged
+  /// point and restarts from it.  False when no flip applies.
   bool ApplyFlips(const std::vector<std::pair<std::size_t, Flip>>& flips) {
-    bool changed = false;
+    const Pattern before = pat;
     for (const auto& [u, flip] : flips) {
       const std::size_t g = p.group[u];
       const std::vector<std::size_t>& group = p.members[g];
@@ -983,9 +1000,14 @@ struct Run {
           std::find(group.begin(), group.end(), u) - group.begin());
       switch (flip) {
         case Flip::kToFloored:
+          pat.floored[u] = 1;
+          break;
         case Flip::kToFree:
-          pat.floored[u] = flip == Flip::kToFloored ? 1 : 0;
-          changed = true;
+          // Only a node with a window and more than a vanishing budget runs
+          // above the floor.
+          if (x.e[u] > x.s[u] && x.w[u] > kActiveSlack * p.total[g]) {
+            pat.floored[u] = 0;
+          }
           break;
         case Flip::kToPrevious:
         case Flip::kToNext: {
@@ -999,26 +1021,19 @@ struct Run {
           pat.partial[g] = v;
           if (flip == Flip::kToNext) {
             const double d = x.e[v] - x.s[v];
-            pat.floored[v] = d > 0.0 && x.w[v] / d < p.smin ? 1 : 0;
+            pat.floored[v] = d > 0.0 && x.w[v] > p.smin * d ? 0 : 1;
           }
-          changed = true;
           break;
         }
         case Flip::kNone:
           break;
       }
     }
-    if (!changed) {
+    if (pat == before) {
       return false;
     }
     Derive(p, pat, x);
-    // Start every row the change left at or below the margin shifted to it.
-    shift.clear();
-    for (std::size_t u = 0; u < p.n; ++u) {
-      NodeRows(p, pat, x, u, [&](const Row& row) {
-        shift.push_back(std::max(0.0, kShiftMargin - row.value));
-      });
-    }
+    Restart();
     return true;
   }
 };
@@ -1029,7 +1044,8 @@ ReplayNewtonReport SolveReplay(const ReplayProblem& problem,
                                const std::vector<double>& warm_end,
                                const std::vector<double>& warm_budget,
                                ReplaySolution& solution,
-                               ReplayNewtonWorkspace* workspace) {
+                               ReplayNewtonWorkspace* workspace,
+                               std::size_t max_newton_steps) {
   const std::size_t n = problem.release.size();
   ACS_REQUIRE(problem.begin.size() == n && problem.cap.size() == n &&
                   problem.group.size() == n,
@@ -1062,107 +1078,58 @@ ReplayNewtonReport SolveReplay(const ReplayProblem& problem,
   }
   const Scaled p = ScaleProblem(problem);
 
-  // A strictly feasible start near the warm start: the warm (e, w) mixed
-  // with a little of a worst-case interior point, its natural pattern and
-  // greedy starts a hair late.
-  std::vector<double> e1;
-  std::vector<double> w1;
-  double min_len = kInf;
+  // The start: the warm (e, w), or an as-soon-as-possible sweep, with its
+  // natural pattern and greedy starts; every row starts at complementarity
+  // energy / rows.
+  Run run{p, ws, report, max_newton_steps, {}, {}, {}};
+  State& x = run.x;
+  x.e.resize(n);
+  x.w.resize(n);
+  x.c.resize(n);
+  if (warm_end.empty()) {
+    AsapStart(p, x);
+  } else {
+    for (std::size_t u = 0; u < n; ++u) {
+      x.e[u] = warm_end[u] / p.time_unit;
+      x.w[u] = warm_budget[u] / p.cycle_unit;
+    }
+  }
+  std::vector<double> running(p.groups, 0.0);
   for (std::size_t u = 0; u < n; ++u) {
-    min_len = std::min(min_len, p.cap[u] - p.r[u]);
-  }
-  bool interior = false;
-  for (double rho : {1.5, 1.2, 1.05, 1.01, 1.001}) {
-    for (double spare : {0.5, 0.1}) {
-      for (double theta : {1e-2, 1e-4, 1e-7}) {
-        interior = min_len > 0.0 &&
-                   WorstCaseInterior(p, rho, theta * min_len, spare, e1, w1);
-        if (interior) {
-          break;
-        }
-      }
-      if (interior) {
-        break;
-      }
+    const std::size_t g = p.group[u];
+    if (!p.w_var[u]) {
+      x.w[u] = p.total[g];
+    } else if (!p.c_var[u]) {
+      x.w[u] = p.total[g] - running[g];
     }
-    if (interior) {
-      break;
-    }
+    running[g] += x.w[u];
+    x.c[u] = running[g];
   }
-  if (!interior) {
-    report.status = ReplayStatus::kNoInterior;
-    return report;
-  }
-  Run run{p, ws, report, {}, {}, {}, {}};
-  bool started = false;
-  const bool warm = !warm_end.empty();
-  for (double mix : {1e-3, 1e-2, 0.1, 0.5, 1.0}) {
-    if (!warm && mix < 1.0) {
-      continue;
-    }
-    for (double gap : {1e-9, 1e-6, 1e-4}) {
-      State& x = run.x;
-      x.e.resize(n);
-      x.w.resize(n);
-      x.c.resize(n);
-      std::vector<double> running(p.groups, 0.0);
-      for (std::size_t u = 0; u < n; ++u) {
-        const double we = warm ? warm_end[u] / p.time_unit : e1[u];
-        const double ww = warm ? warm_budget[u] / p.cycle_unit : w1[u];
-        x.e[u] = (1.0 - mix) * we + mix * e1[u];
-        x.w[u] = p.w_var[u] ? (1.0 - mix) * ww + mix * w1[u]
-                            : p.total[p.group[u]];
-        running[p.group[u]] += x.w[u];
-        x.c[u] = running[p.group[u]];
-      }
-      started = NaturalStart(p, gap * min_len, x, run.pat);
-      if (started) {
-        Derive(p, run.pat, x);
-        started = StrictlyInside(p, run.pat, x);
-      }
-      if (started) {
-        break;
-      }
-    }
-    if (started) {
-      break;
-    }
-  }
-  if (!started) {
-    report.status = ReplayStatus::kNoInterior;
-    return report;
-  }
-  run.trial = run.x;
+  NaturalStart(p, x, run.pat);
+  Derive(p, run.pat, x);
+  run.Restart();
 
-  const double start_obj = Objective(p, run.pat, run.x);
-  const std::size_t rows = RowCount(p, run.pat, run.x);
-  run.shift.assign(rows, 0.0);
-  run.t = start_obj > 0.0 ? static_cast<double>(rows) / start_obj : 1.0;
-  const double t_start = run.t;
-
+  // The pattern walk.  A guard or breakdown exit in any pattern fails the
+  // solve: an earlier pattern's point still has an active boundary row.
   std::vector<Pattern> visited;
   State best;
   double best_obj = kInf;
   double best_kkt = kInf;
-  bool failed = false;
   while (true) {
     visited.push_back(run.pat);
     ++report.patterns;
-    const bool converged =
-        start_obj > 0.0
-            ? run.Centre(static_cast<double>(RowCount(p, run.pat, run.x)))
-            : true;
-    if (!converged) {
-      failed = best_obj == kInf;
-      break;
+    if (!run.Converge()) {
+      report.status = run.failure;
+      report.kkt_residual = run.kkt;
+      return report;
     }
-    const double obj = Objective(p, run.pat, run.x);
+    const double obj = Objective(p, run.pat, x);
     if (!(obj < best_obj)) {
       break;  // a pattern change that does not pay: keep the better point
     }
-    best = run.x;
+    best = x;
     best_obj = obj;
-    best_kkt = start_obj > 0.0 ? run.kkt : 0.0;
+    best_kkt = run.kkt;
     if (report.patterns >= kMaxPatterns) {
       break;
     }
@@ -1173,12 +1140,6 @@ ReplayNewtonReport SolveReplay(const ReplayProblem& problem,
     if (std::find(visited.begin(), visited.end(), run.pat) != visited.end()) {
       break;  // crossing back: the optimum sits on the boundary (a kink)
     }
-    run.t = t_start;
-  }
-  if (failed) {
-    report.status = run.failure;
-    report.kkt_residual = run.kkt;
-    return report;
   }
   report.kkt_residual = best_kkt;
   const double energy_unit = problem.energy_coeff * p.cycle_unit *

@@ -21,20 +21,24 @@
 // greedy one (energy and finish grow with s_u), so the relaxation is tight.
 //
 // Method.  The case pattern and the Vmin-floor state of every node are fixed
-// per path; each fixed pattern is a smooth program whose pieces are exact:
-// a full free node costs the jointly convex perspective w^3/d^2, a floored
-// node is linear, and only the partial node of a group (avg = plan - earlier
-// budgets, finish s + avg d / w) is non-convex.  Budgets are each group's
-// running sums, so no Newton system carries an equality row.  A log-barrier
-// path-following Newton method solves the pattern; every Newton system is
-// eliminated along the order in one frontal sweep (opt/frontal.h) whose
-// modified pivots keep each step a descent step where a partial node leaves
-// the system indefinite.  A pattern-boundary row still active at a
-// converged point moves its node to the neighbouring piece and the path
-// restarts from that point, until the pattern is stable, a boundary is
-// crossed back (a kink optimum) or a change stops paying.  The solve stops
-// on its relative KKT residual, never on an iteration count: a solve that
-// cannot reach the tolerance reports kNoConvergence.
+// per pattern; each fixed pattern is a smooth program whose pieces are
+// exact: a full free node costs the jointly convex perspective w^3/d^2, a
+// floored node is linear, and only the partial node of a group (avg = plan
+// - earlier budgets, finish s + avg d / w) is non-convex.  Budgets are each
+// group's running sums, so no Newton system carries an equality row.  A
+// primal-dual interior-point method solves the pattern: every row g_i >= 0
+// gets a slack and a multiplier, so a start need not be feasible (pattern
+// rows excepted, which are shifted just enough to hold), and each Newton
+// system is eliminated along the order in one frontal sweep (opt/frontal.h)
+// whose modified pivots keep each step a descent step where a partial node
+// leaves the system indefinite; a barrier update re-solves the factored
+// system.  A pattern-boundary row still active at a converged point moves
+// its node to the neighbouring piece and the solve restarts from the
+// converged point, until the pattern is stable, a boundary is crossed back
+// (a kink optimum) or a change stops paying.
+// Every pattern stops on its relative KKT residual, never on an iteration
+// count: a solve whose step guard fires in any pattern reports
+// kNoConvergence and returns no point.
 #ifndef ACS_OPT_REPLAY_NEWTON_H
 #define ACS_OPT_REPLAY_NEWTON_H
 
@@ -67,42 +71,47 @@ struct ReplaySolution {
 /// Relative KKT residual at or below which a solve is accepted.
 inline constexpr double kReplayKktTol = 1e-9;
 
+/// Newton systems a solve may build over all its patterns: a guard against
+/// a solve that cannot terminate, never a stop rule.
+inline constexpr std::size_t kReplayMaxNewton = 1500;
+
 enum class ReplayStatus {
   kSolved,         // converged: the solution is set
-  kNoInterior,     // no strictly feasible start near the warm start
-  kBreakdown,      // no inertia correction gave a usable Newton system
-  kNoConvergence,  // the KKT residual stalled above the tolerance
+  kBreakdown,      // a Newton system had a non-finite pivot
+  kNoConvergence,  // the step guard fired before the KKT tolerance
 };
 
 struct ReplayNewtonReport {
   ReplayStatus status = ReplayStatus::kSolved;
   double objective = 0.0;        // program energy of the solution
   double kkt_residual = 0.0;     // relative, of the returned point
-  std::size_t rounds = 0;        // centring rounds, all patterns
-  std::size_t newton_steps = 0;  // Newton systems solved
-  std::size_t evaluations = 0;   // barrier evaluations, line search included
+  std::size_t newton_steps = 0;  // Newton systems factored, all patterns
   std::size_t patterns = 0;      // case / floor patterns solved
 };
 
 /// Reusable buffers of SolveReplay (one per thread; see opt/workspace.h).
 struct ReplayNewtonWorkspace {
   FrontalBuffers frontal;
-  std::vector<double> values;      // Newton step by variable id
-  std::vector<double> grad, step;  // gradient and step by primitive id
-  // The rows of the last Newton system: shifted slack and linear terms.
-  std::vector<double> row_slack, row_coeff;
+  std::vector<double> rhs, values;       // right-hand side, step by variable
+  std::vector<double> grad, prim, step;  // objective gradient, scratch and
+                                         // step by primitive id
+  // The rows of the last Newton system: shifted values and linear terms.
+  std::vector<double> row_value, row_coeff;
   std::vector<std::size_t> row_begin;
   std::vector<std::int64_t> row_id;
+  // Per row: slack, multiplier, shift and the slack and multiplier steps.
+  std::vector<double> slack, dual, row_shift, d_slack, d_dual;
 };
 
-/// Solves `problem` from the worst-case feasible warm start (`warm_end`,
-/// `warm_budget`; empty for a cold start).  Deterministic: plain scalar
+/// Solves `problem` from the warm start (`warm_end`, `warm_budget`; empty
+/// for a cold start), which need not be feasible, building at most
+/// `max_newton_steps` Newton systems.  Deterministic: plain scalar
 /// arithmetic in a fixed order, with or without a workspace.
-ReplayNewtonReport SolveReplay(const ReplayProblem& problem,
-                               const std::vector<double>& warm_end,
-                               const std::vector<double>& warm_budget,
-                               ReplaySolution& solution,
-                               ReplayNewtonWorkspace* workspace = nullptr);
+ReplayNewtonReport SolveReplay(
+    const ReplayProblem& problem, const std::vector<double>& warm_end,
+    const std::vector<double>& warm_budget, ReplaySolution& solution,
+    ReplayNewtonWorkspace* workspace = nullptr,
+    std::size_t max_newton_steps = kReplayMaxNewton);
 
 }  // namespace dvs::opt
 

@@ -45,10 +45,10 @@ TEST(MetricsRegistry, BuiltinNamesArePinnedInIdOrder) {
       "solve.wcs_fallbacks.breakdown", "solve.wcs_fallbacks.gap",
       "solve.wcs_fallbacks.repair", "solver.inner_capped",
       "solver.final_violation", "repair.max_shift",
-      "solve.acs_fallbacks",  "solve.acs_fallbacks.no_interior",
-      "solve.acs_fallbacks.breakdown", "solve.acs_fallbacks.no_convergence",
-      "solve.acs_fallbacks.repair", "solve.acs_fallbacks.worse",
-      "solve.acs_kkt",
+      "solve.acs_fallbacks",  "solve.acs_fallbacks.breakdown",
+      "solve.acs_fallbacks.no_convergence", "solve.acs_fallbacks.repair",
+      "solve.acs_fallbacks.worse", "solve.acs_kkt",
+      "solve.acs_newton_steps", "solve.acs_patterns",
   };
   ASSERT_EQ(expected.size(), metric::kBuiltinCount);
   ASSERT_EQ(registry.MetricCount(), metric::kBuiltinCount);

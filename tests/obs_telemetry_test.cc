@@ -119,9 +119,10 @@ TEST(TelemetryGoldenBytes, SmokeGridUnchangedWithFullTelemetryOn) {
   // trajectory (or to how a line search counts its trials) fails here and
   // must re-pin both counts on purpose.
   // Re-pinned when ACS moved to the converged Newton solve (from 48268
-  // evaluations and 47088 inner iterations under the capped ALM).
-  EXPECT_EQ(agg[metric::kSolverEvals].count, 2392);
-  EXPECT_EQ(agg[metric::kSolverInner].count, 2348);
+  // evaluations and 47088 inner iterations under the capped ALM), and again
+  // when that solve became primal-dual (from 2392 and 2348).
+  EXPECT_EQ(agg[metric::kSolverEvals].count, 1372);
+  EXPECT_EQ(agg[metric::kSolverInner].count, 1336);
 
   // Every ACS solve of the smoke grid converges on the Newton path, so the
   // ALM (the only solver that writes convergence records) never runs.
@@ -176,19 +177,26 @@ TEST(TelemetryExactWcs, CertifiedSolvesAndKeysReachTheManifest) {
       doc.At("metrics").At("histograms").At("repair.max_shift");
   EXPECT_GT(shift.NumberAt("count"), counters.NumberAt("solve.wcs_solves"));
   EXPECT_GE(shift.NumberAt("min"), 0.0);
-  // Every ACS solve converges on the Newton path: no fallback, and one
-  // final KKT residual at or below the tolerance per solve.
+  // Every ACS solve converges on the Newton path: no fallback, and per
+  // solve one final KKT residual at or below the tolerance, its Newton
+  // systems and its patterns.
   EXPECT_DOUBLE_EQ(counters.NumberAt("solve.acs_fallbacks"), 0.0);
   for (const char* reason :
-       {"no_interior", "breakdown", "no_convergence", "repair", "worse"}) {
+       {"breakdown", "no_convergence", "repair", "worse"}) {
     EXPECT_DOUBLE_EQ(
         counters.NumberAt(std::string("solve.acs_fallbacks.") + reason), 0.0);
   }
-  const util::JsonValue& kkt =
-      doc.At("metrics").At("histograms").At("solve.acs_kkt");
+  const util::JsonValue& histograms = doc.At("metrics").At("histograms");
+  const util::JsonValue& kkt = histograms.At("solve.acs_kkt");
   EXPECT_DOUBLE_EQ(kkt.NumberAt("count"),
                    counters.NumberAt("solve.acs_solves"));
   EXPECT_LE(kkt.NumberAt("max"), 1e-9);
+  for (const char* work : {"solve.acs_newton_steps", "solve.acs_patterns"}) {
+    const util::JsonValue& histogram = histograms.At(work);
+    EXPECT_DOUBLE_EQ(histogram.NumberAt("count"), kkt.NumberAt("count"))
+        << work;
+    EXPECT_GE(histogram.NumberAt("min"), 1.0) << work;
+  }
 }
 
 /// Half two: the planning-arm golden (calibration, warm-link chains and

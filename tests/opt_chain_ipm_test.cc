@@ -7,6 +7,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <string>
 #include <vector>
 
 #include "core/formulation.h"
@@ -179,6 +184,98 @@ TEST(ChainProgram, BeatsTheAlmOnARandomCorpus) {
   }
   EXPECT_LT(ratio_sum / sets, 1.0);
   EXPECT_LE(10.0 * exact_evaluations, alm_evaluations);
+}
+
+/// Set `index` of the replay reference corpus (the draw of
+/// tools/replay_reference.cc's ReferenceSet and of opt_replay_newton_test).
+model::TaskSet ReferenceSet(int index, const model::DvsModel& dvs) {
+  stats::Rng rng(static_cast<std::uint64_t>(5000 + index));
+  workload::RandomTaskSetOptions options;
+  options.num_tasks = 2 + index % 3;
+  options.bcec_wcec_ratio = index % 3 == 0 ? 0.1 : index % 3 == 1 ? 0.5 : 0.9;
+  options.max_sub_instances = 40;
+  return workload::GenerateRandomTaskSet(options, dvs, rng);
+}
+
+std::uint64_t Bits(double value) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof bits);
+  return bits;
+}
+
+struct ChainPin {
+  int set;
+  std::uint64_t objective_bits;
+  std::size_t newton_steps;
+};
+
+// SolveChain's objective (to the bit) and Newton-step count on every set of
+// the replay reference corpus.  The frontal elimination (opt/frontal.h) is
+// shared with the ACS solver; a change there that moves one rounding of the
+// exact WCS path fails here.
+constexpr ChainPin kChainPins[] = {
+  {0, 0x40a126666674e8feULL, 73},
+  {1, 0x40c5ed98e9ff1d46ULL, 103},
+  {2, 0x40a57000000d7e1dULL, 82},
+  {3, 0x40a12666667493b2ULL, 76},
+  {4, 0x40d57000000f2696ULL, 75},
+  {5, 0x40b1266666715528ULL, 83},
+  {6, 0x40a1266666745eb9ULL, 68},
+  {7, 0x40c57000000ed629ULL, 68},
+  {8, 0x40c586cde15bfb8bULL, 94},
+  {9, 0x40c5700000122683ULL, 106},
+  {10, 0x40b57000000f2052ULL, 98},
+  {11, 0x40d57000000da2bcULL, 101},
+  {12, 0x40d570000011db45ULL, 73},
+  {13, 0x40a1266666819775ULL, 75},
+  {14, 0x40b57000000da705ULL, 75},
+  {15, 0x406b70a3d71d9c92ULL, 65},
+  {16, 0x40b1266666722e22ULL, 64},
+  {17, 0x409126666670cf08ULL, 98},
+  {18, 0x40c5700000122500ULL, 74},
+  {19, 0x40912666667258c8ULL, 72},
+};
+
+TEST(ChainProgram, IsBitIdenticalOnTheReferenceCorpus) {
+  const model::LinearDvsModel cpu = workload::DefaultModel();
+  std::ifstream csv(std::string(ACS_TEST_DATA_DIR) +
+                    "/replay_reference.csv");
+  ASSERT_TRUE(csv.good());
+  std::string line;
+  std::getline(csv, line);  // header
+  std::size_t sets = 0;
+  while (std::getline(csv, line)) {
+    int index = 0;
+    ASSERT_EQ(std::sscanf(line.c_str(), "%d,", &index), 1) << line;
+    SCOPED_TRACE(index);
+    const model::TaskSet set = ReferenceSet(index, cpu);
+    const fps::FullyPreemptiveSchedule fps(set);
+    opt::ChainProblem problem;
+    problem.release.resize(fps.sub_count());
+    problem.cap = fps.effective_end_bounds();
+    problem.group.resize(fps.sub_count());
+    for (std::size_t u = 0; u < fps.sub_count(); ++u) {
+      problem.release[u] = fps.sub(u).release();
+      problem.group[u] = fps.sub(u).parent;
+    }
+    for (std::size_t p = 0; p < fps.instance_count(); ++p) {
+      problem.group_total.push_back(
+          set.task(fps.instance(p).info.task).wcec);
+    }
+    problem.energy_coeff = cpu.ceff() / (cpu.k() * cpu.k());
+    problem.min_speed = cpu.k() * cpu.vmin();
+    problem.max_speed = cpu.k() * cpu.vmax();
+    opt::ChainSolution solution;
+    const opt::ChainIpmReport report = opt::SolveChain(problem, solution);
+    ASSERT_EQ(report.status, opt::ChainStatus::kSolved);
+    const double objective = opt::ChainObjective(problem, solution);
+    ASSERT_LT(sets, std::size(kChainPins));
+    EXPECT_EQ(kChainPins[sets].set, index);
+    EXPECT_EQ(kChainPins[sets].objective_bits, Bits(objective));
+    EXPECT_EQ(kChainPins[sets].newton_steps, report.newton_steps);
+    ++sets;
+  }
+  EXPECT_EQ(sets, std::size(kChainPins));
 }
 
 }  // namespace

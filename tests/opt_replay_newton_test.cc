@@ -1,7 +1,8 @@
 // Tests for the structured Newton solver of the lifted single-replay ACS
 // program: input validation, determinism, convexity of its full-node piece,
 // tightness of the start relaxation, quality against the capped ALM on
-// tiny random sets and against the checked-in multi-start reference corpus.
+// tiny random sets and against the checked-in multi-start reference corpus,
+// and its step guard on a checked-in multi-pattern problem.
 #include "opt/replay_newton.h"
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -207,6 +209,96 @@ TEST(ReplayNewton, WorkspaceDoesNotChangeTheResult) {
   EXPECT_EQ(plain.budget, reused.budget);
 }
 
+/// A replay problem with its warm start, as checked in.
+struct StoredProblem {
+  opt::ReplayProblem problem;
+  std::vector<double> warm_end, warm_budget;
+};
+
+/// Reads tests/data/`name` (format in the file's header comment).
+StoredProblem ReadProblem(const std::string& name) {
+  std::ifstream in(std::string(ACS_TEST_DATA_DIR) + "/" + name);
+  StoredProblem stored;
+  opt::ReplayProblem& problem = stored.problem;
+  std::string line;
+  while (std::getline(in, line) && line.rfind('#', 0) == 0) {
+  }
+  std::istringstream(line) >> problem.energy_coeff >> problem.min_speed >>
+      problem.max_speed;
+  std::size_t nodes = 0;
+  std::size_t groups = 0;
+  in >> nodes >> groups;
+  for (std::size_t u = 0; u < nodes; ++u) {
+    double release = 0.0;
+    double begin = 0.0;
+    double cap = 0.0;
+    double end = 0.0;
+    double budget = 0.0;
+    std::size_t group = 0;
+    in >> release >> begin >> cap >> group >> end >> budget;
+    problem.release.push_back(release);
+    problem.begin.push_back(begin);
+    problem.cap.push_back(cap);
+    problem.group.push_back(group);
+    stored.warm_end.push_back(end);
+    stored.warm_budget.push_back(budget);
+  }
+  for (std::size_t g = 0; g < groups; ++g) {
+    double total = 0.0;
+    double plan = 0.0;
+    in >> total >> plan;
+    problem.group_total.push_back(total);
+    problem.group_plan.push_back(plan);
+  }
+  EXPECT_TRUE(in.good()) << name;
+  return stored;
+}
+
+// The acs-scenario solve of a perfbench sim-online set (4 tasks, BCEC/WCEC
+// 0.5, bursty draws, 29 sub-instances, 12 instances) visits two patterns.
+// A log-barrier path that restarted each pattern from its first parameter
+// reached the 1500-step guard on the second; it converges well under it.
+TEST(ReplayNewton, ConvergesOnAMultiPatternSetWellUnderTheGuard) {
+  const StoredProblem stored = ReadProblem("replay_guard_set.txt");
+  ASSERT_EQ(stored.problem.release.size(), 29u);
+  opt::ReplaySolution solution;
+  const opt::ReplayNewtonReport report = opt::SolveReplay(
+      stored.problem, stored.warm_end, stored.warm_budget, solution);
+  ASSERT_EQ(report.status, opt::ReplayStatus::kSolved);
+  EXPECT_LE(report.kkt_residual, opt::kReplayKktTol);
+  EXPECT_GE(report.patterns, 2u);
+  EXPECT_LE(report.newton_steps, opt::kReplayMaxNewton / 5);
+  EXPECT_GT(report.objective, 0.0);
+}
+
+// A guard exit is never a converged solve: whatever pattern the guard
+// fires in, the solve reports kNoConvergence and returns no point, even
+// when an earlier pattern had converged.
+TEST(ReplayNewton, AGuardExitInAnyPatternIsNotConverged) {
+  const StoredProblem stored = ReadProblem("replay_guard_set.txt");
+  opt::ReplaySolution solution;
+  const opt::ReplayNewtonReport full = opt::SolveReplay(
+      stored.problem, stored.warm_end, stored.warm_budget, solution);
+  ASSERT_EQ(full.status, opt::ReplayStatus::kSolved);
+  std::size_t later = 0;
+  for (std::size_t guard = 1; guard < full.newton_steps; ++guard) {
+    SCOPED_TRACE(guard);
+    const opt::ReplayNewtonReport cut =
+        opt::SolveReplay(stored.problem, stored.warm_end, stored.warm_budget,
+                         solution, nullptr, guard);
+    EXPECT_EQ(cut.status, opt::ReplayStatus::kNoConvergence);
+    EXPECT_EQ(cut.newton_steps, guard);
+    EXPECT_TRUE(solution.end.empty());
+    later += cut.patterns > 1 ? 1 : 0;
+  }
+  EXPECT_GT(later, 0u) << "no guard fired after the first pattern";
+  const opt::ReplayNewtonReport exact =
+      opt::SolveReplay(stored.problem, stored.warm_end, stored.warm_budget,
+                       solution, nullptr, full.newton_steps);
+  EXPECT_EQ(exact.status, opt::ReplayStatus::kSolved);
+  EXPECT_EQ(exact.objective, full.objective);
+}
+
 TEST(ReplayNewton, RejectsMalformedProblems) {
   const model::LinearDvsModel cpu = workload::DefaultModel();
   const model::TaskSet set = TinySet(0, cpu);
@@ -227,7 +319,8 @@ TEST(ReplayNewton, RejectsMalformedProblems) {
                util::InvalidArgumentError);
   EXPECT_THROW(opt::SolveReplay(good, {1.0}, {1.0}, solution),
                util::InvalidArgumentError);
-  // A cold start (no warm schedule) solves from the worst-case interior.
+  // A cold start (no warm schedule) solves from an as-soon-as-possible
+  // sweep, which need not be feasible.
   const opt::ReplayNewtonReport cold =
       opt::SolveReplay(good, {}, {}, solution);
   EXPECT_EQ(cold.status, opt::ReplayStatus::kSolved);
