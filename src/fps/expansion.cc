@@ -12,7 +12,8 @@ namespace dvs::fps {
 namespace {
 
 /// Release times of tasks that can preempt `victim`, strictly inside
-/// (window_begin, window_end).
+/// (window_begin, window_end).  Every release is an integer multiple of an
+/// integer period, so releases compare exactly.
 std::vector<double> CutPoints(const model::TaskSet& set,
                               model::TaskIndex victim, double window_begin,
                               double window_end) {
@@ -32,11 +33,7 @@ std::vector<double> CutPoints(const model::TaskSet& set,
     }
   }
   std::sort(cuts.begin(), cuts.end());
-  cuts.erase(std::unique(cuts.begin(), cuts.end(),
-                         [](double a, double b) {
-                           return util::AlmostEqual(a, b);
-                         }),
-             cuts.end());
+  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
   return cuts;
 }
 
@@ -61,6 +58,10 @@ FullyPreemptiveSchedule::FullyPreemptiveSchedule(const model::TaskSet& set)
     bounds.push_back(inst.release);
     bounds.insert(bounds.end(), cuts.begin(), cuts.end());
     bounds.push_back(inst.deadline);
+    for (double bound : bounds) {
+      ACS_CHECK(bound == std::floor(bound),
+                "segment boundary is not an integer time");
+    }
 
     for (std::size_t s = 0; s + 1 < bounds.size(); ++s) {
       SubInstance sub;
@@ -77,9 +78,11 @@ FullyPreemptiveSchedule::FullyPreemptiveSchedule(const model::TaskSet& set)
         max_subs_per_instance_, static_cast<int>(bounds.size()) - 1);
   }
 
+  // Segment starts are integer times (checked above), so they compare
+  // exactly and the comparator is a strict weak ordering.
   std::sort(subs.begin(), subs.end(),
             [&set](const SubInstance& a, const SubInstance& b) {
-              if (!util::AlmostEqual(a.seg_begin, b.seg_begin)) {
+              if (a.seg_begin != b.seg_begin) {
                 return a.seg_begin < b.seg_begin;
               }
               if (a.task != b.task) {
@@ -156,8 +159,43 @@ std::string FullyPreemptiveSchedule::DescribeOrder() const {
   return out.str();
 }
 
-std::size_t CountSubInstances(const model::TaskSet& set) {
-  return FullyPreemptiveSchedule(set).sub_count();
+std::size_t CountSubInstances(const model::TaskSet& set, std::size_t limit) {
+  const std::int64_t horizon = set.hyper_period();
+  std::size_t count = 0;
+  std::vector<std::int64_t> period;
+  std::vector<std::int64_t> next;
+  for (model::TaskIndex victim = 0; victim < set.size(); ++victim) {
+    const std::int64_t own = set.task(victim).period;
+    count += static_cast<std::size_t>(horizon / own);
+    // Every release of a higher-priority task strictly inside one of the
+    // victim's windows (one that is not a multiple of its own period) adds
+    // a sub-instance; coinciding releases add one.
+    period.clear();
+    for (model::TaskIndex other = 0; other < set.size(); ++other) {
+      if (set.CanPreempt(other, victim)) {
+        period.push_back(set.task(other).period);
+      }
+    }
+    std::sort(period.begin(), period.end());
+    period.erase(std::unique(period.begin(), period.end()), period.end());
+    next = period;
+    while (count <= limit && !next.empty()) {
+      const std::int64_t t = *std::min_element(next.begin(), next.end());
+      if (t >= horizon) {
+        break;
+      }
+      count += t % own != 0 ? 1 : 0;
+      for (std::size_t k = 0; k < next.size(); ++k) {
+        if (next[k] == t) {
+          next[k] += period[k];
+        }
+      }
+    }
+    if (count > limit) {
+      break;
+    }
+  }
+  return count;
 }
 
 }  // namespace dvs::fps

@@ -14,6 +14,7 @@
 #define ACS_FPS_EXPANSION_H
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -92,8 +93,14 @@ class FullyPreemptiveSchedule {
   int max_subs_per_instance_ = 0;
 };
 
-/// Upper bound on sub-instances used by the paper's generator cap.
-std::size_t CountSubInstances(const model::TaskSet& set);
+/// The sub-instance count of `set`'s expansion, without building it: every
+/// instance counts 1 plus the distinct releases of strictly
+/// higher-priority tasks inside its window.  The count stops as soon as it
+/// exceeds `limit` and then returns some value above it (the generator's
+/// cap test needs no more).
+std::size_t CountSubInstances(
+    const model::TaskSet& set,
+    std::size_t limit = std::numeric_limits<std::size_t>::max());
 
 }  // namespace dvs::fps
 

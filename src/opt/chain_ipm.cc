@@ -165,17 +165,64 @@ double Barrier(const Scaled& p, double t, const double* s, const double* f,
   return obj == kInf ? kInf : t * obj - logs;
 }
 
-/// One Newton system of the barrier problem at (s, f, w): fills the step
-/// (ds, df, dw), the gradient (gs, gf, gw) and the group multipliers
-/// (values[4n + g]).  False on a pivot breakdown.
+// Variables by id: primal ids 4u .. 4u+3 for s_u, f_u, w_u and the lifting
+// variable z_u; 4n + g for group g's multiplier.
+
+/// The symbolic pass (ws.plan, ws.nodes): NewtonSystem's assembly order on
+/// variable ids.  The structure depends on the problem alone.
+void BuildPlan(const Scaled& p, ChainIpmWorkspace& ws) {
+  const std::size_t n = p.n;
+  FrontalPlan& fp = ws.plan;
+  fp.Reset(p.frontier_cap);
+  ws.nodes.assign(n, ChainNodePlan{});
+  for (std::size_t u = 0; u < n; ++u) {
+    ChainNodePlan& node = ws.nodes[u];
+    const bool free_w = p.free_w[u] != 0;
+    const std::int64_t base = static_cast<std::int64_t>(4 * u);
+    const std::int64_t nu_id = static_cast<std::int64_t>(4 * n + p.group[u]);
+    node.s = fp.Slot(base);
+    node.f = fp.Slot(base + 1);
+    node.w = free_w ? fp.Slot(base + 2) : 0;
+    node.z = fp.Slot(base + 3);
+    node.next = u + 1 < n ? fp.Slot(base + 4) : 0;
+    if (free_w) {
+      node.opens = !fp.Has(nu_id);
+      node.nu = fp.Slot(nu_id);
+      fp.Touch(node.nu, node.w);
+    }
+    // The objective's lifting column and the rows couple s_u, f_u, z_u and
+    // a free w_u with each other, and f_u with s_{u+1} (see NewtonSystem).
+    const std::size_t coupled[] = {node.s, node.f, node.z, node.w};
+    for (int i = 0; i < (free_w ? 4 : 3); ++i) {
+      for (int j = 0; j < i; ++j) {
+        fp.Touch(coupled[i], coupled[j]);
+      }
+    }
+    if (u + 1 < n) {
+      fp.Touch(node.next, node.f);
+    }
+    fp.Eliminate(base, false);
+    if (free_w) {
+      fp.Eliminate(base + 2, false);
+    }
+    fp.Eliminate(base + 1, false);
+    fp.Eliminate(base + 3, true);
+    if (free_w && p.last[p.group[u]] == u) {
+      fp.Eliminate(nu_id, true);
+    }
+    node.steps_end = fp.steps().size();
+  }
+}
+
+/// One Newton system of the barrier problem at (s, f, w), factored along
+/// the plan: fills the step (ds, df, dw), the gradient (gs, gf, gw) and the
+/// group multipliers (values[4n + g]).  False on a pivot breakdown.
 bool NewtonSystem(const Scaled& p, double t, ChainIpmWorkspace& ws) {
   const std::size_t n = p.n;
   const double* s = ws.s.data();
   const double* f = ws.f.data();
   const double* w = ws.w.data();
-  // Variables by id: primal ids 4u .. 4u+3 for s_u, f_u, w_u and the lifting
-  // variable z_u; 4n + g for group g's multiplier.
-  Frontier fr(ws.frontal, p.frontier_cap);
+  Frontier fr(ws.frontal, ws.plan);
   std::vector<double>& budget_sum = ws.group_sum;
   budget_sum.assign(p.groups, 0.0);
   for (std::size_t u = 0; u < n; ++u) {
@@ -188,22 +235,19 @@ bool NewtonSystem(const Scaled& p, double t, ChainIpmWorkspace& ws) {
   std::fill(ws.gw.begin(), ws.gw.end(), 0.0);
 
   for (std::size_t u = 0; u < n; ++u) {
+    const ChainNodePlan& node = ws.nodes[u];
     const bool free_w = p.free_w[u] != 0;
-    const std::int64_t base = static_cast<std::int64_t>(4 * u);
-    const std::size_t ks = fr.Slot(base);
-    const std::size_t kf = fr.Slot(base + 1);
-    const std::size_t kw = free_w ? fr.Slot(base + 2) : 0;
-    const std::size_t kz = fr.Slot(base + 3);
-    const std::size_t kn = u + 1 < n ? fr.Slot(base + 4) : 0;
+    const std::size_t ks = node.s;
+    const std::size_t kf = node.f;
+    const std::size_t kw = node.w;
+    const std::size_t kz = node.z;
+    const std::size_t kn = node.next;
     const std::size_t g = p.group[u];
     if (free_w) {
-      const std::int64_t nu_id = static_cast<std::int64_t>(4 * n + g);
-      const bool opened = fr.Has(nu_id);
-      const std::size_t knu = fr.Slot(nu_id);
-      if (!opened) {
-        fr.AddRhs(knu, p.total[g] - budget_sum[g]);
+      if (node.opens) {
+        fr.AddRhs(node.nu, p.total[g] - budget_sum[g]);
       }
-      fr.Add(knu, kw, 1.0);
+      fr.Add(node.nu, kw, 1.0);
     }
     // Gradient contributions go to the g arrays and, negated, to the rhs.
     const auto grad = [&](std::size_t slot, double* g_arr, std::size_t idx,
@@ -283,20 +327,11 @@ bool NewtonSystem(const Scaled& p, double t, ChainIpmWorkspace& ws) {
     }
 
     // Eliminate this node's variables; a group's multiplier after its last
-    // member.  Slots move as others are eliminated, so look ids up again.
-    if (!fr.Eliminate(fr.Slot(base), false)) {
-      return false;
-    }
-    if (free_w && !fr.Eliminate(fr.Slot(base + 2), false)) {
-      return false;
-    }
-    if (!fr.Eliminate(fr.Slot(base + 1), false) ||
-        !fr.Eliminate(fr.Slot(base + 3), true)) {
-      return false;
-    }
-    if (free_w && p.last[g] == u &&
-        !fr.Eliminate(fr.Slot(static_cast<std::int64_t>(4 * n + g)), true)) {
-      return false;
+    // member.
+    while (fr.eliminated() < node.steps_end) {
+      if (!fr.Eliminate()) {
+        return false;
+      }
     }
   }
 
@@ -554,6 +589,7 @@ ChainIpmReport SolveChain(const ChainProblem& problem, ChainSolution& solution,
     return report;
   }
 
+  BuildPlan(p, ws);
   double logs = 0.0;
   const double start_obj =
       ObjectiveAndLogs(p, ws.s.data(), ws.f.data(), ws.w.data(), &logs);

@@ -68,8 +68,19 @@ struct ChainIpmReport {
   std::size_t evaluations = 0;   // barrier evaluations, line search included
 };
 
+/// Where a node's Newton-system terms enter the frontier: the slots of
+/// s_u, f_u, w_u, the lifting variable z_u, s_{u+1} and its group's
+/// multiplier, and the eliminations planned up to and including the node.
+struct ChainNodePlan {
+  std::size_t s = 0, f = 0, w = 0, z = 0, next = 0, nu = 0;
+  bool opens = false;  // the group's first free node: its residual enters
+  std::size_t steps_end = 0;
+};
+
 /// Reusable buffers of SolveChain (one per thread; see opt/workspace.h).
 struct ChainIpmWorkspace {
+  FrontalPlan plan;                    // the Newton systems' elimination,
+  std::vector<ChainNodePlan> nodes;    // planned once per solve
   std::vector<double> s, f, w, ds, df, dw, gs, gf, gw;
   std::vector<double> trial_s, trial_f, trial_w;
   std::vector<double> best_s, best_f, best_w;

@@ -264,6 +264,15 @@ double Finish(const Scaled& p, const Pattern& pat, const State& x,
   return s + avg * d / w;
 }
 
+/// Sets `row` to the start row s_{u+1} >= f_u of node u < n - 1: curved
+/// (non-linear) for a partial free node with variables.
+void StartRow(const Scaled& p, const Pattern& pat, const State& x,
+              std::size_t u, Row& row) {
+  row.Reset();
+  row.Add(IdS(u + 1), 1.0);
+  row.value = x.s[u + 1] - Finish(p, pat, x, u, -1.0, &row);
+}
+
 /// Emits node u's inequality rows (value excludes any shift): the start
 /// rows of u and of u + 1, the worst-case chain, the end-time box and the
 /// rows of u's piece.
@@ -282,9 +291,7 @@ void NodeRows(const Scaled& p, const Pattern& pat, const State& x,
   emit(row);
   // s_{u+1} >= f_u.
   if (u + 1 < p.n) {
-    row.Reset();
-    row.Add(IdS(u + 1), 1.0);
-    row.value = x.s[u + 1] - Finish(p, pat, x, u, -1.0, &row);
+    StartRow(p, pat, x, u, row);
     emit(row);
   }
   // Worst-case chain at max speed: e_u - e_{u-1} >= w_u, e_u - r_u >= w_u.
@@ -422,105 +429,193 @@ void ToVariables(const Scaled& p, const Pattern& pat,
   }
 }
 
+/// A primitive as a combination of variables, entering them into the plan's
+/// frontier: s and e are themselves, w_u = C_u - C_prev and a_u = plan -
+/// C_prev.
+ReplayLin Expand(const Scaled& p, const Pattern& pat, FrontalPlan& fp,
+                 std::int64_t id) {
+  ReplayLin lin;
+  const std::size_t u = static_cast<std::size_t>(id) / 5;
+  const std::int64_t kind = id % 5;
+  const auto push = [&lin, &fp](std::int64_t var, double coeff) {
+    lin.slot[lin.count] = fp.Slot(var);
+    lin.coeff[lin.count++] = coeff;
+  };
+  if (kind < 2) {
+    push(id, 1.0);
+  } else if (kind == 2) {
+    if (p.c_var[u]) {
+      push(IdC(u), 1.0);
+    }
+    if (p.prev[u] != kNone) {
+      push(IdC(p.prev[u]), -1.0);
+    }
+  } else if (AvgVar(p, pat, u)) {
+    push(IdC(p.prev[u]), -1.0);
+  }
+  return lin;
+}
+
+/// The symbolic pass of a pattern (ws.plan): walks NewtonSystem's assembly
+/// order on variable ids, entering variables into the frontier as the
+/// assembly first touches them, marking every entry it adds to and planning
+/// each elimination; also records the rows' term ids and coefficients
+/// (ws.row_id, ws.row_coeff) and each row's gradient over the variables.
+/// The rows' structure does not depend on the point, nor do the
+/// coefficients of a row that is not curved, so any x of the pattern
+/// serves.
+void BuildPlan(const Scaled& p, const Pattern& pat, const State& x,
+               ReplayNewtonWorkspace& ws) {
+  ReplayPlan& plan = ws.plan;
+  FrontalPlan& fp = plan.frontal;
+  fp.Reset(p.frontier_cap);
+  plan.node.assign(p.n, ReplayNodePlan{});
+  plan.slot_begin.assign(1, 0);
+  plan.slot.clear();
+  plan.part_begin.assign(1, 0);
+  plan.part.clear();
+  plan.coeff.clear();
+  ws.row_begin.assign(1, 0);
+  ws.row_id.clear();
+  ws.row_coeff.clear();
+  const auto touch = [&fp](const ReplayLin& a, const ReplayLin& b) {
+    for (int i = 0; i < a.count; ++i) {
+      for (int j = 0; j < b.count; ++j) {
+        fp.Touch(a.slot[i], b.slot[j]);
+      }
+    }
+  };
+  for (std::size_t u = 0; u < p.n; ++u) {
+    ReplayNodePlan& node = plan.node[u];
+    const bool wv = p.w_var[u] != 0;
+    const bool av = AvgVar(p, pat, u);
+    const std::int64_t prim[4] = {IdS(u), IdE(u), IdW(u), IdA(u)};
+    const bool prim_on[4] = {true, true, wv, av};
+    // A full free node's rank-one w^3 / d^2 enters through z_u.
+    const bool lifted = FreeExecuting(pat, u) && pat.node[u] == Case::kFull;
+    if (lifted) {
+      node.lift = fp.Slot(IdZ(u));
+      for (int i = 0; i < (wv ? 3 : 2); ++i) {
+        const ReplayLin lin = Expand(p, pat, fp, prim[i]);
+        for (int a = 0; a < lin.count; ++a) {
+          fp.Touch(node.lift, lin.slot[a]);
+        }
+      }
+    }
+    NodeRows(p, pat, x, u, [&](const Row& row) {
+      if (row.curved) {
+        node.curved_row = ws.row_begin.size() - 1;
+      }
+      const std::size_t first = plan.slot.size();
+      for (int i = 0; i < row.count; ++i) {
+        ws.row_id.push_back(row.terms[i].id);
+        ws.row_coeff.push_back(row.terms[i].coeff);
+        const ReplayLin lin = Expand(p, pat, fp, row.terms[i].id);
+        for (int k = 0; k < lin.count; ++k) {
+          std::size_t m = first;
+          while (m < plan.slot.size() && plan.slot[m] != lin.slot[k]) {
+            ++m;
+          }
+          if (m == plan.slot.size()) {
+            plan.slot.push_back(lin.slot[k]);
+            plan.coeff.push_back(0.0);
+          }
+          plan.coeff[m] += row.terms[i].coeff * lin.coeff[k];
+          plan.part.push_back(ReplayPart{static_cast<unsigned char>(i),
+                                         static_cast<unsigned char>(m - first),
+                                         lin.coeff[k]});
+        }
+      }
+      ws.row_begin.push_back(ws.row_id.size());
+      plan.slot_begin.push_back(plan.slot.size());
+      plan.part_begin.push_back(plan.part.size());
+      for (std::size_t i = first; i < plan.slot.size(); ++i) {
+        for (std::size_t j = first; j <= i; ++j) {
+          fp.Touch(plan.slot[i], plan.slot[j]);
+        }
+      }
+    });
+    node.rows_end = plan.slot_begin.size() - 1;
+    for (int i = 0; i < 4; ++i) {
+      if (prim_on[i]) {
+        node.prim[i] = Expand(p, pat, fp, prim[i]);
+      }
+    }
+    for (int i = 0; i < 4; ++i) {
+      for (int j = 0; j <= i; ++j) {
+        if (prim_on[i] && prim_on[j]) {
+          touch(node.prim[i], node.prim[j]);
+        }
+      }
+    }
+    // Eliminate what no later node touches: e_{u-1}, this node's start, the
+    // previous running budget of its group and its lifting variable.
+    if (u > 0) {
+      fp.Eliminate(IdE(u - 1), false);
+    }
+    fp.Eliminate(IdS(u), false);
+    if (p.prev[u] != kNone) {
+      fp.Eliminate(IdC(p.prev[u]), false);
+    }
+    if (lifted) {
+      fp.Eliminate(IdZ(u), true);
+    }
+    if (u + 1 == p.n) {
+      fp.Eliminate(IdE(u), false);
+    }
+    node.steps_end = fp.steps().size();
+  }
+  ws.row_value.resize(plan.slot_begin.size() - 1);
+}
+
 /// Assembles and factors the primal-dual Newton matrix at x
 ///
 ///   Hess f + sum_i dual_i Hess(-g_i) + sum_i (dual_i / slack_i) a_i a_i^T
 ///
-/// over the variables, and records the rows' shifted values and gradients
-/// (ws.row_*) and the objective's gradient over the primitives (ws.grad).  Where the non-convex blocks
-/// leave the matrix indefinite, the modified factorisation (opt/frontal.h)
-/// keeps every direction a descent one.  False on a non-finite pivot.
+/// over the variables along the pattern's plan (ws.plan), and records the
+/// curved rows' term coefficients (ws.row_coeff) and the objective's
+/// gradient over the primitives (ws.grad); the rows' values at x
+/// (ws.row_value) come from the pattern's start or the accepted trial's
+/// merit.  Where the non-convex blocks leave the matrix indefinite, the
+/// modified factorisation (opt/frontal.h) keeps every direction a descent
+/// one.  False on a non-finite pivot.
 bool NewtonSystem(const Scaled& p, const Pattern& pat, const State& x,
                   Frontier& fr, ReplayNewtonWorkspace& ws) {
   const std::size_t n = p.n;
+  const ReplayPlan& plan = ws.plan;
   ws.grad.assign(5 * n, 0.0);
   double* grad = ws.grad.data();
 
-  // A primitive as a combination of variables: s and e are themselves,
-  // w_u = C_u - C_prev and a_u = plan - C_prev.
-  struct Lin {
-    int count = 0;
-    std::size_t slot[2];
-    double coeff[2];
-  };
-  const auto expand_fresh = [&](std::int64_t id) {
-    Lin lin;
-    const std::size_t u = static_cast<std::size_t>(id) / 5;
-    const std::int64_t kind = id % 5;
-    const auto push = [&lin, &fr](std::int64_t var, double coeff) {
-      lin.slot[lin.count] = fr.Slot(var);
-      lin.coeff[lin.count++] = coeff;
-    };
-    if (kind < 2) {
-      push(id, 1.0);
-    } else if (kind == 2) {
-      if (p.c_var[u]) {
-        push(IdC(u), 1.0);
-      }
-      if (p.prev[u] != kNone) {
-        push(IdC(p.prev[u]), -1.0);
-      }
-    } else if (AvgVar(p, pat, u)) {
-      push(IdC(p.prev[u]), -1.0);
-    }
-    return lin;
-  };
-  // Each node's rows touch the primitives of nodes u - 1, u and u + 1 only;
-  // their expansions are looked up once per node.  Slots stay valid until
-  // the node's eliminations.
-  std::int64_t cache_id[16];
-  Lin cache_lin[16];
-  int cache_size = 0;
-  const auto expand = [&](std::int64_t id) {
-    for (int i = 0; i < cache_size; ++i) {
-      if (cache_id[i] == id) {
-        return cache_lin[i];
-      }
-    }
-    const Lin lin = expand_fresh(id);
-    if (cache_size < 16) {
-      cache_id[cache_size] = id;
-      cache_lin[cache_size++] = lin;
-    }
-    return lin;
-  };
   // Adds value * (e_i e_j^T + e_j e_i^T) (value * e_i e_i^T when i == j)
-  // over primitives, mapped onto the variables.
-  const auto add_hess = [&](std::int64_t i, std::int64_t j, double value) {
+  // over primitives i and j, mapped onto the variables.
+  const auto add_hess = [&fr](const ReplayLin& li, const ReplayLin& lj,
+                              bool same, double value) {
     if (value == 0.0) {
       return;
     }
-    const Lin li = expand(i);
-    const Lin lj = expand(j);
     for (int a = 0; a < li.count; ++a) {
       for (int b = 0; b < lj.count; ++b) {
-        if (i == j && b > a) {
+        if (same && b > a) {
           continue;
         }
         const double v = value * li.coeff[a] * lj.coeff[b];
         fr.Add(li.slot[a], lj.slot[b],
-               i != j && li.slot[a] == lj.slot[b] ? 2.0 * v : v);
+               !same && li.slot[a] == lj.slot[b] ? 2.0 * v : v);
       }
     }
   };
 
-  ws.row_value.clear();
-  ws.row_begin.assign(1, 0);
-  ws.row_id.clear();
-  ws.row_coeff.clear();
   std::size_t index = 0;
   for (std::size_t u = 0; u < n; ++u) {
-    cache_size = 0;
+    const ReplayNodePlan& node = plan.node[u];
     const bool wv = p.w_var[u] != 0;
     const bool av = AvgVar(p, pat, u);
-    const std::int64_t prim[4] = {IdS(u), IdE(u), IdW(u), IdA(u)};
     const bool prim_on[4] = {true, true, wv, av};
 
     // Objective.
     double block[4][4] = {};
     const double d = x.e[u] - x.s[u];
     const double w = x.w[u];
-    bool lifted = false;
     if (Executes(pat, u)) {
       const double avg = Avg(p, pat, x, u);
       if (pat.floored[u]) {
@@ -540,16 +635,15 @@ bool NewtonSystem(const Scaled& p, const Pattern& pat, const State& x,
         if (wv) {
           grad[IdW(u)] += 3.0 * q * q;
         }
-        const std::size_t kz = fr.Slot(IdZ(u));
+        const std::size_t kz = node.lift;
         const double v[3] = {w, -w, d};
         for (int i = 0; i < (wv ? 3 : 2); ++i) {
-          const Lin lin = expand(prim[i]);
+          const ReplayLin& lin = node.prim[i];
           for (int a = 0; a < lin.count; ++a) {
             fr.Add(kz, lin.slot[a], v[i] * lin.coeff[a]);
           }
         }
         fr.Add(kz, kz, -d * d * d / (6.0 * q));
-        lifted = true;
       } else {
         // avg w^2 / d^2 over (s, e, w, avg), d = e - s.
         const double w2 = w * w;
@@ -578,43 +672,40 @@ bool NewtonSystem(const Scaled& p, const Pattern& pat, const State& x,
       }
     }
 
-    // Rows: row i adds (dual_i / slack_i) a_i a_i^T; the curved start row
-    // g = s_{u+1} - f_u adds dual_i Hess(-g) = dual_i Hess(avg d / w) over
-    // (avg, w, d).
-    NodeRows(p, pat, x, u, [&](const Row& row) {
+    // Rows: row i adds (dual_i / slack_i) a_i a_i^T at the planned slots
+    // with the plan's gradient; the curved start row g = s_{u+1} - f_u has
+    // its gradient at x and adds dual_i Hess(-g) = dual_i Hess(avg d / w)
+    // over (avg, w, d).
+    for (; index < node.rows_end; ++index) {
       const double dual = ws.dual[index];
       const double weight = dual / ws.slack[index];
-      ws.row_value.push_back(row.value + ws.row_shift[index]);
-      ++index;
-      for (int i = 0; i < row.count; ++i) {
-        ws.row_id.push_back(row.terms[i].id);
-        ws.row_coeff.push_back(row.terms[i].coeff);
+      const std::size_t* slot = plan.slot.data() + plan.slot_begin[index];
+      const std::size_t count = plan.slot_begin[index + 1] -
+                                plan.slot_begin[index];
+      const double* coeff = plan.coeff.data() + plan.slot_begin[index];
+      double merged[8];
+      const bool curved = index == node.curved_row;
+      if (curved) {
+        Row row;
+        StartRow(p, pat, x, u, row);
+        for (int i = 0; i < row.count; ++i) {
+          ws.row_coeff[ws.row_begin[index] + i] = row.terms[i].coeff;
+        }
+        std::fill(merged, merged + count, 0.0);
+        for (std::size_t k = plan.part_begin[index];
+             k < plan.part_begin[index + 1]; ++k) {
+          const ReplayPart& part = plan.part[k];
+          merged[part.merged] += row.terms[part.term].coeff * part.coeff;
+        }
+        coeff = merged;
       }
-      ws.row_begin.push_back(ws.row_id.size());
-      // The row's gradient over the variables (terms merged by slot).
-      std::size_t slot[8];
-      double coeff[8];
-      int count = 0;
-      for (int i = 0; i < row.count; ++i) {
-        const Lin lin = expand(row.terms[i].id);
-        for (int k = 0; k < lin.count; ++k) {
-          int m = 0;
-          while (m < count && slot[m] != lin.slot[k]) {
-            ++m;
-          }
-          if (m == count) {
-            slot[count] = lin.slot[k];
-            coeff[count++] = 0.0;
-          }
-          coeff[m] += row.terms[i].coeff * lin.coeff[k];
+      for (std::size_t i = 0; i < count; ++i) {
+        const double scaled = weight * coeff[i];
+        for (std::size_t j = 0; j <= i; ++j) {
+          fr.Add(slot[i], slot[j], scaled * coeff[j]);
         }
       }
-      for (int i = 0; i < count; ++i) {
-        for (int j = 0; j <= i; ++j) {
-          fr.Add(slot[i], slot[j], weight * coeff[i] * coeff[j]);
-        }
-      }
-      if (row.curved) {
+      if (curved) {
         const double avg = Avg(p, pat, x, u);
         const double hwd = -avg / (w * w) * dual;
         const double had = dual / w;
@@ -625,27 +716,20 @@ bool NewtonSystem(const Scaled& p, const Pattern& pat, const State& x,
         block[3][1] += had;
         block[3][2] += -d / (w * w) * dual;
       }
-    });
+    }
     for (int i = 0; i < 4; ++i) {
       for (int j = 0; j <= i; ++j) {
         if (prim_on[i] && prim_on[j]) {
-          add_hess(prim[i], prim[j], block[i][j]);
+          add_hess(node.prim[i], node.prim[j], i == j, block[i][j]);
         }
       }
     }
 
-    // Eliminate what no later node touches: e_{u-1}, this node's start, the
-    // previous running budget of its group and its lifting variable.
-    if (u > 0 && !fr.EliminateId(IdE(u - 1), false)) {
-      return false;
-    }
-    if (!fr.EliminateId(IdS(u), false) ||
-        (p.prev[u] != kNone && !fr.EliminateId(IdC(p.prev[u]), false)) ||
-        (lifted && !fr.EliminateId(IdZ(u), true))) {
-      return false;
-    }
-    if (u + 1 == n && !fr.EliminateId(IdE(u), false)) {
-      return false;
+    // The node's planned eliminations.
+    while (fr.eliminated() < node.steps_end) {
+      if (!fr.Eliminate()) {
+        return false;
+      }
     }
   }
   return true;
@@ -735,19 +819,29 @@ struct Run {
   State x, trial;
   double mu = 0.0;
   double kkt = kInf;
+  // The merit's sums at x when x is an accepted trial point: its slacks
+  // moved there by the same alpha * d_slack, so the sums repeat exactly.
+  bool merit_kept = false;
+  double kept_logs = 0.0;
+  double kept_violation = 0.0;
   ReplayStatus failure = ReplayStatus::kNoConvergence;
 
   /// Starts the pattern from x at complementarity energy / rows: a pattern
   /// row shifted just enough to hold, with its shifted value as its slack
   /// (a pattern row is never relaxed: its piece's formulas hold only inside
-  /// it), any other row at slack max(row, kStartSlack).
+  /// it), any other row at slack max(row, kStartSlack).  Plans the
+  /// pattern's Newton systems.
   void Restart() {
+    BuildPlan(p, pat, x, ws);
+    merit_kept = false;
     ws.slack.clear();
     ws.row_shift.clear();
+    std::size_t index = 0;
     for (std::size_t u = 0; u < p.n; ++u) {
       NodeRows(p, pat, x, u, [&](const Row& row) {
         ws.row_shift.push_back(
             row.strict ? std::max(0.0, kBoundaryShift - row.value) : 0.0);
+        ws.row_value[index++] = row.value + ws.row_shift.back();
         ws.slack.push_back(row.strict ? row.value + ws.row_shift.back()
                                       : std::max(row.value, kStartSlack));
       });
@@ -863,21 +957,50 @@ struct Run {
     Derive(p, pat, out);
   }
 
-  /// The barrier objective f - mu sum log(slack) at `at` with the slacks
-  /// moved by alpha along ws.d_slack (+inf outside the domain); `violation`
-  /// receives the summed row violation |row - slack|.
-  double Merit(const State& at, double alpha, double& violation) const {
-    const double obj = Objective(p, pat, at);
+  /// Merit(x, 0, violation, logs) from x's objective `obj`, its rows
+  /// (ws.row_value) and the slope of the last direction: the accepted
+  /// trial's sums when a finite slope shows every d_slack finite (so
+  /// 0 * d_slack moves no slack), or the same sums in the same order.
+  double MeritHere(double obj, double slope, double& violation) const {
+    if (merit_kept && std::isfinite(slope)) {
+      violation = kept_violation;
+      return obj - mu * kept_logs;
+    }
     double logs = 0.0;
     violation = 0.0;
     bool inside = obj < kInf;
+    std::size_t r = 0;
+    for (std::size_t u = 0; u < p.n && inside; ++u) {
+      for (; r < ws.plan.node[u].rows_end; ++r) {
+        const double slack = ws.slack[r] + 0.0 * ws.d_slack[r];
+        inside = inside && slack > 0.0;
+        logs += std::log(slack);
+        violation += std::fabs(ws.row_value[r] - slack);
+      }
+    }
+    return inside ? obj - mu * logs : kInf;
+  }
+
+  /// The barrier objective f - mu sum log(slack) at `at` with the slacks
+  /// moved by alpha along ws.d_slack (+inf outside the domain); `violation`
+  /// and `logs` receive the summed row violation |row - slack| and the sum
+  /// of log(slack), and ws.trial_value the shifted rows at `at` (all of
+  /// them when the merit is finite).
+  double Merit(const State& at, double alpha, double& violation,
+               double& logs) const {
+    const double obj = Objective(p, pat, at);
+    logs = 0.0;
+    violation = 0.0;
+    bool inside = obj < kInf;
     std::size_t index = 0;
+    ws.trial_value.resize(ws.slack.size());
     for (std::size_t u = 0; u < p.n && inside; ++u) {
       NodeRows(p, pat, at, u, [&](const Row& row) {
         const double slack = ws.slack[index] + alpha * ws.d_slack[index];
         inside = inside && slack > 0.0;
         logs += std::log(slack);
-        violation += std::fabs(row.value + ws.row_shift[index] - slack);
+        ws.trial_value[index] = row.value + ws.row_shift[index];
+        violation += std::fabs(ws.trial_value[index] - slack);
         ++index;
       });
     }
@@ -896,7 +1019,7 @@ struct Run {
         return false;
       }
       ++report.newton_steps;
-      Frontier fr(ws.frontal, p.frontier_cap, /*modify=*/true);
+      Frontier fr(ws.frontal, ws.plan.frontal, /*modify=*/true);
       const double obj = Objective(p, pat, x);
       if (!NewtonSystem(p, pat, x, fr, ws) || !(obj < kInf)) {
         failure = ReplayStatus::kBreakdown;
@@ -939,15 +1062,16 @@ struct Run {
       // the violation; a nearly feasible point must lower the barrier
       // objective by the Armijo rule.
       double violation = 0.0;
-      const double phi = Merit(x, 0.0, violation);
+      const double phi = MeritHere(obj, slope, violation);
       double alpha = PrimalLimit(kToBoundary);
       const double alpha_dual =
           StepLimit(ws.dual, ws.d_dual, kToBoundary, 1.0);
       bool accepted = false;
+      double trial_violation = 0.0;
+      double trial_logs = 0.0;
       for (int halvings = 0; halvings < 50 && !accepted; ++halvings) {
         MoveTo(alpha, trial);
-        double trial_violation = 0.0;
-        const double value = Merit(trial, alpha, trial_violation);
+        const double value = Merit(trial, alpha, trial_violation, trial_logs);
         if (value < kInf) {
           accepted =
               violation <= kNearlyFeasible && slope < 0.0
@@ -963,6 +1087,10 @@ struct Run {
         continue;  // no step left: the guard ends the solve
       }
       std::swap(x, trial);
+      std::swap(ws.row_value, ws.trial_value);
+      merit_kept = true;
+      kept_logs = trial_logs;
+      kept_violation = trial_violation;
       for (std::size_t r = 0; r < ws.slack.size(); ++r) {
         ws.slack[r] += alpha * ws.d_slack[r];
         ws.dual[r] = std::min(

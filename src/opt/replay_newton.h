@@ -29,10 +29,10 @@
 // primal-dual interior-point method solves the pattern: every row g_i >= 0
 // gets a slack and a multiplier, so a start need not be feasible (pattern
 // rows excepted, which are shifted just enough to hold), and each Newton
-// system is eliminated along the order in one frontal sweep (opt/frontal.h)
-// whose modified pivots keep each step a descent step where a partial node
-// leaves the system indefinite; a barrier update re-solves the factored
-// system.  A pattern-boundary row still active at a converged point moves
+// system is eliminated along the order in one frontal sweep (opt/frontal.h,
+// planned once per pattern) whose modified pivots keep each step a descent
+// step where a partial node leaves the system indefinite; a barrier update
+// re-solves the factored system.  A pattern-boundary row still active at a converged point moves
 // its node to the neighbouring piece and the solve restarts from the
 // converged point, until the pattern is stable, a boundary is crossed back
 // (a kink optimum) or a change stops paying.
@@ -89,14 +89,59 @@ struct ReplayNewtonReport {
   std::size_t patterns = 0;      // case / floor patterns solved
 };
 
+/// A node's primitive (s, e, w or a) as a combination of frontier slots.
+struct ReplayLin {
+  int count = 0;
+  std::size_t slot[2] = {};
+  double coeff[2] = {};
+};
+
+/// Where a node's Newton-system terms enter the frontier: its primitives
+/// s, e, w and a, its lifting variable z (lifted nodes); the rows and
+/// eliminations up to and including the node, and its start row when that
+/// row is curved (else none).
+struct ReplayNodePlan {
+  ReplayLin prim[4];
+  std::size_t lift = 0;
+  std::size_t rows_end = 0;
+  std::size_t steps_end = 0;
+  std::size_t curved_row = static_cast<std::size_t>(-1);
+};
+
+/// One entry of a row term's expansion: the row's merged slot it adds to,
+/// with the expansion's coefficient.
+struct ReplayPart {
+  unsigned char term = 0;
+  unsigned char merged = 0;
+  double coeff = 0.0;
+};
+
+/// The plan of one case / floor pattern's Newton systems, built at each
+/// pattern change: the frontal elimination, and where each node's objective
+/// and rows add.  Per row (emission order) the slots of its gradient over
+/// the variables, merged over its terms' expansions, with the merged
+/// coefficients (final unless the row is curved) and the parts that sum
+/// into them.
+struct ReplayPlan {
+  FrontalPlan frontal;
+  std::vector<ReplayNodePlan> node;
+  std::vector<std::size_t> slot_begin, slot;
+  std::vector<double> coeff;
+  std::vector<std::size_t> part_begin;
+  std::vector<ReplayPart> part;
+};
+
 /// Reusable buffers of SolveReplay (one per thread; see opt/workspace.h).
 struct ReplayNewtonWorkspace {
   FrontalBuffers frontal;
+  ReplayPlan plan;
   std::vector<double> rhs, values;       // right-hand side, step by variable
   std::vector<double> grad, prim, step;  // objective gradient, scratch and
                                          // step by primitive id
-  // The rows of the last Newton system: shifted values and linear terms.
-  std::vector<double> row_value, row_coeff;
+  // The rows of the pattern (ids and coefficients of their terms, by the
+  // plan; curved rows' coefficients by the last Newton system) and their
+  // shifted values at x and at the last trial point.
+  std::vector<double> row_value, row_coeff, trial_value;
   std::vector<std::size_t> row_begin;
   std::vector<std::int64_t> row_id;
   // Per row: slack, multiplier, shift and the slack and multiplier steps.

@@ -53,8 +53,8 @@ model::TaskSet GenerateRandomTaskSet(const RandomTaskSetOptions& options,
     model::TaskSet set =
         ScaleToUtilization(std::move(tasks), dvs, options.utilization);
 
-    const fps::FullyPreemptiveSchedule expansion(set);
-    if (expansion.sub_count() > sub_cap) {
+    // An oversized draw is rejected by its count, without expanding it.
+    if (fps::CountSubInstances(set, sub_cap) > sub_cap) {
       continue;
     }
     if (multi_core) {
@@ -71,7 +71,8 @@ model::TaskSet GenerateRandomTaskSet(const RandomTaskSetOptions& options,
       if (oversized) {
         continue;
       }
-    } else if (!sim::IsRmSchedulable(expansion, dvs)) {
+    } else if (!sim::IsRmSchedulable(fps::FullyPreemptiveSchedule(set),
+                                     dvs)) {
       continue;
     }
     return set;

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "stats/rng.h"
 #include "util/error.h"
@@ -144,6 +147,32 @@ TEST(Expansion, CountMatchesHelper) {
   const model::TaskSet set({MakeTask("a", 4), MakeTask("b", 12)});
   const FullyPreemptiveSchedule fps(set);
   EXPECT_EQ(CountSubInstances(set), fps.sub_count());
+}
+
+// The count without expansion equals the expansion's on random sets drawn
+// from a period pool with harmonic chains (10, 20, 40, 80), near-coprime
+// periods (15, 35, 48) and repeats (equal periods share a priority and
+// never cut each other).  Bounded at the count it is exact; bounded below
+// it, it ends above the bound.
+TEST(Expansion, BoundedCountMatchesTheExpansion) {
+  const std::int64_t pool[] = {10, 20, 40, 80, 15, 35, 48, 10, 20};
+  const std::int64_t last = static_cast<std::int64_t>(std::size(pool)) - 1;
+  stats::Rng rng(31);
+  for (int trial = 0; trial < 300; ++trial) {
+    SCOPED_TRACE(trial);
+    std::vector<model::Task> tasks;
+    const int n = 1 + static_cast<int>(rng.UniformInt(0, 5));
+    for (int i = 0; i < n; ++i) {
+      tasks.push_back(MakeTask("t" + std::to_string(i),
+                               pool[rng.UniformInt(0, last)]));
+    }
+    const model::TaskSet set(tasks);
+    const std::size_t subs = FullyPreemptiveSchedule(set).sub_count();
+    EXPECT_EQ(CountSubInstances(set), subs);
+    EXPECT_EQ(CountSubInstances(set, subs), subs);
+    EXPECT_GT(CountSubInstances(set, subs - 1), subs - 1);
+    EXPECT_GT(CountSubInstances(set, subs / 3), subs / 3);
+  }
 }
 
 TEST(Expansion, OutOfRangeAccessThrows) {

@@ -2,14 +2,17 @@
 // program: input validation, determinism, convexity of its full-node piece,
 // tightness of the start relaxation, quality against the capped ALM on
 // tiny random sets and against the checked-in multi-start reference corpus,
-// and its step guard on a checked-in multi-pattern problem.
+// its results to the bit on that corpus, and its step guard on a checked-in
+// multi-pattern problem.
 #include "opt/replay_newton.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -161,6 +164,106 @@ TEST(ReplayNewton, MatchesOrBeatsTheMultiStartAlmReferences) {
     ++sets;
   }
   EXPECT_EQ(sets, 20);
+}
+
+std::uint64_t Bits(double value) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof bits);
+  return bits;
+}
+
+struct ReplayPin {
+  int set;
+  std::uint64_t objective_bits;
+  std::size_t newton_steps;
+  std::size_t patterns;
+};
+
+// SolveReplay's objective (to the bit), Newton systems and patterns on every
+// set of the reference corpus from the exact WCS warm start, at the ACEC
+// point (first row of each set) and at the three-quarter point between BCEC
+// and WCEC (second row).  The Newton kernel replays a per-pattern
+// elimination plan; a change that moves one rounding fails here.
+constexpr ReplayPin kReplayPins[] = {
+  {0, 0x40867ff1f7bde0f3ULL, 33, 2},
+  {0, 0x40930d72a17ad988ULL, 33, 2},
+  {1, 0x40b8355a594c6a1bULL, 21, 1},
+  {1, 0x40c08822c0bc2b8bULL, 58, 2},
+  {2, 0x40a2d869ece666ddULL, 18, 1},
+  {2, 0x40a41d820769b8abULL, 18, 1},
+  {3, 0x4087377e34f7ed2dULL, 15, 1},
+  {3, 0x4095e0a33259ab53ULL, 15, 1},
+  {4, 0x40c51e64d71b77cfULL, 32, 2},
+  {4, 0x40ceee5dd46da34fULL, 33, 2},
+  {5, 0x40adbec7763105e3ULL, 18, 1},
+  {5, 0x40aff80c375eaca6ULL, 96, 1},
+  {6, 0x408e0e11f45c9659ULL, 15, 1},
+  {6, 0x4095a72673e2591aULL, 15, 1},
+  {7, 0x40b537a93fd1b307ULL, 18, 1},
+  {7, 0x40bf2804c232a255ULL, 15, 1},
+  {8, 0x40c2edb30b4043d1ULL, 71, 2},
+  {8, 0x40c432a7b12895c2ULL, 52, 2},
+  {9, 0x40aa38f95ca45d30ULL, 36, 2},
+  {9, 0x40b94f7304efcb6dULL, 32, 2},
+  {10, 0x40a5c6515828e03aULL, 52, 3},
+  {10, 0x40af9d64e4289dc4ULL, 31, 2},
+  {11, 0x40d2dc2e00652f2cULL, 18, 1},
+  {11, 0x40d41f94b77e4b3dULL, 19, 1},
+  {12, 0x40bba5ff6f1fec7aULL, 35, 2},
+  {12, 0x40c9efb2c15825a2ULL, 34, 2},
+  {13, 0x40915abeaa4edaecULL, 79, 3},
+  {13, 0x40983250a3f73c21ULL, 48, 2},
+  {14, 0x40b2aaea93852508ULL, 38, 2},
+  {14, 0x40b40560df88c592ULL, 17, 1},
+  {15, 0x4051da9fcde01836ULL, 13, 1},
+  {15, 0x406068ecc151339bULL, 12, 1},
+  {16, 0x40a0499e508ebd9dULL, 32, 2},
+  {16, 0x40a805edafce6130ULL, 15, 1},
+  {17, 0x408e4e300b3e3ff0ULL, 18, 1},
+  {17, 0x40902194850ab972ULL, 18, 1},
+  {18, 0x40a9f63631d0d6d2ULL, 35, 2},
+  {18, 0x40b861f0016aee13ULL, 32, 2},
+  {19, 0x40817c085630730bULL, 34, 2},
+  {19, 0x40888dae82bb31a6ULL, 15, 1},
+};
+
+TEST(ReplayNewton, IsBitIdenticalOnTheReferenceCorpus) {
+  const model::LinearDvsModel cpu = workload::DefaultModel();
+  std::ifstream csv(std::string(ACS_TEST_DATA_DIR) +
+                    "/replay_reference.csv");
+  ASSERT_TRUE(csv.good());
+  std::string line;
+  std::getline(csv, line);  // header
+  std::size_t pins = 0;
+  while (std::getline(csv, line)) {
+    int index = 0;
+    ASSERT_EQ(std::sscanf(line.c_str(), "%d,", &index), 1) << line;
+    SCOPED_TRACE(index);
+    const model::TaskSet set = ReferenceSet(index, cpu);
+    const fps::FullyPreemptiveSchedule fps(set);
+    const Warm warm = WarmOf(SolveWcs(fps, cpu).schedule);
+    opt::ReplayProblem problem = ProblemOf(fps, cpu);
+    for (int point = 0; point < 2; ++point) {
+      if (point == 1) {
+        for (std::size_t p = 0; p < fps.instance_count(); ++p) {
+          const model::Task& task = set.task(fps.instance(p).info.task);
+          problem.group_plan[p] = task.bcec + 0.75 * (task.wcec - task.bcec);
+        }
+      }
+      opt::ReplaySolution solution;
+      const opt::ReplayNewtonReport report =
+          opt::SolveReplay(problem, warm.end, warm.budget, solution);
+      ASSERT_EQ(report.status, opt::ReplayStatus::kSolved) << point;
+      ASSERT_LT(pins, std::size(kReplayPins));
+      EXPECT_EQ(kReplayPins[pins].set, index) << point;
+      EXPECT_EQ(kReplayPins[pins].objective_bits, Bits(report.objective))
+          << point;
+      EXPECT_EQ(kReplayPins[pins].newton_steps, report.newton_steps) << point;
+      EXPECT_EQ(kReplayPins[pins].patterns, report.patterns) << point;
+      ++pins;
+    }
+  }
+  EXPECT_EQ(pins, std::size(kReplayPins));
 }
 
 // A full node's energy w * max(smin, w / d)^2 (speed units) is jointly

@@ -2,6 +2,9 @@
 // the motivational example.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 #include "fps/expansion.h"
 #include "sim/engine.h"
 #include "stats/rng.h"
@@ -99,6 +102,65 @@ TEST(RandomTaskSet, DeterministicPerRngState) {
     EXPECT_EQ(sa.task(i).period, sb.task(i).period);
     EXPECT_DOUBLE_EQ(sa.task(i).wcec, sb.task(i).wcec);
   }
+}
+
+/// FNV-1a over the 64-bit words fed to it.
+struct Digest {
+  std::uint64_t value = 0xcbf29ce484222325ULL;
+  void Add(std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      value = (value ^ ((word >> (8 * byte)) & 0xff)) * 0x100000001b3ULL;
+    }
+  }
+  void Add(double x) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &x, sizeof bits);
+    Add(bits);
+  }
+};
+
+// Every draw of fixed-seed generators, to the bit: periods, cycle counts and
+// the generator's state after each draw (so a change in how many candidates
+// a draw rejects also shows), over single-core sets at the paper's and a
+// tight sub-instance cap and over multi-core fleet demands.  A change to the
+// cap or RM tests that moves any draw fails here.
+TEST(RandomTaskSet, DrawsAreUnchanged) {
+  const model::LinearDvsModel cpu = DefaultModel();
+  Digest digest;
+  int draws = 0;
+  for (int n = 2; n <= 10; n += 2) {
+    for (double ratio : {0.1, 0.5, 0.9}) {
+      for (std::size_t cap : {std::size_t{n <= 4 ? 40u : 50u * n},
+                              std::size_t{1000}}) {
+        for (double utilization : {0.7, 1.6}) {
+          if (n == 2 && utilization > 1.0) {
+            continue;  // a task would need more than one core
+          }
+          RandomTaskSetOptions options;
+          options.num_tasks = n;
+          options.bcec_wcec_ratio = ratio;
+          options.max_sub_instances = cap;
+          options.utilization = utilization;
+          stats::Rng rng(static_cast<std::uint64_t>(
+              1000 * n + 100 * static_cast<int>(10 * ratio) +
+              static_cast<int>(cap) + (utilization > 1.0 ? 7 : 0)));
+          for (int k = 0; k < 3; ++k) {
+            const model::TaskSet set = GenerateRandomTaskSet(options, cpu, rng);
+            for (const model::Task& t : set.tasks()) {
+              digest.Add(static_cast<std::uint64_t>(t.period));
+              digest.Add(t.wcec);
+              digest.Add(t.acec);
+              digest.Add(t.bcec);
+            }
+            digest.Add(rng.NextU64());
+            ++draws;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(draws, 162);
+  EXPECT_EQ(digest.value, 0xd821fef37df23548ULL);
 }
 
 TEST(Cnc, StructureMatchesReconstruction) {
