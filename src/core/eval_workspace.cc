@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "obs/metrics.h"
+#include "util/binary_io.h"
 #include "util/error.h"
 
 namespace dvs::core {
@@ -42,6 +43,40 @@ std::size_t ResultBytes(const ScheduleResult& result) {
 
 }  // namespace
 
+std::string MissionKey(const ExperimentOptions& options,
+                       const std::vector<const ScheduleMethod*>& methods) {
+  util::BinaryWriter out;
+  out.I64(options.hyper_periods);
+  out.F64(options.sigma_divisor);
+  out.U64(options.seed);
+  out.VecF64(options.sigma_chain);
+  out.F64(options.transition.time_per_volt);
+  out.F64(options.transition.energy_per_volt);
+  out.U64(reinterpret_cast<std::uintptr_t>(options.scenario));
+  out.Str(options.scenario_key);
+  out.I64(options.planning.mixture_samples);
+  out.I64(options.planning.calibration_samples);
+  out.I64(options.online.dp_bins);
+  out.F64(options.online.drift_ewma);
+  out.F64(options.online.drift_threshold);
+  const dpm::Options& dpm = options.dpm;
+  out.U8(dpm.enabled ? 1 : 0);
+  out.F64(dpm.idle.power_per_ms);
+  out.F64(dpm.sleep.power_per_ms);
+  out.F64(dpm.sleep.enter_latency);
+  out.F64(dpm.sleep.exit_latency);
+  out.F64(dpm.sleep.enter_energy);
+  out.F64(dpm.sleep.exit_energy);
+  out.F64(dpm.critical_speed);
+  out.U8(dpm.reallocate ? 1 : 0);
+  out.I64(dpm.realloc_after);
+  out.U64(methods.size());
+  for (const ScheduleMethod* method : methods) {
+    out.U64(reinterpret_cast<std::uintptr_t>(method));
+  }
+  return out.bytes();
+}
+
 std::size_t EvalWorkspace::ApproxBytes(const PreparedCell& cell) {
   std::size_t bytes = sizeof(PreparedCell) + VecBytes(cell.model.params);
   for (const model::Task& task : cell.set.tasks()) {
@@ -75,6 +110,10 @@ std::size_t EvalWorkspace::ApproxBytes(const PreparedCell& cell) {
              VecBytes(entry->calibration.stddev) +
              MatBytes(entry->calibration.draws) +
              MatBytes(entry->calibration.sorted);
+  }
+  for (const auto& [key, mission] : cell.missions) {
+    bytes += sizeof(Mission) + key.size() +
+             mission.outcomes.size() * sizeof(MethodOutcome);
   }
   return bytes;
 }

@@ -12,8 +12,9 @@
 //   objective_scratch()  EnergyObjective forward/reverse buffers
 //   engine()             sim::Simulate tables, active set and result
 //   realisation()        the shared workload draws of EvaluateMethods
-//   Prepare(set, ...)    per-task-set cache: the FPS expansion plus the
-//                        lazily solved WCS / ACS / Vmax-ASAP results
+//   Prepare(set, ...)    per-task-set cache: the FPS expansion, the
+//                        lazily solved WCS / ACS / Vmax-ASAP results and
+//                        the memoised per-core missions of mp::EvaluateFleet
 //
 // Ownership and thread affinity: one workspace per thread, period.  Nothing
 // here is synchronised; runner::RunGrid keeps one per ThreadPool worker and
@@ -35,9 +36,12 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/formulation.h"
+#include "core/pipeline.h"
 #include "core/scheduler.h"
 #include "core/solve_store.h"
 #include "fps/expansion.h"
@@ -47,12 +51,34 @@
 
 namespace dvs::core {
 
+class ScheduleMethod;  // core/method_registry.h
+
+/// The identity of one per-core mission of mp::EvaluateFleet on a prepared
+/// subset: the exact bytes (util::BinaryWriter, as the store keys) of every
+/// ExperimentOptions field — hyper-periods, sigma divisor, seed, sigma
+/// chain, transition overhead, scenario address and key, planning, online
+/// and DPM knobs with the idle floor — followed by the method list.  The
+/// scenario and the methods are identified by address, so the memo is
+/// sound only while they outlive the workspace's prepared cells (the
+/// registries of a grid run do); that is also why missions never reach
+/// the persistent store.
+std::string MissionKey(const ExperimentOptions& options,
+                       const std::vector<const ScheduleMethod*>& methods);
+
 class EvalWorkspace {
  public:
+  /// One memoised per-core mission: what core::EvaluateMethods returned
+  /// and the result-charged counters it charged, replayed on every hit.
+  struct Mission {
+    std::vector<MethodOutcome> outcomes;
+    EvaluationCounters counters;
+  };
+
   /// Cached per-task-set state.  Owns a copy of the set (the expansion
-  /// points into it), the expansion itself, and the lazy solve cache that
-  /// MethodContext fills on first use.  The solves depend on the DVS model
-  /// as well as the set, so the entry records both by content:
+  /// points into it), the expansion itself, the lazy solve cache that
+  /// MethodContext fills on first use, and the per-core missions
+  /// mp::EvaluateFleet ran on this subset.  The solves depend on the DVS
+  /// model as well as the set, so the entry records both by content:
   /// `content_key` is their SolveStoreEntryKey.
   struct PreparedCell {
     PreparedCell(std::uint64_t content_key, model::TaskSet set,
@@ -63,6 +89,11 @@ class EvalWorkspace {
     ModelDescriptor model;
     fps::FullyPreemptiveSchedule fps;  // references `set`; do not move
     SolveCache solves;
+    /// Missions by MissionKey, compared byte for byte.  A mission is a pure
+    /// function of (subset, model, key), so a hit returns bit-identical
+    /// outcomes; the memo lives and dies with this entry and is never
+    /// persisted.
+    std::unordered_map<std::string, Mission> missions;
   };
 
   EvalWorkspace() = default;
@@ -114,8 +145,9 @@ class EvalWorkspace {
       256ull * 1024 * 1024;
 
   /// Deterministic size estimate of one cached entry: the task set, the
-  /// expansion and every cached solve / calibration, counted by element
-  /// size (never capacity, so the estimate is allocator-independent).
+  /// expansion, every cached solve / calibration and every memoised
+  /// mission, counted by element size (never capacity, so the estimate is
+  /// allocator-independent).
   static std::size_t ApproxBytes(const PreparedCell& cell);
 
  private:

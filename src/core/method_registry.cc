@@ -528,7 +528,8 @@ struct RunTotals {
 /// and energies are bit-identical at any thread count.
 MethodOutcome EvaluateWithDrift(MethodContext& context,
                                 const ExperimentOptions& options,
-                                MethodPlan& plan) {
+                                MethodPlan& plan,
+                                EvaluationCounters& counters) {
   const model::TaskSet& set = context.fps().task_set();
   const MethodPlan::DriftSpec& spec = *plan.drift;
   const workload::Calibration& calibration = *spec.calibration;
@@ -620,9 +621,9 @@ MethodOutcome EvaluateWithDrift(MethodContext& context,
   dp_dispatches += PolicyDpDispatches(plan.policy);
   // Result-charged telemetry: replans and DP dispatches are pure functions
   // of the cell, so the aggregated counters stay thread-count invariant.
-  obs::Count(obs::metric::kDriftReplans, replans);
-  obs::Count(obs::metric::kOnlineDpDispatches, dp_dispatches);
-  obs::Count(obs::metric::kSamplerDraws, draws);
+  counters.drift_replans = replans;
+  counters.dp_dispatches = dp_dispatches;
+  counters.sampler_draws = draws;
   return AssembleOutcome(plan, run, options.hyper_periods);
 }
 
@@ -630,7 +631,7 @@ MethodOutcome EvaluateWithDrift(MethodContext& context,
 
 std::vector<MethodOutcome> EvaluateMethods(
     const std::vector<const ScheduleMethod*>& methods, MethodContext& context,
-    const ExperimentOptions& options) {
+    const ExperimentOptions& options, EvaluationCounters* counters) {
   // Scenario-conditioned arms read the experiment (scenario, seed,
   // planning knobs) at Plan() time; attaching here makes every evaluation
   // funnel — runner cells, mp per-core fan-out, the CompareAcsWcs shim —
@@ -648,12 +649,22 @@ std::vector<MethodOutcome> EvaluateMethods(
 
   std::vector<MethodOutcome> outcomes;
   outcomes.reserve(methods.size());
+  // Each arm's counters are charged once the arm has finished, so a failing
+  // arm charges nothing.
+  const auto charge = [counters](const EvaluationCounters& arm) {
+    arm.Charge();
+    if (counters != nullptr) {
+      *counters += arm;
+    }
+  };
   for (const ScheduleMethod* method : methods) {
     MethodPlan plan = method->Plan(context);
+    EvaluationCounters arm;
     if (plan.drift.has_value()) {
       // Drift arms simulate chunk by chunk against their own fresh
       // sampler, which continues across chunks.
-      outcomes.push_back(EvaluateWithDrift(context, options, plan));
+      outcomes.push_back(EvaluateWithDrift(context, options, plan, arm));
+      charge(arm);
       continue;
     }
 
@@ -675,8 +686,7 @@ std::vector<MethodOutcome> EvaluateMethods(
       sim = &sim::Simulate(context.fps(), plan.schedule, context.dvs(),
                            plan.policy, replay, rng, sim_options, engine);
       replay.CheckFullyUsed();
-      obs::Count(obs::metric::kReplayedDraws,
-                 static_cast<std::int64_t>(replay.used()));
+      arm.replayed_draws = static_cast<std::int64_t>(replay.used());
     } else {
       const std::unique_ptr<model::WorkloadSampler> sampler =
           MakeRunSampler(options, context.fps().task_set());
@@ -685,16 +695,14 @@ std::vector<MethodOutcome> EvaluateMethods(
       sim = &sim::Simulate(context.fps(), plan.schedule, context.dvs(),
                            plan.policy, recorder, rng, sim_options, engine);
       recorded = true;
-      obs::Count(obs::metric::kSamplerDraws,
-                 static_cast<std::int64_t>(record.size()));
+      arm.sampler_draws = static_cast<std::int64_t>(record.size());
     }
 
     // Result-charged: the DP-dispatch count is part of the deterministic
     // simulation outcome, so the aggregate is thread-count invariant.
-    if (const std::int64_t dp = PolicyDpDispatches(plan.policy)) {
-      obs::Count(obs::metric::kOnlineDpDispatches, dp);
-    }
+    arm.dp_dispatches = PolicyDpDispatches(plan.policy);
     outcomes.push_back(AssembleOutcome(plan, *sim, options.hyper_periods));
+    charge(arm);
   }
   return outcomes;
 }

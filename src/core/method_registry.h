@@ -253,10 +253,12 @@ void RegisterBuiltins(MethodRegistry& registry);
 /// arms replay them (model::ReplaySampler), bit-identical to giving each
 /// arm a fresh sampler on `options.seed` because the engine draws once per
 /// release in global release order whatever the policy does.  Drift arms
-/// (MethodPlan::drift) draw from their own fresh sampler.
+/// (MethodPlan::drift) draw from their own fresh sampler.  Each arm charges
+/// its result-charged counters as it finishes; `counters` (optional)
+/// receives their sum.
 std::vector<MethodOutcome> EvaluateMethods(
     const std::vector<const ScheduleMethod*>& methods, MethodContext& context,
-    const ExperimentOptions& options);
+    const ExperimentOptions& options, EvaluationCounters* counters = nullptr);
 
 /// EvaluateMethods for one method.
 MethodOutcome EvaluateMethod(const ScheduleMethod& method,

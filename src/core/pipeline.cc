@@ -4,6 +4,7 @@
 #include <string>
 
 #include "core/method_registry.h"
+#include "obs/metrics.h"
 #include "util/error.h"
 
 namespace dvs::core {
@@ -19,6 +20,22 @@ void OnlineOptions::Validate() const {
         "drift_threshold must be finite and non-negative, got " +
         std::to_string(drift_threshold));
   }
+}
+
+EvaluationCounters& EvaluationCounters::operator+=(
+    const EvaluationCounters& other) {
+  sampler_draws += other.sampler_draws;
+  replayed_draws += other.replayed_draws;
+  dp_dispatches += other.dp_dispatches;
+  drift_replans += other.drift_replans;
+  return *this;
+}
+
+void EvaluationCounters::Charge() const {
+  obs::Count(obs::metric::kSamplerDraws, sampler_draws);
+  obs::Count(obs::metric::kReplayedDraws, replayed_draws);
+  obs::Count(obs::metric::kOnlineDpDispatches, dp_dispatches);
+  obs::Count(obs::metric::kDriftReplans, drift_replans);
 }
 
 std::uint64_t CalibrationSeed(const ExperimentOptions& options) {

@@ -149,6 +149,24 @@ struct MethodOutcome {
   double weighted_cores = 0.0;
 };
 
+/// The result-charged telemetry of one core::EvaluateMethods call: workload
+/// draws made on a real sampler and replayed from the shared realisation,
+/// expected-case DP dispatches and drift replans.  Each is a pure function
+/// of the evaluation's inputs, so a memoised evaluation (mp::EvaluateFleet's
+/// per-core missions, DESIGN.md §8) re-charges exactly what running it
+/// charged, and every aggregate stays a pure function of the grid.
+struct EvaluationCounters {
+  std::int64_t sampler_draws = 0;   // sim.sampler_draws
+  std::int64_t replayed_draws = 0;  // sim.replayed_draws
+  std::int64_t dp_dispatches = 0;   // online.dp_dispatches
+  std::int64_t drift_replans = 0;   // drift.replans
+
+  EvaluationCounters& operator+=(const EvaluationCounters& other);
+  /// Adds the counts to the calling thread's metrics shard (a no-op when
+  /// none is installed).
+  void Charge() const;
+};
+
 /// The paper's reported metric, shared by every result type that compares a
 /// method against a baseline: (E_base - E_method) / E_base.  Degenerate
 /// inputs stay honest instead of reading as "no improvement": a non-finite

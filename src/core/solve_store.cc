@@ -172,8 +172,8 @@ void WriteCalibration(util::BinaryWriter& out, const StoredCalibration& c) {
   out.I64(c.calibration.samples_per_task);
   out.VecF64(c.calibration.mean);
   out.VecF64(c.calibration.stddev);
+  // `sorted` is rebuilt from `draws` on read (Calibration::SortDraws).
   out.VecVecF64(c.calibration.draws);
-  out.VecVecF64(c.calibration.sorted);
 }
 
 StoredCalibration ReadCalibration(util::BinaryReader& in) {
@@ -186,7 +186,7 @@ StoredCalibration ReadCalibration(util::BinaryReader& in) {
   c.calibration.mean = in.VecF64();
   c.calibration.stddev = in.VecF64();
   c.calibration.draws = in.VecVecF64();
-  c.calibration.sorted = in.VecVecF64();
+  c.calibration.SortDraws();
   return c;
 }
 

@@ -72,8 +72,9 @@ namespace dvs::core {
 /// and point-planned results come from the converged Newton solve
 /// (opt/replay_newton.h), whose constants this version also covers.
 /// Version 6: that solve is primal-dual (its results moved within the KKT
-/// tolerance, and to other local optima on some sets).
-inline constexpr std::uint32_t kSolveStoreSchemaVersion = 6;
+/// tolerance, and to other local optima on some sets).  Version 7: a
+/// stored calibration keeps its draws once; `sorted` is rebuilt on read.
+inline constexpr std::uint32_t kSolveStoreSchemaVersion = 7;
 
 /// Concrete-parameter description of a planning model — the model's
 /// content identity in both solve caches: the LinearDvsModel's exact

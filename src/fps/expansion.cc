@@ -12,12 +12,14 @@ namespace dvs::fps {
 namespace {
 
 /// Release times of tasks that can preempt `victim`, strictly inside
-/// (window_begin, window_end).  Every release is an integer multiple of an
-/// integer period, so releases compare exactly.
-std::vector<double> CutPoints(const model::TaskSet& set,
-                              model::TaskIndex victim, double window_begin,
-                              double window_end) {
-  std::vector<double> cuts;
+/// (window_begin, window_end), written sorted and de-duplicated into `cuts`
+/// (cleared first; callers reuse one buffer across instances).  Every
+/// release is an integer multiple of an integer period, so releases compare
+/// exactly.
+void CutPoints(const model::TaskSet& set, model::TaskIndex victim,
+               double window_begin, double window_end,
+               std::vector<double>& cuts) {
+  cuts.clear();
   for (model::TaskIndex other = 0; other < set.size(); ++other) {
     if (!set.CanPreempt(other, victim)) {
       continue;
@@ -34,7 +36,6 @@ std::vector<double> CutPoints(const model::TaskSet& set,
   }
   std::sort(cuts.begin(), cuts.end());
   cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
-  return cuts;
 }
 
 }  // namespace
@@ -47,14 +48,15 @@ FullyPreemptiveSchedule::FullyPreemptiveSchedule(const model::TaskSet& set)
     instances_.push_back(InstanceRecord{inst, {}});
   }
 
-  // Build all sub-instances, then sort into the total order.
+  // Build all sub-instances, then sort into the total order.  One cut and
+  // one bound buffer serve every instance.
   std::vector<SubInstance> subs;
+  std::vector<double> cuts;
+  std::vector<double> bounds;
   for (std::size_t p = 0; p < instances_.size(); ++p) {
     const model::TaskInstance& inst = instances_[p].info;
-    const std::vector<double> cuts =
-        CutPoints(set, inst.task, inst.release, inst.deadline);
-    std::vector<double> bounds;
-    bounds.reserve(cuts.size() + 2);
+    CutPoints(set, inst.task, inst.release, inst.deadline, cuts);
+    bounds.clear();
     bounds.push_back(inst.release);
     bounds.insert(bounds.end(), cuts.begin(), cuts.end());
     bounds.push_back(inst.deadline);
@@ -74,6 +76,7 @@ FullyPreemptiveSchedule::FullyPreemptiveSchedule(const model::TaskSet& set)
       sub.deadline = inst.deadline;
       subs.push_back(sub);
     }
+    instances_[p].subs.reserve(bounds.size() - 1);
     max_subs_per_instance_ = std::max(
         max_subs_per_instance_, static_cast<int>(bounds.size()) - 1);
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <string>
 
 #include "core/eval_workspace.h"
 #include "dpm/reallocate.h"
@@ -158,14 +159,43 @@ FleetResult EvaluateFleet(
       const double hyper_period = static_cast<double>(subset.hyper_period());
       ACS_REQUIRE(hyper_period > 0.0, "subset hyper-period must be positive");
 
-      std::optional<core::MethodContext> context;
-      if (workspace != nullptr) {
-        context.emplace(fps, dvs, *workspace, prep->solves);
-      } else {
-        context.emplace(fps, dvs);
+      // With a workspace the mission — these options and methods on this
+      // subset — is memoised in the prepared cell: cells that hand a core
+      // the same tasks, seed and knobs (FFD's extra power-gated cores, the
+      // partitioner axis on paired draws) run it once.  A hit re-charges
+      // the result-charged counters, so every aggregate stays a pure
+      // function of the grid.
+      const core::EvalWorkspace::Mission* memo = nullptr;
+      std::string mission_key;
+      if (prep != nullptr) {
+        mission_key = core::MissionKey(core_options, methods);
+        const auto found = prep->missions.find(mission_key);
+        if (found != prep->missions.end()) {
+          memo = &found->second;
+        }
       }
-      const std::vector<core::MethodOutcome> outcomes =
-          core::EvaluateMethods(methods, *context, core_options);
+      std::vector<core::MethodOutcome> outcomes;
+      if (memo != nullptr) {
+        obs::Count(obs::metric::kFleetMissionHits);
+        memo->counters.Charge();
+        outcomes = memo->outcomes;
+      } else {
+        std::optional<core::MethodContext> context;
+        if (workspace != nullptr) {
+          context.emplace(fps, dvs, *workspace, prep->solves);
+        } else {
+          context.emplace(fps, dvs);
+        }
+        core::EvaluationCounters counters;
+        outcomes =
+            core::EvaluateMethods(methods, *context, core_options, &counters);
+        if (prep != nullptr) {
+          obs::Count(obs::metric::kFleetMissionMisses);
+          prep->missions.emplace(
+              std::move(mission_key),
+              core::EvalWorkspace::Mission{outcomes, counters});
+        }
+      }
       for (std::size_t m = 0; m < methods.size(); ++m) {
         const core::MethodOutcome& outcome = outcomes[m];
         FleetOutcome& fleet = result.outcomes[m];

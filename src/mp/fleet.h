@@ -74,7 +74,10 @@ struct FleetResult {
 /// simulation then runs out of its reused buffers, and each core's subset
 /// is prepared there by content — cells that assign the same tasks to some
 /// core (different partitioners, core counts, sigma or workload seeds on
-/// one draw) reuse the solves outright.  Bit-identical results either way.
+/// one draw) reuse the solves outright, and a core whose whole mission
+/// (core::MissionKey: its options and the method list) repeats is served
+/// from the prepared cell's memo without simulating.  Bit-identical
+/// results and result-charged counters either way.
 FleetResult EvaluateFleet(
     const model::TaskSet& set, const model::DvsModel& dvs,
     const Partitioner& partitioner, int cores,

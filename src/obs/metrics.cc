@@ -92,6 +92,8 @@ MetricsRegistry::MetricsRegistry() {
   // Newton systems and patterns per converged solve.
   AddHistogram("solve.acs_newton_steps", {10, 20, 40, 80, 160, 320, 640});
   AddHistogram("solve.acs_patterns", {1, 2, 3, 4, 6, 8, 12});
+  AddCounter("fleet.mission_hits");
+  AddCounter("fleet.mission_misses");
   ACS_REQUIRE(definitions_.size() == metric::kBuiltinCount,
               "builtin metric count drifted from obs::metric ids");
 }

@@ -225,7 +225,12 @@ inline constexpr MetricId kAcsKkt = 51;  // solve.acs_kkt (histogram)
 inline constexpr MetricId kAcsNewtonSteps = 52;  // solve.acs_newton_steps
                                                  // (histogram)
 inline constexpr MetricId kAcsPatterns = 53;  // solve.acs_patterns (histogram)
-inline constexpr std::size_t kBuiltinCount = 54;
+// Per-core missions of mp::EvaluateFleet served from / added to the
+// prepared cell's memo (core::EvalWorkspace::PreparedCell::missions).
+// Scheduling-observing like prepare.*: only hits + misses is invariant.
+inline constexpr MetricId kFleetMissionHits = 54;    // fleet.mission_hits
+inline constexpr MetricId kFleetMissionMisses = 55;  // fleet.mission_misses
+inline constexpr std::size_t kBuiltinCount = 56;
 }  // namespace metric
 
 /// The installed registry, or nullptr.  Installation is not synchronised

@@ -31,6 +31,13 @@ std::vector<std::vector<double>> Calibration::SampleVectors(
   return vectors;
 }
 
+void Calibration::SortDraws() {
+  sorted = draws;
+  for (std::vector<double>& row : sorted) {
+    std::sort(row.begin(), row.end());
+  }
+}
+
 ScenarioCalibrator::ScenarioCalibrator(const model::WorkloadScenario* scenario,
                                        double sigma_divisor,
                                        const CalibratorOptions& options)
@@ -49,7 +56,6 @@ Calibration ScenarioCalibrator::Calibrate(const model::TaskSet& set,
   cal.mean.assign(tasks, 0.0);
   cal.stddev.assign(tasks, 0.0);
   cal.draws.assign(tasks, {});
-  cal.sorted.assign(tasks, {});
 
   // One task's calibration is a pure function of (scenario, sigma, set,
   // seed, task): its own sampler instance (so stateful per-task samplers
@@ -82,9 +88,8 @@ Calibration ScenarioCalibrator::Calibrate(const model::TaskSet& set,
     }
     cal.mean[task] = mean;
     cal.stddev[task] = std::sqrt(sq / static_cast<double>(n - 1));
-    cal.sorted[task] = draws;
-    std::sort(cal.sorted[task].begin(), cal.sorted[task].end());
   }
+  cal.SortDraws();
   return cal;
 }
 

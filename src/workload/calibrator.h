@@ -51,6 +51,12 @@ struct Calibration {
   /// dispatch (sim::ExpectedCasePolicy) reads.
   std::vector<std::vector<double>> sorted;
 
+  /// Rebuilds `sorted` from `draws`: each row copied and sorted ascending.
+  /// ScenarioCalibrator::Calibrate fills `sorted` this way, and a
+  /// calibration restored from the persistent solve store (which keeps
+  /// `draws` only) rebuilds it here, bit for bit.
+  void SortDraws();
+
   /// `k` per-task sample vectors spread evenly through the draw order:
   /// vector j holds every task's draw at index (2j+1) * N / (2k).  Each
   /// vector is one joint draw across tasks, so mixture planning averages

@@ -247,7 +247,7 @@ TEST(Scheduler, AcsAlmOptionsArePinnedToTheStoreSchemaVersion) {
   const char* const bump =
       "a changed solver setting needs a kSolveStoreSchemaVersion bump "
       "(core/solve_store.h); update this pin together with it";
-  ASSERT_EQ(kSolveStoreSchemaVersion, 6u) << bump;
+  ASSERT_EQ(kSolveStoreSchemaVersion, 7u) << bump;
   EXPECT_EQ(opt::kReplayKktTol, 1e-9) << bump;
   EXPECT_EQ(opt::kReplayMaxNewton, 1500u) << bump;
   const opt::AlmOptions alm = AcsAlmOptions();

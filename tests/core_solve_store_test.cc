@@ -13,6 +13,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -31,8 +32,10 @@
 #include "runner/run_grid.h"
 #include "util/binary_io.h"
 #include "util/error.h"
+#include "workload/calibrator.h"
 #include "workload/presets.h"
 #include "workload/random_taskset.h"
+#include "workload/scenario.h"
 
 namespace dvs::core {
 namespace {
@@ -207,6 +210,43 @@ TEST(SolveStoreFormat, SerializeRoundTripIsBitExact) {
   // A second serialization of the restored cell is byte-identical — the
   // canonical form is a fixed point.
   EXPECT_EQ(SerializeStoredCell(back), bytes);
+}
+
+// A stored calibration keeps its draws once; reading it back rebuilds the
+// sorted survival rows bit for bit as the calibrator built them.
+TEST(SolveStoreFormat, CalibrationRoundTripRebuildsTheCalibratorsSortedRows) {
+  const model::LinearDvsModel cpu = workload::DefaultModel();
+  const model::TaskSet set = TwoTaskSet("cal");
+  const workload::ScenarioCalibrator calibrator(
+      &workload::ScenarioRegistry::Builtin().Get("heavy-tail"), 6.0,
+      workload::CalibratorOptions{64});
+  StoredCell cell(set);
+  cell.model = DescribeModel(cpu);
+  StoredCalibration stored;
+  stored.scenario_key = "heavy-tail";
+  stored.sigma_divisor = 6.0;
+  stored.seed = 7;
+  stored.samples = 64;
+  stored.calibration = calibrator.Calibrate(set, 7);
+  cell.calibrations.push_back(stored);
+
+  const StoredCell back = DeserializeStoredCell(SerializeStoredCell(cell));
+  ASSERT_EQ(back.calibrations.size(), 1u);
+  const workload::Calibration& fresh = stored.calibration;
+  const workload::Calibration& restored = back.calibrations[0].calibration;
+  EXPECT_EQ(restored.draws, fresh.draws);
+  ASSERT_EQ(restored.sorted.size(), fresh.sorted.size());
+  for (std::size_t task = 0; task < fresh.sorted.size(); ++task) {
+    ASSERT_EQ(restored.sorted[task].size(), fresh.sorted[task].size());
+    EXPECT_FALSE(std::is_sorted(fresh.draws[task].begin(),
+                                fresh.draws[task].end()))
+        << "task " << task << ": draws already sorted prove nothing";
+    for (std::size_t j = 0; j < fresh.sorted[task].size(); ++j) {
+      EXPECT_EQ(ModelDescriptor::BitsOf(restored.sorted[task][j]),
+                ModelDescriptor::BitsOf(fresh.sorted[task][j]))
+          << "task " << task << " rank " << j;
+    }
+  }
 }
 
 TEST(SolveStoreFormat, RejectsEveryCorruptionClass) {

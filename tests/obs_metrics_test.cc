@@ -49,6 +49,7 @@ TEST(MetricsRegistry, BuiltinNamesArePinnedInIdOrder) {
       "solve.acs_fallbacks.no_convergence", "solve.acs_fallbacks.repair",
       "solve.acs_fallbacks.worse", "solve.acs_kkt",
       "solve.acs_newton_steps", "solve.acs_patterns",
+      "fleet.mission_hits",   "fleet.mission_misses",
   };
   ASSERT_EQ(expected.size(), metric::kBuiltinCount);
   ASSERT_EQ(registry.MetricCount(), metric::kBuiltinCount);
