@@ -18,7 +18,6 @@
 #include "core/case_analysis.h"
 #include "core/eval_workspace.h"
 #include "core/formulation.h"
-#include "core/full_nlp.h"
 #include "core/method_registry.h"
 #include "core/pipeline.h"
 #include "core/scheduler.h"

@@ -38,10 +38,11 @@
 namespace dvs::core {
 
 /// The planning gate: every offline solve — the reduced objective, the
-/// exact WCS program, the full NLP, the solve-cache identity and the DPM
-/// floor — is derived for the paper's linear law speed = k * V, and reaches
-/// the model through this one cast.  Throws util::InvalidArgumentError for
-/// any other model (DiscreteDvsModel and the like dispatch at runtime only).
+/// exact WCS program, the converged ACS program, the solve-cache identity
+/// and the DPM floor — is derived for the paper's linear law speed = k * V,
+/// and reaches the model through this one cast.  Throws
+/// util::InvalidArgumentError for any other model (DiscreteDvsModel and the
+/// like dispatch at runtime only).
 const model::LinearDvsModel& PlanningModel(const model::DvsModel& dvs);
 
 /// Which workload the static schedule should be optimal for.
@@ -77,8 +78,8 @@ struct PlanningPoint {
   /// task's ACEC when `cycles` is empty, otherwise the entry clamped into
   /// [BCEC, WCEC]; a non-finite entry throws InvalidArgumentError.  The
   /// single resolution rule shared by the reduced objective (points and
-  /// mixture rows alike) and the full NLP, so the formulations can never
-  /// drift onto different points.
+  /// mixture rows alike) and the converged solve's plans, so the
+  /// formulations can never drift onto different points.
   static double ResolveFor(const std::vector<double>& cycles,
                            const model::TaskSet& set, std::size_t task);
 

@@ -240,7 +240,7 @@ class AcsOnlineMethod : public ScenarioPlannedMethod {
                             const ExperimentOptions& experiment)
       const override {
     return sim::ExpectedCasePolicy(context.fps(), schedule, context.dvs(),
-                                   calibration.sorted,
+                                   context.SortedDraws(calibration),
                                    experiment.online.dp_bins);
   }
 };
@@ -348,6 +348,22 @@ const workload::Calibration& MethodContext::ScenarioCalibration(
   return cache_->calibrations.back()->calibration;
 }
 
+const std::vector<std::vector<double>>& MethodContext::SortedDraws(
+    const workload::Calibration& calibration) {
+  for (const std::unique_ptr<SolveCache::CalibrationEntry>& entry :
+       cache_->calibrations) {
+    workload::Calibration& cached = entry->calibration;
+    if (&cached == &calibration) {
+      if (cached.sorted.size() != cached.draws.size()) {
+        cached.SortDraws();
+      }
+      return cached.sorted;
+    }
+  }
+  util::ThrowInvalidArgument(__FILE__, __LINE__,
+                             "calibration is not cached by this context");
+}
+
 const ScheduleResult& MethodContext::Planned(const PlanningPoint& planning) {
   return PlannedChained(planning, {}, nullptr);
 }
@@ -404,7 +420,7 @@ const MethodRegistry& MethodRegistry::Builtin() {
 }
 
 void RegisterBuiltins(MethodRegistry& registry) {
-  registry.Register("acs", "ACS full-NLP schedule + greedy online reclamation",
+  registry.Register("acs", "ACS schedule + greedy online reclamation",
                     std::make_unique<AcsMethod>());
   registry.Register("wcs", "WCS schedule + greedy online reclamation",
                     std::make_unique<WcsMethod>());
@@ -615,7 +631,8 @@ MethodOutcome EvaluateWithDrift(MethodContext& context,
     // tables no longer describe the plan).
     dp_dispatches += PolicyDpDispatches(plan.policy);
     plan.policy = sim::ExpectedCasePolicy(context.fps(), replanned.schedule,
-                                          context.dvs(), calibration.sorted,
+                                          context.dvs(),
+                                          context.SortedDraws(calibration),
                                           online.dp_bins, &scale);
   }
   dp_dispatches += PolicyDpDispatches(plan.policy);

@@ -12,8 +12,8 @@
 // baseline is one Register() call, and experiment grids select methods by
 // name.  Built-ins (see MethodRegistry::Builtin):
 //
-//   acs            ACS full-NLP schedule + greedy online reclamation
-//                  (the paper's scheme)
+//   acs            ACS schedule + greedy online reclamation (the paper's
+//                  scheme)
 //   wcs            WCS schedule + greedy online reclamation (the paper's
 //                  comparison baseline)
 //   wcs-static     WCS schedule, offline voltages only — isolates the
@@ -135,6 +135,14 @@ class MethodContext {
   const workload::Calibration& ScenarioCalibration(
       const ExperimentOptions& options);
 
+  /// The ascending per-task draws of `calibration`, which must be a
+  /// ScenarioCalibration result of this context.  The rows are sorted on
+  /// the first call (workload::Calibration::SortDraws), whether the cached
+  /// entry was drawn or restored from the persistent solve cache; only the
+  /// expected-case dispatch reads them, so no other path pays the sort.
+  const std::vector<std::vector<double>>& SortedDraws(
+      const workload::Calibration& calibration);
+
   /// Solves (once per distinct point) and returns the scenario-conditioned
   /// schedule for `planning`, warm-started like Acs().  Solves are cached
   /// in the SolveCache keyed by the point's exact values — never by the
@@ -241,8 +249,8 @@ class MethodRegistry : public util::NamedRegistry<ScheduleMethod> {
 };
 
 /// Populates `registry` with the built-in methods of MethodRegistry::Builtin.
-/// Benches that add custom arms (discrete-voltage variants, the full-NLP
-/// solver, policy counterfactuals) start from this and Register() on top.
+/// Benches that add custom arms (discrete-voltage variants, policy
+/// counterfactuals) start from this and Register() on top.
 void RegisterBuiltins(MethodRegistry& registry);
 
 /// Plans and simulates each of `methods` in order under the experiment's

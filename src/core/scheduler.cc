@@ -4,7 +4,6 @@
 #include <cmath>
 #include <iomanip>
 #include <limits>
-#include <sstream>
 #include <vector>
 
 #include "core/eval_workspace.h"
@@ -348,17 +347,15 @@ ScheduleResult SolveWith(
 /// The exact WCS solve (DESIGN.md §2.2): the explicit-start chain program
 /// solved by opt::SolveChain, its finish times taken as end-times, then the
 /// usual repair and audit.  Returns nullopt, counting the fallback by
-/// reason, when the solve cannot be certified or its schedule does not
-/// survive repair; the caller then solves with the ALM.
+/// reason, when the solve finds no interior start or breaks down, or its
+/// schedule does not survive repair; the caller then solves with the ALM.
 std::optional<ScheduleResult> SolveWcsExact(
     const fps::FullyPreemptiveSchedule& fps, const model::LinearDvsModel& dvs,
     EvalWorkspace* workspace) {
   obs::ScopedWallTimer solve_timer(obs::metric::kSolveWallUs);
   obs::Span span("chain_ipm", "solve");
-  const auto fall_back = [&span](const char* reason, obs::MetricId metric,
-                                 const std::string& detail = "") {
-    ACS_LOG_WARN << "exact WCS solve falls back to the ALM: " << reason
-                 << detail;
+  const auto fall_back = [&span](const char* reason, obs::MetricId metric) {
+    ACS_LOG_WARN << "exact WCS solve falls back to the ALM: " << reason;
     if (span.enabled()) {
       span.Arg("fallback", reason);
     }
@@ -407,23 +404,14 @@ std::optional<ScheduleResult> SolveWcsExact(
   // The certificate is restated for the schedule actually returned: its
   // replayed energy is that of an exactly feasible point of the reduced
   // problem, so it bounds the common optimum from above just as the dual
-  // bound does from below.
+  // bound does from below.  A gap above the solver's own target is kept
+  // with its schedule, which is feasible and certified, rather than traded
+  // for an uncertified ALM solve; solve.wcs_gap's max shows any such gap.
   const EnergyObjective objective(
       fps, dvs, Scenario::kWorst,
       workspace != nullptr ? &workspace->objective_scratch() : nullptr);
   const double energy = objective.Value(objective.PackSchedule(*repaired));
   const double gap = std::max(0.0, (energy - report.dual) / energy);
-  if (!(gap <= opt::kChainAcceptGap)) {
-    if (span.enabled()) {
-      span.Arg("gap", gap);
-      span.Arg("sub_instances", static_cast<std::int64_t>(fps.sub_count()));
-    }
-    std::ostringstream detail;
-    detail << " (gap " << gap << " on " << fps.sub_count()
-           << " sub-instances)";
-    return fall_back("duality gap above tolerance",
-                     obs::metric::kWcsFallbackGap, detail.str());
-  }
   obs::Count(obs::metric::kWcsSolves);
   obs::Observe(obs::metric::kWcsGap, gap);
   ScheduleResult result{std::move(*repaired), energy, {}, false,

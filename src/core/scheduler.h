@@ -147,9 +147,11 @@ ScheduleResult SolveSchedule(
 
 /// WCS: the classical WCEC-only minimum-energy static schedule (paper §4's
 /// comparison baseline), solved exactly by the structured interior-point
-/// method (opt/chain_ipm.h) with a duality-gap certificate.  A set the
-/// exact solve cannot certify (counted by solve.wcs_fallbacks) takes the
-/// ALM path, as does SolveSchedule(Scenario::kWorst, ...) always.  Throws
+/// method (opt/chain_ipm.h) with a duality-gap certificate, kept even when
+/// the gap stays above the solver's target (solve.wcs_gap shows it).  A
+/// set the exact solve cannot solve or repair (counted by
+/// solve.wcs_fallbacks) takes the ALM path, as does
+/// SolveSchedule(Scenario::kWorst, ...) always.  Throws
 /// InvalidArgumentError for a model core::PlanningModel rejects.
 ScheduleResult SolveWcs(const fps::FullyPreemptiveSchedule& fps,
                         const model::DvsModel& dvs,

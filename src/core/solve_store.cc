@@ -172,7 +172,7 @@ void WriteCalibration(util::BinaryWriter& out, const StoredCalibration& c) {
   out.I64(c.calibration.samples_per_task);
   out.VecF64(c.calibration.mean);
   out.VecF64(c.calibration.stddev);
-  // `sorted` is rebuilt from `draws` on read (Calibration::SortDraws).
+  // `sorted` is not stored: MethodContext::SortedDraws builds it on use.
   out.VecVecF64(c.calibration.draws);
 }
 
@@ -186,7 +186,6 @@ StoredCalibration ReadCalibration(util::BinaryReader& in) {
   c.calibration.mean = in.VecF64();
   c.calibration.stddev = in.VecF64();
   c.calibration.draws = in.VecVecF64();
-  c.calibration.SortDraws();
   return c;
 }
 

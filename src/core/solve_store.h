@@ -73,8 +73,10 @@ namespace dvs::core {
 /// (opt/replay_newton.h), whose constants this version also covers.
 /// Version 6: that solve is primal-dual (its results moved within the KKT
 /// tolerance, and to other local optima on some sets).  Version 7: a
-/// stored calibration keeps its draws once; `sorted` is rebuilt on read.
-inline constexpr std::uint32_t kSolveStoreSchemaVersion = 7;
+/// stored calibration keeps its draws once.  Version 8: a WCS solve whose
+/// certified gap misses the solver's target keeps its exact schedule
+/// instead of falling back to the ALM.
+inline constexpr std::uint32_t kSolveStoreSchemaVersion = 8;
 
 /// Concrete-parameter description of a planning model — the model's
 /// content identity in both solve caches: the LinearDvsModel's exact

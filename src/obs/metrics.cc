@@ -73,7 +73,6 @@ MetricsRegistry::MetricsRegistry() {
   AddCounter("solve.wcs_fallbacks");
   AddCounter("solve.wcs_fallbacks.no_interior");
   AddCounter("solve.wcs_fallbacks.breakdown");
-  AddCounter("solve.wcs_fallbacks.gap");
   AddCounter("solve.wcs_fallbacks.repair");
   AddCounter("solver.inner_capped");
   // Absolute violations; the ALM's feasibility tolerance is 1e-8.

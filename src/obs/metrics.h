@@ -195,42 +195,41 @@ inline constexpr MetricId kWcsFallbacks = 38;       // solve.wcs_fallbacks
 inline constexpr MetricId kWcsFallbackNoInterior = 39;  // solve.wcs_fallbacks.
                                                         // no_interior
 inline constexpr MetricId kWcsFallbackBreakdown = 40;   // ....breakdown
-inline constexpr MetricId kWcsFallbackGap = 41;         // ....gap
-inline constexpr MetricId kWcsFallbackRepair = 42;      // ....repair
+inline constexpr MetricId kWcsFallbackRepair = 41;      // ....repair
 // Solves whose last ALM inner solve hit its iteration cap (result-charged
 // from MethodOutcome, like the other solver.* counters).
-inline constexpr MetricId kSolverInnerCapped = 43;  // solver.inner_capped
+inline constexpr MetricId kSolverInnerCapped = 42;  // solver.inner_capped
 // Per cell with at least one solve: the largest final constraint violation
 // (AlmReport::max_violation) among its solves, result-charged like the
 // solver.* counters, so store hits report it too.  Exact WCS solves
 // report 0.
-inline constexpr MetricId kSolverFinalViolation = 44;  // solver.final_
+inline constexpr MetricId kSolverFinalViolation = 43;  // solver.final_
                                                        // violation
                                                        // (histogram)
 // Per solve that RepairSchedule accepted (ALM and exact WCS alike): the
 // largest |repaired end-time - solver end-time| in ms.  Charged at solve
 // time, like solve.wcs_gap.
-inline constexpr MetricId kRepairMaxShift = 45;  // repair.max_shift
+inline constexpr MetricId kRepairMaxShift = 44;  // repair.max_shift
                                                  // (histogram)
 // Converged ACS / point-planned solves (core::SolveAcs, SolvePlanned):
 // the solves that fell back to the ALM, in total and by reason, and per
 // converged solve its final relative KKT residual, its Newton systems and
 // its patterns.  Charged at solve time, like solve.wcs_fallbacks.
-inline constexpr MetricId kAcsFallbacks = 46;             // solve.acs_fallbacks
-inline constexpr MetricId kAcsFallbackBreakdown = 47;     // ....breakdown
-inline constexpr MetricId kAcsFallbackNoConvergence = 48; // ....no_convergence
-inline constexpr MetricId kAcsFallbackRepair = 49;        // ....repair
-inline constexpr MetricId kAcsFallbackWorse = 50;         // ....worse
-inline constexpr MetricId kAcsKkt = 51;  // solve.acs_kkt (histogram)
-inline constexpr MetricId kAcsNewtonSteps = 52;  // solve.acs_newton_steps
+inline constexpr MetricId kAcsFallbacks = 45;             // solve.acs_fallbacks
+inline constexpr MetricId kAcsFallbackBreakdown = 46;     // ....breakdown
+inline constexpr MetricId kAcsFallbackNoConvergence = 47; // ....no_convergence
+inline constexpr MetricId kAcsFallbackRepair = 48;        // ....repair
+inline constexpr MetricId kAcsFallbackWorse = 49;         // ....worse
+inline constexpr MetricId kAcsKkt = 50;  // solve.acs_kkt (histogram)
+inline constexpr MetricId kAcsNewtonSteps = 51;  // solve.acs_newton_steps
                                                  // (histogram)
-inline constexpr MetricId kAcsPatterns = 53;  // solve.acs_patterns (histogram)
+inline constexpr MetricId kAcsPatterns = 52;  // solve.acs_patterns (histogram)
 // Per-core missions of mp::EvaluateFleet served from / added to the
 // prepared cell's memo (core::EvalWorkspace::PreparedCell::missions).
 // Scheduling-observing like prepare.*: only hits + misses is invariant.
-inline constexpr MetricId kFleetMissionHits = 54;    // fleet.mission_hits
-inline constexpr MetricId kFleetMissionMisses = 55;  // fleet.mission_misses
-inline constexpr std::size_t kBuiltinCount = 56;
+inline constexpr MetricId kFleetMissionHits = 53;    // fleet.mission_hits
+inline constexpr MetricId kFleetMissionMisses = 54;  // fleet.mission_misses
+inline constexpr std::size_t kBuiltinCount = 55;
 }  // namespace metric
 
 /// The installed registry, or nullptr.  Installation is not synchronised

@@ -11,71 +11,6 @@
 namespace dvs::opt {
 namespace {
 
-// The ALM driver is templated over the constraint-system representation so
-// the same outer loop serves both the general ConstraintFunction pointers
-// and the flattened all-linear system.  A System exposes:
-//   size()                                  — number of rows
-//   Kind(c)                                 — row sense
-//   Evaluate(c, x)                          — row value
-//   EvaluateAll(x, out)                     — every row value, in row order
-//   Violation(c, x)                         — row violation
-//   AccumulateGradient(c, x, weight, grad)  — grad += weight * d row / d x
-
-/// Rows behind ConstraintFunction pointers (the general entry point).
-class PointerSystem {
- public:
-  explicit PointerSystem(
-      const std::vector<const ConstraintFunction*>& constraints)
-      : constraints_(&constraints) {}
-
-  std::size_t size() const { return constraints_->size(); }
-  ConstraintKind Kind(std::size_t c) const { return (*constraints_)[c]->kind(); }
-  double Evaluate(std::size_t c, const Vector& x) const {
-    return (*constraints_)[c]->Evaluate(x);
-  }
-  void EvaluateAll(const Vector& x, std::vector<double>& out) const {
-    out.resize(size());
-    for (std::size_t c = 0; c < size(); ++c) {
-      out[c] = Evaluate(c, x);
-    }
-  }
-  double Violation(std::size_t c, const Vector& x) const {
-    return (*constraints_)[c]->Violation(x);
-  }
-  void AccumulateGradient(std::size_t c, const Vector& x, double weight,
-                          Vector& grad) const {
-    (*constraints_)[c]->AccumulateGradient(x, weight, grad);
-  }
-
- private:
-  const std::vector<const ConstraintFunction*>* constraints_;
-};
-
-/// Rows of one contiguous FlatLinearSystem (the all-linear fast path).
-class FlatSystem {
- public:
-  explicit FlatSystem(const FlatLinearSystem& flat) : flat_(&flat) {}
-
-  std::size_t size() const { return flat_->rows(); }
-  ConstraintKind Kind(std::size_t c) const { return flat_->kind[c]; }
-  double Evaluate(std::size_t c, const Vector& x) const {
-    return flat_->Evaluate(c, x);
-  }
-  void EvaluateAll(const Vector& x, std::vector<double>& out) const {
-    flat_->EvaluateAll(x, out);
-  }
-  double Violation(std::size_t c, const Vector& x) const {
-    return flat_->Violation(c, x);
-  }
-  void AccumulateGradient(std::size_t c, const Vector& /*x*/, double weight,
-                          Vector& grad) const {
-    flat_->AccumulateGradient(c, weight, grad);
-  }
-
- private:
-  const FlatLinearSystem* flat_;
-};
-
 /// f(x) plus the augmented-Lagrangian terms of the constraints.
 ///
 /// Multipliers and the penalty are constant across one inner solve, so the
@@ -84,10 +19,9 @@ class FlatSystem {
 /// workspace buffers) instead of re-divided on every objective evaluation.
 /// The precomputed values are the very expressions the inline code used, so
 /// evaluations are bit-identical.
-template <typename System>
 class AugmentedObjective final : public Objective {
  public:
-  AugmentedObjective(const Objective& base, const System& system,
+  AugmentedObjective(const Objective& base, const FlatLinearSystem& system,
                      const std::vector<double>& multipliers, double penalty,
                      std::vector<double>& ratio_scratch,
                      std::vector<double>& shift_scratch,
@@ -99,10 +33,10 @@ class AugmentedObjective final : public Objective {
         ratio_(ratio_scratch),
         shift_(shift_scratch),
         row_values_(row_scratch) {
-    ratio_.assign(system.size(), 0.0);
-    shift_.assign(system.size(), 0.0);
-    for (std::size_t c = 0; c < system.size(); ++c) {
-      if (system.Kind(c) == ConstraintKind::kGeZero) {
+    ratio_.assign(system.rows(), 0.0);
+    shift_.assign(system.rows(), 0.0);
+    for (std::size_t c = 0; c < system.rows(); ++c) {
+      if (system.kind[c] == ConstraintKind::kGeZero) {
         const double lambda = multipliers[c];
         ratio_[c] = lambda / penalty;
         shift_[c] = 0.5 * lambda * lambda / penalty;
@@ -128,7 +62,7 @@ class AugmentedObjective final : public Objective {
   // the accepted trial needs only the base reverse pass and the scatter.
   void GradientAfterValue(const Vector& x, Vector& grad) const override {
     base_.GradientAfterValue(x, grad);
-    ScatterRows(x, grad);
+    ScatterRows(grad);
   }
 
  private:
@@ -139,9 +73,9 @@ class AugmentedObjective final : public Objective {
     // the rows in order; the scatter-indexed gradient accumulation repeats
     // that walk.
     system_.EvaluateAll(x, row_values_);
-    for (std::size_t c = 0; c < system_.size(); ++c) {
+    for (std::size_t c = 0; c < system_.rows(); ++c) {
       const double cv = row_values_[c];
-      if (system_.Kind(c) == ConstraintKind::kGeZero) {
+      if (system_.kind[c] == ConstraintKind::kGeZero) {
         // Treat as g(x) = -c(x) <= 0.
         const double active = std::max(0.0, ratio_[c] - cv);
         value += 0.5 * penalty_ * active * active - shift_[c];
@@ -151,29 +85,28 @@ class AugmentedObjective final : public Objective {
       }
     }
     if (grad != nullptr) {
-      ScatterRows(x, *grad);
+      ScatterRows(*grad);
     }
     return value;
   }
 
   /// grad += the constraint terms' gradient at the batched row values.
-  void ScatterRows(const Vector& x, Vector& grad) const {
-    for (std::size_t c = 0; c < system_.size(); ++c) {
+  void ScatterRows(Vector& grad) const {
+    for (std::size_t c = 0; c < system_.rows(); ++c) {
       const double cv = row_values_[c];
-      if (system_.Kind(c) == ConstraintKind::kGeZero) {
+      if (system_.kind[c] == ConstraintKind::kGeZero) {
         const double active = std::max(0.0, ratio_[c] - cv);
         if (active > 0.0) {
-          system_.AccumulateGradient(c, x, -penalty_ * active, grad);
+          system_.AccumulateGradient(c, -penalty_ * active, grad);
         }
       } else {
-        system_.AccumulateGradient(c, x, multipliers_[c] + penalty_ * cv,
-                                   grad);
+        system_.AccumulateGradient(c, multipliers_[c] + penalty_ * cv, grad);
       }
     }
   }
 
   const Objective& base_;
-  const System& system_;
+  const FlatLinearSystem& system_;
   const std::vector<double>& multipliers_;
   double penalty_;
   std::vector<double>& ratio_;  // per >=-row: lambda / rho
@@ -181,14 +114,14 @@ class AugmentedObjective final : public Objective {
   std::vector<double>& row_values_;  // batched row values (phase one)
 };
 
-template <typename System>
-double MaxViolation(const System& system, const Vector& x,
+/// Largest row violation: max(0, -value) for >=, |value| for ==.
+double MaxViolation(const FlatLinearSystem& system, const Vector& x,
                     std::vector<double>& row_scratch) {
   system.EvaluateAll(x, row_scratch);
   double worst = 0.0;
-  for (std::size_t c = 0; c < system.size(); ++c) {
+  for (std::size_t c = 0; c < system.rows(); ++c) {
     const double value = row_scratch[c];
-    const double violation = system.Kind(c) == ConstraintKind::kGeZero
+    const double violation = system.kind[c] == ConstraintKind::kGeZero
                                  ? (value < 0.0 ? -value : 0.0)
                                  : (value < 0.0 ? -value : value);
     worst = std::max(worst, violation);
@@ -196,14 +129,13 @@ double MaxViolation(const System& system, const Vector& x,
   return worst;
 }
 
-template <typename System>
 AlmReport Drive(const Objective& objective, const FeasibleSet& set,
-                const System& system, Vector& x, const AlmOptions& options,
-                AlmWorkspace& ws) {
+                const FlatLinearSystem& system, Vector& x,
+                const AlmOptions& options, AlmWorkspace& ws) {
   ACS_REQUIRE(x.size() == objective.dim(), "start point dimension mismatch");
   AlmReport report;
 
-  if (system.size() == 0) {
+  if (system.rows() == 0) {
     SpgOptions inner_options = options.inner;
     inner_options.observer = options.observer;
     const SpgReport inner = MinimizeSpg(objective, set, x, inner_options,
@@ -221,12 +153,12 @@ AlmReport Drive(const Objective& objective, const FeasibleSet& set,
   // multipliers and penalty and skips the loose-to-tight tolerance ramp; a
   // null or mismatched seed is the historical cold start, bit-for-bit.
   const bool warm_dual = options.dual_seed != nullptr &&
-                         options.dual_seed->size() == system.size();
+                         options.dual_seed->size() == system.rows();
   std::vector<double>& multipliers = ws.multipliers;
   if (warm_dual) {
     multipliers = *options.dual_seed;
   } else {
-    multipliers.assign(system.size(), 0.0);
+    multipliers.assign(system.rows(), 0.0);
   }
   double penalty =
       warm_dual ? std::max(options.initial_penalty, options.dual_penalty_seed)
@@ -240,9 +172,9 @@ AlmReport Drive(const Objective& objective, const FeasibleSet& set,
   for (std::size_t outer = 0; outer < options.max_outer; ++outer) {
     report.outer_iterations = outer + 1;
 
-    AugmentedObjective<System> augmented(objective, system, multipliers,
-                                         penalty, ws.penalty_ratio,
-                                         ws.penalty_shift, ws.row_values);
+    AugmentedObjective augmented(objective, system, multipliers, penalty,
+                                 ws.penalty_ratio, ws.penalty_shift,
+                                 ws.row_values);
     SpgOptions inner_options = options.inner;
     inner_options.tolerance = std::max(options.inner.tolerance, inner_tol);
     inner_options.observer = options.observer;
@@ -278,9 +210,9 @@ AlmReport Drive(const Objective& objective, const FeasibleSet& set,
 
     // First-order multiplier updates (batched row values, same row order).
     system.EvaluateAll(x, ws.row_values);
-    for (std::size_t c = 0; c < system.size(); ++c) {
+    for (std::size_t c = 0; c < system.rows(); ++c) {
       const double cv = ws.row_values[c];
-      if (system.Kind(c) == ConstraintKind::kGeZero) {
+      if (system.kind[c] == ConstraintKind::kGeZero) {
         multipliers[c] = std::max(0.0, multipliers[c] - penalty * cv);
       } else {
         multipliers[c] += penalty * cv;
@@ -329,22 +261,13 @@ void FlatLinearSystem::Assign(const std::vector<LinearConstraint>& constraints) 
 }
 
 AlmReport MinimizeAlm(const Objective& objective, const FeasibleSet& set,
-                      const std::vector<const ConstraintFunction*>& constraints,
-                      Vector& x, const AlmOptions& options,
-                      AlmWorkspace* workspace) {
-  AlmWorkspace local;
-  AlmWorkspace& ws = workspace != nullptr ? *workspace : local;
-  return Drive(objective, set, PointerSystem(constraints), x, options, ws);
-}
-
-AlmReport MinimizeAlm(const Objective& objective, const FeasibleSet& set,
                       const std::vector<LinearConstraint>& constraints,
                       Vector& x, const AlmOptions& options,
                       AlmWorkspace* workspace) {
   AlmWorkspace local;
   AlmWorkspace& ws = workspace != nullptr ? *workspace : local;
   ws.flat.Assign(constraints);
-  return Drive(objective, set, FlatSystem(ws.flat), x, options, ws);
+  return Drive(objective, set, ws.flat, x, options, ws);
 }
 
 }  // namespace dvs::opt

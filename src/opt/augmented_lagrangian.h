@@ -66,19 +66,11 @@ struct AlmReport {
   std::vector<double> multipliers;
 };
 
-/// Minimises over `x` in place (projected onto `set` first).  Constraints
-/// are non-owning pointers; callers keep them alive through the solve.
-/// `workspace` (optional) supplies reusable scratch buffers — results are
-/// bit-identical with or without it (see opt/workspace.h).
-AlmReport MinimizeAlm(const Objective& objective, const FeasibleSet& set,
-                      const std::vector<const ConstraintFunction*>& constraints,
-                      Vector& x, const AlmOptions& options = {},
-                      AlmWorkspace* workspace = nullptr);
-
-/// Overload for all-linear constraint systems (the reduced ACS
-/// formulation).  The rows are flattened into one contiguous system
-/// (opt::FlatLinearSystem) before the solve, so the inner loop walks a
-/// single array — same arithmetic, same order, bit-identical results.
+/// Minimises over `x` in place (projected onto `set` first).  The rows are
+/// flattened into one contiguous system (opt::FlatLinearSystem) before the
+/// solve, so the inner loop walks a single array.  `workspace` (optional)
+/// supplies reusable scratch buffers — results are bit-identical with or
+/// without it (see opt/workspace.h).
 AlmReport MinimizeAlm(const Objective& objective, const FeasibleSet& set,
                       const std::vector<LinearConstraint>& constraints,
                       Vector& x, const AlmOptions& options = {},

@@ -51,9 +51,6 @@ struct ChainSolution {
   std::vector<double> budget;  // w_u (the group total for one-node groups)
 };
 
-/// Certified relative gap at or below which an exact solve is accepted.
-inline constexpr double kChainAcceptGap = 1e-6;
-
 enum class ChainStatus {
   kSolved,      // the solution and dual bound are set
   kNoInterior,  // no strictly feasible start was found; solution empty

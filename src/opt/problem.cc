@@ -355,15 +355,4 @@ double LinearConstraint::Violation(const Vector& x) const {
   return 0.0;
 }
 
-double ConstraintFunction::Violation(const Vector& x) const {
-  const double value = Evaluate(x);
-  switch (kind()) {
-    case ConstraintKind::kGeZero:
-      return std::max(0.0, -value);
-    case ConstraintKind::kEqZero:
-      return std::fabs(value);
-  }
-  return 0.0;
-}
-
 }  // namespace dvs::opt

@@ -132,7 +132,7 @@ void ProjectOntoSimplex(std::vector<double>& values, double total);
 void ProjectOntoSimplex(std::vector<double>& values, double total,
                         std::vector<double>& sorted_scratch);
 
-/// Constraint sense shared by all constraint representations.
+/// Constraint sense.
 enum class ConstraintKind { kGeZero, kEqZero };
 
 /// One linear constraint  sum coeff_j * x[index_j] + constant  (>= 0 | == 0).
@@ -148,43 +148,6 @@ struct LinearConstraint {
 
   /// Violation: max(0, -value) for >=, |value| for ==.
   double Violation(const Vector& x) const;
-};
-
-/// General differentiable constraint c(x) (>= 0 | == 0) for the augmented
-/// Lagrangian.  Implementations accumulate weight * grad c(x) into `grad`.
-class ConstraintFunction {
- public:
-  virtual ~ConstraintFunction() = default;
-
-  virtual ConstraintKind kind() const = 0;
-  virtual double Evaluate(const Vector& x) const = 0;
-  virtual void AccumulateGradient(const Vector& x, double weight,
-                                  Vector& grad) const = 0;
-  virtual std::string name() const { return {}; }
-
-  double Violation(const Vector& x) const;
-};
-
-/// Adapter: LinearConstraint as a ConstraintFunction (non-owning view).
-class LinearConstraintFn final : public ConstraintFunction {
- public:
-  explicit LinearConstraintFn(const LinearConstraint& linear)
-      : linear_(&linear) {}
-
-  ConstraintKind kind() const override { return linear_->kind; }
-  double Evaluate(const Vector& x) const override {
-    return linear_->Evaluate(x);
-  }
-  void AccumulateGradient(const Vector&, double weight,
-                          Vector& grad) const override {
-    for (const auto& [index, coeff] : linear_->terms) {
-      grad[index] += weight * coeff;
-    }
-  }
-  std::string name() const override { return linear_->name; }
-
- private:
-  const LinearConstraint* linear_;
 };
 
 }  // namespace dvs::opt

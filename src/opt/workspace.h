@@ -94,15 +94,6 @@ struct FlatLinearSystem {
     }
   }
 
-  /// max(0, -value) for >=, |value| for ==.
-  double Violation(std::size_t row, const Vector& x) const {
-    const double value = Evaluate(row, x);
-    if (kind[row] == ConstraintKind::kGeZero) {
-      return value < 0.0 ? -value : 0.0;
-    }
-    return value < 0.0 ? -value : value;  // |value|
-  }
-
   /// grad[index] += weight * coeff over the row's terms.
   void AccumulateGradient(std::size_t row, double weight, Vector& grad) const {
     const std::size_t b = row_begin[row];
@@ -130,7 +121,7 @@ struct FlatLinearSystem {
 };
 
 /// Scratch for MinimizeAlm: the inner SPG workspace, the multiplier vector
-/// and the flattened constraint system of the all-linear overload.
+/// and the flattened constraint system.
 struct AlmWorkspace {
   SpgWorkspace spg;
   std::vector<double> multipliers;

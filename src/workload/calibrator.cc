@@ -89,7 +89,6 @@ Calibration ScenarioCalibrator::Calibrate(const model::TaskSet& set,
     cal.mean[task] = mean;
     cal.stddev[task] = std::sqrt(sq / static_cast<double>(n - 1));
   }
-  cal.SortDraws();
   return cal;
 }
 

@@ -48,13 +48,12 @@ struct Calibration {
   /// one draw index rather than artificial comonotone quantile stacks.
   std::vector<std::vector<double>> draws;
   /// Per-task draws sorted ascending — the survival law the expected-case
-  /// dispatch (sim::ExpectedCasePolicy) reads.
+  /// dispatch (sim::ExpectedCasePolicy) reads.  Empty until SortDraws:
+  /// neither ScenarioCalibrator::Calibrate nor the persistent solve store
+  /// sorts; core::MethodContext::SortedDraws does, on first use.
   std::vector<std::vector<double>> sorted;
 
-  /// Rebuilds `sorted` from `draws`: each row copied and sorted ascending.
-  /// ScenarioCalibrator::Calibrate fills `sorted` this way, and a
-  /// calibration restored from the persistent solve store (which keeps
-  /// `draws` only) rebuilds it here, bit for bit.
+  /// Builds `sorted` from `draws`: each row copied and sorted ascending.
   void SortDraws();
 
   /// `k` per-task sample vectors spread evenly through the draw order:

@@ -96,6 +96,36 @@ TEST(MethodRegistry, ShimMatchesDirectEvaluation) {
   EXPECT_EQ(shim.wcs.deadline_misses, 0);
 }
 
+// The expected-case readers' sorted rows are built once, on first use, in
+// the context's cached calibration entry.
+TEST(MethodRegistry, SortedDrawsAreBuiltOnFirstUse) {
+  const model::LinearDvsModel cpu = workload::MotivationModel();
+  const model::TaskSet set = workload::MotivationTaskSet();
+  const fps::FullyPreemptiveSchedule fps(set);
+  MethodContext context(fps, cpu);
+  ExperimentOptions options = FastOptions();
+  options.planning.calibration_samples = 64;
+  const workload::Calibration& calibration =
+      context.ScenarioCalibration(options);
+  EXPECT_TRUE(calibration.sorted.empty());
+
+  const std::vector<std::vector<double>>& sorted =
+      context.SortedDraws(calibration);
+  EXPECT_EQ(&sorted, &calibration.sorted);
+  ASSERT_EQ(sorted.size(), calibration.draws.size());
+  for (std::size_t task = 0; task < sorted.size(); ++task) {
+    EXPECT_TRUE(std::is_sorted(sorted[task].begin(), sorted[task].end()));
+    EXPECT_TRUE(std::is_permutation(sorted[task].begin(), sorted[task].end(),
+                                    calibration.draws[task].begin(),
+                                    calibration.draws[task].end()));
+  }
+  EXPECT_EQ(&context.SortedDraws(calibration), &sorted);
+
+  // Only calibrations of this context's cache are served.
+  const workload::Calibration foreign = calibration;
+  EXPECT_THROW(context.SortedDraws(foreign), util::InvalidArgumentError);
+}
+
 TEST(MethodRegistry, StaticVmaxIsTheEnergyCeiling) {
   const model::LinearDvsModel cpu = workload::MotivationModel();
   const model::TaskSet set = workload::MotivationTaskSet();

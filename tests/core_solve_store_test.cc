@@ -149,7 +149,6 @@ StoredCell FullCell(const model::TaskSet& set, const ModelDescriptor& model) {
   calibration.calibration.mean = {5.1, 8.2};
   calibration.calibration.stddev = {0.4, 0.9};
   calibration.calibration.draws = {{5.0, 5.2}, {8.0, 8.4}};
-  calibration.calibration.sorted = {{5.0, 5.2}, {8.0, 8.4}};
   cell.calibrations.push_back(calibration);
   return cell;
 }
@@ -212,9 +211,10 @@ TEST(SolveStoreFormat, SerializeRoundTripIsBitExact) {
   EXPECT_EQ(SerializeStoredCell(back), bytes);
 }
 
-// A stored calibration keeps its draws once; reading it back rebuilds the
-// sorted survival rows bit for bit as the calibrator built them.
-TEST(SolveStoreFormat, CalibrationRoundTripRebuildsTheCalibratorsSortedRows) {
+// A stored calibration keeps its draws once, bit for bit, and reading it
+// back sorts nothing: the sorted survival rows are built by their first
+// reader (MethodContext::SortedDraws), from draws equal to the calibrator's.
+TEST(SolveStoreFormat, CalibrationRoundTripKeepsTheDrawsAndSortsNothing) {
   const model::LinearDvsModel cpu = workload::DefaultModel();
   const model::TaskSet set = TwoTaskSet("cal");
   const workload::ScenarioCalibrator calibrator(
@@ -234,17 +234,18 @@ TEST(SolveStoreFormat, CalibrationRoundTripRebuildsTheCalibratorsSortedRows) {
   ASSERT_EQ(back.calibrations.size(), 1u);
   const workload::Calibration& fresh = stored.calibration;
   const workload::Calibration& restored = back.calibrations[0].calibration;
-  EXPECT_EQ(restored.draws, fresh.draws);
-  ASSERT_EQ(restored.sorted.size(), fresh.sorted.size());
-  for (std::size_t task = 0; task < fresh.sorted.size(); ++task) {
-    ASSERT_EQ(restored.sorted[task].size(), fresh.sorted[task].size());
+  EXPECT_TRUE(fresh.sorted.empty());
+  EXPECT_TRUE(restored.sorted.empty());
+  ASSERT_EQ(restored.draws.size(), fresh.draws.size());
+  for (std::size_t task = 0; task < fresh.draws.size(); ++task) {
+    ASSERT_EQ(restored.draws[task].size(), fresh.draws[task].size());
     EXPECT_FALSE(std::is_sorted(fresh.draws[task].begin(),
                                 fresh.draws[task].end()))
         << "task " << task << ": draws already sorted prove nothing";
-    for (std::size_t j = 0; j < fresh.sorted[task].size(); ++j) {
-      EXPECT_EQ(ModelDescriptor::BitsOf(restored.sorted[task][j]),
-                ModelDescriptor::BitsOf(fresh.sorted[task][j]))
-          << "task " << task << " rank " << j;
+    for (std::size_t j = 0; j < fresh.draws[task].size(); ++j) {
+      EXPECT_EQ(ModelDescriptor::BitsOf(restored.draws[task][j]),
+                ModelDescriptor::BitsOf(fresh.draws[task][j]))
+          << "task " << task << " draw " << j;
     }
   }
 }

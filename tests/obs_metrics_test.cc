@@ -42,8 +42,8 @@ TEST(MetricsRegistry, BuiltinNamesArePinnedInIdOrder) {
       "dpm.sleep_energy",     "sim.sampler_draws",
       "sim.replayed_draws",   "solve.wcs_gap",
       "solve.wcs_fallbacks",  "solve.wcs_fallbacks.no_interior",
-      "solve.wcs_fallbacks.breakdown", "solve.wcs_fallbacks.gap",
-      "solve.wcs_fallbacks.repair", "solver.inner_capped",
+      "solve.wcs_fallbacks.breakdown", "solve.wcs_fallbacks.repair",
+      "solver.inner_capped",
       "solver.final_violation", "repair.max_shift",
       "solve.acs_fallbacks",  "solve.acs_fallbacks.breakdown",
       "solve.acs_fallbacks.no_convergence", "solve.acs_fallbacks.repair",

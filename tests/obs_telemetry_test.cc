@@ -153,7 +153,7 @@ TEST(TelemetryExactWcs, CertifiedSolvesAndKeysReachTheManifest) {
       util::ParseJson(RenderManifest(manifest, &metrics));
   const util::JsonValue& counters = doc.At("metrics").At("counters");
   EXPECT_DOUBLE_EQ(counters.NumberAt("solve.wcs_fallbacks"), 0.0);
-  for (const char* reason : {"no_interior", "breakdown", "gap", "repair"}) {
+  for (const char* reason : {"no_interior", "breakdown", "repair"}) {
     EXPECT_DOUBLE_EQ(
         counters.NumberAt(std::string("solve.wcs_fallbacks.") + reason), 0.0);
   }

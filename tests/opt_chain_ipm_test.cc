@@ -186,6 +186,33 @@ TEST(ChainProgram, BeatsTheAlmOnARandomCorpus) {
   EXPECT_LE(10.0 * exact_evaluations, alm_evaluations);
 }
 
+// A per-core subset of default bench_dpm_sleep (--threads 1) under its
+// critical-speed floor, on which the solve stops with a certified gap
+// above 1e-6.  SolveWcs keeps that exactly feasible, certified schedule;
+// the ALM from Vmax-ASAP, which replaced it before, ends about 1.5x higher.
+TEST(ChainProgram, KeepsTheCertifiedScheduleWhenTheGapMissesTheTarget) {
+  const model::LinearDvsModel floored(/*vmin=*/0.62996051609448744,
+                                      /*vmax=*/4.0, /*ceff=*/1.0,
+                                      /*cycles_per_ms_per_volt=*/1.0);
+  const model::TaskSet set({
+      {"T2", 100, 17.142187186908249, 11.142421671490361, 5.1426561560724746},
+      {"T3", 1000, 92.885022231310842, 60.375264450352049,
+       27.865506669393252},
+      {"T4", 125, 16.266369424110785, 10.573140125672008, 4.8799108272332345},
+  });
+  const fps::FullyPreemptiveSchedule fps(set);
+  ASSERT_EQ(fps.sub_count(), 42u);
+  const ScheduleResult exact = SolveWcs(fps, floored);
+  ASSERT_TRUE(exact.certificate.has_value());
+  EXPECT_GT(exact.certificate->relative_gap, 1e-6);
+  EXPECT_LE(exact.certificate->relative_gap, 1e-4);
+  EXPECT_FALSE(exact.used_fallback);
+  const sim::FeasibilityReport audit =
+      sim::VerifyWorstCase(fps, exact.schedule, floored);
+  EXPECT_TRUE(audit.feasible) << audit.detail;
+  EXPECT_LT(exact.predicted_energy, AlmWcs(fps, floored).predicted_energy);
+}
+
 /// Set `index` of the replay reference corpus (the draw of
 /// tools/replay_reference.cc's ReferenceSet and of opt_replay_newton_test).
 model::TaskSet ReferenceSet(int index, const model::DvsModel& dvs) {

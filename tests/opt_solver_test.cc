@@ -258,42 +258,6 @@ TEST(Alm, NoConstraintsDelegatesToSpg) {
   EXPECT_NEAR(x[1], 2.0, 1e-6);
 }
 
-TEST(Alm, NonlinearConstraintFunction) {
-  // min x0 + x1 s.t. x0 * x1 >= 1, x >= 0.1 -> x = (1, 1).
-  class LinearSum final : public Objective {
-   public:
-    std::size_t dim() const override { return 2; }
-    double Value(const Vector& x) const override { return x[0] + x[1]; }
-    void Gradient(const Vector&, Vector& grad) const override {
-      grad = {1.0, 1.0};
-    }
-  };
-  class ProductConstraint final : public ConstraintFunction {
-   public:
-    ConstraintKind kind() const override { return ConstraintKind::kGeZero; }
-    double Evaluate(const Vector& x) const override {
-      return x[0] * x[1] - 1.0;
-    }
-    void AccumulateGradient(const Vector& x, double w,
-                            Vector& grad) const override {
-      grad[0] += w * x[1];
-      grad[1] += w * x[0];
-    }
-  };
-  const LinearSum f;
-  BoxSimplexSet box(2);
-  box.SetBounds(0, 0.1, kNoBound);
-  box.SetBounds(1, 0.1, kNoBound);
-  const ProductConstraint con;
-  Vector x{3.0, 0.2};
-  AlmOptions options;
-  options.inner.max_iterations = 2000;
-  const AlmReport report = MinimizeAlm(f, box, {&con}, x, options);
-  EXPECT_TRUE(report.feasible);
-  EXPECT_NEAR(x[0] * x[1], 1.0, 1e-3);
-  EXPECT_NEAR(x[0] + x[1], 2.0, 1e-2);
-}
-
 /// Records every hook invocation (the obs-layer convergence recorder's
 /// shape, minus the file sink).
 class RecordingObserver final : public SolveObserver {

@@ -174,17 +174,5 @@ TEST(LinearConstraint, EvaluateAndViolation) {
   EXPECT_DOUBLE_EQ(c.Violation({3.0, 1.0}), 0.0);
 }
 
-TEST(LinearConstraintFn, AdapterAccumulatesGradient) {
-  LinearConstraint c;
-  c.kind = ConstraintKind::kGeZero;
-  c.terms = {{0, 2.0}, {2, -3.0}};
-  const LinearConstraintFn fn(c);
-  Vector grad(3, 1.0);
-  fn.AccumulateGradient({0.0, 0.0, 0.0}, 2.0, grad);
-  EXPECT_DOUBLE_EQ(grad[0], 5.0);
-  EXPECT_DOUBLE_EQ(grad[1], 1.0);
-  EXPECT_DOUBLE_EQ(grad[2], -5.0);
-}
-
 }  // namespace
 }  // namespace dvs::opt

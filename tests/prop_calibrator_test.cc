@@ -65,7 +65,12 @@ Calibration Calibrate(const char* scenario, std::int64_t samples = kSamples) {
   options.samples_per_task = samples;
   const ScenarioCalibrator calibrator(
       &ScenarioRegistry::Builtin().Get(scenario), 6.0, options);
-  return calibrator.Calibrate(set, kSeed);
+  Calibration cal = calibrator.Calibrate(set, kSeed);
+  // Calibrate leaves the sorted rows to their first reader
+  // (core::MethodContext::SortedDraws); build them as it does.
+  EXPECT_TRUE(cal.sorted.empty()) << scenario;
+  cal.SortDraws();
+  return cal;
 }
 
 /// Nearest-rank empirical quantile of task `task` at p in [0, 1]: the

@@ -29,7 +29,7 @@ class CountingSink final : public ResultSink {
 };
 
 ExperimentGrid SmallGrid(const model::DvsModel& dvs) {
-  // Tiny cells keep the full NLP solves test-sized: 2 tasks and a hard cap
+  // Tiny cells keep the NLP solves test-sized: 2 tasks and a hard cap
   // on the expansion size.
   workload::RandomTaskSetOptions gen;
   gen.num_tasks = 2;
