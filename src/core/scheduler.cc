@@ -214,7 +214,7 @@ std::optional<ScheduleResult> SolveReplayExact(
   }
   const double energy = objective.Value(objective.PackSchedule(*repaired));
   ScheduleResult result{std::move(*repaired), energy, {}, false};
-  if (!(energy <= start_energy * (1.0 + opt::kReplayKktTol))) {
+  if (!(energy <= start_energy * (1.0 + opt::kKktTol))) {
     // A local optimum worse than the warm start (a converged neighbour's
     // schedule can be), beyond the solve's own tolerance: keep the warm
     // start, as the ALM path does.
@@ -344,10 +344,25 @@ ScheduleResult SolveWith(
   return result;
 }
 
+/// True when the Vmax as-soon-as-possible sweep leaves no idle time: its
+/// worst-case demand at Vmax fills the whole horizon, so every feasible
+/// schedule runs at Vmax throughout and has the sweep's energy.
+bool FillsTheHorizon(const fps::FullyPreemptiveSchedule& fps,
+                     const model::LinearDvsModel& dvs,
+                     const sim::StaticSchedule& asap) {
+  const double cycle_time = dvs.CycleTime(dvs.vmax());
+  double busy = 0.0;
+  for (std::size_t u = 0; u < fps.sub_count(); ++u) {
+    busy += asap.worst_budget(u) * cycle_time;
+  }
+  return fps.sub_count() > 0 && busy >= fps.effective_end_bounds().back();
+}
+
 /// The exact WCS solve (DESIGN.md §2.2): the explicit-start chain program
 /// solved by opt::SolveChain, its finish times taken as end-times, then the
-/// usual repair and audit.  Returns nullopt, counting the fallback by
-/// reason, when the solve finds no interior start or breaks down, or its
+/// usual repair and audit.  A set whose Vmax sweep fills the horizon is
+/// solved by that sweep, certified with a zero gap.  Returns nullopt,
+/// counting the fallback by reason, when the solve breaks down or its
 /// schedule does not survive repair; the caller then solves with the ALM.
 std::optional<ScheduleResult> SolveWcsExact(
     const fps::FullyPreemptiveSchedule& fps, const model::LinearDvsModel& dvs,
@@ -363,6 +378,37 @@ std::optional<ScheduleResult> SolveWcsExact(
     obs::Count(metric);
     return std::nullopt;
   };
+
+  const EnergyObjective objective(
+      fps, dvs, Scenario::kWorst,
+      workspace != nullptr ? &workspace->objective_scratch() : nullptr);
+  const auto certified = [&span](sim::StaticSchedule schedule, double energy,
+                                 double dual, std::size_t newton_steps) {
+    const double gap = std::max(0.0, (energy - dual) / energy);
+    obs::Count(obs::metric::kWcsSolves);
+    obs::Observe(obs::metric::kWcsGap, gap);
+    obs::Observe(obs::metric::kWcsNewtonSteps,
+                 static_cast<double>(newton_steps));
+    if (span.enabled()) {
+      span.Arg("newton_steps", static_cast<std::int64_t>(newton_steps));
+    }
+    ScheduleResult result{std::move(schedule), energy, {}, false,
+                          GapCertificate{energy, dual, gap}};
+    opt::AlmReport& work = result.alm;
+    work.feasible = true;
+    work.inner_status = opt::SolveStatus::kConverged;
+    work.total_inner_iterations = newton_steps;
+    work.evaluations = newton_steps;
+    work.final_value = energy;
+    return result;
+  };
+  {
+    sim::StaticSchedule asap = sim::BuildVmaxAsapSchedule(fps, dvs);
+    if (FillsTheHorizon(fps, dvs, asap)) {
+      const double energy = objective.Value(objective.PackSchedule(asap));
+      return certified(std::move(asap), energy, energy, 0);
+    }
+  }
 
   const model::TaskSet& set = fps.task_set();
   opt::ChainProblem problem;
@@ -387,10 +433,6 @@ std::optional<ScheduleResult> SolveWcsExact(
   const opt::ChainIpmReport report = opt::SolveChain(
       problem, solution,
       workspace != nullptr ? &workspace->solver().chain : nullptr);
-  if (report.status == opt::ChainStatus::kNoInterior) {
-    return fall_back("no strictly feasible start",
-                     obs::metric::kWcsFallbackNoInterior);
-  }
   if (report.status == opt::ChainStatus::kBreakdown) {
     return fall_back("KKT pivot breakdown", obs::metric::kWcsFallbackBreakdown);
   }
@@ -407,23 +449,9 @@ std::optional<ScheduleResult> SolveWcsExact(
   // bound does from below.  A gap above the solver's own target is kept
   // with its schedule, which is feasible and certified, rather than traded
   // for an uncertified ALM solve; solve.wcs_gap's max shows any such gap.
-  const EnergyObjective objective(
-      fps, dvs, Scenario::kWorst,
-      workspace != nullptr ? &workspace->objective_scratch() : nullptr);
   const double energy = objective.Value(objective.PackSchedule(*repaired));
-  const double gap = std::max(0.0, (energy - report.dual) / energy);
-  obs::Count(obs::metric::kWcsSolves);
-  obs::Observe(obs::metric::kWcsGap, gap);
-  ScheduleResult result{std::move(*repaired), energy, {}, false,
-                        GapCertificate{energy, report.dual, gap}};
-  opt::AlmReport& work = result.alm;
-  work.feasible = true;
-  work.inner_status = opt::SolveStatus::kConverged;
-  work.outer_iterations = report.rounds;
-  work.total_inner_iterations = report.newton_steps;
-  work.evaluations = report.evaluations;
-  work.final_value = energy;
-  return result;
+  return certified(std::move(*repaired), energy, report.dual,
+                   report.newton_steps);
 }
 
 }  // namespace

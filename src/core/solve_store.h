@@ -75,8 +75,10 @@ namespace dvs::core {
 /// tolerance, and to other local optima on some sets).  Version 7: a
 /// stored calibration keeps its draws once.  Version 8: a WCS solve whose
 /// certified gap misses the solver's target keeps its exact schedule
-/// instead of falling back to the ALM.
-inline constexpr std::uint32_t kSolveStoreSchemaVersion = 8;
+/// instead of falling back to the ALM.  Version 9: the exact WCS solve runs
+/// on the primal-dual driver from any start (its results moved within the
+/// certified gap, and sets it could not start before are solved exactly).
+inline constexpr std::uint32_t kSolveStoreSchemaVersion = 9;
 
 /// Concrete-parameter description of a planning model — the model's
 /// content identity in both solve caches: the LinearDvsModel's exact

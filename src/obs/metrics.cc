@@ -71,7 +71,7 @@ MetricsRegistry::MetricsRegistry() {
   AddHistogram("solve.wcs_gap",
                {1e-14, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6});
   AddCounter("solve.wcs_fallbacks");
-  AddCounter("solve.wcs_fallbacks.no_interior");
+  AddHistogram("solve.wcs_newton_steps", {10, 20, 40, 80, 160, 320, 640});
   AddCounter("solve.wcs_fallbacks.breakdown");
   AddCounter("solve.wcs_fallbacks.repair");
   AddCounter("solver.inner_capped");

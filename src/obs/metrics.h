@@ -187,13 +187,14 @@ inline constexpr MetricId kDpmSleepEnergy = 34;     // dpm.sleep_energy
 inline constexpr MetricId kSamplerDraws = 35;       // sim.sampler_draws
 inline constexpr MetricId kReplayedDraws = 36;      // sim.replayed_draws
 // Exact WCS solves (core::SolveWcs): the certified relative duality gap of
-// each, and the solves that fell back to the ALM, in total and by reason.
-// Charged at solve time, like solve.wcs_solves.
+// each, the solves that fell back to the ALM, in total and by reason, and
+// per solve its Newton systems.  Charged at solve time, like
+// solve.wcs_solves.
 inline constexpr MetricId kWcsGap = 37;             // solve.wcs_gap
                                                     // (histogram)
 inline constexpr MetricId kWcsFallbacks = 38;       // solve.wcs_fallbacks
-inline constexpr MetricId kWcsFallbackNoInterior = 39;  // solve.wcs_fallbacks.
-                                                        // no_interior
+inline constexpr MetricId kWcsNewtonSteps = 39;  // solve.wcs_newton_steps
+                                                 // (histogram)
 inline constexpr MetricId kWcsFallbackBreakdown = 40;   // ....breakdown
 inline constexpr MetricId kWcsFallbackRepair = 41;      // ....repair
 // Solves whose last ALM inner solve hit its iteration cap (result-charged

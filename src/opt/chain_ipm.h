@@ -13,25 +13,31 @@
 // solves the worst-case schedule (WCS) with it; DESIGN.md §2.2 proves the
 // program's optimum equals the reduced WCS problem's.
 //
-// Method: log-barrier path following.  Each centring step solves the
-// equality-constrained Newton (KKT) system in one forward elimination along
-// the order.  The barrier Hessian is banded (only s_u and f_{u-1} couple
-// neighbouring nodes); each group's multiplier joins a dense frontier at its
-// first node and is eliminated after its last, so a step costs
-// O(n * (5 + k)^2) for at most k groups open at once (one per task).
+// Method: the primal-dual driver (opt/primal_dual.h) from the Vmax
+// as-soon-as-possible sweep, feasible or not.  Budgets enter as each
+// group's running sums C_u (w_u = C_u - C_prev, the last C the group total),
+// so the budget equalities hold by construction and the Newton systems
+// carry no equality row.  Each Newton system is eliminated along the order
+// in one frontal sweep: the objective's rank-one Hessian enters through a
+// lifting variable, and each open group's running budget stays in the
+// frontier, so a step costs O(n * (6 + k)^2) for at most k groups open at
+// once (one per task).
 //
-// Certificate: after each centring round the barrier duals are repaired into
-// an exactly dual-feasible point of the Lagrangian dual, whose value is a
-// rigorous lower bound on the optimum; the solve stops once the relative
-// duality gap (primal - dual) / primal is below the target.
+// Certificate: at every nearly feasible iterate the driver's multipliers
+// are repaired into an exactly dual-feasible point of the Lagrangian dual,
+// whose value is a rigorous lower bound on the optimum; the iterate with
+// the best relative duality gap (primal - dual) / primal is returned.  The
+// solve stops at the driver's KKT tolerance, at a certified gap of that
+// size, or once the barrier parameter stays put for as many Newton systems
+// as the solve took to its last fall.
 #ifndef ACS_OPT_CHAIN_IPM_H
 #define ACS_OPT_CHAIN_IPM_H
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "opt/frontal.h"
+#include "opt/primal_dual.h"
 
 namespace dvs::opt {
 
@@ -51,41 +57,35 @@ struct ChainSolution {
   std::vector<double> budget;  // w_u (the group total for one-node groups)
 };
 
-enum class ChainStatus {
-  kSolved,      // the solution and dual bound are set
-  kNoInterior,  // no strictly feasible start was found; solution empty
-  kBreakdown,   // a KKT pivot failed before any round finished
-};
+/// kSolved when an iterate was certified (the solution and dual bound are
+/// set), else kBreakdown.
+using ChainStatus = PrimalDualStatus;
 
 struct ChainIpmReport {
   ChainStatus status = ChainStatus::kSolved;
-  double dual = 0.0;          // certified lower bound on the optimum
-  std::size_t rounds = 0;        // centring rounds (barrier updates)
+  double dual = 0.0;             // certified lower bound on the optimum
   std::size_t newton_steps = 0;  // Newton systems solved
-  std::size_t evaluations = 0;   // barrier evaluations, line search included
 };
 
-/// Where a node's Newton-system terms enter the frontier: the slots of
-/// s_u, f_u, w_u, the lifting variable z_u, s_{u+1} and its group's
-/// multiplier, and the eliminations planned up to and including the node.
+/// Where a node's objective terms enter the frontier: the slots of s_u,
+/// f_u, C_u, its group's previous C and z_u; the rows and eliminations up
+/// to and including the node.
 struct ChainNodePlan {
-  std::size_t s = 0, f = 0, w = 0, z = 0, next = 0, nu = 0;
-  bool opens = false;  // the group's first free node: its residual enters
+  std::size_t s = 0, f = 0, c = 0, prev = 0, z = 0;
+  std::size_t rows_end = 0;
   std::size_t steps_end = 0;
 };
 
 /// Reusable buffers of SolveChain (one per thread; see opt/workspace.h).
 struct ChainIpmWorkspace {
-  FrontalPlan plan;                    // the Newton systems' elimination,
-  std::vector<ChainNodePlan> nodes;    // planned once per solve
-  std::vector<double> s, f, w, ds, df, dw, gs, gf, gw;
-  std::vector<double> trial_s, trial_f, trial_w;
+  FrontalPlan plan;                  // the Newton systems' elimination,
+  std::vector<ChainNodePlan> nodes;  // planned once per solve
+  std::vector<std::size_t> row_slot;
+  std::vector<std::size_t> lambda_row;  // per node and row kind: its row
   std::vector<double> best_s, best_f, best_w;
-  std::vector<double> values;          // back-substitution result by id
-  FrontalBuffers frontal;              // the Newton system's elimination
-  std::vector<double> lambda;          // certificate duals, 5 per node
-  std::vector<double> alpha;           // certificate: d coefficients
-  std::vector<double> group_sum, group_excess, group_room;  // per group
+  std::vector<double> lambda;  // certificate duals, 5 per node
+  std::vector<double> nu;      // certificate: per group
+  PrimalDualWorkspace driver;
 };
 
 /// Solves `problem`; `solution` receives the iterate with the best

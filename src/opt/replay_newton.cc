@@ -16,30 +16,6 @@ constexpr std::size_t kMaxPatterns = 24;
 // A pattern row whose value is below this fraction of its group's budget is
 // active at a converged point.
 constexpr double kActiveSlack = 1e-7;
-// A step covers at most this fraction of the distance to the boundary of
-// any slack or multiplier, and of a free node's speed band.
-constexpr double kToBoundary = 0.995;
-// The smallest slack a relaxed row starts with (solver units): a row below
-// it starts violated by the difference, which its slack carries until the
-// iteration closes it.
-constexpr double kStartSlack = 1e-3;
-// A pattern row is shifted just enough to hold with this slack where the
-// start or a pattern change leaves it at or below zero.
-constexpr double kBoundaryShift = 1e-12;
-// The barrier subproblem at mu is solved when the Newton decrement is at
-// most mu and the complementarity and row violation are at most the gap;
-// the relative gap then falls to min(kMuFactor * gap, gap^kMuPower).
-constexpr double kMuFactor = 0.05;
-constexpr double kMuPower = 1.5;
-// Below this summed row violation (solver units) a step must lower the
-// barrier objective by the Armijo rule.
-constexpr double kNearlyFeasible = 1e-6;
-// A free node's speed w / d stays within [kSpeedBand * floor, max speed /
-// kSpeedBand] once it is there: its energy and finish degenerate as the
-// budget and the window vanish together.
-constexpr double kSpeedBand = 0.5;
-// Multipliers stay within this factor of mu / slack.
-constexpr double kDualSafeguard = 1e10;
 
 enum class Case : unsigned char { kEmpty, kFull, kPartial };
 
@@ -52,21 +28,10 @@ enum class Flip : unsigned char {
   kToNext,      // w >= avg: the plan wants to reach the next node
 };
 
-/// The program in solver units: time over the largest cap and cycles over
-/// what max_speed runs in that time, so max_speed = energy_coeff = 1.
-struct Scaled {
-  std::size_t n = 0;
-  std::size_t groups = 0;
-  std::vector<double> r, b, cap, total, plan;
-  std::vector<std::size_t> group;
-  std::vector<std::vector<std::size_t>> members;  // per group, in order
-  std::vector<unsigned char> w_var;  // the node's budget is a variable
-  std::vector<unsigned char> c_var;  // its group's running budget C_u is one
-  std::vector<std::size_t> prev;     // previous node of its group, or kNone
-  double smin = 0.0;                 // min_speed / max_speed
+/// The order with each node's earliest end-time and each group's plan.
+struct Scaled : ScaledOrder {
+  std::vector<double> b, plan;
   std::size_t frontier_cap = 0;
-  double time_unit = 1.0;
-  double cycle_unit = 1.0;
 };
 
 struct Pattern {
@@ -112,57 +77,21 @@ std::int64_t IdC(std::size_t u) { return IdW(u); }
 
 Scaled ScaleProblem(const ReplayProblem& problem) {
   Scaled p;
-  p.n = problem.release.size();
-  p.groups = problem.group_total.size();
-  double horizon = 0.0;
-  for (double cap : problem.cap) {
-    horizon = std::max(horizon, cap);
-  }
-  p.time_unit = horizon > 0.0 ? horizon : 1.0;
-  p.cycle_unit = p.time_unit * problem.max_speed;
-  p.smin = problem.min_speed / problem.max_speed;
-  p.r.resize(p.n);
+  static_cast<ScaledOrder&>(p) =
+      ScaleOrder(problem.release, problem.cap, problem.group,
+                 problem.group_total, problem.min_speed, problem.max_speed,
+                 problem.energy_coeff);
   p.b.resize(p.n);
-  p.cap.resize(p.n);
-  p.group = problem.group;
-  p.total.resize(p.groups);
   p.plan.resize(p.groups);
-  p.members.assign(p.groups, {});
   for (std::size_t g = 0; g < p.groups; ++g) {
-    p.total[g] = problem.group_total[g] / p.cycle_unit;
     p.plan[g] = problem.group_plan[g] / p.cycle_unit;
   }
   for (std::size_t u = 0; u < p.n; ++u) {
-    p.r[u] = problem.release[u] / p.time_unit;
     p.b[u] = problem.begin[u] / p.time_unit;
-    p.cap[u] = problem.cap[u] / p.time_unit;
-    p.members[p.group[u]].push_back(u);
-  }
-  p.w_var.resize(p.n);
-  p.c_var.resize(p.n);
-  p.prev.assign(p.n, kNone);
-  std::vector<int> delta(p.n + 1, 0);
-  for (std::size_t g = 0; g < p.groups; ++g) {
-    const std::vector<std::size_t>& group = p.members[g];
-    for (std::size_t j = 0; j < group.size(); ++j) {
-      p.w_var[group[j]] = group.size() > 1 ? 1 : 0;
-      p.c_var[group[j]] = j + 1 < group.size() ? 1 : 0;
-      p.prev[group[j]] = j > 0 ? group[j - 1] : kNone;
-    }
-    if (p.members[g].size() > 1) {
-      ++delta[p.members[g].front()];
-      --delta[p.members[g].back() + 1];
-    }
   }
   // Each open group holds its running budget in the frontier; a node holds
   // at most e_{u-1}, s_u, e_u, its own running budget, z_u and s_{u+1}.
-  int open = 0;
-  int max_open = 0;
-  for (std::size_t u = 0; u < p.n; ++u) {
-    open += delta[u];
-    max_open = std::max(max_open, open);
-  }
-  p.frontier_cap = static_cast<std::size_t>(max_open) + 8;
+  p.frontier_cap = p.open + 8;
   return p;
 }
 
@@ -406,29 +335,6 @@ double Objective(const Scaled& p, const Pattern& pat, const State& x) {
   return total;
 }
 
-/// Maps a vector over the primitives s, e, w, a of every node (ids 5u +
-/// 0..3) onto the variables s, e and C (ids 5u + 0..2): the transpose of
-/// the primitives' expansion w_u = C_u - C_prev, a_u = plan - C_prev.
-void ToVariables(const Scaled& p, const Pattern& pat,
-                 const std::vector<double>& prim, std::vector<double>& var) {
-  var.assign(5 * p.n, 0.0);
-  for (std::size_t u = 0; u < p.n; ++u) {
-    var[IdS(u)] += prim[IdS(u)];
-    var[IdE(u)] += prim[IdE(u)];
-    if (p.w_var[u]) {
-      if (p.c_var[u]) {
-        var[IdC(u)] += prim[IdW(u)];
-      }
-      if (p.prev[u] != kNone) {
-        var[IdC(p.prev[u])] -= prim[IdW(u)];
-      }
-    }
-    if (AvgVar(p, pat, u)) {
-      var[IdC(p.prev[u])] -= prim[IdA(u)];
-    }
-  }
-}
-
 /// A primitive as a combination of variables, entering them into the plan's
 /// frontier: s and e are themselves, w_u = C_u - C_prev and a_u = plan -
 /// C_prev.
@@ -465,8 +371,7 @@ ReplayLin Expand(const Scaled& p, const Pattern& pat, FrontalPlan& fp,
 /// coefficients of a row that is not curved, so any x of the pattern
 /// serves.
 void BuildPlan(const Scaled& p, const Pattern& pat, const State& x,
-               ReplayNewtonWorkspace& ws) {
-  ReplayPlan& plan = ws.plan;
+               ReplayPlan& plan, PrimalDualWorkspace& ws) {
   FrontalPlan& fp = plan.frontal;
   fp.Reset(p.frontier_cap);
   plan.node.assign(p.n, ReplayNodePlan{});
@@ -565,7 +470,6 @@ void BuildPlan(const Scaled& p, const Pattern& pat, const State& x,
     }
     node.steps_end = fp.steps().size();
   }
-  ws.row_value.resize(plan.slot_begin.size() - 1);
 }
 
 /// Assembles and factors the primal-dual Newton matrix at x
@@ -580,9 +484,9 @@ void BuildPlan(const Scaled& p, const Pattern& pat, const State& x,
 /// modified factorisation (opt/frontal.h) keeps every direction a descent
 /// one.  False on a non-finite pivot.
 bool NewtonSystem(const Scaled& p, const Pattern& pat, const State& x,
-                  Frontier& fr, ReplayNewtonWorkspace& ws) {
+                  const ReplayPlan& plan, Frontier& fr,
+                  PrimalDualWorkspace& ws) {
   const std::size_t n = p.n;
-  const ReplayPlan& plan = ws.plan;
   ws.grad.assign(5 * n, 0.0);
   double* grad = ws.grad.data();
 
@@ -795,319 +699,123 @@ void AsapStart(const Scaled& p, State& x) {
   }
 }
 
-/// Largest step in (0, limit] that keeps every entry of v + alpha dv at or
-/// above (1 - fraction) of its value.
-double StepLimit(const std::vector<double>& v, const std::vector<double>& dv,
-                 double fraction, double limit) {
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (dv[i] < 0.0) {
-      limit = std::min(limit, -fraction * v[i] / dv[i]);
-    }
-  }
-  return limit;
-}
+/// One solve's walk over patterns: the primal point x with its pattern and
+/// the Newton-system plan of the pattern, on the primal-dual driver.
+class ReplayProgram final : public PrimalDualProgram {
+ public:
+  ReplayProgram(const Scaled& p, ReplayNewtonWorkspace& ws)
+      : p_(p), ws_(ws), driver_(ws.driver) {}
 
-/// Solver state of one run over patterns: the primal point x with its
-/// pattern and barrier parameter mu, and per row (in emission order) its
-/// slack, multiplier and shift in the workspace.
-struct Run {
-  const Scaled& p;
-  ReplayNewtonWorkspace& ws;
-  ReplayNewtonReport& report;
-  std::size_t max_newton;
   Pattern pat;
-  State x, trial;
-  double mu = 0.0;
-  double kkt = kInf;
-  // The merit's sums at x when x is an accepted trial point: its slacks
-  // moved there by the same alpha * d_slack, so the sums repeat exactly.
-  bool merit_kept = false;
-  double kept_logs = 0.0;
-  double kept_violation = 0.0;
-  ReplayStatus failure = ReplayStatus::kNoConvergence;
+  State x;
+
+  PrimalDual& driver() { return driver_; }
 
   /// Starts the pattern from x at complementarity energy / rows: a pattern
-  /// row shifted just enough to hold, with its shifted value as its slack
-  /// (a pattern row is never relaxed: its piece's formulas hold only inside
-  /// it), any other row at slack max(row, kStartSlack).  Plans the
-  /// pattern's Newton systems.
+  /// row is strict (its piece's formulas hold only inside it), any other
+  /// row relaxed.  Plans the pattern's Newton systems.
   void Restart() {
-    BuildPlan(p, pat, x, ws);
-    merit_kept = false;
-    ws.slack.clear();
-    ws.row_shift.clear();
-    std::size_t index = 0;
-    for (std::size_t u = 0; u < p.n; ++u) {
-      NodeRows(p, pat, x, u, [&](const Row& row) {
-        ws.row_shift.push_back(
-            row.strict ? std::max(0.0, kBoundaryShift - row.value) : 0.0);
-        ws.row_value[index++] = row.value + ws.row_shift.back();
-        ws.slack.push_back(row.strict ? row.value + ws.row_shift.back()
-                                      : std::max(row.value, kStartSlack));
+    BuildPlan(p_, pat, x, ws_.plan, ws_.driver);
+    driver_.ClearRows();
+    for (std::size_t u = 0; u < p_.n; ++u) {
+      NodeRows(p_, pat, x, u, [&](const Row& row) {
+        driver_.AddStartRow(row.value, row.strict);
       });
     }
-    const double obj = Objective(p, pat, x);
-    mu = (obj > 0.0 ? obj : 1.0) / static_cast<double>(ws.slack.size());
-    ws.dual.resize(ws.slack.size());
-    for (std::size_t r = 0; r < ws.slack.size(); ++r) {
-      ws.dual[r] = mu / ws.slack[r];
+    driver_.StartMultipliers(opt::Objective(p_, pat, x));
+  }
+
+  const FrontalPlan& plan() const override { return ws_.plan.frontal; }
+
+  double Objective() const override { return opt::Objective(p_, pat, x); }
+
+  bool NewtonSystem(Frontier& fr, PrimalDualWorkspace& ws) override {
+    return opt::NewtonSystem(p_, pat, x, ws_.plan, fr, ws);
+  }
+
+  /// Maps prim over the primitives s, e, w, a (ids 5u + 0..3) onto the
+  /// variables s, e and C (ids 5u + 0..2): the transpose of the primitives'
+  /// expansion w_u = C_u - C_prev, a_u = plan - C_prev.
+  void ToVariables(const std::vector<double>& prim,
+                   std::vector<double>& var) const override {
+    var.assign(5 * p_.n, 0.0);
+    for (std::size_t u = 0; u < p_.n; ++u) {
+      var[IdS(u)] += prim[IdS(u)];
+      var[IdE(u)] += prim[IdE(u)];
+      if (p_.w_var[u]) {
+        if (p_.c_var[u]) {
+          var[IdC(u)] += prim[IdW(u)];
+        }
+        if (p_.prev[u] != kNone) {
+          var[IdC(p_.prev[u])] -= prim[IdW(u)];
+        }
+      }
+      if (AvgVar(p_, pat, u)) {
+        var[IdC(p_.prev[u])] -= prim[IdA(u)];
+      }
     }
   }
 
-  /// The primal step over the primitives (ws.step) from the variables'
-  /// (ws.values).
-  void StepOfValues() {
-    const double* val = ws.values.data();
-    ws.step.assign(5 * p.n, 0.0);
-    for (std::size_t u = 0; u < p.n; ++u) {
-      const double before = p.prev[u] != kNone ? val[IdC(p.prev[u])] : 0.0;
-      ws.step[IdS(u)] = val[IdS(u)];
-      ws.step[IdE(u)] = val[IdE(u)];
-      if (p.w_var[u]) {
-        ws.step[IdW(u)] = (p.c_var[u] ? val[IdC(u)] : 0.0) - before;
+  void StepOfValues(const std::vector<double>& val,
+                    std::vector<double>& step) const override {
+    step.assign(5 * p_.n, 0.0);
+    for (std::size_t u = 0; u < p_.n; ++u) {
+      const double before = p_.prev[u] != kNone ? val[IdC(p_.prev[u])] : 0.0;
+      step[IdS(u)] = val[IdS(u)];
+      step[IdE(u)] = val[IdE(u)];
+      if (p_.w_var[u]) {
+        step[IdW(u)] = (p_.c_var[u] ? val[IdC(u)] : 0.0) - before;
       }
-      if (AvgVar(p, pat, u)) {
-        ws.step[IdA(u)] = -before;
+      if (AvgVar(p_, pat, u)) {
+        step[IdA(u)] = -before;
       }
     }
   }
 
-  /// The Newton direction at mu on the factored system: the primal step
-  /// (ws.values, ws.step) and the slack and multiplier steps (ws.d_slack,
-  /// ws.d_dual).  Returns the barrier objective's slope along it.
-  double Direction(const Frontier& fr) {
-    const std::size_t rows = ws.slack.size();
-    ws.prim.resize(ws.grad.size());
-    for (std::size_t i = 0; i < ws.grad.size(); ++i) {
-      ws.prim[i] = -ws.grad[i];
-    }
-    for (std::size_t r = 0; r < rows; ++r) {
-      const double rho =
-          ws.dual[r] - (ws.dual[r] * ws.row_value[r] - mu) / ws.slack[r];
-      for (std::size_t k = ws.row_begin[r]; k < ws.row_begin[r + 1]; ++k) {
-        ws.prim[ws.row_id[k]] += rho * ws.row_coeff[k];
-      }
-    }
-    ToVariables(p, pat, ws.prim, ws.rhs);
-    ws.values.assign(5 * p.n, 0.0);
-    fr.Resolve(ws.rhs, ws.values);
-    StepOfValues();
-    double slope = 0.0;
-    for (std::size_t i = 0; i < ws.grad.size(); ++i) {
-      slope += ws.grad[i] * ws.step[i];
-    }
-    ws.d_slack.resize(rows);
-    ws.d_dual.resize(rows);
-    for (std::size_t r = 0; r < rows; ++r) {
-      double ds = ws.row_value[r] - ws.slack[r];
-      for (std::size_t k = ws.row_begin[r]; k < ws.row_begin[r + 1]; ++k) {
-        ds += ws.row_coeff[k] * ws.step[ws.row_id[k]];
-      }
-      ws.d_slack[r] = ds;
-      ws.d_dual[r] = (mu - ws.dual[r] * ds) / ws.slack[r] - ws.dual[r];
-      slope -= mu * ds / ws.slack[r];
-    }
-    return slope;
-  }
-
-  /// Largest primal step in (0, 1] keeping `fraction` of every slack and of
-  /// every free node's distance to its speed band (or of its budget and
-  /// window while it is outside the band).
-  double PrimalLimit(double fraction) const {
-    double limit = StepLimit(ws.slack, ws.d_slack, fraction, 1.0);
-    const auto bound = [&limit, fraction](double v, double dv) {
-      if (dv < 0.0) {
-        limit = std::min(limit, -fraction * v / dv);
-      }
-    };
-    const double lo = kSpeedBand * p.smin;
-    const double hi = 1.0 / kSpeedBand;
-    for (std::size_t u = 0; u < p.n; ++u) {
-      if (!FreeExecuting(pat, u)) {
-        continue;
-      }
-      const double d = x.e[u] - x.s[u];
-      const double dd = ws.step[IdE(u)] - ws.step[IdS(u)];
-      const double w = x.w[u];
-      const double dw = p.w_var[u] ? ws.step[IdW(u)] : 0.0;
-      if (w > lo * d) {
-        bound(w - lo * d, dw - lo * dd);
-      } else {
-        bound(w, dw);
-      }
-      if (hi * d > w) {
-        bound(hi * d - w, hi * dd - dw);
-      } else {
-        bound(d, dd);
+  /// Keeps `fraction` of every free node's distance to its speed band.
+  double PrimalLimit(const std::vector<double>& step, double fraction,
+                     double limit) const override {
+    for (std::size_t u = 0; u < p_.n; ++u) {
+      if (FreeExecuting(pat, u)) {
+        limit = SpeedBandLimit(x.w[u], p_.w_var[u] ? step[IdW(u)] : 0.0,
+                               x.e[u] - x.s[u], step[IdE(u)] - step[IdS(u)],
+                               p_.smin, fraction, limit);
       }
     }
     return limit;
   }
 
-  /// Moves x by alpha along the primal step (ws.values) into `out`.
-  void MoveTo(double alpha, State& out) const {
-    out = x;
-    for (std::size_t u = 0; u < p.n; ++u) {
-      out.s[u] = x.s[u] + alpha * ws.values[IdS(u)];
-      out.e[u] = x.e[u] + alpha * ws.values[IdE(u)];
-      if (p.c_var[u]) {
-        out.c[u] = x.c[u] + alpha * ws.values[IdC(u)];
+  double Trial(double alpha, const std::vector<double>& values,
+               std::vector<double>& rows) override {
+    trial_ = x;
+    for (std::size_t u = 0; u < p_.n; ++u) {
+      trial_.s[u] = x.s[u] + alpha * values[IdS(u)];
+      trial_.e[u] = x.e[u] + alpha * values[IdE(u)];
+      if (p_.c_var[u]) {
+        trial_.c[u] = x.c[u] + alpha * values[IdC(u)];
       }
     }
-    Derive(p, pat, out);
+    Derive(p_, pat, trial_);
+    const double obj = opt::Objective(p_, pat, trial_);
+    if (obj < kInf) {
+      std::size_t index = 0;
+      for (std::size_t u = 0; u < p_.n; ++u) {
+        NodeRows(p_, pat, trial_, u,
+                 [&](const Row& row) { rows[index++] = row.value; });
+      }
+    }
+    return obj;
   }
 
-  /// Merit(x, 0, violation, logs) from x's objective `obj`, its rows
-  /// (ws.row_value) and the slope of the last direction: the accepted
-  /// trial's sums when a finite slope shows every d_slack finite (so
-  /// 0 * d_slack moves no slack), or the same sums in the same order.
-  double MeritHere(double obj, double slope, double& violation) const {
-    if (merit_kept && std::isfinite(slope)) {
-      violation = kept_violation;
-      return obj - mu * kept_logs;
-    }
-    double logs = 0.0;
-    violation = 0.0;
-    bool inside = obj < kInf;
-    std::size_t r = 0;
-    for (std::size_t u = 0; u < p.n && inside; ++u) {
-      for (; r < ws.plan.node[u].rows_end; ++r) {
-        const double slack = ws.slack[r] + 0.0 * ws.d_slack[r];
-        inside = inside && slack > 0.0;
-        logs += std::log(slack);
-        violation += std::fabs(ws.row_value[r] - slack);
-      }
-    }
-    return inside ? obj - mu * logs : kInf;
-  }
-
-  /// The barrier objective f - mu sum log(slack) at `at` with the slacks
-  /// moved by alpha along ws.d_slack (+inf outside the domain); `violation`
-  /// and `logs` receive the summed row violation |row - slack| and the sum
-  /// of log(slack), and ws.trial_value the shifted rows at `at` (all of
-  /// them when the merit is finite).
-  double Merit(const State& at, double alpha, double& violation,
-               double& logs) const {
-    const double obj = Objective(p, pat, at);
-    logs = 0.0;
-    violation = 0.0;
-    bool inside = obj < kInf;
-    std::size_t index = 0;
-    ws.trial_value.resize(ws.slack.size());
-    for (std::size_t u = 0; u < p.n && inside; ++u) {
-      NodeRows(p, pat, at, u, [&](const Row& row) {
-        const double slack = ws.slack[index] + alpha * ws.d_slack[index];
-        inside = inside && slack > 0.0;
-        logs += std::log(slack);
-        ws.trial_value[index] = row.value + ws.row_shift[index];
-        violation += std::fabs(ws.trial_value[index] - slack);
-        ++index;
-      });
-    }
-    return inside ? obj - mu * logs : kInf;
-  }
-
-  /// Primal-dual barrier iterations on the fixed pattern until the
-  /// relative KKT residual is at most kReplayKktTol.  Each builds one
-  /// Newton system; a barrier update re-solves it for the new right-hand
-  /// side.
-  bool Converge() {
-    const double rows = static_cast<double>(ws.slack.size());
-    while (true) {
-      if (report.newton_steps >= max_newton) {
-        failure = ReplayStatus::kNoConvergence;
-        return false;
-      }
-      ++report.newton_steps;
-      Frontier fr(ws.frontal, ws.plan.frontal, /*modify=*/true);
-      const double obj = Objective(p, pat, x);
-      if (!NewtonSystem(p, pat, x, fr, ws) || !(obj < kInf)) {
-        failure = ReplayStatus::kBreakdown;
-        return false;
-      }
-      const double scale = obj > 0.0 ? obj : 1.0;
-      double gap = 0.0;
-      double centrality = 0.0;
-      double infeasible = 0.0;
-      for (std::size_t r = 0; r < ws.slack.size(); ++r) {
-        gap += ws.slack[r] * ws.dual[r];
-        centrality += std::fabs(ws.slack[r] * ws.dual[r] - mu);
-        infeasible =
-            std::max(infeasible, std::fabs(ws.row_value[r] - ws.slack[r]));
-      }
-      // The residual: the gap and the Newton decrement relative to the
-      // energy, and the largest row violation.
-      double slope = Direction(fr);
-      kkt = std::max({gap / scale, std::fabs(slope) / scale, infeasible});
-      if (!std::isfinite(kkt)) {
-        failure = ReplayStatus::kBreakdown;
-        return false;
-      }
-      if (kkt <= kReplayKktTol) {
-        return true;
-      }
-      // A solved barrier subproblem lowers mu superlinearly (relative to
-      // the energy, down to a tenth of the tolerance) and re-solves.
-      const double floor_mu = 0.1 * kReplayKktTol * scale / rows;
-      if (mu > floor_mu && std::fabs(slope) <= mu &&
-          centrality <= mu * rows && infeasible * scale <= mu * rows) {
-        const double relative = mu * rows / scale;
-        mu = std::max(floor_mu, std::min(kMuFactor * relative,
-                                         std::pow(relative, kMuPower)) *
-                                    scale / rows);
-        slope = Direction(fr);
-      }
-      // Line search: a trial point is accepted when it lowers the row
-      // violation or the barrier objective in proportion to the step and
-      // the violation; a nearly feasible point must lower the barrier
-      // objective by the Armijo rule.
-      double violation = 0.0;
-      const double phi = MeritHere(obj, slope, violation);
-      double alpha = PrimalLimit(kToBoundary);
-      const double alpha_dual =
-          StepLimit(ws.dual, ws.d_dual, kToBoundary, 1.0);
-      bool accepted = false;
-      double trial_violation = 0.0;
-      double trial_logs = 0.0;
-      for (int halvings = 0; halvings < 50 && !accepted; ++halvings) {
-        MoveTo(alpha, trial);
-        const double value = Merit(trial, alpha, trial_violation, trial_logs);
-        if (value < kInf) {
-          accepted =
-              violation <= kNearlyFeasible && slope < 0.0
-                  ? value <= phi + 1e-4 * alpha * slope
-                  : trial_violation <= (1.0 - 1e-4 * alpha) * violation ||
-                        value <= phi - 1e-4 * alpha * violation;
-        }
-        if (!accepted) {
-          alpha *= 0.5;
-        }
-      }
-      if (!accepted) {
-        continue;  // no step left: the guard ends the solve
-      }
-      std::swap(x, trial);
-      std::swap(ws.row_value, ws.trial_value);
-      merit_kept = true;
-      kept_logs = trial_logs;
-      kept_violation = trial_violation;
-      for (std::size_t r = 0; r < ws.slack.size(); ++r) {
-        ws.slack[r] += alpha * ws.d_slack[r];
-        ws.dual[r] = std::min(
-            std::max(ws.dual[r] + alpha_dual * ws.d_dual[r],
-                     mu / (kDualSafeguard * ws.slack[r])),
-            kDualSafeguard * mu / ws.slack[r]);
-      }
-    }
-  }
+  void AcceptTrial() override { std::swap(x, trial_); }
 
   /// Pattern rows left active at the converged point, with the move each
   /// asks for (one per node at most).
   std::vector<std::pair<std::size_t, Flip>> ActiveFlips() const {
     std::vector<std::pair<std::size_t, Flip>> flips;
-    for (std::size_t u = 0; u < p.n; ++u) {
-      const double ref = p.total[p.group[u]];
-      NodeRows(p, pat, x, u, [&](const Row& row) {
+    for (std::size_t u = 0; u < p_.n; ++u) {
+      const double ref = p_.total[p_.group[u]];
+      NodeRows(p_, pat, x, u, [&](const Row& row) {
         if (row.flip != Flip::kNone && row.value < kActiveSlack * ref &&
             (flips.empty() || flips.back().first != u)) {
           flips.emplace_back(u, row.flip);
@@ -1122,8 +830,8 @@ struct Run {
   bool ApplyFlips(const std::vector<std::pair<std::size_t, Flip>>& flips) {
     const Pattern before = pat;
     for (const auto& [u, flip] : flips) {
-      const std::size_t g = p.group[u];
-      const std::vector<std::size_t>& group = p.members[g];
+      const std::size_t g = p_.group[u];
+      const std::vector<std::size_t>& group = p_.members[g];
       const std::size_t pos = static_cast<std::size_t>(
           std::find(group.begin(), group.end(), u) - group.begin());
       switch (flip) {
@@ -1133,7 +841,7 @@ struct Run {
         case Flip::kToFree:
           // Only a node with a window and more than a vanishing budget runs
           // above the floor.
-          if (x.e[u] > x.s[u] && x.w[u] > kActiveSlack * p.total[g]) {
+          if (x.e[u] > x.s[u] && x.w[u] > kActiveSlack * p_.total[g]) {
             pat.floored[u] = 0;
           }
           break;
@@ -1149,7 +857,7 @@ struct Run {
           pat.partial[g] = v;
           if (flip == Flip::kToNext) {
             const double d = x.e[v] - x.s[v];
-            pat.floored[v] = d > 0.0 && x.w[v] > p.smin * d ? 0 : 1;
+            pat.floored[v] = d > 0.0 && x.w[v] > p_.smin * d ? 0 : 1;
           }
           break;
         }
@@ -1160,10 +868,16 @@ struct Run {
     if (pat == before) {
       return false;
     }
-    Derive(p, pat, x);
+    Derive(p_, pat, x);
     Restart();
     return true;
   }
+
+ private:
+  const Scaled& p_;
+  ReplayNewtonWorkspace& ws_;
+  PrimalDual driver_;
+  State trial_;
 };
 
 }  // namespace
@@ -1175,27 +889,20 @@ ReplayNewtonReport SolveReplay(const ReplayProblem& problem,
                                ReplayNewtonWorkspace* workspace,
                                std::size_t max_newton_steps) {
   const std::size_t n = problem.release.size();
-  ACS_REQUIRE(problem.begin.size() == n && problem.cap.size() == n &&
-                  problem.group.size() == n,
+  ACS_REQUIRE(problem.begin.size() == n,
               "replay problem: per-node arrays differ in length");
   ACS_REQUIRE(problem.group_plan.size() == problem.group_total.size(),
               "replay problem: per-group arrays differ in length");
-  ACS_REQUIRE(problem.max_speed > problem.min_speed && problem.min_speed > 0.0,
-              "replay problem: need 0 < min_speed < max_speed");
-  ACS_REQUIRE(problem.energy_coeff > 0.0,
-              "replay problem: energy coefficient must be positive");
+  ACS_REQUIRE(problem.min_speed > 0.0, "replay problem: need 0 < min_speed");
   ACS_REQUIRE(warm_end.empty() ||
                   (warm_end.size() == n && warm_budget.size() == n),
               "replay problem: warm start size mismatch");
-  for (std::size_t u = 0; u < n; ++u) {
-    ACS_REQUIRE(problem.group[u] < problem.group_total.size(),
-                "replay problem: group index out of range");
-  }
   for (std::size_t g = 0; g < problem.group_total.size(); ++g) {
-    ACS_REQUIRE(problem.group_total[g] > 0.0 && problem.group_plan[g] >= 0.0 &&
+    ACS_REQUIRE(problem.group_plan[g] >= 0.0 &&
                     problem.group_plan[g] <= problem.group_total[g],
-                "replay problem: need 0 <= plan <= total, total > 0");
+                "replay problem: need 0 <= plan <= total");
   }
+  const Scaled p = ScaleProblem(problem);
 
   ReplayNewtonWorkspace local;
   ReplayNewtonWorkspace& ws = workspace != nullptr ? *workspace : local;
@@ -1204,12 +911,11 @@ ReplayNewtonReport SolveReplay(const ReplayProblem& problem,
   if (n == 0) {
     return report;
   }
-  const Scaled p = ScaleProblem(problem);
 
   // The start: the warm (e, w), or an as-soon-as-possible sweep, with its
   // natural pattern and greedy starts; every row starts at complementarity
   // energy / rows.
-  Run run{p, ws, report, max_newton_steps, {}, {}, {}};
+  ReplayProgram run(p, ws);
   State& x = run.x;
   x.e.resize(n);
   x.w.resize(n);
@@ -1246,9 +952,10 @@ ReplayNewtonReport SolveReplay(const ReplayProblem& problem,
   while (true) {
     visited.push_back(run.pat);
     ++report.patterns;
-    if (!run.Converge()) {
-      report.status = run.failure;
-      report.kkt_residual = run.kkt;
+    report.status =
+        run.driver().Converge(run, report.newton_steps, max_newton_steps);
+    if (report.status != ReplayStatus::kSolved) {
+      report.kkt_residual = run.driver().kkt();
       return report;
     }
     const double obj = Objective(p, run.pat, x);
@@ -1257,7 +964,7 @@ ReplayNewtonReport SolveReplay(const ReplayProblem& problem,
     }
     best = x;
     best_obj = obj;
-    best_kkt = run.kkt;
+    best_kkt = run.driver().kkt();
     if (report.patterns >= kMaxPatterns) {
       break;
     }
@@ -1270,10 +977,7 @@ ReplayNewtonReport SolveReplay(const ReplayProblem& problem,
     }
   }
   report.kkt_residual = best_kkt;
-  const double energy_unit = problem.energy_coeff * p.cycle_unit *
-                             p.cycle_unit * p.cycle_unit /
-                             (p.time_unit * p.time_unit);
-  report.objective = best_obj * energy_unit;
+  report.objective = best_obj * p.energy_unit;
   solution.start.resize(n);
   solution.end.resize(n);
   solution.budget.resize(n);

@@ -25,17 +25,16 @@
 // exact: a full free node costs the jointly convex perspective w^3/d^2, a
 // floored node is linear, and only the partial node of a group (avg = plan
 // - earlier budgets, finish s + avg d / w) is non-convex.  Budgets are each
-// group's running sums, so no Newton system carries an equality row.  A
-// primal-dual interior-point method solves the pattern: every row g_i >= 0
-// gets a slack and a multiplier, so a start need not be feasible (pattern
-// rows excepted, which are shifted just enough to hold), and each Newton
-// system is eliminated along the order in one frontal sweep (opt/frontal.h,
-// planned once per pattern) whose modified pivots keep each step a descent
-// step where a partial node leaves the system indefinite; a barrier update
-// re-solves the factored system.  A pattern-boundary row still active at a converged point moves
-// its node to the neighbouring piece and the solve restarts from the
-// converged point, until the pattern is stable, a boundary is crossed back
-// (a kink optimum) or a change stops paying.
+// group's running sums, so no Newton system carries an equality row.  The
+// primal-dual driver (opt/primal_dual.h) solves the pattern, so a start
+// need not be feasible (pattern rows excepted, which are strict: shifted
+// just enough to hold), and each Newton system is eliminated along the
+// order in one frontal sweep (opt/frontal.h, planned once per pattern)
+// whose modified pivots keep each step a descent step where a partial node
+// leaves the system indefinite.  A pattern-boundary row still active at a
+// converged point moves its node to the neighbouring piece and the solve
+// restarts from the converged point, until the pattern is stable, a
+// boundary is crossed back (a kink optimum) or a change stops paying.
 // Every pattern stops on its relative KKT residual, never on an iteration
 // count: a solve whose step guard fires in any pattern reports
 // kNoConvergence and returns no point.
@@ -47,6 +46,7 @@
 #include <vector>
 
 #include "opt/frontal.h"
+#include "opt/primal_dual.h"
 
 namespace dvs::opt {
 
@@ -68,18 +68,7 @@ struct ReplaySolution {
   std::vector<double> budget;  // w_u (the group total for one-node groups)
 };
 
-/// Relative KKT residual at or below which a solve is accepted.
-inline constexpr double kReplayKktTol = 1e-9;
-
-/// Newton systems a solve may build over all its patterns: a guard against
-/// a solve that cannot terminate, never a stop rule.
-inline constexpr std::size_t kReplayMaxNewton = 1500;
-
-enum class ReplayStatus {
-  kSolved,         // converged: the solution is set
-  kBreakdown,      // a Newton system had a non-finite pivot
-  kNoConvergence,  // the step guard fired before the KKT tolerance
-};
+using ReplayStatus = PrimalDualStatus;
 
 struct ReplayNewtonReport {
   ReplayStatus status = ReplayStatus::kSolved;
@@ -133,19 +122,8 @@ struct ReplayPlan {
 
 /// Reusable buffers of SolveReplay (one per thread; see opt/workspace.h).
 struct ReplayNewtonWorkspace {
-  FrontalBuffers frontal;
   ReplayPlan plan;
-  std::vector<double> rhs, values;       // right-hand side, step by variable
-  std::vector<double> grad, prim, step;  // objective gradient, scratch and
-                                         // step by primitive id
-  // The rows of the pattern (ids and coefficients of their terms, by the
-  // plan; curved rows' coefficients by the last Newton system) and their
-  // shifted values at x and at the last trial point.
-  std::vector<double> row_value, row_coeff, trial_value;
-  std::vector<std::size_t> row_begin;
-  std::vector<std::int64_t> row_id;
-  // Per row: slack, multiplier, shift and the slack and multiplier steps.
-  std::vector<double> slack, dual, row_shift, d_slack, d_dual;
+  PrimalDualWorkspace driver;
 };
 
 /// Solves `problem` from the warm start (`warm_end`, `warm_budget`; empty
@@ -156,7 +134,7 @@ ReplayNewtonReport SolveReplay(
     const ReplayProblem& problem, const std::vector<double>& warm_end,
     const std::vector<double>& warm_budget, ReplaySolution& solution,
     ReplayNewtonWorkspace* workspace = nullptr,
-    std::size_t max_newton_steps = kReplayMaxNewton);
+    std::size_t max_newton_steps = kMaxNewtonSteps);
 
 }  // namespace dvs::opt
 

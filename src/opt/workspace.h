@@ -134,7 +134,7 @@ struct AlmWorkspace {
 /// The full per-thread solver scratch bundle.
 struct SolverWorkspace {
   AlmWorkspace alm;
-  ChainIpmWorkspace chain;  // exact WCS solves
+  ChainIpmWorkspace chain;       // exact WCS solves
   ReplayNewtonWorkspace replay;  // converged ACS / point-planned solves
 };
 

@@ -247,9 +247,9 @@ TEST(Scheduler, AcsAlmOptionsArePinnedToTheStoreSchemaVersion) {
   const char* const bump =
       "a changed solver setting needs a kSolveStoreSchemaVersion bump "
       "(core/solve_store.h); update this pin together with it";
-  ASSERT_EQ(kSolveStoreSchemaVersion, 8u) << bump;
-  EXPECT_EQ(opt::kReplayKktTol, 1e-9) << bump;
-  EXPECT_EQ(opt::kReplayMaxNewton, 1500u) << bump;
+  ASSERT_EQ(kSolveStoreSchemaVersion, 9u) << bump;
+  EXPECT_EQ(opt::kKktTol, 1e-9) << bump;
+  EXPECT_EQ(opt::kMaxNewtonSteps, 1500u) << bump;
   const opt::AlmOptions alm = AcsAlmOptions();
   EXPECT_EQ(alm.max_outer, 14u) << bump;
   EXPECT_EQ(alm.feasibility_tol, 1e-8) << bump;

@@ -41,7 +41,7 @@ TEST(MetricsRegistry, BuiltinNamesArePinnedInIdOrder) {
       "dpm.sleeps",           "dpm.migrations",
       "dpm.sleep_energy",     "sim.sampler_draws",
       "sim.replayed_draws",   "solve.wcs_gap",
-      "solve.wcs_fallbacks",  "solve.wcs_fallbacks.no_interior",
+      "solve.wcs_fallbacks",  "solve.wcs_newton_steps",
       "solve.wcs_fallbacks.breakdown", "solve.wcs_fallbacks.repair",
       "solver.inner_capped",
       "solver.final_violation", "repair.max_shift",

@@ -119,10 +119,12 @@ TEST(TelemetryGoldenBytes, SmokeGridUnchangedWithFullTelemetryOn) {
   // trajectory (or to how a line search counts its trials) fails here and
   // must re-pin both counts on purpose.
   // Re-pinned when ACS moved to the converged Newton solve (from 48268
-  // evaluations and 47088 inner iterations under the capped ALM), and again
-  // when that solve became primal-dual (from 2392 and 2348).
-  EXPECT_EQ(agg[metric::kSolverEvals].count, 1372);
-  EXPECT_EQ(agg[metric::kSolverInner].count, 1336);
+  // evaluations and 47088 inner iterations under the capped ALM), again
+  // when that solve became primal-dual (from 2392 and 2348), and again when
+  // the exact WCS solve moved onto the same primal-dual driver (from 1372
+  // and 1336; it now counts one evaluation per Newton system).
+  EXPECT_EQ(agg[metric::kSolverEvals].count, 528);
+  EXPECT_EQ(agg[metric::kSolverInner].count, 528);
 
   // Every ACS solve of the smoke grid converges on the Newton path, so the
   // ALM (the only solver that writes convergence records) never runs.
@@ -153,7 +155,7 @@ TEST(TelemetryExactWcs, CertifiedSolvesAndKeysReachTheManifest) {
       util::ParseJson(RenderManifest(manifest, &metrics));
   const util::JsonValue& counters = doc.At("metrics").At("counters");
   EXPECT_DOUBLE_EQ(counters.NumberAt("solve.wcs_fallbacks"), 0.0);
-  for (const char* reason : {"no_interior", "breakdown", "repair"}) {
+  for (const char* reason : {"breakdown", "repair"}) {
     EXPECT_DOUBLE_EQ(
         counters.NumberAt(std::string("solve.wcs_fallbacks.") + reason), 0.0);
   }
@@ -164,6 +166,11 @@ TEST(TelemetryExactWcs, CertifiedSolvesAndKeysReachTheManifest) {
   EXPECT_DOUBLE_EQ(gap.NumberAt("count"),
                    counters.NumberAt("solve.wcs_solves"));
   EXPECT_LE(gap.NumberAt("max"), 1e-6);
+  // Each certified solve observes its Newton systems.
+  const util::JsonValue& wcs_steps =
+      doc.At("metrics").At("histograms").At("solve.wcs_newton_steps");
+  EXPECT_DOUBLE_EQ(wcs_steps.NumberAt("count"), gap.NumberAt("count"));
+  EXPECT_GE(wcs_steps.NumberAt("min"), 1.0);
   // Every cell of the smoke grid solves, so each reports its largest final
   // violation once.
   const util::JsonValue& violation =

@@ -17,6 +17,7 @@
 #include "core/formulation.h"
 #include "core/scheduler.h"
 #include "fps/expansion.h"
+#include "sim/engine.h"
 #include "stats/rng.h"
 #include "workload/presets.h"
 #include "workload/random_taskset.h"
@@ -187,10 +188,9 @@ TEST(ChainProgram, BeatsTheAlmOnARandomCorpus) {
 }
 
 // A per-core subset of default bench_dpm_sleep (--threads 1) under its
-// critical-speed floor, on which the solve stops with a certified gap
-// above 1e-6.  SolveWcs keeps that exactly feasible, certified schedule;
-// the ALM from Vmax-ASAP, which replaced it before, ends about 1.5x higher.
-TEST(ChainProgram, KeepsTheCertifiedScheduleWhenTheGapMissesTheTarget) {
+// critical-speed floor: the solve certifies it to the KKT tolerance, and
+// the ALM from Vmax-ASAP ends about 1.5x higher.
+TEST(ChainProgram, CertifiesAFlooredDpmCoreToTheKktTolerance) {
   const model::LinearDvsModel floored(/*vmin=*/0.62996051609448744,
                                       /*vmax=*/4.0, /*ceff=*/1.0,
                                       /*cycles_per_ms_per_volt=*/1.0);
@@ -204,13 +204,124 @@ TEST(ChainProgram, KeepsTheCertifiedScheduleWhenTheGapMissesTheTarget) {
   ASSERT_EQ(fps.sub_count(), 42u);
   const ScheduleResult exact = SolveWcs(fps, floored);
   ASSERT_TRUE(exact.certificate.has_value());
-  EXPECT_GT(exact.certificate->relative_gap, 1e-6);
-  EXPECT_LE(exact.certificate->relative_gap, 1e-4);
+  EXPECT_LE(exact.certificate->relative_gap, opt::kKktTol);
   EXPECT_FALSE(exact.used_fallback);
   const sim::FeasibilityReport audit =
       sim::VerifyWorstCase(fps, exact.schedule, floored);
   EXPECT_TRUE(audit.feasible) << audit.detail;
   EXPECT_LT(exact.predicted_energy, AlmWcs(fps, floored).predicted_energy);
+}
+
+/// Sets whose Vmax as-soon-as-possible sweep ends a window exactly at its
+/// cap, so that no strictly feasible start sits near it: the exact solve
+/// starts from that sweep anyway and certifies each, below the ALM from
+/// Vmax-ASAP.
+void ExpectCertifiedBelowTheAlm(const model::TaskSet& set,
+                                const model::LinearDvsModel& cpu,
+                                std::size_t sub_count) {
+  const fps::FullyPreemptiveSchedule fps(set);
+  ASSERT_EQ(fps.sub_count(), sub_count);
+  const ScheduleResult exact = SolveWcs(fps, cpu);
+  ASSERT_TRUE(exact.certificate.has_value());
+  EXPECT_FALSE(exact.used_fallback);
+  EXPECT_LE(exact.certificate->relative_gap, 1e-6);
+  EXPECT_GT(exact.alm.total_inner_iterations, 0u);
+  const sim::FeasibilityReport audit =
+      sim::VerifyWorstCase(fps, exact.schedule, cpu);
+  EXPECT_TRUE(audit.feasible) << audit.detail;
+  EXPECT_LT(exact.predicted_energy, AlmWcs(fps, cpu).predicted_energy);
+}
+
+// A per-core subset of the seed-1 grid-warm perfbench grid (utilisation
+// 0.998 at Vmax).
+TEST(ChainProgram, CertifiesAGridWarmCoreWithATightSweep) {
+  ExpectCertifiedBelowTheAlm(
+      model::TaskSet({
+          {"T1", 20, 4.2147013996298988, 3.1610260497224241,
+           2.1073506998149494},
+          {"T2", 20, 15.507105233894322, 11.63032892542074,
+           7.7535526169471609},
+          {"T3", 10, 7.5782057235923395, 5.6836542926942544,
+           3.7891028617961697},
+          {"T4", 50, 36.911937098841683, 27.683952824131264,
+           18.455968549420842},
+          {"T5", 20, 15.921454963964399, 11.941091222973299,
+           7.9607274819821994},
+          {"T8", 100, 71.549370895458665, 53.66202817159401,
+           35.774685447729333},
+      }),
+      workload::DefaultModel(), 60);
+}
+
+// The 56-sub-instance per-core subset of mp_fleet_test's fleet
+// (utilisation 0.9988 at Vmax).
+TEST(ChainProgram, CertifiesAFleetCoreWithATightSweep) {
+  ExpectCertifiedBelowTheAlm(
+      model::TaskSet({
+          {"T1", 20, 26.20257923857066, 17.03167650507093,
+           7.8607737715711972},
+          {"T2", 100, 78.624834389533689, 51.106142353196894,
+           23.587450316860107},
+          {"T5", 50, 24.455924437977231, 15.896350884685202,
+           7.3367773313931695},
+          {"T6", 200, 198.89804083503137, 129.28372654277038,
+           59.66941225050941},
+          {"T8", 20, 8.3012286439879404, 5.3957986185921616,
+           2.4903685931963819},
+      }),
+      workload::DefaultModel(), 56);
+}
+
+// A 330-sub-instance set of default bench_ablation_utilization at
+// utilisation 0.9.
+TEST(ChainProgram, CertifiesAnAblationSetWithATightSweep) {
+  ExpectCertifiedBelowTheAlm(
+      model::TaskSet({
+          {"T1", 125, 102.05831729449231, 56.132074511970771,
+           10.205831729449232},
+          {"T2", 20, 14.169972905562522, 7.7934850980593877,
+           1.4169972905562522},
+          {"T3", 200, 90.82165255876464, 49.951908907320551,
+           9.0821652558764647},
+          {"T4", 200, 115.11732308483826, 63.314527696661045,
+           11.511732308483827},
+          {"T5", 500, 418.51236873254913, 230.18180280290201,
+           41.851236873254912},
+          {"T6", 250, 52.078800170705492, 28.643340093888018,
+           5.2078800170705497},
+      }),
+      workload::DefaultModel(), 330);
+}
+
+// A 16-sub-instance per-core subset of mp_fleet_test's DPM fleet under its
+// critical-speed floor whose worst-case demand at Vmax fills the whole
+// hyper-period: every feasible schedule runs at Vmax throughout, so the
+// Vmax-ASAP sweep is optimal and is returned with a zero gap, no solver
+// run.
+TEST(ChainProgram, ReturnsTheSweepWhenItLeavesNoIdleTime) {
+  const model::LinearDvsModel floored(/*vmin=*/0.53132928103037558,
+                                      /*vmax=*/4.0, /*ceff=*/1.0,
+                                      /*cycles_per_ms_per_volt=*/1.0);
+  const model::TaskSet set({
+      {"T1", 10, 7.750507234087765, 5.0378297021570475, 2.3251521702263296},
+      {"T2", 20, 24.202957786247801, 15.73192256106107, 7.2608873358743393},
+      {"T3", 40, 54.273820977999186, 35.277983635699471, 16.282146293399755},
+      {"T4", 20, 13.159117256577078, 8.553426216775101, 3.9477351769731226},
+  });
+  const fps::FullyPreemptiveSchedule fps(set);
+  ASSERT_EQ(fps.sub_count(), 16u);
+  const ScheduleResult exact = SolveWcs(fps, floored);
+  ASSERT_TRUE(exact.certificate.has_value());
+  EXPECT_FALSE(exact.used_fallback);
+  EXPECT_EQ(exact.certificate->relative_gap, 0.0);
+  EXPECT_EQ(exact.certificate->primal, exact.certificate->dual);
+  EXPECT_EQ(exact.alm.total_inner_iterations, 0u);
+  const sim::StaticSchedule asap = sim::BuildVmaxAsapSchedule(fps, floored);
+  EXPECT_EQ(exact.schedule.end_times(), asap.end_times());
+  EXPECT_EQ(exact.schedule.worst_budgets(), asap.worst_budgets());
+  const sim::FeasibilityReport audit =
+      sim::VerifyWorstCase(fps, exact.schedule, floored);
+  EXPECT_TRUE(audit.feasible) << audit.detail;
 }
 
 /// Set `index` of the replay reference corpus (the draw of
@@ -241,26 +352,26 @@ struct ChainPin {
 // shared with the ACS solver; a change there that moves one rounding of the
 // exact WCS path fails here.
 constexpr ChainPin kChainPins[] = {
-  {0, 0x40a126666674e8feULL, 73},
-  {1, 0x40c5ed98e9ff1d46ULL, 103},
-  {2, 0x40a57000000d7e1dULL, 82},
-  {3, 0x40a12666667493b2ULL, 76},
-  {4, 0x40d57000000f2696ULL, 75},
-  {5, 0x40b1266666715528ULL, 83},
-  {6, 0x40a1266666745eb9ULL, 68},
-  {7, 0x40c57000000ed629ULL, 68},
-  {8, 0x40c586cde15bfb8bULL, 94},
-  {9, 0x40c5700000122683ULL, 106},
-  {10, 0x40b57000000f2052ULL, 98},
-  {11, 0x40d57000000da2bcULL, 101},
-  {12, 0x40d570000011db45ULL, 73},
-  {13, 0x40a1266666819775ULL, 75},
-  {14, 0x40b57000000da705ULL, 75},
-  {15, 0x406b70a3d71d9c92ULL, 65},
-  {16, 0x40b1266666722e22ULL, 64},
-  {17, 0x409126666670cf08ULL, 98},
-  {18, 0x40c5700000122500ULL, 74},
-  {19, 0x40912666667258c8ULL, 72},
+  {0, 0x40a1266666694d40ULL, 14},
+  {1, 0x40c5ed98e9f20a41ULL, 16},
+  {2, 0x40a570000002b271ULL, 14},
+  {3, 0x40a1266666693baaULL, 15},
+  {4, 0x40d5700000030727ULL, 15},
+  {5, 0x40b126666668957aULL, 15},
+  {6, 0x40a1266666693ba9ULL, 15},
+  {7, 0x40c570000002f710ULL, 14},
+  {8, 0x40c586cde154ef46ULL, 26},
+  {9, 0x40c570000003a08fULL, 15},
+  {10, 0x40b570000003072cULL, 15},
+  {11, 0x40d570000002b8c4ULL, 15},
+  {12, 0x40d57000000391f8ULL, 15},
+  {13, 0x40a126666668daf1ULL, 15},
+  {14, 0x40b570000002bad6ULL, 15},
+  {15, 0x406b70a3d70e2b20ULL, 15},
+  {16, 0x40b126666668c9f8ULL, 14},
+  {17, 0x4091266666687a42ULL, 15},
+  {18, 0x40c570000003a08aULL, 15},
+  {19, 0x409126666668c9f8ULL, 15},
 };
 
 TEST(ChainProgram, IsBitIdenticalOnTheReferenceCorpus) {

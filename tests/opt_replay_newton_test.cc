@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -106,7 +107,7 @@ TEST(ReplayNewton, BeatsTheCappedAlmOnMostTinySets) {
       continue;
     }
     ++converged;
-    EXPECT_LE(report.kkt_residual, opt::kReplayKktTol);
+    EXPECT_LE(report.kkt_residual, opt::kKktTol);
     const std::optional<sim::StaticSchedule> repaired =
         RepairSchedule(fps, cpu, solution.end, solution.budget);
     ASSERT_TRUE(repaired.has_value());
@@ -179,10 +180,31 @@ struct ReplayPin {
   std::size_t patterns;
 };
 
+/// The warm starts of the pins below, per corpus set: the exact WCS
+/// schedules they were recorded from (tests/data/replay_warm_starts.csv, in
+/// hexadecimal floating point), so that the pins follow SolveReplay alone.
+std::vector<Warm> RecordedWarmStarts() {
+  std::ifstream csv(std::string(ACS_TEST_DATA_DIR) +
+                    "/replay_warm_starts.csv");
+  std::vector<Warm> warm;
+  std::string line;
+  std::getline(csv, line);  // header
+  while (std::getline(csv, line)) {
+    const std::size_t a = line.find(',');
+    const std::size_t b = line.find(',', a + 1);
+    const std::size_t c = line.find(',', b + 1);
+    const std::size_t set = std::stoul(line.substr(0, a));
+    warm.resize(std::max(warm.size(), set + 1));
+    warm[set].end.push_back(std::strtod(line.c_str() + b + 1, nullptr));
+    warm[set].budget.push_back(std::strtod(line.c_str() + c + 1, nullptr));
+  }
+  return warm;
+}
+
 // SolveReplay's objective (to the bit), Newton systems and patterns on every
-// set of the reference corpus from the exact WCS warm start, at the ACEC
-// point (first row of each set) and at the three-quarter point between BCEC
-// and WCEC (second row).  The Newton kernel replays a per-pattern
+// set of the reference corpus from its recorded exact WCS warm start, at the
+// ACEC point (first row of each set) and at the three-quarter point between
+// BCEC and WCEC (second row).  The Newton kernel replays a per-pattern
 // elimination plan; a change that moves one rounding fails here.
 constexpr ReplayPin kReplayPins[] = {
   {0, 0x40867ff1f7bde0f3ULL, 33, 2},
@@ -234,6 +256,7 @@ TEST(ReplayNewton, IsBitIdenticalOnTheReferenceCorpus) {
   ASSERT_TRUE(csv.good());
   std::string line;
   std::getline(csv, line);  // header
+  const std::vector<Warm> recorded = RecordedWarmStarts();
   std::size_t pins = 0;
   while (std::getline(csv, line)) {
     int index = 0;
@@ -241,7 +264,9 @@ TEST(ReplayNewton, IsBitIdenticalOnTheReferenceCorpus) {
     SCOPED_TRACE(index);
     const model::TaskSet set = ReferenceSet(index, cpu);
     const fps::FullyPreemptiveSchedule fps(set);
-    const Warm warm = WarmOf(SolveWcs(fps, cpu).schedule);
+    ASSERT_LT(static_cast<std::size_t>(index), recorded.size());
+    const Warm& warm = recorded[static_cast<std::size_t>(index)];
+    ASSERT_EQ(warm.end.size(), fps.sub_count());
     opt::ReplayProblem problem = ProblemOf(fps, cpu);
     for (int point = 0; point < 2; ++point) {
       if (point == 1) {
@@ -368,9 +393,9 @@ TEST(ReplayNewton, ConvergesOnAMultiPatternSetWellUnderTheGuard) {
   const opt::ReplayNewtonReport report = opt::SolveReplay(
       stored.problem, stored.warm_end, stored.warm_budget, solution);
   ASSERT_EQ(report.status, opt::ReplayStatus::kSolved);
-  EXPECT_LE(report.kkt_residual, opt::kReplayKktTol);
+  EXPECT_LE(report.kkt_residual, opt::kKktTol);
   EXPECT_GE(report.patterns, 2u);
-  EXPECT_LE(report.newton_steps, opt::kReplayMaxNewton / 5);
+  EXPECT_LE(report.newton_steps, opt::kMaxNewtonSteps / 5);
   EXPECT_GT(report.objective, 0.0);
 }
 
